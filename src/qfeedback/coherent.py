@@ -141,7 +141,9 @@ def kalman_design(f_a, g_a, h_a, l_select) -> KalmanResult:
     q_care = hermitian_part(g_a @ dagger(g_a) - s @ v_inv @ dagger(s))
     care = solve_care_hermitian(a_care, r_care, q_care)
     scale = 1.0 + max_abs(q_care)
-    if not care.exists or np.min(np.linalg.eigvalsh(care.x)) < -RESIDUAL_TOL * scale:
+    if not care.exists or (
+        n and np.min(np.linalg.eigvalsh(care.x)) < -RESIDUAL_TOL * scale
+    ):
         raise DesignError("no stabilizing positive semidefinite covariance found")
     q = hermitian_part(care.x)
 

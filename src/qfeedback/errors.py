@@ -58,10 +58,6 @@ class NotAugmentableError(ValueError):
         self.residuals = dict(residuals or {})
 
 
-class WellPosednessError(ValueError):
-    """A feedback interconnection has a singular algebraic loop."""
-
-
 class GenerationError(RuntimeError):
     """Random system generation exhausted its retry budget."""
 

@@ -21,17 +21,19 @@ from .errors import (
     NotRealizableError,
 )
 from .linalg import (
-    RANK_TOL,
     RESIDUAL_TOL,
     STRUCTURE_TOL,
     as_matrix,
     conj_swap,
     dagger,
+    delta_build,
     doubling_permutation,
+    hermitian_basis,
     hermitian_part,
     is_doubled,
     max_abs,
     psd_split,
+    real_columns,
     signature_matrix,
     solve_care_hermitian,
     solve_lyapunov_hermitian,
@@ -40,6 +42,8 @@ from .systems import (
     AnnihilationQSys,
     GeneralQSys,
     PrVerdict,
+    _coupling_residual,
+    _inertia,
     check_pr_annihilation,
     check_pr_general,
     eig_sum_condition,
@@ -57,18 +61,17 @@ def _stack_cols_doubled(blocks: list[np.ndarray]) -> np.ndarray:
     return np.hstack(ann + cre)
 
 
-def _stack_rows_doubled(blocks: list[np.ndarray]) -> np.ndarray:
-    """Concatenate doubled matrices along rows, keeping doubled order."""
-    ann = [b[: b.shape[0] // 2, :] for b in blocks]
-    cre = [b[b.shape[0] // 2 :, :] for b in blocks]
-    return np.vstack(ann + cre)
-
-
 def _identity_pad(rows: int, cols: int) -> np.ndarray:
     """The [I, 0] block of shape (rows, cols); needs cols >= rows."""
     out = np.zeros((rows, cols), dtype=complex)
     out[:, :rows] = np.eye(rows)
     return out
+
+
+def _identity_pattern(kind: str, rows: int, cols: int) -> np.ndarray:
+    """The feedthrough [I, 0] over (rows, cols) fields, doubled for the general kind."""
+    pad = _identity_pad(rows, cols)
+    return delta_build(pad, np.zeros_like(pad)).body if kind == "general" else pad
 
 
 @dataclass(frozen=True)
@@ -265,6 +268,68 @@ class PlantAugmentation:
     verdict: PrVerdict
 
 
+def _square_completion(kind, f, g_blocks, h_given, label, pattern_residuals) -> PlantAugmentation:
+    """Complete (F, G, H_given) to a square realizable system with K = I.
+
+    G stacks the input blocks ``g_blocks`` and ``h_given`` holds the
+    existing output rows, both in doubled order for the general kind.  The
+    certificate Theta solves F Theta + Theta F^dagger + G S G^dagger = 0
+    with S = J (general) or I (annihilation) and must have inertia (n, n)
+    or be positive definite.  The missing output rows are
+    -S G^dagger Theta^{-1}.  The given rows are checked with the
+    realizability check's own coupling residual |G + Theta H_aug^dagger S|,
+    which needs no Theta^{-1} and so stays accurate when Theta is
+    ill-conditioned; ``pattern_residuals`` holds the caller's feedthrough
+    deviations, which are reported with that check.
+    """
+    general = kind == "general"
+    g = _stack_cols_doubled(g_blocks) if general else np.hstack(g_blocks)
+    d = 2 if general else 1
+    n, m_tot = f.shape[0] // d, g.shape[1] // d
+    sig = signature_matrix(m_tot) if general else np.eye(m_tot)
+    if not eig_sum_condition(f):
+        raise NotAugmentableError(
+            "certificate equation is degenerate (eigenvalue-sum condition fails)"
+        )
+    theta = solve_lyapunov_hermitian(f, hermitian_part(g @ sig @ dagger(g)))
+    pos, neg, _ = _inertia(theta)
+    if general and (pos != n or neg != n):
+        raise NotAugmentableError(
+            "certificate lacks the required inertia",
+            residuals={"inertia_positive": float(pos), "inertia_negative": float(neg)},
+        )
+    if not general and pos != n:
+        raise NotAugmentableError(
+            f"no positive definite certificate for the augmented {label}",
+            residuals={"theta_min_eig": float(np.min(np.linalg.eigvalsh(theta)))},
+        )
+    h_full = -sig @ dagger(g) @ np.linalg.inv(theta)
+    m_given = h_given.shape[0] // d
+    given = np.concatenate([half * m_tot + np.arange(m_given) for half in range(d)])
+    h_aug = h_full.copy()
+    h_aug[given] = h_given
+    row_dev = _coupling_residual(g, theta, h_aug, sig)
+    scale = 1.0 + max_abs(g) + max_abs(theta) * max_abs(h_aug)
+    if row_dev > RESIDUAL_TOL * scale or any(
+        dev > RESIDUAL_TOL for dev in pattern_residuals.values()
+    ):
+        raise NotAugmentableError(
+            f"{label} output rows do not match the coupling identity",
+            residuals={"row_mismatch": row_dev, **pattern_residuals},
+        )
+    if general:
+        qsys, check = GeneralQSys, check_pr_general
+    else:
+        qsys, check = AnnihilationQSys, check_pr_annihilation
+    system = qsys(f=f, g=g, h=h_aug, k=np.eye(d * m_tot), n_modes=n, m_fields=m_tot)
+    return PlantAugmentation(
+        system=system,
+        theta=theta,
+        h_tilde=np.delete(h_full, given, axis=0),
+        verdict=check(system),
+    )
+
+
 def augment_plant(p: PlantModel) -> PlantAugmentation:
     """Complete the plant with unused outputs into a square realizable system.
 
@@ -278,81 +343,9 @@ def augment_plant(p: PlantModel) -> PlantAugmentation:
         When no valid certificate exists or the given rows mismatch; carries
         the offending residuals.
     """
-    if p.kind == "annihilation":
-        g_a = np.hstack([p.g_w, p.g_u])
-        if not eig_sum_condition(p.f):
-            raise NotAugmentableError(
-                "certificate equation is degenerate (eigenvalue-sum condition fails)"
-            )
-        q = hermitian_part(g_a @ dagger(g_a))
-        theta = solve_lyapunov_hermitian(p.f, q)
-        if not is_positive_definite(theta):
-            raise NotAugmentableError(
-                "no positive definite certificate for the augmented plant",
-                residuals={"theta_min_eig": float(np.min(np.linalg.eigvalsh(theta)))},
-            )
-        h_full = -dagger(g_a) @ np.linalg.inv(theta)
-        row_dev = max_abs(h_full[: p.m_y] - p.h)
-        k_dev = max_abs(p.k - _identity_pad(p.m_y, p.m_w))
-        scale = 1.0 + max_abs(p.h)
-        if row_dev > RESIDUAL_TOL * scale or k_dev > RESIDUAL_TOL:
-            raise NotAugmentableError(
-                "plant output rows do not match the coupling identity",
-                residuals={"row_mismatch": row_dev, "feedthrough": k_dev},
-            )
-        h_tilde = h_full[p.m_y :]
-        h_aug = np.vstack([p.h, h_tilde])
-        m_tot = p.m_w + p.m_u
-        system = AnnihilationQSys(
-            f=p.f, g=g_a, h=h_aug, k=np.eye(m_tot), n_modes=p.n_modes, m_fields=m_tot
-        )
-        return PlantAugmentation(
-            system=system, theta=theta, h_tilde=h_tilde, verdict=check_pr_annihilation(system)
-        )
-
-    g_a = _stack_cols_doubled([p.g_w, p.g_u])
-    m_tot = p.m_w + p.m_u
-    j = signature_matrix(m_tot)
-    if not eig_sum_condition(p.f):
-        raise NotAugmentableError(
-            "certificate equation is degenerate (eigenvalue-sum condition fails)"
-        )
-    q = hermitian_part(g_a @ j @ dagger(g_a))
-    theta = solve_lyapunov_hermitian(p.f, q)
-    lam = np.linalg.eigvalsh(theta)
-    cut = RANK_TOL * max(1.0, float(np.max(np.abs(lam))))
-    pos, neg = int(np.sum(lam > cut)), int(np.sum(lam < -cut))
-    if pos != p.n_modes or neg != p.n_modes:
-        raise NotAugmentableError(
-            "certificate lacks the required inertia",
-            residuals={"inertia_positive": float(pos), "inertia_negative": float(neg)},
-        )
-    h_full = -j @ dagger(g_a) @ np.linalg.inv(theta)
-    row_dev = max(
-        max_abs(h_full[: p.m_y] - p.h[: p.m_y]),
-        max_abs(h_full[m_tot : m_tot + p.m_y] - p.h[p.m_y :]),
-    )
-    k_want = np.zeros((2 * p.m_y, 2 * p.m_w), dtype=complex)
-    k_want[: p.m_y, : p.m_w] = _identity_pad(p.m_y, p.m_w)
-    k_want[p.m_y :, p.m_w :] = _identity_pad(p.m_y, p.m_w)
-    k_dev = max_abs(p.k - k_want)
-    if row_dev > RESIDUAL_TOL * (1.0 + max_abs(p.h)) or k_dev > RESIDUAL_TOL:
-        raise NotAugmentableError(
-            "plant output rows do not match the coupling identity",
-            residuals={"row_mismatch": row_dev, "feedthrough": k_dev},
-        )
-    h_tilde = np.vstack([h_full[p.m_y : m_tot], h_full[m_tot + p.m_y :]])
-    h_aug = _stack_rows_doubled([p.h, h_tilde])
-    system = GeneralQSys(
-        f=p.f,
-        g=g_a,
-        h=h_aug,
-        k=np.eye(2 * m_tot, dtype=complex),
-        n_modes=p.n_modes,
-        m_fields=m_tot,
-    )
-    return PlantAugmentation(
-        system=system, theta=theta, h_tilde=h_tilde, verdict=check_pr_general(system)
+    k_dev = max_abs(p.k - _identity_pattern(p.kind, p.m_y, p.m_w))
+    return _square_completion(
+        p.kind, p.f, [p.g_w, p.g_u], p.h, "plant", {"feedthrough": k_dev}
     )
 
 
@@ -602,9 +595,8 @@ def synth_noise_general(f_c, g_cy, h_c, theta) -> SynthesisResult:
     if dev > RESIDUAL_TOL * (1.0 + max_abs(theta)):
         raise DomainError("theta must be Hermitian")
     theta = hermitian_part(theta)
-    lam = np.linalg.eigvalsh(theta)
-    cut = RANK_TOL * max(1.0, float(np.max(np.abs(lam))) if lam.size else 0.0)
-    if int(np.sum(lam > cut)) != n_c or int(np.sum(lam < -cut)) != n_c:
+    pos, neg, _ = _inertia(theta)
+    if pos != n_c or neg != n_c:
         raise DomainError("theta must be invertible with inertia (n_c, n_c)")
     if max_abs(conj_swap(theta) + theta) > STRUCTURE_TOL * (1.0 + max_abs(theta)):
         raise DomainError("theta must be antisymmetric under the conjugation swap")
@@ -632,16 +624,13 @@ def synth_noise_general(f_c, g_cy, h_c, theta) -> SynthesisResult:
     g_cw = np.hstack([g_cw1a, g_cw1b, g_cw2a, g_cw2b])
     m_wt = m_u + r
 
-    k_cw = np.zeros((2 * m_u, 2 * m_wt), dtype=complex)
-    k_cw[:m_u, :m_u] = np.eye(m_u)
-    k_cw[m_u:, m_wt : m_wt + m_u] = np.eye(m_u)
     controller = ControllerModel(
         kind="general",
         f_c=f_c,
         g_cw=g_cw,
         g_cy=g_cy,
         h_c=h_c,
-        k_cw=k_cw,
+        k_cw=_identity_pattern("general", m_u, m_wt),
         k_cy=np.zeros((2 * m_u, 2 * m_y)),
     )
     zero = max_abs(m_defect) <= RESIDUAL_TOL * (1.0 + max_abs(theta))
@@ -657,10 +646,8 @@ def augment_controller(c: ControllerModel) -> PlantAugmentation:
     (K_cw = [I, 0], K_cy = 0); this is exactly the convention under which
     the augmented feedthrough can equal the identity.
     """
-    if c.kind == "general":
-        return _augment_controller_general(c)
     feed_dev = max(
-        max_abs(c.k_cw - _identity_pad(c.m_u, c.m_wt)), max_abs(c.k_cy)
+        max_abs(c.k_cw - _identity_pattern(c.kind, c.m_u, c.m_wt)), max_abs(c.k_cy)
     )
     if feed_dev > RESIDUAL_TOL:
         raise NotAugmentableError(
@@ -668,107 +655,8 @@ def augment_controller(c: ControllerModel) -> PlantAugmentation:
             "its own noise, zero on the measurement)",
             residuals={"feedthrough": feed_dev},
         )
-    m_tot = c.m_wt + c.m_y
-    if c.n_modes == 0:
-        system = AnnihilationQSys(
-            f=np.zeros((0, 0)),
-            g=np.zeros((0, m_tot)),
-            h=np.zeros((m_tot, 0)),
-            k=np.eye(m_tot),
-            n_modes=0,
-            m_fields=m_tot,
-        )
-        return PlantAugmentation(
-            system=system,
-            theta=np.zeros((0, 0), dtype=complex),
-            h_tilde=np.zeros((m_tot - c.m_u, 0), dtype=complex),
-            verdict=check_pr_annihilation(system),
-        )
-    g_caug = np.hstack([c.g_cw, c.g_cy])
-    if not eig_sum_condition(c.f_c):
-        raise NotAugmentableError(
-            "certificate equation is degenerate (eigenvalue-sum condition fails)"
-        )
-    theta = solve_lyapunov_hermitian(c.f_c, hermitian_part(g_caug @ dagger(g_caug)))
-    if not is_positive_definite(theta):
-        raise NotAugmentableError(
-            "no positive definite certificate for the augmented controller",
-            residuals={"theta_min_eig": float(np.min(np.linalg.eigvalsh(theta)))},
-        )
-    h_full = -dagger(g_caug) @ np.linalg.inv(theta)
-    row_dev = max_abs(h_full[: c.m_u] - c.h_c)
-    if row_dev > RESIDUAL_TOL * (1.0 + max_abs(c.h_c)):
-        raise NotAugmentableError(
-            "controller output rows do not match the coupling identity",
-            residuals={"row_mismatch": row_dev},
-        )
-    h_aug = np.vstack([c.h_c, h_full[c.m_u :]])
-    system = AnnihilationQSys(
-        f=c.f_c, g=g_caug, h=h_aug, k=np.eye(m_tot), n_modes=c.n_modes, m_fields=m_tot
-    )
-    return PlantAugmentation(
-        system=system,
-        theta=theta,
-        h_tilde=h_full[c.m_u :],
-        verdict=check_pr_annihilation(system),
-    )
-
-
-def _augment_controller_general(c: ControllerModel) -> PlantAugmentation:
-    m_u, m_wt, m_y = c.m_u, c.m_wt, c.m_y
-    k_want = np.zeros((2 * m_u, 2 * m_wt), dtype=complex)
-    k_want[:m_u, :m_u] = np.eye(m_u)
-    k_want[m_u:, m_wt : m_wt + m_u] = np.eye(m_u)
-    feed_dev = max(max_abs(c.k_cw - k_want), max_abs(c.k_cy))
-    if feed_dev > RESIDUAL_TOL:
-        raise NotAugmentableError(
-            "controller feedthrough must be the identity pattern ([I, 0] on "
-            "its own noise, zero on the measurement)",
-            residuals={"feedthrough": feed_dev},
-        )
-    m_tot = m_wt + m_y
-    g_caug = _stack_cols_doubled([c.g_cw, c.g_cy])
-    if not eig_sum_condition(c.f_c):
-        raise NotAugmentableError(
-            "certificate equation is degenerate (eigenvalue-sum condition fails)"
-        )
-    j = signature_matrix(m_tot)
-    theta = solve_lyapunov_hermitian(c.f_c, hermitian_part(g_caug @ j @ dagger(g_caug)))
-    lam = np.linalg.eigvalsh(theta)
-    cut = RANK_TOL * max(1.0, float(np.max(np.abs(lam))) if lam.size else 0.0)
-    if int(np.sum(lam > cut)) != c.n_modes or int(np.sum(lam < -cut)) != c.n_modes:
-        raise NotAugmentableError(
-            "certificate lacks the required inertia",
-            residuals={
-                "inertia_positive": float(np.sum(lam > cut)),
-                "inertia_negative": float(np.sum(lam < -cut)),
-            },
-        )
-    h_full = -j @ dagger(g_caug) @ np.linalg.inv(theta)
-    row_dev = max(
-        max_abs(h_full[:m_u] - c.h_c[:m_u]),
-        max_abs(h_full[m_tot : m_tot + m_u] - c.h_c[m_u:]),
-    )
-    if row_dev > RESIDUAL_TOL * (1.0 + max_abs(c.h_c)):
-        raise NotAugmentableError(
-            "controller output rows do not match the coupling identity",
-            residuals={"row_mismatch": row_dev},
-        )
-    h_tilde = np.vstack([h_full[m_u:m_tot], h_full[m_tot + m_u :]])
-    h_aug = _stack_rows_doubled([c.h_c, h_tilde])
-    system = GeneralQSys(
-        f=c.f_c,
-        g=g_caug,
-        h=h_aug,
-        k=np.eye(2 * m_tot, dtype=complex),
-        n_modes=c.n_modes,
-        m_fields=m_tot,
-    )
-    return PlantAugmentation(
-        system=system,
-        theta=theta,
-        h_tilde=h_tilde,
-        verdict=check_pr_general(system),
+    return _square_completion(
+        c.kind, c.f_c, [c.g_cw, c.g_cy], c.h_c, "controller", {}
     )
 
 
@@ -877,23 +765,17 @@ def complete_static_pr(p: PlantModel, k_cy) -> tuple[np.ndarray, np.ndarray] | N
     g_fold = p.g_w + p.g_u @ k_cy @ p.k
     target_coup = -(p.g_w[:, : p.m_y] + p.g_u @ k_cy)
 
-    from .systems import _hermitian_basis
-
-    basis_t = _hermitian_basis(n)
-    basis_s = _hermitian_basis(m_u)
-
-    def col_theta(bmat):
-        lyap = f_mod @ bmat + bmat @ dagger(f_mod)
-        coup = bmat @ dagger(p.h)
-        vec = np.concatenate([lyap.ravel(), coup.ravel()])
-        return np.concatenate([vec.real, vec.imag])
-
-    def col_s(bmat):
-        lyap = p.g_u @ bmat @ dagger(p.g_u)
-        vec = np.concatenate([lyap.ravel(), np.zeros(n * p.m_y, dtype=complex)])
-        return np.concatenate([vec.real, vec.imag])
-
-    a_mat = np.column_stack([col_theta(b) for b in basis_t] + [col_s(b) for b in basis_s])
+    basis_t = hermitian_basis(n)
+    basis_s = hermitian_basis(m_u)
+    a_mat = np.hstack(
+        [
+            real_columns(f_mod @ basis_t + basis_t @ dagger(f_mod), basis_t @ dagger(p.h)),
+            real_columns(
+                p.g_u @ basis_s @ dagger(p.g_u),
+                np.zeros((len(basis_s), n * p.m_y), dtype=complex),
+            ),
+        ]
+    )
     rhs_c = np.concatenate([(-(g_fold @ dagger(g_fold))).ravel(), target_coup.ravel()])
     rhs = np.concatenate([rhs_c.real, rhs_c.imag])
     sol, *_ = np.linalg.lstsq(a_mat, rhs, rcond=None)
@@ -901,10 +783,8 @@ def complete_static_pr(p: PlantModel, k_cy) -> tuple[np.ndarray, np.ndarray] | N
     scale = 1.0 + max_abs(g_fold) ** 2 + max_abs(target_coup)
     if residual > RESIDUAL_TOL * scale:
         return None
-    theta = hermitian_part(sum(cf * b for cf, b in zip(sol[: len(basis_t)], basis_t)))
-    s_gram = hermitian_part(
-        sum(cf * b for cf, b in zip(sol[len(basis_t) :], basis_s))
-    )
+    theta = hermitian_part(np.tensordot(sol[: len(basis_t)], basis_t, 1))
+    s_gram = hermitian_part(np.tensordot(sol[len(basis_t) :], basis_s, 1))
     if not is_positive_definite(theta):
         return None
     split = psd_split(s_gram)
@@ -936,20 +816,13 @@ def random_pr_plant(
     sys = random_pr_system(
         n, m_w + m_u, seed, kind=kind, hurwitz_required=(kind == "annihilation")
     )
+    k = _identity_pattern(kind, m_y, m_w)
     if kind == "annihilation":
         return PlantModel(
-            kind=kind,
-            f=sys.f,
-            g_w=sys.g[:, :m_w],
-            g_u=sys.g[:, m_w:],
-            h=sys.h[:m_y],
-            k=_identity_pad(m_y, m_w),
+            kind=kind, f=sys.f, g_w=sys.g[:, :m_w], g_u=sys.g[:, m_w:], h=sys.h[:m_y], k=k
         )
     m_tot = m_w + m_u
     g_w = np.hstack([sys.g[:, :m_w], sys.g[:, m_tot : m_tot + m_w]])
     g_u = np.hstack([sys.g[:, m_w:m_tot], sys.g[:, m_tot + m_w :]])
     h = np.vstack([sys.h[:m_y], sys.h[m_tot : m_tot + m_y]])
-    k = np.zeros((2 * m_y, 2 * m_w), dtype=complex)
-    k[:m_y, :m_w] = _identity_pad(m_y, m_w)
-    k[m_y:, m_w:] = _identity_pad(m_y, m_w)
     return PlantModel(kind=kind, f=sys.f, g_w=g_w, g_u=g_u, h=h, k=k)

@@ -13,6 +13,7 @@ and return plain ``numpy`` arrays (dtype complex128).
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,23 +79,11 @@ def signature_matrix(half_dim: int) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class SignatureJ:
-    """Signature matrix diag(I_half, -I_half) used to weight doubled systems."""
-
-    half_dim: int
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return signature_matrix(self.half_dim)
-
-
-@dataclass(frozen=True)
 class DoubledMatrix:
     """A 2x2-block matrix [[A1, A2], [conj(A2), conj(A1)]].
 
     ``body`` is the full array; ``half_rows``/``half_cols`` give the block
-    shape.  Construction does not re-validate; use :func:`delta_build` or
-    :meth:`from_body`.
+    shape.  Construction does not re-validate; use :func:`delta_build`.
     """
 
     body: np.ndarray
@@ -108,16 +97,6 @@ class DoubledMatrix:
             self.body[: self.half_rows, : self.half_cols],
             self.body[: self.half_rows, self.half_cols :],
         )
-
-    @classmethod
-    def from_body(cls, body, tol: float = STRUCTURE_TOL) -> "DoubledMatrix":
-        body = as_matrix(body, "doubled matrix")
-        r, c = body.shape
-        if r % 2 or c % 2:
-            raise DimensionError(f"doubled matrix needs even dimensions, got {body.shape}")
-        if not is_doubled(body, tol):
-            raise DomainError("matrix lacks doubled-up block structure")
-        return cls(body=body, half_rows=r // 2, half_cols=c // 2)
 
     def __array__(self, dtype=None, copy=None):
         return np.asarray(self.body, dtype=dtype)
@@ -205,12 +184,34 @@ def rank_svd(m, tol: float = RANK_TOL) -> int:
     return int(np.sum(s > tol * s[0] * max(m.shape)))
 
 
-def no_imaginary_axis_eigs(a, tol: float) -> bool:
-    """True when every eigenvalue of ``a`` keeps |Re| > tol."""
-    a = as_matrix(a, "matrix")
-    if a.shape[0] == 0:
-        return True
-    return bool(np.min(np.abs(eigvals(a).real)) > tol)
+def hermitian_basis(n: int) -> np.ndarray:
+    """Real basis of the n x n Hermitian matrices, stacked as (n*n, n, n).
+
+    The diagonal units come first, then for each i < j (row-major) the
+    symmetric unit E_ij + E_ji followed by i E_ij - i E_ji.  Least-squares
+    problems over Hermitian unknowns apply their linear map to the whole
+    stack at once and recombine with ``np.tensordot(coeffs, basis, 1)``.
+    """
+    rows, cols = np.triu_indices(n, 1)
+    sym = n + 2 * np.arange(rows.size)
+    basis = np.zeros((n * n, n, n), dtype=complex)
+    basis[np.arange(n), np.arange(n), np.arange(n)] = 1.0
+    basis[sym, rows, cols] = basis[sym, cols, rows] = 1.0
+    basis[sym + 1, rows, cols] = 1j
+    basis[sym + 1, cols, rows] = -1j
+    return basis
+
+
+def real_columns(*images) -> np.ndarray:
+    """Least-squares columns [Re; Im] from stacked complex images.
+
+    Each image has shape (k, ...) with one slice per unknown; slice i of
+    every image is flattened and concatenated into complex column i, whose
+    real and imaginary parts are then stacked.
+    """
+    k = images[0].shape[0]
+    vec = np.concatenate([im.reshape(k, math.prod(im.shape[1:])) for im in images], axis=1)
+    return np.concatenate([vec.real, vec.imag], axis=1).T
 
 
 def min_eigenvalue_pair_gap(a, b=None) -> float:

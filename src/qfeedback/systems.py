@@ -22,10 +22,12 @@ from .linalg import (
     as_matrix,
     dagger,
     delta_build,
+    hermitian_basis,
     hermitian_part,
     is_doubled,
     max_abs,
     min_eigenvalue_pair_gap,
+    real_columns,
     require_hermitian,
     signature_matrix,
     solve_lyapunov_hermitian,
@@ -250,31 +252,9 @@ def realize_annihilation(p: HamiltonianCoupling) -> AnnihilationQSys:
     return AnnihilationQSys(f=f, g=g, h=n.copy(), k=k, n_modes=p.n_modes, m_fields=p.m_fields)
 
 
-def _coupling_residual(g, theta, h, j=None) -> float:
-    """Residual of G = -Theta H^dagger (J) against its scale."""
-    rhs = theta @ dagger(h)
-    if j is not None:
-        rhs = rhs @ j
-    return max_abs(g + rhs)
-
-
-def _hermitian_basis(n: int) -> list[np.ndarray]:
-    """Real basis of the n x n Hermitian matrices."""
-    basis = []
-    for i in range(n):
-        e = np.zeros((n, n), dtype=complex)
-        e[i, i] = 1.0
-        basis.append(e)
-    for i in range(n):
-        for j in range(i + 1, n):
-            e = np.zeros((n, n), dtype=complex)
-            e[i, j] = e[j, i] = 1.0
-            basis.append(e)
-            e = np.zeros((n, n), dtype=complex)
-            e[i, j] = 1j
-            e[j, i] = -1j
-            basis.append(e)
-    return basis
+def _coupling_residual(g, theta, h, sig) -> float:
+    """Residual of the coupling identity G = -Theta H^dagger S."""
+    return max_abs(g + theta @ dagger(h) @ sig)
 
 
 def _certificate_family_annihilation(f, g, h, tol):
@@ -285,20 +265,12 @@ def _certificate_family_annihilation(f, g, h, tol):
     Returns (theta0, null_basis, residual); the family is
     theta0 + span(null_basis).
     """
-    n = f.shape[0]
-    basis = _hermitian_basis(n)
-
-    def column(b):
-        lyap = f @ b + b @ dagger(f)
-        coup = b @ dagger(h)
-        vec = np.concatenate([lyap.ravel(), coup.ravel()])
-        return np.concatenate([vec.real, vec.imag])
-
-    a_mat = np.column_stack([column(b) for b in basis])
+    basis = hermitian_basis(f.shape[0])
+    a_mat = real_columns(f @ basis + basis @ dagger(f), basis @ dagger(h))
     rhs_c = np.concatenate([(-(g @ dagger(g))).ravel(), (-g).ravel()])
     rhs = np.concatenate([rhs_c.real, rhs_c.imag])
     sol, *_ = np.linalg.lstsq(a_mat, rhs, rcond=None)
-    theta0 = sum(c * b for c, b in zip(sol, basis))
+    theta0 = np.tensordot(sol, basis, 1)
     residual = float(np.max(np.abs(a_mat @ sol - rhs))) if rhs.size else 0.0
 
     _, svals, vt = np.linalg.svd(a_mat)
@@ -306,8 +278,7 @@ def _certificate_family_annihilation(f, g, h, tol):
     null = []
     for idx in range(len(basis)):
         if idx >= svals.size or svals[idx] <= RANK_TOL * max(1.0, smax) * max(a_mat.shape):
-            direction = vt[idx].conj()
-            null.append(sum(c * b for c, b in zip(direction, basis)))
+            null.append(np.tensordot(vt[idx].conj(), basis, 1))
     return hermitian_part(theta0), [hermitian_part(b) for b in null], residual
 
 
@@ -320,9 +291,7 @@ def _search_positive_definite(theta0, null_basis):
     """
     if null_basis:
         n = theta0.shape[0]
-        cols = np.column_stack(
-            [np.concatenate([b.ravel().real, b.ravel().imag]) for b in null_basis]
-        )
+        cols = real_columns(np.array(null_basis))
         gap = (np.eye(n, dtype=complex) - theta0).ravel()
         rhs = np.concatenate([gap.real, gap.imag])
         coeff, *_ = np.linalg.lstsq(cols, rhs, rcond=None)
@@ -351,6 +320,85 @@ def _search_positive_definite(theta0, null_basis):
     return None
 
 
+def _indeterminate(s, q, residuals, tol) -> PrVerdict:
+    return PrVerdict(False, None, residuals, "eigenvalue-sum-degenerate", indeterminate=True)
+
+
+def _check_certificate(s, sig, tol, form_defect, degenerate) -> PrVerdict:
+    """Realizability core shared by both system kinds.
+
+    Requires K = I, then solves F Theta + Theta F^dagger + G S G^dagger = 0
+    for the unique certificate and checks the coupling identity
+    G = -Theta H^dagger S.  ``form_defect(theta)`` returns None for a
+    certificate of the right form, else the residuals explaining the
+    defect; ``degenerate(s, q, residuals, tol)`` decides systems failing
+    the eigenvalue-sum condition.
+    """
+    f, g, h = s.f, s.g, s.h
+    residuals: dict[str, float] = {}
+
+    residuals["feedthrough"] = max_abs(s.k - np.eye(sig.shape[0]))
+    if residuals["feedthrough"] > tol:
+        return PrVerdict(False, None, residuals, "feedthrough")
+
+    q = hermitian_part(g @ sig @ dagger(g))
+    if not eig_sum_condition(f):
+        return degenerate(s, q, residuals, tol)
+    try:
+        theta = solve_lyapunov_hermitian(f, q)
+    except SingularityError:
+        return _indeterminate(s, q, residuals, tol)
+
+    residuals["lyapunov"] = max_abs(f @ theta + theta @ dagger(f) + q)
+    if residuals["lyapunov"] > tol * (1.0 + max_abs(q)):
+        return PrVerdict(False, None, residuals, "lyapunov")
+
+    residuals["coupling"] = _coupling_residual(g, theta, h, sig)
+    scale = 1.0 + max_abs(g) + max_abs(theta) * max_abs(h)
+    if residuals["coupling"] > tol * scale:
+        return PrVerdict(False, None, residuals, "coupling")
+
+    defect = form_defect(theta)
+    if defect is not None:
+        residuals.update(defect)
+        return PrVerdict(False, None, residuals, "theta-form")
+    return PrVerdict(True, theta, residuals, None)
+
+
+def _inertia_defect(theta) -> dict[str, float] | None:
+    pos, neg, zero = _inertia(theta)
+    if zero or pos != neg:
+        return {"inertia_defect": float(zero + abs(pos - neg))}
+    return None
+
+
+def _definiteness_defect(theta) -> dict[str, float] | None:
+    return None if is_positive_definite(theta) else {}
+
+
+def _family_fallback(s, q, residuals, tol) -> PrVerdict:
+    """Search the affine certificate family of a small degenerate system."""
+    if s.n_modes > 2:
+        return _indeterminate(s, q, residuals, tol)
+    f, g, h = s.f, s.g, s.h
+    theta0, null_basis, family_residual = _certificate_family_annihilation(f, g, h, tol)
+    if family_residual > tol * (1.0 + max_abs(q) + max_abs(g)):
+        residuals["certificate_family"] = family_residual
+        return PrVerdict(False, None, residuals, "coupling")
+    theta = _search_positive_definite(theta0, null_basis)
+    if theta is None:
+        residuals["certificate_family"] = family_residual
+        return _indeterminate(s, q, residuals, tol)
+    residuals["lyapunov"] = max_abs(f @ theta + theta @ dagger(f) + q)
+    residuals["coupling"] = _coupling_residual(g, theta, h, np.eye(s.m_fields))
+    ok = residuals["lyapunov"] <= tol * (1.0 + max_abs(q)) and residuals[
+        "coupling"
+    ] <= tol * (1.0 + max_abs(g) + max_abs(theta) * max_abs(h))
+    if not ok:
+        return PrVerdict(False, None, residuals, "coupling")
+    return PrVerdict(True, theta, residuals, None)
+
+
 def check_pr_general(s: GeneralQSys, tol: float = RESIDUAL_TOL) -> PrVerdict:
     """Decide physical realizability of a doubled-up system.
 
@@ -360,38 +408,9 @@ def check_pr_general(s: GeneralQSys, tol: float = RESIDUAL_TOL) -> PrVerdict:
     condition fails the certificate is non-unique and the verdict is
     indeterminate.
     """
-    f, g, h, k = s.f, s.g, s.h, s.k
-    j = signature_matrix(s.m_fields)
-    residuals: dict[str, float] = {}
-
-    residuals["feedthrough"] = max_abs(k - np.eye(2 * s.m_fields))
-    if residuals["feedthrough"] > tol:
-        return PrVerdict(False, None, residuals, "feedthrough")
-
-    if not eig_sum_condition(f):
-        return PrVerdict(False, None, residuals, "eigenvalue-sum-degenerate", indeterminate=True)
-
-    q = hermitian_part(g @ j @ dagger(g))
-    try:
-        theta = solve_lyapunov_hermitian(f, q)
-    except SingularityError:
-        return PrVerdict(False, None, residuals, "eigenvalue-sum-degenerate", indeterminate=True)
-
-    residuals["lyapunov"] = max_abs(f @ theta + theta @ dagger(f) + q)
-    if residuals["lyapunov"] > tol * (1.0 + max_abs(q)):
-        return PrVerdict(False, None, residuals, "lyapunov")
-
-    residuals["coupling"] = _coupling_residual(g, theta, h, j)
-    scale = 1.0 + max_abs(g) + max_abs(theta) * max_abs(h)
-    if residuals["coupling"] > tol * scale:
-        return PrVerdict(False, None, residuals, "coupling")
-
-    pos, neg, zero = _inertia(theta)
-    if zero or pos != neg:
-        residuals["inertia_defect"] = float(zero + abs(pos - neg))
-        return PrVerdict(False, None, residuals, "theta-form")
-
-    return PrVerdict(True, theta, residuals, None)
+    return _check_certificate(
+        s, signature_matrix(s.m_fields), tol, _inertia_defect, _indeterminate
+    )
 
 
 def check_pr_annihilation(s: AnnihilationQSys, tol: float = RESIDUAL_TOL) -> PrVerdict:
@@ -403,55 +422,9 @@ def check_pr_annihilation(s: AnnihilationQSys, tol: float = RESIDUAL_TOL) -> PrV
     search of the affine certificate family; an undecided search reports
     indeterminate rather than false.
     """
-    f, g, h, k = s.f, s.g, s.h, s.k
-    residuals: dict[str, float] = {}
-
-    residuals["feedthrough"] = max_abs(k - np.eye(s.m_fields))
-    if residuals["feedthrough"] > tol:
-        return PrVerdict(False, None, residuals, "feedthrough")
-
-    q = hermitian_part(g @ dagger(g))
-    coupling_scale = 1.0 + max_abs(g)
-
-    if eig_sum_condition(f):
-        try:
-            theta = solve_lyapunov_hermitian(f, q)
-        except SingularityError:
-            theta = None
-        if theta is None:
-            return PrVerdict(False, None, residuals, "eigenvalue-sum-degenerate", indeterminate=True)
-        residuals["lyapunov"] = max_abs(f @ theta + theta @ dagger(f) + q)
-        if residuals["lyapunov"] > tol * (1.0 + max_abs(q)):
-            return PrVerdict(False, None, residuals, "lyapunov")
-        residuals["coupling"] = _coupling_residual(g, theta, h)
-        if residuals["coupling"] > tol * (coupling_scale + max_abs(theta) * max_abs(h)):
-            return PrVerdict(False, None, residuals, "coupling")
-        if not is_positive_definite(theta):
-            return PrVerdict(False, None, residuals, "theta-form")
-        return PrVerdict(True, theta, residuals, None)
-
-    if s.n_modes > 2:
-        return PrVerdict(False, None, residuals, "eigenvalue-sum-degenerate", indeterminate=True)
-
-    theta0, null_basis, family_residual = _certificate_family_annihilation(f, g, h, tol)
-    scale = 1.0 + max_abs(q) + max_abs(g)
-    if family_residual > tol * scale:
-        residuals["certificate_family"] = family_residual
-        return PrVerdict(False, None, residuals, "coupling")
-    theta = _search_positive_definite(theta0, null_basis)
-    if theta is None:
-        residuals["certificate_family"] = family_residual
-        return PrVerdict(
-            False, None, residuals, "eigenvalue-sum-degenerate", indeterminate=True
-        )
-    residuals["lyapunov"] = max_abs(f @ theta + theta @ dagger(f) + q)
-    residuals["coupling"] = _coupling_residual(g, theta, h)
-    ok = residuals["lyapunov"] <= tol * (1.0 + max_abs(q)) and residuals[
-        "coupling"
-    ] <= tol * (coupling_scale + max_abs(theta) * max_abs(h))
-    if not ok:
-        return PrVerdict(False, None, residuals, "coupling")
-    return PrVerdict(True, theta, residuals, None)
+    return _check_certificate(
+        s, np.eye(s.m_fields), tol, _definiteness_defect, _family_fallback
+    )
 
 
 def extract_params(s) -> HamiltonianCoupling:

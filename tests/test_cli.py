@@ -1,9 +1,15 @@
 """Command-line interface: golden outputs, exit codes, and JSON reports."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+import qfeedback
 
 from qfeedback import (
     AnnihilationQSys,
@@ -376,6 +382,33 @@ class TestVerify:
         assert code == 0
         assert "T6 holds: true" in out
         assert "3 loops give closed-loop norms" in out
+
+    @pytest.mark.parametrize("theorem", ["C1", "T5"])
+    def test_stateless_plant_exits_cleanly(self, theorem, tmp_path):
+        path = tmp_path / "stateless_plant.json"
+        save_system(
+            path,
+            PlantModel(
+                kind="annihilation",
+                f=np.zeros((0, 0)),
+                g_w=np.zeros((0, 1)),
+                g_u=np.zeros((0, 1)),
+                h=np.zeros((1, 0)),
+                k=np.eye(1),
+                cost=CostOutput(c=np.zeros((1, 0)), d=np.zeros((1, 1))),
+            ),
+        )
+        src = str(Path(qfeedback.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        proc = subprocess.run(
+            [sys.executable, "-m", "qfeedback.cli", "verify", theorem, str(path)],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        assert proc.returncode in (0, 1, 2)
+        assert "Traceback" not in proc.stderr
 
     def test_lowercase_selector_accepted(self, corpus, capsys):
         code, out, _ = run(capsys, "verify", "c1", corpus / "cavity_plant.json")

@@ -216,6 +216,29 @@ def test_static_lqg_no_control_degenerate_pass() -> None:
     assert "degenerate" in report.narrative
 
 
+def stateless_plant() -> PlantModel:
+    """A plant with no modes: the measurement is the noise field itself."""
+    return PlantModel(
+        kind="annihilation",
+        f=np.zeros((0, 0)),
+        g_w=np.zeros((0, 1)),
+        g_u=np.zeros((0, 1)),
+        h=np.zeros((1, 0)),
+        k=np.eye(1),
+        cost=CostOutput(c=np.zeros((1, 0)), d=np.zeros((1, 1))),
+    )
+
+
+def test_theorems_on_a_stateless_plant() -> None:
+    # n = 0: the Kalman covariance is 0 x 0, so there is no gain to speak of
+    zero_gain = verify_zero_gain(stateless_plant(), [[0.0]], [[1.0]])
+    assert zero_gain.holds
+    assert zero_gain.evidence["gain_norm"] == 0.0
+    static = verify_static_lqg(stateless_plant(), dynamic_count=2)
+    assert static.holds
+    assert static.evidence["best_static_cost"] == 0.0
+
+
 def test_static_lqg_non_realizable_plant_is_skipped() -> None:
     p = PlantModel(
         kind="annihilation",

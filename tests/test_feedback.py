@@ -38,6 +38,7 @@ from qfeedback import (
     tf_eval,
     trivial_controller,
 )
+from qfeedback.coherent import random_admissible_triple
 from qfeedback.linalg import dagger, max_abs
 
 
@@ -114,6 +115,98 @@ def test_augment_controller_requires_identity_pattern() -> None:
     c = static_controller(k_cy=[[0.5]], k_cw=[[1.0]])
     with pytest.raises(NotAugmentableError):
         augment_controller(c)
+
+
+def doubled(a1, a2) -> np.ndarray:
+    return delta_build(a1, a2).body
+
+
+def test_augment_general_plant_rejects_wrong_inertia() -> None:
+    # G J G^dagger vanishes for this squeezing coupling, so Theta = 0
+    p = PlantModel(
+        kind="general",
+        f=-np.eye(2),
+        g_w=doubled([[1.0]], [[1.0]]),
+        g_u=np.zeros((2, 2)),
+        h=np.zeros((2, 2)),
+        k=np.eye(2),
+    )
+    with pytest.raises(NotAugmentableError) as info:
+        augment_plant(p)
+    assert str(info.value) == "certificate lacks the required inertia"
+    assert list(info.value.residuals) == ["inertia_positive", "inertia_negative"]
+
+
+def test_augment_general_plant_rejects_mismatched_rows() -> None:
+    p = random_pr_plant(1, 1, 1, 1, seed=3, kind="general")
+    bad = PlantModel(kind="general", f=p.f, g_w=p.g_w, g_u=p.g_u, h=2.0 * p.h, k=p.k)
+    with pytest.raises(NotAugmentableError) as info:
+        augment_plant(bad)
+    assert str(info.value) == "plant output rows do not match the coupling identity"
+    assert list(info.value.residuals) == ["row_mismatch", "feedthrough"]
+
+
+def general_controller() -> ControllerModel:
+    f_c = doubled([[-2.0 + 0.5j]], [[0.3]])
+    g_cy = doubled([[0.4]], [[0.1]])
+    h_c = doubled([[0.5]], [[-0.2]])
+    return synth_noise_general(f_c, g_cy, h_c, signature_matrix(1)).controller
+
+
+def test_augment_general_controller_requires_identity_pattern() -> None:
+    c = general_controller()
+    bad = ControllerModel(
+        kind="general",
+        f_c=c.f_c,
+        g_cw=c.g_cw,
+        g_cy=c.g_cy,
+        h_c=c.h_c,
+        k_cw=c.k_cw,
+        k_cy=doubled([[0.5]], [[0.0]]),
+    )
+    with pytest.raises(NotAugmentableError) as info:
+        augment_controller(bad)
+    assert str(info.value) == (
+        "controller feedthrough must be the identity pattern ([I, 0] on "
+        "its own noise, zero on the measurement)"
+    )
+    assert list(info.value.residuals) == ["feedthrough"]
+
+
+def test_augment_general_controller_rejects_mismatched_rows() -> None:
+    c = general_controller()
+    assert augment_controller(c).verdict.realizable
+    bad = ControllerModel(
+        kind="general",
+        f_c=c.f_c,
+        g_cw=c.g_cw,
+        g_cy=c.g_cy,
+        h_c=2.0 * c.h_c,
+        k_cw=c.k_cw,
+        k_cy=c.k_cy,
+    )
+    with pytest.raises(NotAugmentableError) as info:
+        augment_controller(bad)
+    assert str(info.value) == "controller output rows do not match the coupling identity"
+    assert list(info.value.residuals) == ["row_mismatch"]
+
+
+@pytest.mark.parametrize("seed", [18, 20, 29, 30, 36])
+def test_augment_ill_conditioned_synthesized_controller(seed: int) -> None:
+    # cond(Theta) reaches 3e9-9e9 at n_c = 16 for these draws; the given
+    # rows must be judged by the coupling identity, not through Theta^{-1}
+    f_c, g_cy, h_c = random_admissible_triple(np.random.default_rng(seed), 16, 2, 2)
+    result = None
+    for _ in range(6):
+        try:
+            result = synth_noise_annihilation(f_c, g_cy, h_c)
+            break
+        except NotRealizableError:
+            g_cy = 0.5 * g_cy
+    assert result is not None
+    aug = augment_controller(result.controller)
+    assert aug.verdict.realizable, aug.verdict.residuals
+    assert max_abs(aug.theta - result.theta) <= 1e-8 * max_abs(result.theta)
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from qfeedback import (
     solve_lyapunov_hermitian,
     solve_sylvester,
 )
-from qfeedback.linalg import max_abs, no_imaginary_axis_eigs, rank_svd
+from qfeedback.linalg import hermitian_basis, max_abs, rank_svd, real_columns
 
 
 def random_hermitian(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -318,8 +318,37 @@ def test_rank_svd_examples() -> None:
     assert rank_svd(np.ones((2, 2))) == 1
 
 
-def test_no_imaginary_axis_eigs_examples() -> None:
-    assert no_imaginary_axis_eigs([[-1.0]], tol=1e-10)
-    assert not no_imaginary_axis_eigs([[1j]], tol=1e-10)
-    # rotation generator: eigenvalues are +/- i
-    assert not no_imaginary_axis_eigs([[0.0, 1.0], [-1.0, 0.0]], tol=1e-10)
+def looped_hermitian_basis(n: int) -> list[np.ndarray]:
+    """Reference: the Hermitian basis built one unit matrix at a time."""
+    basis = []
+    for i in range(n):
+        e = np.zeros((n, n), dtype=complex)
+        e[i, i] = 1.0
+        basis.append(e)
+    for i in range(n):
+        for j in range(i + 1, n):
+            e = np.zeros((n, n), dtype=complex)
+            e[i, j] = e[j, i] = 1.0
+            basis.append(e)
+            e = np.zeros((n, n), dtype=complex)
+            e[i, j] = 1j
+            e[j, i] = -1j
+            basis.append(e)
+    return basis
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
+def test_hermitian_basis_matches_looped_reference(n: int) -> None:
+    basis = hermitian_basis(n)
+    assert basis.shape == (n * n, n, n)
+    np.testing.assert_array_equal(basis, np.array(looped_hermitian_basis(n)).reshape(basis.shape))
+
+
+def test_real_columns_stack_real_and_imaginary_parts() -> None:
+    basis = hermitian_basis(2)
+    h = np.array([[1.0, 2j]])
+    cols = real_columns(basis, basis @ h.conj().T)
+    for k, b in enumerate(basis):
+        vec = np.concatenate([b.ravel(), (b @ h.conj().T).ravel()])
+        np.testing.assert_array_equal(cols[:, k], np.concatenate([vec.real, vec.imag]))
+    assert real_columns(hermitian_basis(0), np.zeros((0, 3))).shape == (6, 0)

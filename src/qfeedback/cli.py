@@ -67,17 +67,12 @@ from .transfer import StateSpaceTF, h2_norm, hinf_norm, jj_unitary_check, lossle
 _FAILURE_ERRORS = (
     NotRealizableError,
     NotAugmentableError,
-    DimensionError,
     InstabilityError,
     InfiniteNormError,
     DesignError,
     GenerationError,
     SingularityError,
 )
-
-
-def _fmt_float(v: float) -> str:
-    return f"{v:.6g}"
 
 
 def _residual_line(residuals: dict[str, float]) -> str:
@@ -465,7 +460,7 @@ def main(argv: list[str] | None = None) -> int:
         else:
             print(str(exc))
         return 1
-    except DomainError as exc:
+    except (DomainError, DimensionError) as exc:
         if args.format == "json":
             print(json.dumps({"error": str(exc), "seed": args.seed,
                               "exit_status": 2}, indent=2))

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigvals, schur, solve_triangular, get_lapack_funcs
+from scipy.linalg import eigvals, schur, get_lapack_funcs
 
 from .errors import DimensionError, DomainError, SingularityError
 
@@ -225,10 +225,11 @@ def min_eigenvalue_pair_gap(a, b=None) -> float:
 
 
 def solve_sylvester(a, b, c) -> np.ndarray:
-    """Solve A X + X B + C = 0 by Schur back-substitution.
+    """Solve A X + X B + C = 0 by Bartels-Stewart.
 
-    Triangularizes A and B (complex Schur) and solves column-wise.  The
-    solvability precheck demands the spectra of A and -B be separated:
+    Triangularizes A and B (complex Schur) and solves the triangular
+    equation with LAPACK ``trsyl``.  The solvability precheck demands the
+    spectra of A and -B, read off the Schur diagonals, be separated:
     min |lambda_i(A) + lambda_j(B)| above SPECTRAL_GAP_TOL * scale.
 
     Parameters
@@ -257,26 +258,22 @@ def solve_sylvester(a, b, c) -> np.ndarray:
     if n == 0 or q == 0:
         return np.zeros((n, q), dtype=complex)
 
-    la = eigvals(a)
-    lb = eigvals(b)
+    ta, ua = schur(a, output="complex")
+    tb, ub = schur(b, output="complex")
+    la, lb = np.diag(ta), np.diag(tb)
     sums = np.abs(la[:, None] + lb[None, :])
     i, j = np.unravel_index(np.argmin(sums), sums.shape)
-    scale = max(1.0, max_abs(a), max_abs(b))
-    if sums[i, j] < SPECTRAL_GAP_TOL * scale:
+    if sums[i, j] < SPECTRAL_GAP_TOL * max(1.0, max_abs(a), max_abs(b)):
         raise SingularityError(
             f"spectra of A and -B collide: {la[i]:.6g} + {lb[j]:.6g} ~ 0",
             eigenvalue_pair=(complex(la[i]), complex(lb[j])),
         )
 
-    ta, ua = schur(a, output="complex")
-    tb, ub = schur(b, output="complex")
-    ct = ua.conj().T @ c @ ub
-    y = np.zeros((n, q), dtype=complex)
-    eye = np.eye(n, dtype=complex)
-    for k in range(q):
-        rhs = -(ct[:, k] + y[:, :k] @ tb[:k, k])
-        y[:, k] = solve_triangular(ta + tb[k, k] * eye, rhs, lower=False)
-    return ua @ y @ ub.conj().T
+    trsyl, = get_lapack_funcs(("trsyl",), (ta, tb))
+    y, scale, info = trsyl(ta, tb, -(ua.conj().T @ c @ ub))
+    if info < 0:
+        raise SingularityError(f"trsyl rejected argument {-info}")
+    return ua @ (y / scale) @ ub.conj().T
 
 
 def solve_lyapunov_hermitian(a, q) -> np.ndarray:

@@ -20,6 +20,7 @@ from .linalg import (
     RESIDUAL_TOL,
     SPECTRAL_GAP_TOL,
     as_matrix,
+    conj_swap,
     dagger,
     delta_build,
     hermitian_basis,
@@ -433,7 +434,8 @@ def extract_params(s) -> HamiltonianCoupling:
     Inverts the construction formulas: N = H, Theta from the realizability
     certificate, M = i Theta^{-1} F + (i/2) N^dagger J N (general) or
     M = i Theta^{-1} F + (i/2) N^dagger N (annihilation).  The recovered M
-    must be Hermitian before symmetrization (deviation <= 1e-6 relative) and
+    must be Hermitian, and doubled-up for the general kind, before it is
+    projected onto that structure (deviation <= 1e-6 relative), and
     re-substitution must reproduce the input within RESIDUAL_TOL.
 
     Raises
@@ -441,8 +443,8 @@ def extract_params(s) -> HamiltonianCoupling:
     NotRealizableError
         When the realizability check fails or is indeterminate.
     DomainError
-        When the recovered M is materially non-Hermitian or the round trip
-        fails, which indicates an input outside the checker's tolerances.
+        When the recovered M is materially off that structure or the round
+        trip fails, which indicates an input outside the checker's tolerances.
     """
     if isinstance(s, GeneralQSys):
         kind = "general"
@@ -467,12 +469,13 @@ def extract_params(s) -> HamiltonianCoupling:
         m_raw = 1j * theta_inv @ s.f + 0.5j * dagger(n) @ j @ n
     else:
         m_raw = 1j * theta_inv @ s.f + 0.5j * dagger(n) @ n
-    herm_dev = max_abs(m_raw - dagger(m_raw)) / (1.0 + max_abs(m_raw))
-    if herm_dev > 1e-6:
-        raise DomainError(
-            f"recovered Hamiltonian matrix is not Hermitian (deviation {herm_dev:.3e})"
-        )
-    m = hermitian_part(m_raw)
+    checks = [("Hermitian", dagger)] + ([("doubled-up", conj_swap)] if kind == "general" else [])
+    m = m_raw
+    for name, involution in checks:
+        dev = max_abs(m - involution(m)) / (1.0 + max_abs(m))
+        if dev > 1e-6:
+            raise DomainError(f"recovered Hamiltonian matrix is not {name} (deviation {dev:.3e})")
+        m = 0.5 * (m + involution(m))
     params = HamiltonianCoupling(theta=theta, m=m, n_coupling=n, kind=kind)
 
     rebuilt = realize_general(params) if kind == "general" else realize_annihilation(params)

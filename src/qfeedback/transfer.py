@@ -106,6 +106,30 @@ class TransferCheck:
     residuals: dict[str, float]
 
 
+# Grid sampling solves at most this many pencil entries (points * n * n) at once,
+# which bounds the memory of the stacked solve at large n.
+_BLOCK_ENTRIES = 2**14
+_GRID_SEED = 1729
+_GRID_POINTS = 200
+_GRID_RANDOM_POINTS = 56
+
+
+def _pole_scale(lam: np.ndarray) -> float:
+    """max(1, spectral radius) for the eigenvalues ``lam``."""
+    return max(1.0, float(np.max(np.abs(lam)))) if lam.size else 1.0
+
+
+def _freq_response(g: StateSpaceTF, s: np.ndarray) -> np.ndarray:
+    """C (sI - A)^{-1} B + D at every point of ``s``, stacked as (k, p, m)."""
+    pencil = s[:, None, None] * np.eye(g.state_dim, dtype=complex) - g.a
+    # B gets an explicit batch axis: NumPy 1.x would read a 2-D B as a stack of vectors.
+    return g.c @ np.linalg.solve(pencil, g.b[None]) + g.d
+
+
+def _sigma_max(v: np.ndarray) -> np.ndarray:
+    return np.linalg.svd(v, compute_uv=False)[:, 0]
+
+
 def tf_eval(g: StateSpaceTF, s: complex) -> np.ndarray:
     """Evaluate C (sI - A)^{-1} B + D at the point ``s``.
 
@@ -114,66 +138,58 @@ def tf_eval(g: StateSpaceTF, s: complex) -> np.ndarray:
     SingularityError
         When ``s`` sits within the spectral-gap guard of an eigenvalue of A.
     """
-    n = g.state_dim
-    if n == 0:
-        return g.d.copy()
     lam = np.linalg.eigvals(g.a)
-    gap = float(np.min(np.abs(s - lam)))
-    scale = max(1.0, float(np.max(np.abs(lam))))
-    if gap < SPECTRAL_GAP_TOL * scale:
+    gap = float(np.min(np.abs(s - lam), initial=np.inf))
+    if gap < SPECTRAL_GAP_TOL * _pole_scale(lam):
         raise SingularityError(
             f"evaluation point {s:.6g} is within {gap:.3e} of a pole",
             eigenvalue_pair=(complex(s), complex(lam[np.argmin(np.abs(s - lam))])),
         )
-    x = np.linalg.solve(s * np.eye(n, dtype=complex) - g.a, g.b)
-    return g.c @ x + g.d
+    return _freq_response(g, np.array([s], dtype=complex))[0]
 
 
-def default_frequency_grid(a=None, seed: int = 1729, points: int = 200, random_points: int = 56) -> np.ndarray:
+def _frequency_grid(scale: float) -> np.ndarray:
+    base = np.logspace(-3.0, 3.0, _GRID_POINTS) * scale
+    rng = np.random.default_rng(_GRID_SEED)
+    mags = 10.0 ** rng.uniform(-3.0, 3.0, _GRID_RANDOM_POINTS) * scale
+    signs = rng.choice([-1.0, 1.0], _GRID_RANDOM_POINTS)
+    return np.unique(np.concatenate([-base[::-1], [0.0], base, mags * signs]))
+
+
+def default_frequency_grid(a=None) -> np.ndarray:
     """Frequency grid for sampled prongs: log-spaced, mirrored, zero, random.
 
     200 logarithmic points over [1e-3, 1e3] (scaled by the spectral radius
     of ``a`` when above 1), their negatives, omega = 0 and 56 seeded random
     points with log-uniform magnitude and random sign.
     """
-    scale = 1.0
-    if a is not None:
-        a = as_matrix(a, "a")
-        if a.size:
-            scale = max(1.0, float(np.max(np.abs(np.linalg.eigvals(a)))))
-    base = np.logspace(-3.0, 3.0, points) * scale
-    rng = np.random.default_rng(seed)
-    mags = 10.0 ** rng.uniform(-3.0, 3.0, random_points) * scale
-    signs = rng.choice([-1.0, 1.0], random_points)
-    return np.unique(np.concatenate([-base[::-1], [0.0], base, mags * signs]))
+    lam = np.linalg.eigvals(as_matrix(a, "a")) if a is not None else np.zeros(0)
+    return _frequency_grid(_pole_scale(lam))
 
 
-def _sample_worst(g: StateSpaceTF, metric, grid) -> tuple[float, int]:
-    """Worst metric value over grid points clear of the poles of A."""
-    n = g.state_dim
-    lam = np.linalg.eigvals(g.a) if n else np.zeros(0, dtype=complex)
-    guard = 1e-8 * max(1.0, float(np.max(np.abs(lam))) if n else 1.0)
+def _sample_worst(g: StateSpaceTF, metric) -> tuple[float, int]:
+    """Worst metric value over the default grid, skipping points at the poles of A.
+
+    ``metric`` maps a stack of responses (k, p, m) to an array of values.
+    Returns the largest value and the number of grid points used.
+    """
+    lam = np.linalg.eigvals(g.a)
+    scale = _pole_scale(lam)
+    s = 1j * _frequency_grid(scale)
+    s = s[np.min(np.abs(s[:, None] - lam), axis=1, initial=np.inf) > 1e-8 * scale]
+    step = max(1, _BLOCK_ENTRIES // max(1, g.state_dim**2))
     worst = 0.0
-    used = 0
-    eye = np.eye(n, dtype=complex)
-    for w in grid:
-        s = 1j * w
-        if n and np.min(np.abs(s - lam)) <= guard:
-            continue
-        val = g.c @ np.linalg.solve(s * eye - g.a, g.b) + g.d if n else g.d
-        worst = max(worst, metric(val))
-        used += 1
-    return worst, used
+    for i in range(0, s.size, step):
+        worst = float(np.max(metric(_freq_response(g, s[i : i + step])), initial=worst))
+    return worst, s.size
 
 
 def _controllability_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    n = a.shape[0]
-    blocks = []
-    cur = b
-    for _ in range(max(n, 1)):
-        blocks.append(cur)
-        cur = a @ cur
-    return np.hstack(blocks) if blocks else np.zeros((n, 0), dtype=complex)
+    blocks = [b]
+    for _ in range(a.shape[0] - 1):
+        blocks.append(a @ blocks[-1])
+    return np.hstack(blocks)
+
 
 def _controllable_basis(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the controllable subspace of (A, B)."""
@@ -254,9 +270,7 @@ def jj_unitary_check(g: StateSpaceTF, half_io: int, tol: float = RESIDUAL_TOL) -
                 "pass" if feed_ok and residuals["coupling"] <= tol * scale else "fail"
             )
 
-    worst, used = _sample_worst(
-        g, lambda val: max_abs(dagger(val) @ j @ val - j), default_frequency_grid(g.a)
-    )
+    worst, used = _sample_worst(g, lambda v: np.abs(v.conj().swapaxes(1, 2) @ j @ v - j))
     residuals["sampled"] = worst
     prongs["sampled"] = "pass" if used and worst <= FREQ_TOL else "fail"
 
@@ -300,11 +314,8 @@ def lossless_br_check(g: StateSpaceTF, tol: float = RESIDUAL_TOL) -> TransferChe
             "pass" if feed_ok and coup_ok and is_positive_definite(x) else "fail"
         )
 
-    worst, used = _sample_worst(
-        g,
-        lambda val: max_abs(dagger(val) @ val - np.eye(g.input_dim)),
-        default_frequency_grid(g.a),
-    )
+    eye = np.eye(g.input_dim)
+    worst, used = _sample_worst(g, lambda v: np.abs(v.conj().swapaxes(1, 2) @ v - eye))
     residuals["sampled"] = worst
     prongs["sampled"] = "pass" if used and worst <= FREQ_TOL else "fail"
 
@@ -353,7 +364,7 @@ def _gamma_feasible(g: StateSpaceTF, gamma: float) -> bool:
         ]
     )
     lam = np.linalg.eigvals(ham)
-    return bool(np.min(np.abs(lam.real)) > 1e-8 * max(1.0, float(np.max(np.abs(lam)))))
+    return bool(np.min(np.abs(lam.real)) > 1e-8 * _pole_scale(lam))
 
 
 def hinf_norm(g: StateSpaceTF, rel_tol: float = 1e-6) -> NormResult:
@@ -374,11 +385,7 @@ def hinf_norm(g: StateSpaceTF, rel_tol: float = 1e-6) -> NormResult:
     if not is_hurwitz(g.a):
         raise InstabilityError("H-infinity norm needs a Hurwitz state matrix")
 
-    grid_max, _ = _sample_worst(
-        g,
-        lambda val: float(np.linalg.svd(val, compute_uv=False)[0]),
-        default_frequency_grid(g.a),
-    )
+    grid_max, _ = _sample_worst(g, _sigma_max)
     lo = max(sigma_d * (1.0 + 1e-9), grid_max * (1.0 - 1e-12))
 
     margin = abs(float(np.max(np.linalg.eigvals(g.a).real)))

@@ -246,6 +246,24 @@ class TestCompose:
         assert code == 2
         assert err == "input error: plant has no cost output block\n"
 
+    def test_channel_mismatch_is_unusable_input(self, corpus, tmp_path):
+        ctrl = tmp_path / "wide_ctrl.json"
+        save_system(ctrl, trivial_controller(2, 2))
+        src = str(Path(qfeedback.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-m", "qfeedback.cli", "--format", "json", "compose",
+             str(corpus / "cavity_plant.json"), str(ctrl)],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src},
+            timeout=120,
+        )
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        report = json.loads(proc.stdout)
+        assert report["exit_status"] == 2
+        assert "channel mismatch" in report["error"]
+
     def test_emit_writes_a_loadable_closed_loop(self, corpus, capsys, tmp_path):
         target = tmp_path / "loop.json"
         code, out, _ = run(

@@ -147,8 +147,9 @@ def test_sylvester_scalar() -> None:
 
 def test_sylvester_singular_spectrum_pair() -> None:
     # eigenvalue sum -1 + 1 = 0: no unique solution
-    with pytest.raises(SingularityError):
+    with pytest.raises(SingularityError) as info:
         solve_sylvester([[-1.0]], [[1.0]], [[5.0]])
+    assert info.value.eigenvalue_pair == (-1.0, 1.0)
 
 
 def test_sylvester_scalar_distinct_rates() -> None:
@@ -167,6 +168,17 @@ def test_sylvester_residual_on_random_instances() -> None:
         x = solve_sylvester(a, b, c)
         res = max_abs(a @ x + x @ b + c)
         assert res <= 1e-8 * (1 + max_abs(c))
+
+
+@pytest.mark.parametrize("n, q", [(32, 32), (32, 7)])
+def test_sylvester_residual_at_larger_sizes(n: int, q: int) -> None:
+    rng = np.random.default_rng(41)
+    a = random_stable(rng, n)
+    b = random_stable(rng, q)
+    c = rng.standard_normal((n, q)) + 1j * rng.standard_normal((n, q))
+    x = solve_sylvester(a, b, c)
+    assert x.shape == (n, q)
+    assert max_abs(a @ x + x @ b + c) <= 1e-8 * (1 + max_abs(c))
 
 
 def test_lyapunov_scalar() -> None:

@@ -199,6 +199,19 @@ def test_round_trip_realize_extract_realize() -> None:
             assert max_abs(got - want) <= 1e-8 * (1 + max_abs(want)), (kind, seed, name)
 
 
+def test_round_trip_keeps_doubled_structure_of_recovered_m() -> None:
+    # The recovered M of this 16-mode draw is off doubled-up structure by
+    # 1.6e-9 relative, just above STRUCTURE_TOL.
+    s = random_pr_system(16, 2, seed=30, kind="general")
+    p = extract_params(s)
+    assert is_doubled(p.m, tol=0.0)
+    rebuilt = realize_general(p)
+    for name in ("f", "g", "h", "k"):
+        got = getattr(rebuilt, name)
+        want = getattr(s, name)
+        assert max_abs(got - want) <= 1e-8 * (1 + max_abs(want)), name
+
+
 # ---------------------------------------------------------------------------
 # eigenvalue-sum condition and generators
 

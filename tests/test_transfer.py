@@ -15,6 +15,7 @@ from qfeedback import (
     GeneralQSys,
     InfiniteNormError,
     InstabilityError,
+    SingularityError,
     StateSpaceTF,
     check_pr_general,
     default_frequency_grid,
@@ -28,7 +29,14 @@ from qfeedback import (
     signature_matrix,
     tf_eval,
 )
-from qfeedback.transfer import is_minimal
+from qfeedback import transfer
+from qfeedback.transfer import (
+    _BLOCK_ENTRIES,
+    _freq_response,
+    _sample_worst,
+    _sigma_max,
+    is_minimal,
+)
 
 from conftest import cavity_all_pass, dense_hinf_oracle, random_stable_tf
 
@@ -50,6 +58,66 @@ def test_tf_eval_high_frequency_approaches_feedthrough() -> None:
 def test_tf_eval_zero_system() -> None:
     g = StateSpaceTF(a=[[-1.0]], b=[[0.0]], c=[[0.0]], d=[[0.0]])
     np.testing.assert_array_equal(tf_eval(g, 3.0 + 2.0j), [[0.0]])
+
+
+def _response_per_point(g: StateSpaceTF, s: complex) -> np.ndarray:
+    """Reference evaluation: one dense solve at one point."""
+    if g.state_dim == 0:
+        return g.d
+    return g.c @ np.linalg.solve(s * np.eye(g.state_dim) - g.a, g.b) + g.d
+
+
+@pytest.mark.parametrize("n", [0, 1, 8, 32])
+def test_stacked_responses_match_per_point_solves(n: int) -> None:
+    rng = np.random.default_rng(100 + n)
+    if n:
+        g = random_stable_tf(rng, n, 2, 3, strictly_proper=False)
+    else:
+        g = StateSpaceTF(np.zeros((0, 0)), np.zeros((0, 2)), np.zeros((3, 0)), rng.standard_normal((3, 2)))
+    grid = default_frequency_grid(g.a)
+    # From n = 8 on, the sampled grid spans more than one stacked solve.
+    assert n < 8 or grid.size > _BLOCK_ENTRIES // n**2
+    ref = np.array([_response_per_point(g, 1j * w) for w in grid])
+    got = _freq_response(g, 1j * grid)
+    assert got.shape == (grid.size, 3, 2)
+    np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12 * np.max(np.abs(ref)))
+    worst, used = _sample_worst(g, _sigma_max)
+    assert used == grid.size
+    want = max(np.linalg.svd(r, compute_uv=False)[0] for r in ref)
+    assert worst == pytest.approx(want, rel=1e-12)
+
+
+def test_stacked_solve_gives_b_a_batch_axis(monkeypatch) -> None:
+    # NumPy 1.x reads a b with one axis fewer than the stack as a stack of vectors.
+    ndims = []
+    solve = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: ndims.append((a.ndim, b.ndim)) or solve(a, b))
+    g = random_stable_tf(np.random.default_rng(3), 2, 2, 2, strictly_proper=False)
+    _freq_response(g, 1j * np.array([0.5, 2.0]))
+    assert ndims == [(3, 3)]
+
+
+def test_sampling_when_one_pencil_exceeds_the_block(monkeypatch) -> None:
+    g = random_stable_tf(np.random.default_rng(7), 8, 2, 3, strictly_proper=False)
+    want = _sample_worst(g, _sigma_max)
+    monkeypatch.setattr(transfer, "_BLOCK_ENTRIES", 16)
+    worst, used = _sample_worst(g, _sigma_max)
+    assert used == want[1]
+    assert worst == pytest.approx(want[0], rel=1e-12)
+
+
+def test_grid_point_on_a_pole_is_skipped() -> None:
+    grid = default_frequency_grid()
+    w0 = grid[np.argmin(np.abs(grid - 0.5))]
+    # Spectral radius below 1 keeps the unscaled grid, so 1j * w0 is a pole.
+    g = StateSpaceTF(
+        a=np.diag([1j * w0, -0.5]), b=np.ones((2, 2)), c=np.ones((2, 2)), d=np.zeros((2, 2))
+    )
+    _, used = _sample_worst(g, _sigma_max)
+    assert used == grid.size - 1
+    with pytest.raises(SingularityError) as info:
+        tf_eval(g, 1j * w0)
+    assert info.value.eigenvalue_pair == (1j * w0, pytest.approx(1j * w0))
 
 
 def test_is_minimal_cavity() -> None:

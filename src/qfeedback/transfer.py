@@ -15,6 +15,7 @@ import numpy as np
 
 from .errors import (
     DimensionError,
+    DomainError,
     GenerationError,
     InfiniteNormError,
     InstabilityError,
@@ -349,12 +350,24 @@ def h2_norm(g: StateSpaceTF) -> NormResult:
     )
 
 
-def _gamma_feasible(g: StateSpaceTF, gamma: float) -> bool:
-    """True when the bounded-real Hamiltonian for gamma has no imaginary-axis eigenvalues."""
+# Levels within this relative band of the level-set bracket run the Hamiltonian
+# test itself: near the norm, eigenvalue pairs coalesce on the imaginary axis
+# and rounding moves them by about sqrt(eps), so the 1e-8 axis test there can
+# disagree with the bracket.
+_LEVEL_SET_BAND = 1e-8
+_LEVEL_SET_STEP = 1e-10
+_LEVEL_SET_MAX_STEPS = 50
+
+
+def _axis_eigenvalues(g: StateSpaceTF, gamma: float) -> np.ndarray | None:
+    """Imaginary-axis eigenvalues of the bounded-real Hamiltonian for gamma.
+
+    Returns None when R = gamma^2 I - D^dagger D is not positive definite.
+    """
     r = gamma**2 * np.eye(g.input_dim) - dagger(g.d) @ g.d
     lam_r = np.linalg.eigvalsh(hermitian_part(r))
     if lam_r.size and lam_r[0] <= 0.0:
-        return False
+        return None
     r_inv = np.linalg.inv(hermitian_part(r))
     a_hat = g.a + g.b @ r_inv @ dagger(g.d) @ g.c
     ham = np.block(
@@ -364,7 +377,37 @@ def _gamma_feasible(g: StateSpaceTF, gamma: float) -> bool:
         ]
     )
     lam = np.linalg.eigvals(ham)
-    return bool(np.min(np.abs(lam.real)) > 1e-8 * _pole_scale(lam))
+    return lam[np.abs(lam.real) <= 1e-8 * _pole_scale(lam)]
+
+
+def _gamma_feasible(g: StateSpaceTF, gamma: float) -> bool:
+    """True when the bounded-real Hamiltonian for gamma has no imaginary-axis eigenvalues."""
+    axis = _axis_eigenvalues(g, gamma)
+    return axis is not None and axis.size == 0
+
+
+def _level_set_bracket(g: StateSpaceTF, lo: float) -> tuple[tuple[float, float] | None, int]:
+    """Level-set iteration (Boyd-Balakrishnan, Bruinsma-Steinbuch) upward from ``lo``.
+
+    Each step tests the level just above ``lo``: its imaginary-axis
+    eigenvalues are the frequencies where a singular value of G crosses it,
+    and the peak of sigma_max over the midpoints between them is the next
+    ``lo``.  Returns the bracket (last ``lo``, first level without axis
+    eigenvalues) and the number of Hamiltonian eigensolves; the bracket is
+    None when R is not positive definite or the iteration does not close
+    within _LEVEL_SET_MAX_STEPS steps.
+    """
+    for step in range(_LEVEL_SET_MAX_STEPS):
+        gamma = lo + _LEVEL_SET_STEP * max(lo, 1.0)
+        axis = _axis_eigenvalues(g, gamma)
+        if axis is None:
+            return None, step
+        if axis.size == 0:
+            return (lo, gamma), step + 1
+        w = np.sort(axis.imag)
+        peak = _sigma_max(_freq_response(g, 0.5j * (w[:-1] + w[1:])))
+        lo = max(gamma, float(np.max(peak, initial=0.0)))
+    return None, _LEVEL_SET_MAX_STEPS
 
 
 def hinf_norm(g: StateSpaceTF, rel_tol: float = 1e-6) -> NormResult:
@@ -372,13 +415,26 @@ def hinf_norm(g: StateSpaceTF, rel_tol: float = 1e-6) -> NormResult:
 
     The lower bracket starts from the larger of the grid-sampled gain and
     sigma_max(D) inflated by 1e-9 (the all-pass degeneracy guard); the upper
-    bracket doubles a gain estimate until the Hamiltonian test passes.
+    bracket doubles a gain estimate until the Hamiltonian test passes, and
+    halving stops at ``rel_tol`` relative width (or when the midpoint no
+    longer moves).  The feasibility questions of both searches are answered
+    by comparison with one bracket on the norm, which the quadratically
+    convergent level-set iteration closes in a few Hamiltonian eigensolves.
+    Levels within a 1e-8 relative band of that bracket, and every level when
+    the iteration does not close, run the Hamiltonian test itself; away from
+    the band the two answers agree, so the value and bracket are those of
+    testing every level.  The certificate counts the Hamiltonian eigensolves
+    under ``hamiltonian_solves``.
 
     Raises
     ------
+    DomainError
+        When ``rel_tol`` is not a finite positive number.
     InstabilityError
         When A is not Hurwitz.
     """
+    if not (np.isfinite(rel_tol) and rel_tol > 0.0):
+        raise DomainError(f"rel_tol must be finite and positive, got {rel_tol!r}")
     sigma_d = float(np.linalg.svd(g.d, compute_uv=False)[0]) if g.d.size else 0.0
     if g.state_dim == 0 or g.b.size == 0 or g.c.size == 0:
         return NormResult(sigma_d, "static", {"sigma_max_d": sigma_d})
@@ -387,6 +443,18 @@ def hinf_norm(g: StateSpaceTF, rel_tol: float = 1e-6) -> NormResult:
 
     grid_max, _ = _sample_worst(g, _sigma_max)
     lo = max(sigma_d * (1.0 + 1e-9), grid_max * (1.0 - 1e-12))
+    bracket, solves = _level_set_bracket(g, lo)
+
+    def feasible(gamma: float) -> bool:
+        nonlocal solves
+        if bracket is not None:
+            band = _LEVEL_SET_BAND * max(bracket[0], 1.0)
+            if gamma > bracket[1] + band:
+                return True
+            if gamma < bracket[0] - band:
+                return False
+        solves += 1
+        return _gamma_feasible(g, gamma)
 
     margin = abs(float(np.max(np.linalg.eigvals(g.a).real)))
     estimate = sigma_d + 2.0 * float(
@@ -394,7 +462,7 @@ def hinf_norm(g: StateSpaceTF, rel_tol: float = 1e-6) -> NormResult:
     ) / max(margin, SPECTRAL_GAP_TOL)
     hi = max(estimate, 2.0 * lo, 1e-8)
     for _ in range(100):
-        if _gamma_feasible(g, hi):
+        if feasible(hi):
             break
         hi *= 2.0
     else:
@@ -403,7 +471,9 @@ def hinf_norm(g: StateSpaceTF, rel_tol: float = 1e-6) -> NormResult:
     iterations = 0
     while hi - lo > rel_tol * max(lo, 1.0):
         mid = 0.5 * (lo + hi)
-        if _gamma_feasible(g, mid):
+        if mid in (lo, hi):
+            break
+        if feasible(mid):
             hi = mid
         else:
             lo = mid
@@ -417,5 +487,6 @@ def hinf_norm(g: StateSpaceTF, rel_tol: float = 1e-6) -> NormResult:
             "bracket_high": hi,
             "iterations": float(iterations),
             "grid_lower_bound": grid_max,
+            "hamiltonian_solves": float(solves),
         },
     )

@@ -351,6 +351,23 @@ class TestSynth:
             "coupling",
         }
 
+    @pytest.mark.parametrize("tol", ["0", "nan"])
+    def test_unusable_tol_exits_two(self, corpus, tol):
+        src = str(Path(qfeedback.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-m", "qfeedback.cli", "--format", "json", "--tol", tol,
+             "synth", str(corpus / "triple_boundary.json")],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src},
+            timeout=120,
+        )
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        report = json.loads(proc.stdout)
+        assert report["exit_status"] == 2
+        assert "rel_tol" in report["error"]
+
     def test_emit_writes_the_augmented_controller(self, corpus, capsys, tmp_path):
         target = tmp_path / "aug.json"
         code, out, _ = run(

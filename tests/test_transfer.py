@@ -9,15 +9,19 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from qfeedback import (
+    DomainError,
     GeneralQSys,
     InfiniteNormError,
     InstabilityError,
     SingularityError,
     StateSpaceTF,
     check_pr_general,
+    close_augmented_loop,
     default_frequency_grid,
     delta_build,
     h2_norm,
@@ -25,20 +29,24 @@ from qfeedback import (
     jj_unitary_check,
     lossless_br_check,
     minimal_realization,
+    random_challengers,
+    random_pr_plant,
     random_pr_system,
     signature_matrix,
     tf_eval,
 )
 from qfeedback import transfer
+from qfeedback.linalg import SPECTRAL_GAP_TOL
 from qfeedback.transfer import (
     _BLOCK_ENTRIES,
     _freq_response,
+    _gamma_feasible,
     _sample_worst,
     _sigma_max,
     is_minimal,
 )
 
-from conftest import cavity_all_pass, dense_hinf_oracle, random_stable_tf
+from conftest import cavity_all_pass, dense_hinf_oracle, random_stable_tf, random_unitary
 
 ROOT2 = np.sqrt(2.0)
 
@@ -350,6 +358,124 @@ def test_hinf_norm_dense_sampling_oracle_50_systems() -> None:
         value = hinf_norm(g, rel_tol=1e-7).value
         oracle = dense_hinf_oracle(g)
         assert abs(value - oracle) <= 1e-4 * max(oracle, 1e-12)
+
+
+def _reference_bisection(g: StateSpaceTF, rel_tol: float = 1e-6) -> dict[str, float]:
+    """hinf_norm's bracket arithmetic with every level put to the Hamiltonian test."""
+    sigma_d = float(np.linalg.svd(g.d, compute_uv=False)[0]) if g.d.size else 0.0
+    grid_max, _ = _sample_worst(g, _sigma_max)
+    lo = max(sigma_d * (1.0 + 1e-9), grid_max * (1.0 - 1e-12))
+    margin = abs(float(np.max(np.linalg.eigvals(g.a).real)))
+    estimate = sigma_d + 2.0 * float(
+        np.linalg.norm(g.c, 2) * np.linalg.norm(g.b, 2)
+    ) / max(margin, SPECTRAL_GAP_TOL)
+    hi = max(estimate, 2.0 * lo, 1e-8)
+    while not _gamma_feasible(g, hi):
+        hi *= 2.0
+    iterations = 0
+    while hi - lo > rel_tol * max(lo, 1.0):
+        mid = 0.5 * (lo + hi)
+        if _gamma_feasible(g, mid):
+            hi = mid
+        else:
+            lo = mid
+        iterations += 1
+    return {
+        "value": 0.5 * (lo + hi),
+        "bracket_low": lo,
+        "bracket_high": hi,
+        "iterations": float(iterations),
+        "grid_lower_bound": grid_max,
+    }
+
+
+def _as_reference(result) -> dict[str, float]:
+    cert = result.certificate
+    keys = ("bracket_low", "bracket_high", "iterations", "grid_lower_bound")
+    return {"value": result.value, **{k: cert[k] for k in keys}}
+
+
+@pytest.fixture(scope="module")
+def hinf_family() -> list[StateSpaceTF]:
+    """Random stable systems with and without D, the all-pass cavity,
+    Hurwitz annihilation systems at n = 8, 16, 32 and one T6 loop."""
+    rng = np.random.default_rng(83)
+    family = []
+    for n in range(1, 7):
+        for strictly_proper in (True, False):
+            m, p = (int(k) for k in rng.integers(1, 3, size=2))
+            family.append(random_stable_tf(rng, n, m, p, strictly_proper=strictly_proper))
+    family.append(cavity_all_pass())
+    for n in (8, 16, 32):
+        s = random_pr_system(n, 2, seed=n, kind="annihilation", hurwitz_required=True)
+        family.append(StateSpaceTF.from_system(s))
+    plant = random_pr_plant(2, 2, 1, 1, seed=905)
+    loop = close_augmented_loop(plant, random_challengers(plant, count=1, seed=905)[0]).system
+    family.append(StateSpaceTF(loop.a, loop.b, loop.c[:1], loop.d[:1]))
+    return family
+
+
+def test_hinf_norm_matches_reference_bisection(hinf_family) -> None:
+    solves = []
+    for g in hinf_family:
+        result = hinf_norm(g)
+        assert result.method == "bisection"
+        assert _as_reference(result) == _reference_bisection(g)
+        solves.append(result.certificate["hamiltonian_solves"])
+    assert np.mean(solves) <= 4.0
+
+
+def test_hinf_norm_without_level_set_bracket_is_unchanged(hinf_family, monkeypatch) -> None:
+    expected = [_as_reference(hinf_norm(g)) for g in hinf_family]
+    monkeypatch.setattr(transfer, "_level_set_bracket", lambda g, lo: (None, 0))
+    for g, want in zip(hinf_family, expected):
+        result = hinf_norm(g)
+        assert _as_reference(result) == want
+        assert result.certificate["hamiltonian_solves"] >= result.certificate["iterations"]
+
+
+@pytest.mark.parametrize("rel_tol", [0.0, -1.0, np.nan, np.inf])
+def test_hinf_norm_rejects_bad_rel_tol(rel_tol: float) -> None:
+    g = StateSpaceTF(a=[[-1.0]], b=[[1.0]], c=[[1.0]], d=[[0.0]])
+    with pytest.raises(DomainError, match="rel_tol"):
+        hinf_norm(g, rel_tol)
+
+
+def test_hinf_norm_rel_tol_below_float_spacing_terminates() -> None:
+    g = StateSpaceTF(a=[[-1.0]], b=[[1.0]], c=[[1.0]], d=[[0.0]])
+    result = hinf_norm(g, 1e-20)
+    cert = result.certificate
+    assert np.nextafter(cert["bracket_low"], np.inf) == cert["bracket_high"]
+    assert abs(result.value - 1.0) <= 1e-7
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), strictly_proper=st.booleans())
+def test_hinf_norm_invariant_under_unitary_state_change(seed: int, strictly_proper: bool) -> None:
+    rng = np.random.default_rng(seed)
+    n, m, p = int(rng.integers(1, 6)), int(rng.integers(1, 3)), int(rng.integers(1, 3))
+    g = random_stable_tf(rng, n, m, p, strictly_proper=strictly_proper)
+    u = random_unitary(rng, n)
+    moved = StateSpaceTF(a=u.conj().T @ g.a @ u, b=u.conj().T @ g.b, c=g.c @ u, d=g.d)
+    value = hinf_norm(g).value
+    assert abs(hinf_norm(moved).value - value) <= 2e-6 * max(1.0, value)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    strictly_proper=st.booleans(),
+    alpha=st.floats(1e-3, 1e3),
+)
+def test_hinf_norm_is_homogeneous(seed: int, strictly_proper: bool, alpha: float) -> None:
+    rng = np.random.default_rng(seed)
+    n, m, p = int(rng.integers(1, 6)), int(rng.integers(1, 3)), int(rng.integers(1, 3))
+    g = random_stable_tf(rng, n, m, p, strictly_proper=strictly_proper)
+    base = hinf_norm(g).value
+    scaled = hinf_norm(StateSpaceTF(a=g.a, b=g.b, c=alpha * g.c, d=alpha * g.d)).value
+    # Each bisection is within rel_tol * max(1, value) of the norm; the
+    # unscaled one's error is scaled by alpha with it.
+    assert abs(scaled - alpha * base) <= 1e-6 * (max(1.0, scaled) + alpha * max(1.0, base))
 
 
 def test_all_pass_pointwise_on_default_grid() -> None:

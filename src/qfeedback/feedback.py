@@ -71,7 +71,7 @@ def _identity_pad(rows: int, cols: int) -> np.ndarray:
 def _identity_pattern(kind: str, rows: int, cols: int) -> np.ndarray:
     """The feedthrough [I, 0] over (rows, cols) fields, doubled for the general kind."""
     pad = _identity_pad(rows, cols)
-    return delta_build(pad, np.zeros_like(pad)).body if kind == "general" else pad
+    return delta_build(pad, np.zeros_like(pad)) if kind == "general" else pad
 
 
 @dataclass(frozen=True)
@@ -529,8 +529,7 @@ def synth_noise_annihilation(f_c, g_cy, h_c, rel_tol: float = 1e-6) -> Synthesis
     q_mat = hermitian_part(g_cy @ dagger(g_cy))
     theta = None
     care = solve_care_hermitian(f_c, r_mat, q_mat)
-    stabilizing = care.selection in ("stable-subspace", "lyapunov-degenerate")
-    if care.exists and stabilizing and is_positive_definite(care.x):
+    if care.exists and is_positive_definite(care.x):
         theta = care.x
         g_cwb = np.zeros((n_c, 0), dtype=complex)
     else:

@@ -12,7 +12,6 @@ and return plain ``numpy`` arrays (dtype complex128).
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -78,48 +77,19 @@ def signature_matrix(half_dim: int) -> np.ndarray:
     return j
 
 
-@dataclass(frozen=True)
-class DoubledMatrix:
-    """A 2x2-block matrix [[A1, A2], [conj(A2), conj(A1)]].
-
-    ``body`` is the full array; ``half_rows``/``half_cols`` give the block
-    shape.  Construction does not re-validate; use :func:`delta_build`.
-    """
-
-    body: np.ndarray
-    half_rows: int
-    half_cols: int
-
-    @property
-    def blocks(self) -> tuple[np.ndarray, np.ndarray]:
-        """The defining top blocks (A1, A2)."""
-        return (
-            self.body[: self.half_rows, : self.half_cols],
-            self.body[: self.half_rows, self.half_cols :],
-        )
-
-    def __array__(self, dtype=None, copy=None):
-        return np.asarray(self.body, dtype=dtype)
-
-
-def delta_build(a1, a2) -> DoubledMatrix:
+def delta_build(a1, a2) -> np.ndarray:
     """Assemble the doubled-up matrix [[A1, A2], [conj(A2), conj(A1)]].
 
     Parameters
     ----------
     a1, a2 : array_like
         Equal-shaped blocks.
-
-    Returns
-    -------
-    DoubledMatrix
     """
     a1 = as_matrix(a1, "a1")
     a2 = as_matrix(a2, "a2")
     if a1.shape != a2.shape:
         raise DimensionError(f"blocks must share a shape, got {a1.shape} and {a2.shape}")
-    body = np.block([[a1, a2], [a2.conj(), a1.conj()]])
-    return DoubledMatrix(body=body, half_rows=a1.shape[0], half_cols=a1.shape[1])
+    return np.block([[a1, a2], [a2.conj(), a1.conj()]])
 
 
 def is_doubled(x, tol: float = STRUCTURE_TOL) -> bool:
@@ -171,17 +141,6 @@ def doubling_permutation(half_sizes) -> np.ndarray:
         cre.extend(range(off + s, off + 2 * s))
         off += 2 * s
     return np.array(ann + cre, dtype=int)
-
-
-def rank_svd(m, tol: float = RANK_TOL) -> int:
-    """Numerical rank: singular values above tol * sigma_max * max(shape)."""
-    m = as_matrix(m, "matrix")
-    if m.size == 0:
-        return 0
-    s = np.linalg.svd(m, compute_uv=False)
-    if s[0] == 0.0:
-        return 0
-    return int(np.sum(s > tol * s[0] * max(m.shape)))
 
 
 def hermitian_basis(n: int) -> np.ndarray:
@@ -297,8 +256,8 @@ class CareSolution:
 
     ``exists`` is False when no Hermitian solution was found; that is a
     report, not an exception.  ``selection`` documents which invariant
-    subspace produced ``x``: "stable-subspace", "alternate-subspace" or
-    "lyapunov-degenerate".
+    subspace produced ``x``: "stable-subspace" or "lyapunov-degenerate"
+    ("none" when ``exists`` is False).
     """
 
     x: np.ndarray | None
@@ -334,9 +293,8 @@ def solve_care_hermitian(a, r, q, herm_tol: float = 1e-6) -> CareSolution:
     n-dimensional invariant subspace [Z; Y] with invertible Z yields a
     solution X = Y Z^{-1}.  The primary selection takes the n eigenvalues
     with most-negative real parts (ordered Schur); when that basis block is
-    singular or the candidate is far from Hermitian, alternative invariant
-    subspaces are scanned (eigenvector subsets, capped at C(2n, n) for
-    n <= 4).  A zero R degenerates to the Lyapunov path.
+    singular or the candidate is far from Hermitian, no solution is
+    reported.  A zero R degenerates to the Lyapunov path.
 
     Returns
     -------
@@ -376,7 +334,7 @@ def solve_care_hermitian(a, r, q, herm_tol: float = 1e-6) -> CareSolution:
             return None
         return x, res, herm_dev
 
-    # Primary path: ordered Schur, most-negative real parts leading.
+    # Ordered Schur, most-negative real parts leading.
     t, u = schur(ham, output="complex")
     d = np.diag(t)
     order = np.lexsort((d.imag, d.real))
@@ -388,22 +346,6 @@ def solve_care_hermitian(a, r, q, herm_tol: float = 1e-6) -> CareSolution:
             return CareSolution(x, True, "stable-subspace", res, dev)
     except SingularityError:
         pass
-
-    # Alternative subspaces, small problems only.
-    if n <= 4:
-        lam, vecs = np.linalg.eig(ham)
-        by_re = np.lexsort((lam.imag, lam.real))
-        combos = sorted(
-            itertools.combinations(range(2 * n), n),
-            key=lambda s: sum(lam[by_re[k]].real for k in s),
-        )
-        for combo in combos:
-            idx = [by_re[k] for k in combo]
-            basis = vecs[:, idx]
-            got = _extract(basis[:n, :], basis[n:, :])
-            if got is not None:
-                x, res, dev = got
-                return CareSolution(x, True, "alternate-subspace", res, dev)
 
     return CareSolution(None, False, "none", np.inf, np.inf)
 

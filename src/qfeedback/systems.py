@@ -501,7 +501,7 @@ def _random_doubled_hermitian(rng, half: int) -> np.ndarray:
     m1 = hermitian_part(_random_complex(rng, half, half))
     x = _random_complex(rng, half, half)
     m2 = 0.5 * (x + x.T)
-    return delta_build(m1, m2).body
+    return delta_build(m1, m2)
 
 
 def random_pr_system(
@@ -531,14 +531,14 @@ def random_pr_system(
     rng = np.random.default_rng(seed)
     for _ in range(16):
         if kind == "general":
-            t = delta_build(_random_complex(rng, n, n), _random_complex(rng, n, n)).body
+            t = delta_build(_random_complex(rng, n, n), _random_complex(rng, n, n))
             svals = np.linalg.svd(t, compute_uv=False)
             if svals[-1] < 1e-3 * svals[0]:
                 continue
             j_n = signature_matrix(n)
             theta = hermitian_part(t @ j_n @ dagger(t))
             m_mat = _random_doubled_hermitian(rng, n)
-            n_mat = delta_build(_random_complex(rng, m, n), _random_complex(rng, m, n)).body
+            n_mat = delta_build(_random_complex(rng, m, n), _random_complex(rng, m, n))
             params = HamiltonianCoupling(theta=theta, m=m_mat, n_coupling=n_mat, kind="general")
             sys = realize_general(params)
         else:

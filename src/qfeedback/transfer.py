@@ -30,7 +30,6 @@ from .linalg import (
     dagger,
     hermitian_part,
     max_abs,
-    rank_svd,
     signature_matrix,
     solve_lyapunov_hermitian,
 )
@@ -185,34 +184,36 @@ def _sample_worst(g: StateSpaceTF, metric) -> tuple[float, int]:
     return worst, s.size
 
 
-def _controllability_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    blocks = [b]
-    for _ in range(a.shape[0] - 1):
-        blocks.append(a @ blocks[-1])
-    return np.hstack(blocks)
-
-
 def _controllable_basis(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the controllable subspace of (A, B)."""
+    """Orthonormal basis of the controllable subspace of (A, B).
+
+    Orthogonal staircase (Van Dooren 1981): each step projects the new block
+    off the basis so far (Gram-Schmidt twice), keeps its left singular
+    vectors above RANK_TOL * max(1, |A|, |B|) * n, and continues with A times
+    them.  Every block multiplied by A is orthonormal, so no power of A is
+    formed and the rank cut keeps its meaning at every n.
+    """
     n = a.shape[0]
-    if n == 0 or b.shape[1] == 0:
-        return np.zeros((n, 0), dtype=complex)
-    k = _controllability_matrix(a, b)
-    u, svals, _ = np.linalg.svd(k)
-    if svals.size == 0 or svals[0] == 0.0:
-        return np.zeros((n, 0), dtype=complex)
-    r = int(np.sum(svals > RANK_TOL * svals[0] * max(k.shape)))
-    return u[:, :r]
+    cut = RANK_TOL * max(1.0, max_abs(a), max_abs(b)) * max(n, 1)
+    basis = np.zeros((n, 0), dtype=complex)
+    block = b
+    while block.shape[1] and basis.shape[1] < n:
+        for _ in range(2):
+            block = block - basis @ (dagger(basis) @ block)
+        u, svals, _ = np.linalg.svd(block, full_matrices=False)
+        block = u[:, svals > cut]
+        basis = np.hstack([basis, block])
+        block = a @ block
+    return basis
 
 
 def is_minimal(g: StateSpaceTF) -> bool:
     """True when the realization is both controllable and observable."""
     n = g.state_dim
-    if n == 0:
-        return True
-    ctrb = rank_svd(_controllability_matrix(g.a, g.b))
-    obsv = rank_svd(_controllability_matrix(dagger(g.a), dagger(g.c)))
-    return ctrb == n and obsv == n
+    return (
+        _controllable_basis(g.a, g.b).shape[1] == n
+        and _controllable_basis(dagger(g.a), dagger(g.c)).shape[1] == n
+    )
 
 
 def minimal_realization(g: StateSpaceTF) -> StateSpaceTF:

@@ -118,7 +118,7 @@ def test_augment_controller_requires_identity_pattern() -> None:
 
 
 def doubled(a1, a2) -> np.ndarray:
-    return delta_build(a1, a2).body
+    return delta_build(a1, a2)
 
 
 def test_augment_general_plant_rejects_wrong_inertia() -> None:
@@ -397,7 +397,7 @@ def general_theta(n_c: int, seed: int) -> np.ndarray:
     t = delta_build(
         rng.standard_normal((n_c, n_c)) + 1j * rng.standard_normal((n_c, n_c)),
         rng.standard_normal((n_c, n_c)) + 1j * rng.standard_normal((n_c, n_c)),
-    ).body
+    )
     return t @ signature_matrix(n_c) @ t.conj().T
 
 
@@ -406,9 +406,9 @@ def test_synth_general_random_triple_augments_realizably() -> None:
     f_c = delta_build(
         rng.standard_normal((1, 1)) + 1j * rng.standard_normal((1, 1)),
         rng.standard_normal((1, 1)) + 1j * rng.standard_normal((1, 1)),
-    ).body - 3.0 * np.eye(2)
-    g_cy = delta_build([[0.4]], [[0.1]]).body
-    h_c = delta_build([[0.5]], [[-0.2]]).body
+    ) - 3.0 * np.eye(2)
+    g_cy = delta_build([[0.4]], [[0.1]])
+    h_c = delta_build([[0.5]], [[-0.2]])
     result = synth_noise_general(f_c, g_cy, h_c, general_theta(1, 5))
     aug = augment_controller(result.controller)
     assert aug.verdict.realizable, aug.verdict.residuals

@@ -25,7 +25,7 @@ from qfeedback import (
     solve_lyapunov_hermitian,
     solve_sylvester,
 )
-from qfeedback.linalg import hermitian_basis, max_abs, rank_svd, real_columns
+from qfeedback.linalg import hermitian_basis, max_abs, real_columns
 
 
 def random_hermitian(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -45,18 +45,18 @@ def random_stable(rng: np.random.Generator, n: int) -> np.ndarray:
 
 def test_delta_build_identity_case() -> None:
     d = delta_build([[1.0]], [[0.0]])
-    np.testing.assert_array_equal(d.body, np.eye(2, dtype=complex))
+    np.testing.assert_array_equal(d, np.eye(2, dtype=complex))
 
 
 def test_delta_build_conjugates_off_diagonal_block() -> None:
     d = delta_build([[0.0]], [[1j]])
-    np.testing.assert_array_equal(d.body, np.array([[0, 1j], [-1j, 0]]))
+    np.testing.assert_array_equal(d, np.array([[0, 1j], [-1j, 0]]))
 
 
 def test_delta_build_general_entries() -> None:
     d = delta_build([[1 + 1j]], [[2.0]])
     expected = np.array([[1 + 1j, 2], [2, 1 - 1j]])
-    np.testing.assert_array_equal(d.body, expected)
+    np.testing.assert_array_equal(d, expected)
 
 
 def test_is_doubled_accepts_identity() -> None:
@@ -81,7 +81,7 @@ def test_delta_build_then_is_doubled_exact() -> None:
     a1 = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
     a2 = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
     d = delta_build(a1, a2)
-    assert is_doubled(d.body, tol=0.0)
+    assert is_doubled(d, tol=0.0)
 
 
 def test_doubled_product_closure_100_pairs() -> None:
@@ -89,10 +89,10 @@ def test_doubled_product_closure_100_pairs() -> None:
     for _ in range(100):
         n = int(rng.integers(1, 4))
         blocks = [rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)) for _ in range(4)]
-        prod = delta_build(blocks[0], blocks[1]).body @ delta_build(blocks[2], blocks[3]).body
+        prod = delta_build(blocks[0], blocks[1]) @ delta_build(blocks[2], blocks[3])
         top = prod[:n, :n]
         off = prod[:n, n:]
-        rebuilt = delta_build(top, off).body
+        rebuilt = delta_build(top, off)
         assert max_abs(prod - rebuilt) <= 1e-12 * (1 + max_abs(prod))
 
 
@@ -109,7 +109,7 @@ def test_commutation_matrix_is_conj_swap_antisymmetric() -> None:
     t = delta_build(
         rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)),
         rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)),
-    ).body
+    )
     theta = t @ signature_matrix(2) @ t.conj().T
     np.testing.assert_allclose(conj_swap(theta), -theta, atol=1e-12)
 
@@ -119,11 +119,11 @@ def test_doubling_permutation_restores_doubled_order() -> None:
     d1 = delta_build(
         rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)),
         rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)),
-    ).body
+    )
     d2 = delta_build(
         rng.standard_normal((1, 1)) + 1j * rng.standard_normal((1, 1)),
         rng.standard_normal((1, 1)) + 1j * rng.standard_normal((1, 1)),
-    ).body
+    )
     stacked = np.block(
         [
             [d1, np.zeros((4, 2), dtype=complex)],
@@ -321,13 +321,6 @@ def test_psd_split_reconstruction_property() -> None:
         )
         assert np.min(np.linalg.eigvalsh(split.positive)) >= -1e-10
         assert np.min(np.linalg.eigvalsh(split.negative)) >= -1e-10
-
-
-def test_rank_svd_examples() -> None:
-    assert rank_svd(np.zeros((2, 2))) == 0
-    assert rank_svd(np.eye(2)) == 2
-    # singular values of the all-ones matrix are 2 and 0
-    assert rank_svd(np.ones((2, 2))) == 1
 
 
 def looped_hermitian_basis(n: int) -> list[np.ndarray]:

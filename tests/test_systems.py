@@ -53,8 +53,8 @@ def test_realize_general_zero_hamiltonian_no_coupling() -> None:
 
 
 def test_realize_general_detuned_cavity() -> None:
-    m = delta_build([[1.0]], [[0.0]]).body
-    n = delta_build([[1.0]], [[0.0]]).body
+    m = delta_build([[1.0]], [[0.0]])
+    n = delta_build([[1.0]], [[0.0]])
     s = realize_general(general_params(signature_matrix(1), m, n))
     np.testing.assert_allclose(s.f, np.diag([-1j - 0.5, 1j - 0.5]), atol=1e-14)
     np.testing.assert_allclose(s.g, -np.eye(2), atol=1e-14)
@@ -67,15 +67,15 @@ def test_realize_general_feedthrough_is_exact_identity() -> None:
     t = delta_build(
         rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)),
         rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)),
-    ).body
+    )
     theta = t @ signature_matrix(2) @ t.conj().T
     m_blocks = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-    m = (delta_build(m_blocks, np.zeros((2, 2))).body
-         + delta_build(m_blocks, np.zeros((2, 2))).body.conj().T) / 2
+    m = (delta_build(m_blocks, np.zeros((2, 2)))
+         + delta_build(m_blocks, np.zeros((2, 2))).conj().T) / 2
     n = delta_build(
         rng.standard_normal((1, 2)) + 1j * rng.standard_normal((1, 2)),
         rng.standard_normal((1, 2)) + 1j * rng.standard_normal((1, 2)),
-    ).body
+    )
     s = realize_general(general_params(theta, m, n))
     assert np.array_equal(s.k, np.eye(2))
 
@@ -118,8 +118,8 @@ def test_general_params_reject_indefinite_inertia() -> None:
 
 
 def test_check_pr_general_accepts_construction_and_recovers_theta() -> None:
-    m = delta_build([[1.0]], [[0.0]]).body
-    n = delta_build([[1.0]], [[0.0]]).body
+    m = delta_build([[1.0]], [[0.0]])
+    n = delta_build([[1.0]], [[0.0]])
     s = realize_general(general_params(signature_matrix(1), m, n))
     verdict = check_pr_general(s)
     assert verdict.realizable
@@ -127,8 +127,8 @@ def test_check_pr_general_accepts_construction_and_recovers_theta() -> None:
 
 
 def test_check_pr_general_rejects_scaled_feedthrough() -> None:
-    m = delta_build([[1.0]], [[0.0]]).body
-    n = delta_build([[1.0]], [[0.0]]).body
+    m = delta_build([[1.0]], [[0.0]])
+    n = delta_build([[1.0]], [[0.0]])
     s = realize_general(general_params(signature_matrix(1), m, n))
     bad = GeneralQSys(f=s.f, g=s.g, h=s.h, k=2 * np.eye(2))
     verdict = check_pr_general(bad)

@@ -20,6 +20,7 @@ from qfeedback import (
     InstabilityError,
     SingularityError,
     StateSpaceTF,
+    check_pr_annihilation,
     check_pr_general,
     close_augmented_loop,
     default_frequency_grid,
@@ -36,7 +37,7 @@ from qfeedback import (
     tf_eval,
 )
 from qfeedback import transfer
-from qfeedback.linalg import SPECTRAL_GAP_TOL
+from qfeedback.linalg import FREQ_TOL, SPECTRAL_GAP_TOL
 from qfeedback.transfer import (
     _BLOCK_ENTRIES,
     _freq_response,
@@ -155,6 +156,79 @@ def test_minimal_realization_strips_hidden_state() -> None:
     )
 
 
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize(
+    "kind,modes", [("annihilation", 6), ("annihilation", 16), ("annihilation", 32),
+                   ("general", 4), ("general", 8), ("general", 16)]
+)
+def test_realizable_systems_are_minimal_at_large_n(kind: str, modes: int, seed: int) -> None:
+    s = random_pr_system(
+        modes, 2, seed=seed, kind=kind, hurwitz_required=kind == "annihilation"
+    )
+    g = StateSpaceTF.from_system(s)
+    assert is_minimal(g)
+    if kind == "annihilation":
+        assert check_pr_annihilation(s).realizable
+        check = lossless_br_check(g)
+    else:
+        assert check_pr_general(s).realizable
+        check = jj_unitary_check(g, half_io=s.m_fields)
+    assert check.verdict, (check.prongs, check.residuals)
+
+
+@pytest.mark.parametrize(
+    "core,hidden_c,hidden_o,seed",
+    [(2, 1, 1, 0), (6, 2, 1, 1), (6, 1, 3, 2), (12, 2, 2, 3),
+     (16, 8, 8, 0), (24, 4, 4, 0), (24, 4, 4, 4), (30, 1, 1, 5)],
+)
+def test_minimal_realization_strips_hidden_blocks(
+    core: int, hidden_c: int, hidden_o: int, seed: int
+) -> None:
+    # State order (core, uncontrollable, unobservable): nothing reaches the
+    # second block from B, and nothing leaves the third block towards C.
+    rng = np.random.default_rng(seed)
+    g0 = StateSpaceTF.from_system(
+        random_pr_system(core, 2, seed=seed, kind="annihilation", hurwitz_required=True)
+    )
+    n, m = core + hidden_c + hidden_o, g0.input_dim
+    a = np.zeros((n, n), dtype=complex)
+    c_end = core + hidden_c
+    a[:core, :core] = g0.a
+    a[core:c_end, core:c_end] = random_stable_tf(rng, hidden_c, 1, 1).a
+    a[c_end:, c_end:] = random_stable_tf(rng, hidden_o, 1, 1).a
+    a[:core, core:c_end] = rng.standard_normal((core, hidden_c))
+    a[c_end:, :core] = rng.standard_normal((hidden_o, core))
+    b = np.vstack([g0.b, np.zeros((hidden_c, m)), rng.standard_normal((hidden_o, m))])
+    c = np.hstack([g0.c, rng.standard_normal((m, hidden_c)), np.zeros((m, hidden_o))])
+    u = random_unitary(rng, n)
+    g = StateSpaceTF(a=u @ a @ u.conj().T, b=u @ b, c=c @ u.conj().T, d=g0.d)
+
+    assert not is_minimal(g)
+    reduced = minimal_realization(g)
+    assert reduced.state_dim == core
+    s = 1j * default_frequency_grid(g.a)
+    assert np.max(np.abs(_freq_response(reduced, s) - _freq_response(g, s))) <= FREQ_TOL
+    assert lossless_br_check(g).verdict
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), hidden=st.booleans())
+def test_minimality_and_lossless_verdict_invariant_under_unitary_state_change(
+    seed: int, hidden: bool
+) -> None:
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 17))
+    g = StateSpaceTF.from_system(
+        random_pr_system(n, 2, seed=seed, kind="annihilation", hurwitz_required=True)
+    )
+    if hidden:
+        g = StateSpaceTF(a=g.a, b=np.zeros_like(g.b), c=g.c, d=g.d)
+    u = random_unitary(rng, n)
+    moved = StateSpaceTF(a=u.conj().T @ g.a @ u, b=u.conj().T @ g.b, c=g.c @ u, d=g.d)
+    assert is_minimal(moved) == is_minimal(g)
+    assert lossless_br_check(moved).verdict == lossless_br_check(g).verdict
+
+
 # ---------------------------------------------------------------------------
 # signature-unitary and lossless checks
 
@@ -237,16 +311,16 @@ def test_jj_unitary_converse_family() -> None:
         t = delta_build(
             rng.standard_normal((1, 1)) + 1j * rng.standard_normal((1, 1)),
             rng.standard_normal((1, 1)) + 1j * rng.standard_normal((1, 1)),
-        ).body
+        )
         x = t @ j2 @ t.conj().T
         c = delta_build(
             rng.standard_normal((1, 1)) + 1j * rng.standard_normal((1, 1)),
             rng.standard_normal((1, 1)) + 1j * rng.standard_normal((1, 1)),
-        ).body
+        )
         b = -x @ c.conj().T @ j2
         w_herm = delta_build(
             rng.standard_normal((1, 1)), np.zeros((1, 1))
-        ).body
+        )
         a = (-0.5 * b @ j2 @ b.conj().T - 1j * w_herm) @ np.linalg.inv(x)
         s = GeneralQSys(f=a, g=b, h=c, k=np.eye(2))
         verdict = check_pr_general(s)

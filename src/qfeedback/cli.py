@@ -38,6 +38,7 @@ from .feedback import (
     ControllerModel,
     CostOutput,
     PlantModel,
+    _identity_pad,
     augment_controller,
     augment_plant,
     close_augmented_loop,
@@ -54,7 +55,7 @@ from .fileio import (
     model_to_document,
     save_system,
 )
-from .linalg import RESIDUAL_TOL, dagger, signature_matrix
+from .linalg import RESIDUAL_TOL, dagger, delta_build, signature_matrix
 from .systems import (
     GeneralQSys,
     check_pr_annihilation,
@@ -81,12 +82,6 @@ def _residual_line(residuals: dict[str, float]) -> str:
 
 def _matrix_json(mat) -> list:
     return matrix_to_entries(np.asarray(mat, dtype=complex))
-
-
-def _default_selector(m_y: int, width: int) -> np.ndarray:
-    sel = np.zeros((m_y, width))
-    sel[:, :m_y] = np.eye(m_y)
-    return sel
 
 
 def _load(path: str, expected: tuple[str, ...]) -> LoadedFile:
@@ -196,7 +191,7 @@ def cmd_compose(args) -> tuple[dict, list[str], int]:
         lines.append(f"‖Γ_cl‖2 = {value:.6f}")
     if args.hinf:
         acl = close_augmented_loop(plant, ctrl)
-        sel = _default_selector(plant.m_y, acl.system.output_dim)
+        sel = _identity_pad(plant.m_y, acl.system.output_dim)
         gz = StateSpaceTF(
             acl.system.a, acl.system.b, sel @ acl.system.c, sel @ acl.system.d
         )
@@ -232,7 +227,7 @@ def cmd_synth(args) -> tuple[dict, list[str], int]:
         rng = np.random.default_rng(args.seed)
         n_c = ctrl_in.n_modes
         blk = rng.standard_normal((2, n_c, n_c)) + 1j * rng.standard_normal((2, n_c, n_c))
-        t = np.block([[blk[0], blk[1]], [blk[1].conj(), blk[0].conj()]])
+        t = delta_build(blk[0], blk[1])
         theta = t @ signature_matrix(n_c) @ dagger(t)
         result = synth_noise_general(ctrl_in.f_c, ctrl_in.g_cy, ctrl_in.h_c, theta)
     aug = augment_controller(result.controller)
@@ -319,7 +314,7 @@ def cmd_verify(args) -> tuple[dict, list[str], int]:
                 rep = verify_static_lqg(plant, seed=args.seed)
             else:
                 challengers = random_challengers(plant, args.challengers, args.seed)
-                sel = _default_selector(plant.m_y, plant.m_w + plant.m_u)
+                sel = _identity_pad(plant.m_y, plant.m_w + plant.m_u)
                 rep = verify_trivial_hinf(plant, sel, challengers)
             entry = {
                 "target": label,

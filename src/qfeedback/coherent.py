@@ -28,6 +28,7 @@ from .feedback import (
     ClosedLoop,
     ControllerModel,
     PlantModel,
+    _identity_pad,
     augment_plant,
     close_augmented_loop,
     close_loop,
@@ -190,9 +191,7 @@ def verify_zero_gain(p: PlantModel, k_cy, k_cw) -> TheoremReport:
         k=plant_mod.k,
     )
     ap = augment_plant(noise_only)
-    m_tot = ap.system.m_fields
-    l_select = np.zeros((p.m_y, m_tot), dtype=complex)
-    l_select[:, : p.m_y] = np.eye(p.m_y)
+    l_select = _identity_pad(p.m_y, ap.system.m_fields)
     kr = kalman_design(ap.system.f, ap.system.g, ap.system.h, l_select)
     q_dev = max_abs(kr.q - ap.theta)
     holds = kr.gain_norm <= 1e-8 and q_dev <= 1e-8
@@ -256,16 +255,14 @@ def random_admissible_triple(
     return f_c, g_cy, h_c
 
 
-def random_challengers(
-    p: PlantModel, count: int, seed: int, max_states: int = 2
-) -> list[ControllerModel]:
-    """Seeded realizable dynamic controllers compatible with a plant."""
+def random_challengers(p: PlantModel, count: int, seed: int) -> list[ControllerModel]:
+    """Seeded realizable dynamic controllers (1 or 2 states) compatible with a plant."""
     rng = np.random.default_rng(seed)
     out: list[ControllerModel] = []
     attempts = 0
     while len(out) < count and attempts < 20 * count + 20:
         attempts += 1
-        n_c = int(rng.integers(1, max_states + 1))
+        n_c = int(rng.integers(1, 3))
         f_c, g_cy, h_c = random_admissible_triple(rng, n_c, p.m_y, p.m_u)
         for _ in range(6):
             try:
@@ -375,6 +372,8 @@ def _validate_selector(l_select: np.ndarray, width: int) -> None:
         raise DimensionError(
             f"selector must have {width} columns, got shape {l_select.shape}"
         )
+    if l_select.shape[0] == 0:
+        raise DomainError("selector must select at least one output")
     ok = (
         np.all(np.isin(l_select.real, (0.0, 1.0)))
         and max_abs(l_select.imag) == 0.0

@@ -62,7 +62,9 @@ def _stack_cols_doubled(blocks: list[np.ndarray]) -> np.ndarray:
 
 
 def _identity_pad(rows: int, cols: int) -> np.ndarray:
-    """The [I, 0] block of shape (rows, cols); needs cols >= rows."""
+    """The [I, 0] block of shape (rows, cols); DimensionError when cols < rows."""
+    if cols < rows:
+        raise DimensionError(f"[I, 0] block needs cols >= rows, got shape {(rows, cols)}")
     out = np.zeros((rows, cols), dtype=complex)
     out[:, :rows] = np.eye(rows)
     return out
@@ -686,10 +688,12 @@ def close_augmented_loop(p: PlantModel, c: ControllerModel) -> AugmentedClosedLo
     fields.  The composite inherits realizability with certificate
     diag(theta_plant, theta_controller) and identity feedthrough, which is
     what makes every row-selected closed-loop transfer function all-pass.
+    The augmentation needs K_cy = 0, so the state and input matrices are
+    those of :func:`close_loop`.
     """
     if p.kind != "annihilation" or c.kind != "annihilation":
         raise DomainError("augmented loop composition is annihilation-kind only")
-    _check_loop_dims(p, c)
+    loop = close_loop(p, c)
     ap = augment_plant(p)
     ac = augment_controller(c)
     n, n_c = p.n_modes, c.n_modes
@@ -697,9 +701,6 @@ def close_augmented_loop(p: PlantModel, c: ControllerModel) -> AugmentedClosedLo
     r = m_wt - m_u
     h_tilde = ap.h_tilde
     h_caug = ac.system.h
-
-    a = np.block([[p.f, p.g_u @ c.h_c], [c.g_cy @ p.h, c.f_c]])
-    b = np.block([[p.g_w, p.g_u @ c.k_cw], [c.g_cy @ p.k, c.g_cw]])
 
     eye_py = np.eye(m_w + m_u, dtype=complex)
     k_t = eye_py[m_y:, :m_w]
@@ -731,12 +732,12 @@ def close_augmented_loop(p: PlantModel, c: ControllerModel) -> AugmentedClosedLo
         "controller_unused": (m_w + m_u, m_w + m_u + r),
     }
     return AugmentedClosedLoop(
-        system=StateSpaceTF(a=a, b=b, c=c_rows, d=d_rows),
+        system=StateSpaceTF(a=loop.system.a, b=loop.system.b, c=c_rows, d=d_rows),
         theta=theta,
         plant_theta=ap.theta,
         controller_theta=ac.theta,
         channel_map=channel_map,
-        internally_stable=is_hurwitz(a),
+        internally_stable=loop.internally_stable,
     )
 
 

@@ -22,9 +22,31 @@ from .systems import AnnihilationQSys, GeneralQSys
 
 SCHEMA_VERSION = 1
 
-_SYSTEM_MATRICES = ("f", "g", "h", "k")
-_PLANT_MATRICES = ("f", "g_w", "g_u", "h", "k")
-_CONTROLLER_MATRICES = ("f_c", "g_cw", "g_cy", "h_c", "k_cw", "k_cy")
+# Document kind -> (model class, dimension names in document order,
+# matrix name -> (row dimension, column dimension)).  Every dimension counts
+# modes or fields; the general representation doubles each of them.
+_SQUARE = (
+    ("n_modes", "m_fields"),
+    {"f": ("n_modes", "n_modes"), "g": ("n_modes", "m_fields"),
+     "h": ("m_fields", "n_modes"), "k": ("m_fields", "m_fields")},
+)
+_LAYOUTS = {
+    "annihilation": (AnnihilationQSys, *_SQUARE),
+    "general": (GeneralQSys, *_SQUARE),
+    "plant": (
+        PlantModel,
+        ("n_modes", "m_w", "m_u", "m_y"),
+        {"f": ("n_modes", "n_modes"), "g_w": ("n_modes", "m_w"), "g_u": ("n_modes", "m_u"),
+         "h": ("m_y", "n_modes"), "k": ("m_y", "m_w")},
+    ),
+    "controller": (
+        ControllerModel,
+        ("n_modes", "m_wt", "m_y", "m_u"),
+        {"f_c": ("n_modes", "n_modes"), "g_cw": ("n_modes", "m_wt"), "g_cy": ("n_modes", "m_y"),
+         "h_c": ("m_u", "n_modes"), "k_cw": ("m_u", "m_wt"), "k_cy": ("m_u", "m_y")},
+    ),
+}
+_REPRESENTATIONS = ("annihilation", "general")
 
 
 def matrix_to_entries(arr: np.ndarray) -> list[list[list[float]]]:
@@ -118,16 +140,19 @@ def _decode_matrices(
     return out
 
 
-def _representation(doc: dict, kind: str) -> str:
-    if kind in ("annihilation", "general"):
-        return kind
-    rep = _require(doc, "representation", "document")
-    if rep not in ("annihilation", "general"):
-        raise FileFormatError(
-            f"representation must be 'annihilation' or 'general', got {rep!r}",
-            "representation",
-        )
-    return rep
+def _decode_cost(doc: dict, n: int, m_u: int) -> CostOutput | None:
+    if "cost" not in doc:
+        return None
+    cost_doc = doc["cost"]
+    if not isinstance(cost_doc, dict):
+        raise FileFormatError("must be an object", "cost")
+    c_mat = entries_to_matrix(_require(cost_doc, "c", "cost"), "cost.c")
+    d_mat = entries_to_matrix(_require(cost_doc, "d", "cost"), "cost.d")
+    if c_mat.size == 0 and c_mat.shape[0] == 0:
+        c_mat = c_mat.reshape(0, n)
+    if d_mat.size == 0 and d_mat.shape[0] == 0:
+        d_mat = d_mat.reshape(0, m_u)
+    return CostOutput(c=c_mat, d=d_mat)
 
 
 def document_to_model(doc: dict) -> LoadedFile:
@@ -140,72 +165,33 @@ def document_to_model(doc: dict) -> LoadedFile:
             f"unsupported schema_version {version!r}", "schema_version"
         )
     kind = _require(doc, "kind", "document")
-    if kind not in ("annihilation", "general", "plant", "controller"):
+    if not isinstance(kind, str) or kind not in _LAYOUTS:
         raise FileFormatError(f"unknown kind {kind!r}", "kind")
     metadata = doc.get("metadata", {})
     if not isinstance(metadata, dict):
         raise FileFormatError("must be an object", "metadata")
 
+    cls, dim_names, layout = _LAYOUTS[kind]
+    square = kind in _REPRESENTATIONS
     try:
-        if kind in ("annihilation", "general"):
-            d = 2 if kind == "general" else 1
-            dims = _read_dims(doc, ("n_modes", "m_fields"))
-            n, m = d * dims["n_modes"], d * dims["m_fields"]
-            mats = _decode_matrices(
-                doc, {"f": (n, n), "g": (n, m), "h": (m, n), "k": (m, m)}
+        rep = kind if square else _require(doc, "representation", "document")
+        if rep not in _REPRESENTATIONS:
+            raise FileFormatError(
+                f"representation must be 'annihilation' or 'general', got {rep!r}",
+                "representation",
             )
-            cls = GeneralQSys if kind == "general" else AnnihilationQSys
-            model = cls(
-                f=mats["f"], g=mats["g"], h=mats["h"], k=mats["k"],
-                n_modes=dims["n_modes"], m_fields=dims["m_fields"],
-            )
+        dims = _read_dims(doc, dim_names)
+        size = {nm: (2 if rep == "general" else 1) * v for nm, v in dims.items()}
+        mats = _decode_matrices(
+            doc, {nm: (size[r], size[c]) for nm, (r, c) in layout.items()}
+        )
+        if square:
+            model = cls(**mats, **dims)
         elif kind == "plant":
-            rep = _representation(doc, kind)
-            d = 2 if rep == "general" else 1
-            dims = _read_dims(doc, ("n_modes", "m_w", "m_u", "m_y"))
-            n = d * dims["n_modes"]
-            m_w, m_u, m_y = d * dims["m_w"], d * dims["m_u"], d * dims["m_y"]
-            mats = _decode_matrices(
-                doc,
-                {
-                    "f": (n, n),
-                    "g_w": (n, m_w),
-                    "g_u": (n, m_u),
-                    "h": (m_y, n),
-                    "k": (m_y, m_w),
-                },
-            )
-            cost = None
-            if "cost" in doc:
-                cost_doc = doc["cost"]
-                if not isinstance(cost_doc, dict):
-                    raise FileFormatError("must be an object", "cost")
-                c_mat = entries_to_matrix(_require(cost_doc, "c", "cost"), "cost.c")
-                d_mat = entries_to_matrix(_require(cost_doc, "d", "cost"), "cost.d")
-                if c_mat.size == 0 and c_mat.shape[0] == 0:
-                    c_mat = c_mat.reshape(0, n)
-                if d_mat.size == 0 and d_mat.shape[0] == 0:
-                    d_mat = d_mat.reshape(0, m_u)
-                cost = CostOutput(c=c_mat, d=d_mat)
-            model = PlantModel(kind=rep, cost=cost, **mats)
+            cost = _decode_cost(doc, size["n_modes"], size["m_u"])
+            model = cls(kind=rep, cost=cost, **mats)
         else:
-            rep = _representation(doc, kind)
-            d = 2 if rep == "general" else 1
-            dims = _read_dims(doc, ("n_modes", "m_wt", "m_y", "m_u"))
-            n = d * dims["n_modes"]
-            m_wt, m_y, m_u = d * dims["m_wt"], d * dims["m_y"], d * dims["m_u"]
-            mats = _decode_matrices(
-                doc,
-                {
-                    "f_c": (n, n),
-                    "g_cw": (n, m_wt),
-                    "g_cy": (n, m_y),
-                    "h_c": (m_u, n),
-                    "k_cw": (m_u, m_wt),
-                    "k_cy": (m_u, m_y),
-                },
-            )
-            model = ControllerModel(kind=rep, **mats)
+            model = cls(kind=rep, **mats)
     except (DimensionError, DomainError) as exc:
         raise FileFormatError(str(exc), "matrices") from exc
     return LoadedFile(kind=kind, model=model, metadata=metadata, document=doc)
@@ -213,44 +199,22 @@ def document_to_model(doc: dict) -> LoadedFile:
 
 def model_to_document(model, metadata: dict[str, Any] | None = None) -> dict[str, Any]:
     """Encode a model as a schema-versioned JSON-ready document."""
-    doc: dict[str, Any] = {"schema_version": SCHEMA_VERSION}
-    if isinstance(model, (AnnihilationQSys, GeneralQSys)):
-        doc["kind"] = "general" if isinstance(model, GeneralQSys) else "annihilation"
-        doc["dimensions"] = {"n_modes": model.n_modes, "m_fields": model.m_fields}
-        doc["matrices"] = {
-            nm: matrix_to_entries(getattr(model, nm)) for nm in _SYSTEM_MATRICES
-        }
-    elif isinstance(model, PlantModel):
-        doc["kind"] = "plant"
-        doc["representation"] = model.kind
-        doc["dimensions"] = {
-            "n_modes": model.n_modes,
-            "m_w": model.m_w,
-            "m_u": model.m_u,
-            "m_y": model.m_y,
-        }
-        doc["matrices"] = {
-            nm: matrix_to_entries(getattr(model, nm)) for nm in _PLANT_MATRICES
-        }
-        if model.cost is not None:
-            doc["cost"] = {
-                "c": matrix_to_entries(model.cost.c),
-                "d": matrix_to_entries(model.cost.d),
-            }
-    elif isinstance(model, ControllerModel):
-        doc["kind"] = "controller"
-        doc["representation"] = model.kind
-        doc["dimensions"] = {
-            "n_modes": model.n_modes,
-            "m_wt": model.m_wt,
-            "m_y": model.m_y,
-            "m_u": model.m_u,
-        }
-        doc["matrices"] = {
-            nm: matrix_to_entries(getattr(model, nm)) for nm in _CONTROLLER_MATRICES
-        }
-    else:
+    kind = next(
+        (k for k, (cls, _, _) in _LAYOUTS.items() if isinstance(model, cls)), None
+    )
+    if kind is None:
         raise DomainError(f"cannot serialize object of type {type(model).__name__}")
+    _, dim_names, layout = _LAYOUTS[kind]
+    doc: dict[str, Any] = {"schema_version": SCHEMA_VERSION, "kind": kind}
+    if kind not in _REPRESENTATIONS:
+        doc["representation"] = model.kind
+    doc["dimensions"] = {nm: getattr(model, nm) for nm in dim_names}
+    doc["matrices"] = {nm: matrix_to_entries(getattr(model, nm)) for nm in layout}
+    if kind == "plant" and model.cost is not None:
+        doc["cost"] = {
+            "c": matrix_to_entries(model.cost.c),
+            "d": matrix_to_entries(model.cost.d),
+        }
     if metadata:
         doc["metadata"] = metadata
     return doc

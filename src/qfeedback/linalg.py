@@ -57,13 +57,13 @@ def hermitian_part(a) -> np.ndarray:
     return 0.5 * (a + a.conj().T)
 
 
-def require_hermitian(a, name: str, tol: float = RESIDUAL_TOL) -> np.ndarray:
-    """Validate Hermitian symmetry within ``tol`` (relative) and symmetrize."""
+def require_hermitian(a, name: str) -> np.ndarray:
+    """Validate Hermitian symmetry within RESIDUAL_TOL (relative) and symmetrize."""
     a = as_matrix(a, name)
     if a.shape[0] != a.shape[1]:
         raise DimensionError(f"{name} must be square, got {a.shape}")
     dev = max_abs(a - a.conj().T)
-    if dev > tol * (1.0 + max_abs(a)):
+    if dev > RESIDUAL_TOL * (1.0 + max_abs(a)):
         raise DomainError(f"{name} is not Hermitian (deviation {dev:.3e})")
     return hermitian_part(a)
 
@@ -173,14 +173,13 @@ def real_columns(*images) -> np.ndarray:
     return np.concatenate([vec.real, vec.imag], axis=1).T
 
 
-def min_eigenvalue_pair_gap(a, b=None) -> float:
-    """min over (i, j) of |lambda_i(A) + lambda_j(B)| (B defaults to A^dagger)."""
+def min_eigenvalue_pair_gap(a) -> float:
+    """min over (i, j) of |lambda_i(A) + conj(lambda_j(A))|."""
     a = as_matrix(a, "a")
     if a.shape[0] == 0:
         return np.inf
     la = eigvals(a)
-    lb = eigvals(as_matrix(b, "b")) if b is not None else la.conj()
-    return float(np.min(np.abs(la[:, None] + lb[None, :])))
+    return float(np.min(np.abs(la[:, None] + la.conj()[None, :])))
 
 
 def solve_sylvester(a, b, c) -> np.ndarray:
@@ -286,15 +285,15 @@ def _reorder_schur_leading(t, u, positions):
     return t, u
 
 
-def solve_care_hermitian(a, r, q, herm_tol: float = 1e-6) -> CareSolution:
+def solve_care_hermitian(a, r, q) -> CareSolution:
     """Hermitian solutions of A X + X A^dagger + X R X + Q = 0.
 
     The 2n x 2n matrix [[A^dagger, R], [-Q, -A]] has the property that any
     n-dimensional invariant subspace [Z; Y] with invertible Z yields a
     solution X = Y Z^{-1}.  The primary selection takes the n eigenvalues
     with most-negative real parts (ordered Schur); when that basis block is
-    singular or the candidate is far from Hermitian, no solution is
-    reported.  A zero R degenerates to the Lyapunov path.
+    singular or the candidate is more than 1e-6 (relative) from Hermitian,
+    no solution is reported.  A zero R degenerates to the Lyapunov path.
 
     Returns
     -------
@@ -326,7 +325,7 @@ def solve_care_hermitian(a, r, q, herm_tol: float = 1e-6) -> CareSolution:
             return None
         x = y @ np.linalg.inv(z)
         herm_dev = max_abs(x - x.conj().T) / (1.0 + max_abs(x))
-        if herm_dev > herm_tol:
+        if herm_dev > 1e-6:
             return None
         x = hermitian_part(x)
         res = _care_residual(a, r, q, x)
@@ -364,10 +363,10 @@ class PsdSplit:
     negative_factor: np.ndarray
 
 
-def psd_split(m, tol: float = RANK_TOL) -> PsdSplit:
+def psd_split(m) -> PsdSplit:
     """Split a Hermitian matrix into PSD parts via its eigendecomposition.
 
-    Eigenvalues with magnitude below tol * max(1, |lambda|_max) are treated
+    Eigenvalues with magnitude below RANK_TOL * max(1, |lambda|_max) are treated
     as zero, so the factors carry exactly the significantly nonzero modes.
     """
     m = require_hermitian(m, "m")
@@ -376,7 +375,7 @@ def psd_split(m, tol: float = RANK_TOL) -> PsdSplit:
         z = np.zeros((0, 0), dtype=complex)
         return PsdSplit(z, z, z, z)
     lam, v = np.linalg.eigh(m)
-    cut = tol * max(1.0, float(np.max(np.abs(lam))) if lam.size else 0.0)
+    cut = RANK_TOL * max(1.0, float(np.max(np.abs(lam))) if lam.size else 0.0)
     pos = lam > cut
     neg = lam < -cut
     positive = (v[:, pos] * lam[pos]) @ v[:, pos].conj().T if pos.any() else np.zeros((n, n), dtype=complex)

@@ -11,6 +11,7 @@ live here.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -35,25 +36,25 @@ from .linalg import (
 )
 
 
-def _inertia(h: np.ndarray, tol: float = RANK_TOL) -> tuple[int, int, int]:
+def _inertia(h: np.ndarray) -> tuple[int, int, int]:
     """Counts of (positive, negative, zero) eigenvalues of a Hermitian matrix."""
     if h.shape[0] == 0:
         return (0, 0, 0)
     lam = np.linalg.eigvalsh(h)
-    cut = tol * max(1.0, float(np.max(np.abs(lam))))
+    cut = RANK_TOL * max(1.0, float(np.max(np.abs(lam))))
     return (int(np.sum(lam > cut)), int(np.sum(lam < -cut)), int(np.sum(np.abs(lam) <= cut)))
 
 
-def is_positive_definite(h, tol: float = RANK_TOL) -> bool:
+def is_positive_definite(h) -> bool:
     """True when the Hermitian matrix has all eigenvalues above the rank cutoff."""
     h = require_hermitian(h, "matrix")
     if h.shape[0] == 0:
         return True
     lam = np.linalg.eigvalsh(h)
-    return bool(lam[0] > tol * max(1.0, float(np.max(np.abs(lam)))))
+    return bool(lam[0] > RANK_TOL * max(1.0, float(np.max(np.abs(lam)))))
 
 
-def eig_sum_condition(f, tol: float = SPECTRAL_GAP_TOL) -> bool:
+def eig_sum_condition(f) -> bool:
     """True when no eigenvalue pair of F satisfies lambda_i + conj(lambda_j) = 0.
 
     Under this condition the Lyapunov certificate equation has a unique
@@ -62,7 +63,7 @@ def eig_sum_condition(f, tol: float = SPECTRAL_GAP_TOL) -> bool:
     f = as_matrix(f, "f")
     if f.shape[0] != f.shape[1]:
         raise DimensionError(f"f must be square, got {f.shape}")
-    return min_eigenvalue_pair_gap(f) > tol * max(1.0, max_abs(f))
+    return min_eigenvalue_pair_gap(f) > SPECTRAL_GAP_TOL * max(1.0, max_abs(f))
 
 
 def is_hurwitz(f, tol: float = SPECTRAL_GAP_TOL) -> bool:
@@ -129,12 +130,16 @@ class HamiltonianCoupling:
 
 
 @dataclass(frozen=True)
-class GeneralQSys:
-    """Doubled-up QSDE coefficients (F, G, H, K) with mode/field counts.
+class _FieldSystem:
+    """QSDE coefficients (F, G, H, K) with mode/field counts.
 
+    Every dimension is ``_doubling`` times the mode or field count, and the
+    doubled kind also requires doubled-up structure of every block.
     ``n_modes`` and ``m_fields`` default to the values implied by the matrix
     shapes; pass them explicitly to cross-check an external dimension record.
     """
+
+    _doubling: ClassVar[int] = 1
 
     f: np.ndarray
     g: np.ndarray
@@ -144,65 +149,35 @@ class GeneralQSys:
     m_fields: int = -1
 
     def __post_init__(self):
+        d = self._doubling
         f = as_matrix(self.f, "f")
         h = as_matrix(self.h, "h")
         if self.n_modes < 0:
-            object.__setattr__(self, "n_modes", f.shape[0] // 2)
+            object.__setattr__(self, "n_modes", f.shape[0] // d)
         if self.m_fields < 0:
-            object.__setattr__(self, "m_fields", h.shape[0] // 2)
-        n, m = self.n_modes, self.m_fields
-        g = as_matrix(self.g, "g")
-        k = as_matrix(self.k, "k")
-        shapes = {
-            "f": (f, (2 * n, 2 * n)),
-            "g": (g, (2 * n, 2 * m)),
-            "h": (h, (2 * m, 2 * n)),
-            "k": (k, (2 * m, 2 * m)),
-        }
-        for name, (mat, want) in shapes.items():
-            if mat.shape != want:
-                raise DimensionError(f"{name} must have shape {want}, got {mat.shape}")
-            if not is_doubled(mat):
-                raise DomainError(f"{name} lacks doubled-up structure")
-        object.__setattr__(self, "f", f)
-        object.__setattr__(self, "g", g)
-        object.__setattr__(self, "h", h)
-        object.__setattr__(self, "k", k)
-
-
-@dataclass(frozen=True)
-class AnnihilationQSys:
-    """Annihilation-operator QSDE coefficients (F, G, H, K), plain matrices.
-
-    ``n_modes`` and ``m_fields`` default to the values implied by the matrix
-    shapes; pass them explicitly to cross-check an external dimension record.
-    """
-
-    f: np.ndarray
-    g: np.ndarray
-    h: np.ndarray
-    k: np.ndarray
-    n_modes: int = -1
-    m_fields: int = -1
-
-    def __post_init__(self):
-        f = as_matrix(self.f, "f")
-        h = as_matrix(self.h, "h")
-        if self.n_modes < 0:
-            object.__setattr__(self, "n_modes", f.shape[0])
-        if self.m_fields < 0:
-            object.__setattr__(self, "m_fields", h.shape[0])
-        n, m = self.n_modes, self.m_fields
+            object.__setattr__(self, "m_fields", h.shape[0] // d)
+        n, m = d * self.n_modes, d * self.m_fields
         g = as_matrix(self.g, "g")
         k = as_matrix(self.k, "k")
         shapes = {"f": (f, (n, n)), "g": (g, (n, m)), "h": (h, (m, n)), "k": (k, (m, m))}
         for name, (mat, want) in shapes.items():
             if mat.shape != want:
                 raise DimensionError(f"{name} must have shape {want}, got {mat.shape}")
-        object.__setattr__(self, "f", f)
-        object.__setattr__(self, "g", g)
-        object.__setattr__(self, "h", h)
-        object.__setattr__(self, "k", k)
+            if d == 2 and not is_doubled(mat):
+                raise DomainError(f"{name} lacks doubled-up structure")
+            object.__setattr__(self, name, mat)
+
+
+@dataclass(frozen=True)
+class GeneralQSys(_FieldSystem):
+    """Doubled-up QSDE coefficients (F, G, H, K) with mode/field counts."""
+
+    _doubling: ClassVar[int] = 2
+
+
+@dataclass(frozen=True)
+class AnnihilationQSys(_FieldSystem):
+    """Annihilation-operator QSDE coefficients (F, G, H, K), plain matrices."""
 
 
 @dataclass(frozen=True)
@@ -258,7 +233,7 @@ def _coupling_residual(g, theta, h, sig) -> float:
     return max_abs(g + theta @ dagger(h) @ sig)
 
 
-def _certificate_family_annihilation(f, g, h, tol):
+def _certificate_family_annihilation(f, g, h):
     """Affine family of Hermitian Theta solving both certificate equations.
 
     Stacks F Theta + Theta F^dagger = -G G^dagger and Theta H^dagger = -G as
@@ -321,19 +296,19 @@ def _search_positive_definite(theta0, null_basis):
     return None
 
 
-def _indeterminate(s, q, residuals, tol) -> PrVerdict:
+def _indeterminate(residuals) -> PrVerdict:
     return PrVerdict(False, None, residuals, "eigenvalue-sum-degenerate", indeterminate=True)
 
 
-def _check_certificate(s, sig, tol, form_defect, degenerate) -> PrVerdict:
+def _check_certificate(s, sig, tol, form_defect, fallback=None) -> PrVerdict:
     """Realizability core shared by both system kinds.
 
     Requires K = I, then solves F Theta + Theta F^dagger + G S G^dagger = 0
     for the unique certificate and checks the coupling identity
     G = -Theta H^dagger S.  ``form_defect(theta)`` returns None for a
     certificate of the right form, else the residuals explaining the
-    defect; ``degenerate(s, q, residuals, tol)`` decides systems failing
-    the eigenvalue-sum condition.
+    defect.  Systems failing the eigenvalue-sum condition are indeterminate
+    unless ``fallback(s, q, residuals, tol)`` decides them.
     """
     f, g, h = s.f, s.g, s.h
     residuals: dict[str, float] = {}
@@ -344,11 +319,11 @@ def _check_certificate(s, sig, tol, form_defect, degenerate) -> PrVerdict:
 
     q = hermitian_part(g @ sig @ dagger(g))
     if not eig_sum_condition(f):
-        return degenerate(s, q, residuals, tol)
+        return fallback(s, q, residuals, tol) if fallback else _indeterminate(residuals)
     try:
         theta = solve_lyapunov_hermitian(f, q)
     except SingularityError:
-        return _indeterminate(s, q, residuals, tol)
+        return _indeterminate(residuals)
 
     residuals["lyapunov"] = max_abs(f @ theta + theta @ dagger(f) + q)
     if residuals["lyapunov"] > tol * (1.0 + max_abs(q)):
@@ -380,16 +355,16 @@ def _definiteness_defect(theta) -> dict[str, float] | None:
 def _family_fallback(s, q, residuals, tol) -> PrVerdict:
     """Search the affine certificate family of a small degenerate system."""
     if s.n_modes > 2:
-        return _indeterminate(s, q, residuals, tol)
+        return _indeterminate(residuals)
     f, g, h = s.f, s.g, s.h
-    theta0, null_basis, family_residual = _certificate_family_annihilation(f, g, h, tol)
+    theta0, null_basis, family_residual = _certificate_family_annihilation(f, g, h)
     if family_residual > tol * (1.0 + max_abs(q) + max_abs(g)):
         residuals["certificate_family"] = family_residual
         return PrVerdict(False, None, residuals, "coupling")
     theta = _search_positive_definite(theta0, null_basis)
     if theta is None:
         residuals["certificate_family"] = family_residual
-        return _indeterminate(s, q, residuals, tol)
+        return _indeterminate(residuals)
     residuals["lyapunov"] = max_abs(f @ theta + theta @ dagger(f) + q)
     residuals["coupling"] = _coupling_residual(g, theta, h, np.eye(s.m_fields))
     ok = residuals["lyapunov"] <= tol * (1.0 + max_abs(q)) and residuals[
@@ -409,9 +384,7 @@ def check_pr_general(s: GeneralQSys, tol: float = RESIDUAL_TOL) -> PrVerdict:
     condition fails the certificate is non-unique and the verdict is
     indeterminate.
     """
-    return _check_certificate(
-        s, signature_matrix(s.m_fields), tol, _inertia_defect, _indeterminate
-    )
+    return _check_certificate(s, signature_matrix(s.m_fields), tol, _inertia_defect)
 
 
 def check_pr_annihilation(s: AnnihilationQSys, tol: float = RESIDUAL_TOL) -> PrVerdict:
@@ -432,11 +405,11 @@ def extract_params(s) -> HamiltonianCoupling:
     """Recover the physical parameters (Theta, M, N) from a realizable system.
 
     Inverts the construction formulas: N = H, Theta from the realizability
-    certificate, M = i Theta^{-1} F + (i/2) N^dagger J N (general) or
-    M = i Theta^{-1} F + (i/2) N^dagger N (annihilation).  The recovered M
-    must be Hermitian, and doubled-up for the general kind, before it is
-    projected onto that structure (deviation <= 1e-6 relative), and
-    re-substitution must reproduce the input within RESIDUAL_TOL.
+    certificate, M = i Theta^{-1} F + (i/2) N^dagger S N with S = J (general)
+    or I (annihilation).  The recovered M must be Hermitian, and doubled-up
+    for the general kind, before it is projected onto that structure
+    (deviation <= 1e-6 relative), and re-substitution must reproduce the
+    input within RESIDUAL_TOL.
 
     Raises
     ------
@@ -463,14 +436,9 @@ def extract_params(s) -> HamiltonianCoupling:
 
     theta = verdict.theta
     n = s.h.copy()
-    theta_inv = np.linalg.inv(theta)
-    if kind == "general":
-        j = signature_matrix(s.m_fields)
-        m_raw = 1j * theta_inv @ s.f + 0.5j * dagger(n) @ j @ n
-    else:
-        m_raw = 1j * theta_inv @ s.f + 0.5j * dagger(n) @ n
+    sig = signature_matrix(s.m_fields) if kind == "general" else np.eye(s.m_fields)
+    m = 1j * np.linalg.inv(theta) @ s.f + 0.5j * dagger(n) @ sig @ n
     checks = [("Hermitian", dagger)] + ([("doubled-up", conj_swap)] if kind == "general" else [])
-    m = m_raw
     for name, involution in checks:
         dev = max_abs(m - involution(m)) / (1.0 + max_abs(m))
         if dev > 1e-6:
@@ -497,13 +465,6 @@ def _random_complex(rng, rows: int, cols: int) -> np.ndarray:
     return (rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))) / np.sqrt(2.0)
 
 
-def _random_doubled_hermitian(rng, half: int) -> np.ndarray:
-    m1 = hermitian_part(_random_complex(rng, half, half))
-    x = _random_complex(rng, half, half)
-    m2 = 0.5 * (x + x.T)
-    return delta_build(m1, m2)
-
-
 def random_pr_system(
     n: int,
     m: int,
@@ -513,11 +474,12 @@ def random_pr_system(
 ):
     """Draw a seeded random physically realizable system.
 
-    Parameters come from unit complex Gaussians: Hermitian M, coupling N and
-    an invertible T giving Theta = T J T^dagger (general) or
-    Theta = T T^dagger (annihilation).  Draws failing the eigenvalue-sum
-    condition, near-singular T, or (with ``hurwitz_required``) stability are
-    rejected and redrawn, preserving exact realizability of the output.
+    Parameters come from unit complex Gaussians, doubled up for the general
+    kind: Hermitian M, coupling N and an invertible T giving
+    Theta = T S T^dagger with S = J (general) or I (annihilation).  Draws
+    failing the eigenvalue-sum condition, near-singular T, or (with
+    ``hurwitz_required``) stability are rejected and redrawn, preserving
+    exact realizability of the output.
 
     Raises
     ------
@@ -529,28 +491,24 @@ def random_pr_system(
     if kind not in ("general", "annihilation"):
         raise DomainError(f"unknown kind {kind!r}")
     rng = np.random.default_rng(seed)
+    general = kind == "general"
+    sig = signature_matrix(n) if general else np.eye(n)
+    realize = realize_general if general else realize_annihilation
+
+    def draw(rows: int, cols: int) -> np.ndarray:
+        if general:
+            return delta_build(_random_complex(rng, rows, cols), _random_complex(rng, rows, cols))
+        return _random_complex(rng, rows, cols)
+
     for _ in range(16):
-        if kind == "general":
-            t = delta_build(_random_complex(rng, n, n), _random_complex(rng, n, n))
-            svals = np.linalg.svd(t, compute_uv=False)
-            if svals[-1] < 1e-3 * svals[0]:
-                continue
-            j_n = signature_matrix(n)
-            theta = hermitian_part(t @ j_n @ dagger(t))
-            m_mat = _random_doubled_hermitian(rng, n)
-            n_mat = delta_build(_random_complex(rng, m, n), _random_complex(rng, m, n))
-            params = HamiltonianCoupling(theta=theta, m=m_mat, n_coupling=n_mat, kind="general")
-            sys = realize_general(params)
-        else:
-            t = _random_complex(rng, n, n)
-            svals = np.linalg.svd(t, compute_uv=False)
-            if svals[-1] < 1e-3 * svals[0]:
-                continue
-            theta = hermitian_part(t @ dagger(t))
-            m_mat = hermitian_part(_random_complex(rng, n, n))
-            n_mat = _random_complex(rng, m, n)
-            params = HamiltonianCoupling(theta=theta, m=m_mat, n_coupling=n_mat, kind="annihilation")
-            sys = realize_annihilation(params)
+        t = draw(n, n)
+        svals = np.linalg.svd(t, compute_uv=False)
+        if svals[-1] < 1e-3 * svals[0]:
+            continue
+        theta = hermitian_part(t @ sig @ dagger(t))
+        m_mat = hermitian_part(draw(n, n))
+        params = HamiltonianCoupling(theta=theta, m=m_mat, n_coupling=draw(m, n), kind=kind)
+        sys = realize(params)
         if not eig_sum_condition(sys.f):
             continue
         if hurwitz_required and not is_hurwitz(sys.f, tol=1e-6):

@@ -36,7 +36,6 @@ from qfeedback import (
     random_pr_system,
     save_system,
     synth_noise_annihilation,
-    tf_eval,
     trivial_controller,
     verify_static_lqg,
     verify_trivial_hinf,
@@ -49,6 +48,7 @@ from qfeedback.transfer import is_minimal
 from conftest import (
     ROOT2,
     dense_hinf_oracle,
+    freq_response,
     one_port_cavity,
     random_stable_tf,
     random_unitary,
@@ -148,7 +148,7 @@ def test_norms_match_independent_oracles() -> None:
             value = h2_norm(g).value
 
             def integrand(omega: float) -> float:
-                gm = tf_eval(g, 1j * omega)
+                gm = freq_response(g, 1j * omega)[0]
                 return float(np.real(np.trace(gm @ gm.conj().T)))
 
             area, _ = quad(integrand, -np.inf, np.inf, limit=400)

@@ -16,11 +16,17 @@ from qfeedback import (
     ControllerModel,
     CostOutput,
     PlantModel,
+    dagger,
+    delta_build,
     load_system,
+    random_pr_system,
     save_system,
+    signature_matrix,
     trivial_controller,
 )
 from qfeedback.cli import main
+from qfeedback.fileio import matrix_to_entries
+from qfeedback.linalg import hermitian_part
 
 from conftest import ROOT2, one_port_cavity, two_port_cavity_plant
 
@@ -527,3 +533,186 @@ class TestGen:
         third = run(capsys, "--seed", "8", "gen", "annihilation")[1]
         assert first == second
         assert first != third
+
+
+class TestGeneralKind:
+    def test_check_transfer_runs_the_jj_unitary_test(self, capsys, tmp_path):
+        path = tmp_path / "general.json"
+        save_system(path, random_pr_system(2, 1, seed=5, kind="general"))
+        code, out, _ = run(capsys, "check", path, "--transfer")
+        assert code == 0
+        assert "realizable: true" in out
+        assert "transfer check (jj_unitary): true\n" in out
+
+    def test_check_transfer_fails_a_perturbed_general_system(self, capsys, tmp_path):
+        s = random_pr_system(2, 1, seed=5, kind="general")
+        g = s.g.copy()
+        # bump both blocks so the doubled-up shape survives
+        g[0, 0] += 1e-2
+        g[s.n_modes, s.m_fields] += 1e-2
+        path = tmp_path / "bumped.json"
+        save_system(path, type(s)(f=s.f, g=g, h=s.h, k=s.k))
+        code, out, _ = run(capsys, "check", path, "--transfer")
+        assert code == 1
+        assert "transfer check (jj_unitary): false\n" in out
+
+    def test_synth_general_controller(self, capsys, tmp_path):
+        path, target = tmp_path / "general_ctrl.json", tmp_path / "synth.json"
+        save_system(
+            path,
+            ControllerModel(
+                kind="general",
+                f_c=delta_build([[-2.0 + 0.5j]], [[0.3]]),
+                g_cw=np.zeros((2, 2)),
+                g_cy=delta_build([[0.4]], [[0.1]]),
+                h_c=delta_build([[0.5]], [[-0.2]]),
+                k_cw=np.eye(2),
+                k_cy=np.zeros((2, 2)),
+            ),
+        )
+        code, out, _ = run(capsys, "--format", "json", "synth", path, "--emit", target)
+        assert code == 0
+        report = json.loads(out)
+        assert report["kind"] == "general"
+        assert report["augmentation_realizable"] is True
+        assert "admissibility_norm" not in report
+        # the certificate is T J T^dagger for the doubled-up T drawn from the seed
+        rng = np.random.default_rng(1729)
+        blk = rng.standard_normal((2, 1, 1)) + 1j * rng.standard_normal((2, 1, 1))
+        t = delta_build(blk[0], blk[1])
+        theta = hermitian_part(t @ signature_matrix(1) @ dagger(t))
+        assert report["theta"] == matrix_to_entries(theta)
+        emitted = load_system(target).model
+        assert emitted.kind == "general"
+        assert emitted.m_wt == 1 + report["extra_noise_channels"]
+
+
+def _fuzz_document(rng: np.random.Generator) -> dict:
+    """A schema-valid document: random kind, dimensions 0-3, scales 1e-12 to 1e12.
+
+    Half the documents carry the [I, 0] feedthrough pattern so that they get
+    past the feedthrough checks into the certificate and norm code.
+    """
+    kind = str(rng.choice(["annihilation", "general", "plant", "controller"]))
+    square = kind in ("annihilation", "general")
+    rep = kind if square else str(rng.choice(["annihilation", "general"]))
+    if square:
+        dims = dict(zip(("n_modes", "m_fields"), rng.integers(0, 4, 2).tolist()))
+        layout = {"f": "nn", "g": "nm", "h": "mn", "k": "mm"}
+        size = {"n": dims["n_modes"], "m": dims["m_fields"]}
+    elif kind == "plant":
+        dims = dict(zip(("n_modes", "m_w", "m_u", "m_y"), rng.integers(0, 4, 4).tolist()))
+        layout = {"f": "nn", "g_w": "nw", "g_u": "nu", "h": "yn", "k": "yw"}
+        size = {"n": dims["n_modes"], "w": dims["m_w"], "u": dims["m_u"], "y": dims["m_y"]}
+    else:
+        dims = dict(zip(("n_modes", "m_wt", "m_y", "m_u"), rng.integers(0, 4, 4).tolist()))
+        layout = {"f_c": "nn", "g_cw": "nw", "g_cy": "ny", "h_c": "un", "k_cw": "uw", "k_cy": "uy"}
+        size = {"n": dims["n_modes"], "w": dims["m_wt"], "u": dims["m_u"], "y": dims["m_y"]}
+    scale = 10.0 ** rng.uniform(-12.0, 12.0)
+    pattern = rng.random() < 0.5
+    doc = {"schema_version": 1, "kind": kind, "dimensions": dims, "matrices": {}}
+    if not square:
+        doc["representation"] = rep
+    for name, (r, c) in layout.items():
+        shape = (size[r], size[c])
+        blocks = [scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) for _ in "ab"]
+        if r == c == "n":
+            blocks[0] = blocks[0] - 2.0 * scale * np.eye(shape[0])
+        if pattern and name in ("k", "k_cw"):
+            blocks = [np.eye(*shape), np.zeros(shape)]
+        if pattern and name == "k_cy":
+            blocks = [np.zeros(shape)] * 2
+        doc["matrices"][name] = matrix_to_entries(
+            delta_build(*blocks) if rep == "general" else blocks[0]
+        )
+    if kind == "plant" and rng.random() < 0.5:
+        d = 2 if rep == "general" else 1
+        rows = int(rng.integers(0, 3))
+        doc["cost"] = {
+            "c": matrix_to_entries(rng.standard_normal((rows, d * dims["n_modes"]))),
+            "d": matrix_to_entries(np.zeros((rows, d * dims["m_u"]))),
+        }
+    return doc
+
+
+def _plant(n_modes, m_w, m_u, m_y) -> PlantModel:
+    """An annihilation-kind plant with the given dimensions."""
+    n = n_modes
+    return PlantModel(
+        kind="annihilation",
+        f=-np.eye(n),
+        g_w=-np.eye(n, m_w),
+        g_u=-np.eye(n, m_u),
+        h=np.eye(m_y, n),
+        k=np.eye(m_y, m_w),
+    )
+
+
+class TestExitContract:
+    def test_fuzzed_documents_keep_the_exit_contract(self, capsys, tmp_path):
+        # every subcommand on 60 schema-valid documents: exit 0/1/2 and
+        # exactly one JSON object on stdout, never an escaping exception
+        rng = np.random.default_rng(2029)
+        paths = []
+        for i in range(60):
+            doc = _fuzz_document(rng)
+            path = tmp_path / f"doc{i}.json"
+            path.write_text(json.dumps(doc))
+            paths.append((doc["kind"], path))
+        controllers = [path for kind, path in paths if kind == "controller"]
+        calls = []
+        for i, (kind, path) in enumerate(paths):
+            calls += [["check", path], ["check", path, "--transfer"]]
+            if kind in ("annihilation", "general"):
+                calls.append(["params", path])
+            elif kind == "controller":
+                calls.append(["synth", path])
+            else:
+                other = controllers[i % len(controllers)]
+                emit = tmp_path / f"loop{i}.json"
+                calls.append(["compose", path, other, "--h2", "--hinf", "--emit", emit])
+                calls += [["verify", t, path, "--challengers", "1"] for t in ("C1", "T5", "T6")]
+        statuses = set()
+        for argv in calls:
+            code, out, err = run(capsys, "--format", "json", *argv)
+            assert code in (0, 1, 2), argv
+            report = json.loads(out)
+            assert isinstance(report, dict) and report["exit_status"] == code, argv
+            assert "Traceback" not in err, argv
+            statuses.add(code)
+        assert statuses == {0, 1, 2}
+
+    @pytest.mark.parametrize(
+        "argv_tail, dims",
+        [
+            # the [I, 0] feedthrough pattern does not fit: m_y > m_w
+            (["check"], (1, 1, 1, 2)),
+            # one measured row, no noise: the pattern used to be a silent 1 x 0 block
+            (["check"], (1, 0, 1, 1)),
+            # the T6 selector [I, 0] does not fit: m_y > m_w + m_u
+            (["verify", "T6"], (1, 1, 1, 3)),
+        ],
+    )
+    def test_identity_pattern_that_does_not_fit_exits_two(self, capsys, tmp_path, argv_tail, dims):
+        path = tmp_path / "plant.json"
+        save_system(path, _plant(*dims))
+        code, out, err = run(capsys, *argv_tail, path)
+        assert code == 2 and out == ""
+        assert err.startswith("input error: [I, 0] block needs cols >= rows")
+
+    def test_controller_with_fewer_noises_than_outputs_exits_two(self, capsys, tmp_path):
+        path = tmp_path / "ctrl.json"
+        save_system(path, ControllerModel(
+            kind="annihilation", f_c=[[-1.0]], g_cw=np.zeros((1, 0)), g_cy=[[1.0]],
+            h_c=[[1.0]], k_cw=np.zeros((1, 0)), k_cy=[[0.0]],
+        ))
+        code, _, err = run(capsys, "check", path)
+        assert code == 2
+        assert err.startswith("input error: [I, 0] block needs cols >= rows")
+
+    def test_t6_without_measured_outputs_exits_two(self, capsys, tmp_path):
+        path = tmp_path / "plant.json"
+        save_system(path, _plant(1, 1, 1, 0))
+        code, out, _ = run(capsys, "--format", "json", "verify", "T6", path)
+        assert code == 2
+        assert json.loads(out)["error"] == "selector must select at least one output"

@@ -26,14 +26,13 @@ from qfeedback import (
     random_challengers,
     random_pr_plant,
     static_controller,
-    tf_eval,
     trivial_controller,
     verify_static_lqg,
     verify_trivial_hinf,
     verify_zero_gain,
 )
 
-from conftest import random_unitary, two_port_cavity_plant
+from conftest import freq_response, random_unitary, two_port_cavity_plant
 
 ROOT2 = np.sqrt(2.0)
 
@@ -181,7 +180,7 @@ def test_lqg_cost_quadrature_oracle_30_loops() -> None:
         value = lqg_cost(loop).value
 
         def integrand(omega: float) -> float:
-            gm = tf_eval(loop.system, 1j * omega)
+            gm = freq_response(loop.system, 1j * omega)[0]
             return float(np.real(np.trace(gm @ gm.conj().T)))
 
         area, _ = quad(integrand, -np.inf, np.inf, limit=400)

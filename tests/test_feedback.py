@@ -39,23 +39,27 @@ from qfeedback import (
     trivial_controller,
 )
 from qfeedback.coherent import random_admissible_triple
-from qfeedback.linalg import dagger, max_abs
+from qfeedback.linalg import dagger, doubling_permutation, is_doubled, max_abs
 
 
 ROOT2 = np.sqrt(2.0)
 
 
 def loop_tf_oracle(p: PlantModel, c: ControllerModel, s: complex) -> np.ndarray:
-    """Closed-loop cost response at ``s`` via transfer-function loop algebra."""
-    n, n_c = p.n_modes, c.n_modes
-    xp = np.linalg.inv(s * np.eye(n) - p.f)
-    xc = np.linalg.inv(s * np.eye(n_c) - c.f_c)
+    """Closed-loop cost response at ``s`` via transfer-function loop algebra.
+
+    Noise columns stack as (W, W-tilde), each in the model's own layout, so
+    a general-kind pair gives (W, W#, W-tilde, W-tilde#).
+    """
+    xp = np.linalg.inv(s * np.eye(p.f.shape[0]) - p.f)
+    xc = np.linalg.inv(s * np.eye(c.f_c.shape[0]) - c.f_c)
     p_w = p.h @ xp @ p.g_w + p.k
     p_u = p.h @ xp @ p.g_u
     c_y = c.h_c @ xc @ c.g_cy + c.k_cy
     c_w = c.h_c @ xc @ c.g_cw + c.k_cw
-    u_from_w = np.linalg.solve(np.eye(p.m_u) - c_y @ p_u, c_y @ p_w)
-    u_from_wt = np.linalg.solve(np.eye(p.m_u) - c_y @ p_u, c_w)
+    loop = np.eye(p.g_u.shape[1]) - c_y @ p_u
+    u_from_w = np.linalg.solve(loop, c_y @ p_w)
+    u_from_wt = np.linalg.solve(loop, c_w)
     z_w = p.cost.c @ xp @ (p.g_w + p.g_u @ u_from_w) + p.cost.d @ u_from_w
     z_wt = p.cost.c @ xp @ p.g_u @ u_from_wt + p.cost.d @ u_from_wt
     return np.hstack([z_w, z_wt])
@@ -304,6 +308,79 @@ def test_modified_forms_loop_equivalence_20_frequencies() -> None:
             got = tf_eval(g_mod, 1j * omega) @ share
             want = tf_eval(g_orig, 1j * omega)
             assert max_abs(got - want) <= 1e-9, (seed, omega)
+
+
+# ---------------------------------------------------------------------------
+# general kind: closed loop and modified forms
+
+GENERAL_K_CY = [np.zeros((2, 2)), delta_build([[0.3]], [[0.1]])]
+
+
+def general_pair(k_cy) -> tuple[PlantModel, ControllerModel]:
+    """A doubled-up plant with a doubled-up cost and a synthesized controller."""
+    rng = np.random.default_rng(29)
+    p = random_pr_plant(2, 2, 1, 1, seed=21, kind="general").with_cost(
+        CostOutput(
+            c=delta_build(rng.standard_normal((1, 2)), rng.standard_normal((1, 2))),
+            d=delta_build(rng.standard_normal((1, 1)), rng.standard_normal((1, 1))),
+        )
+    )
+    c = general_controller()
+    c = ControllerModel(
+        kind="general", f_c=c.f_c, g_cw=c.g_cw, g_cy=c.g_cy, h_c=c.h_c, k_cw=c.k_cw, k_cy=k_cy
+    )
+    return p, c
+
+
+@pytest.mark.parametrize("k_cy", GENERAL_K_CY)
+def test_close_loop_general_kind_is_doubled_up(k_cy) -> None:
+    p, c = general_pair(k_cy)
+    loop = close_loop(p, c)
+    n_states = 2 * (p.n_modes + c.n_modes)
+    m_w, m_wt = p.m_w, c.m_wt
+    assert loop.state_matrix.shape == (n_states, n_states)
+    assert loop.system.b.shape == (n_states, 2 * (m_w + m_wt))
+    for mat in (loop.system.a, loop.system.b, loop.system.c, loop.system.d):
+        assert is_doubled(mat)
+    assert loop.channel_map == {
+        "w": (0, m_w),
+        "w_tilde": (m_w, m_w + m_wt),
+        "w_conj": (m_w + m_wt, 2 * m_w + m_wt),
+        "w_tilde_conj": (2 * m_w + m_wt, 2 * (m_w + m_wt)),
+    }
+
+
+@pytest.mark.parametrize("k_cy", GENERAL_K_CY)
+def test_close_loop_general_kind_matches_transfer_loop_algebra(k_cy) -> None:
+    # the oracle stacks noises per subsystem; the loop orders them canonically
+    p, c = general_pair(k_cy)
+    canonical = doubling_permutation([p.m_w, c.m_wt])
+    for s in (0.3 + 0.7j, -0.2j, 2.0):
+        want = loop_tf_oracle(p, c, s)[:, canonical]
+        np.testing.assert_allclose(tf_eval(gamma_cl(p, c), s), want, atol=1e-10)
+
+
+@pytest.mark.parametrize("k_cy", GENERAL_K_CY)
+def test_modified_forms_general_kind_keeps_doubled_stacking(k_cy) -> None:
+    # the folded loop drops the cost feedthrough D K_cw, so the cost is strictly proper here
+    p, c = general_pair(k_cy)
+    p = p.with_cost(CostOutput(c=p.cost.c, d=np.zeros_like(p.cost.d)))
+    p_mod, c_mod = modified_forms(p, c)
+    m_w, m_wt = p.m_w, c.m_wt
+    assert p_mod.m_w == m_w + m_wt
+    assert is_doubled(p_mod.g_w) and is_doubled(p_mod.k)
+    np.testing.assert_array_equal(p_mod.k[:, m_w : m_w + m_wt], 0.0)
+    assert max_abs(c_mod.k_cw) == 0.0 and max_abs(c_mod.k_cy) == 0.0
+    # identify the plant's copy of W-tilde with the controller's, per half
+    half = np.zeros((m_w + 2 * m_wt, m_w + m_wt))
+    half[:m_w, :m_w] = np.eye(m_w)
+    half[m_w : m_w + m_wt, m_w:] = np.eye(m_wt)
+    half[m_w + m_wt :, m_w:] = np.eye(m_wt)
+    share = np.kron(np.eye(2), half)
+    for omega in (-3.0, 0.0, 0.5, 4.0):
+        got = tf_eval(gamma_cl(p_mod, c_mod), 1j * omega) @ share
+        want = tf_eval(gamma_cl(p, c), 1j * omega)
+        np.testing.assert_allclose(got, want, atol=1e-10)
 
 
 # ---------------------------------------------------------------------------

@@ -47,7 +47,13 @@ from qfeedback.transfer import (
     is_minimal,
 )
 
-from conftest import cavity_all_pass, dense_hinf_oracle, random_stable_tf, random_unitary
+from conftest import (
+    cavity_all_pass,
+    dense_hinf_oracle,
+    freq_response,
+    random_stable_tf,
+    random_unitary,
+)
 
 ROOT2 = np.sqrt(2.0)
 
@@ -394,7 +400,7 @@ def test_h2_norm_quadrature_oracle_50_systems() -> None:
         value = h2_norm(g).value
 
         def integrand(omega: float) -> float:
-            gm = tf_eval(g, 1j * omega)
+            gm = freq_response(g, 1j * omega)[0]
             return float(np.real(np.trace(gm @ gm.conj().T)))
 
         area, _ = quad(integrand, -np.inf, np.inf, limit=400)

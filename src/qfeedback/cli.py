@@ -56,13 +56,7 @@ from .fileio import (
     save_system,
 )
 from .linalg import RESIDUAL_TOL, dagger, delta_build, signature_matrix
-from .systems import (
-    GeneralQSys,
-    check_pr_annihilation,
-    check_pr_general,
-    extract_params,
-    random_pr_system,
-)
+from .systems import _kind_rules, extract_params, random_pr_system
 from .transfer import StateSpaceTF, h2_norm, hinf_norm, jj_unitary_check, lossless_br_check
 
 _FAILURE_ERRORS = (
@@ -80,10 +74,6 @@ def _residual_line(residuals: dict[str, float]) -> str:
     return " ".join(f"{k}={v:.2e}" for k, v in residuals.items())
 
 
-def _matrix_json(mat) -> list:
-    return matrix_to_entries(np.asarray(mat, dtype=complex))
-
-
 def _load(path: str, expected: tuple[str, ...]) -> LoadedFile:
     loaded = load_system(path)
     if loaded.kind not in expected:
@@ -95,7 +85,7 @@ def _load(path: str, expected: tuple[str, ...]) -> LoadedFile:
 
 
 def _attach_transfer(report: dict, lines: list[str], model, tol: float) -> bool:
-    if isinstance(model, GeneralQSys):
+    if model.kind == "general":
         chk = jj_unitary_check(StateSpaceTF.from_system(model), model.m_fields, tol)
         name = "jj_unitary"
     else:
@@ -122,10 +112,7 @@ def cmd_check(args) -> tuple[dict, list[str], int]:
 
     model = loaded.model
     if loaded.kind in ("annihilation", "general"):
-        if isinstance(model, GeneralQSys):
-            verdict = check_pr_general(model, tol)
-        else:
-            verdict = check_pr_annihilation(model, tol)
+        verdict = _kind_rules(model.kind).check(model, tol)
         square = model
     else:
         try:
@@ -150,14 +137,14 @@ def cmd_check(args) -> tuple[dict, list[str], int]:
     report["indeterminate"] = verdict.indeterminate
     report["residuals"] = verdict.residuals
     report["failure_reason"] = verdict.failure_reason
-    report["theta"] = None if verdict.theta is None else _matrix_json(verdict.theta)
+    report["theta"] = None if verdict.theta is None else matrix_to_entries(verdict.theta)
     lines.append(f"realizable: {str(verdict.realizable).lower()}")
     if verdict.indeterminate:
         lines.append("indeterminate: true")
     if verdict.failure_reason:
         lines.append(f"failure_reason: {verdict.failure_reason}")
     if verdict.theta is not None:
-        lines.append(f"theta: {json.dumps(_matrix_json(verdict.theta))}")
+        lines.append(f"theta: {json.dumps(matrix_to_entries(verdict.theta))}")
     if verdict.residuals:
         lines.append("residuals: " + _residual_line(verdict.residuals))
 
@@ -237,7 +224,7 @@ def cmd_synth(args) -> tuple[dict, list[str], int]:
         "kind": result.controller.kind,
         "extra_noise_channels": result.extra_channels,
         "zero_noise": result.zero_noise,
-        "theta": _matrix_json(result.theta),
+        "theta": matrix_to_entries(result.theta),
         "augmentation_realizable": aug.verdict.realizable,
         "augmentation_residuals": aug.verdict.residuals,
     }
@@ -245,7 +232,7 @@ def cmd_synth(args) -> tuple[dict, list[str], int]:
         f"command: synth {args.path}",
         f"kind: {result.controller.kind}",
         f"extra noise channels: {result.extra_channels}",
-        f"theta: {json.dumps(_matrix_json(result.theta))}",
+        f"theta: {json.dumps(matrix_to_entries(result.theta))}",
         f"augmentation realizable: {str(aug.verdict.realizable).lower()}",
     ]
     if result.admissibility_norm is not None:
@@ -342,15 +329,12 @@ def cmd_gen(args) -> tuple[dict, list[str], int]:
         model = random_pr_plant(n, m, m, m, seed)
     else:
         model = random_pr_system(n, m, seed, kind=args.kind)
-    doc = model_to_document(
-        model, metadata={"label": f"seeded random {args.kind}", "seed": seed}
-    )
+    metadata = {"label": f"seeded random {args.kind}", "seed": seed}
+    doc = model_to_document(model, metadata)
     report: dict = {"command": "gen", "kind": args.kind, "seed": seed, "document": doc}
     lines = [f"command: gen {args.kind}", f"modes: {n}", f"fields: {m}"]
     if args.out:
-        from pathlib import Path
-
-        Path(args.out).write_text(json.dumps(doc, indent=2) + "\n")
+        save_system(args.out, model, metadata)
         report["emitted"] = args.out
         lines.append(f"emitted: {args.out}")
     else:
@@ -365,16 +349,16 @@ def cmd_params(args) -> tuple[dict, list[str], int]:
         "command": "params",
         "path": args.path,
         "kind": params.kind,
-        "theta": _matrix_json(params.theta),
-        "hamiltonian": _matrix_json(params.m),
-        "coupling": _matrix_json(params.n_coupling),
+        "theta": matrix_to_entries(params.theta),
+        "hamiltonian": matrix_to_entries(params.m),
+        "coupling": matrix_to_entries(params.n_coupling),
     }
     lines = [
         f"command: params {args.path}",
         f"kind: {params.kind}",
-        f"theta: {json.dumps(_matrix_json(params.theta))}",
-        f"hamiltonian: {json.dumps(_matrix_json(params.m))}",
-        f"coupling: {json.dumps(_matrix_json(params.n_coupling))}",
+        f"theta: {json.dumps(matrix_to_entries(params.theta))}",
+        f"hamiltonian: {json.dumps(matrix_to_entries(params.m))}",
+        f"coupling: {json.dumps(matrix_to_entries(params.n_coupling))}",
     ]
     return report, lines, 0
 

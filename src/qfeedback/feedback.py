@@ -11,6 +11,7 @@ channels that makes an arbitrary controller triple physically realizable.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import ClassVar
 
 import numpy as np
 
@@ -34,7 +35,6 @@ from .linalg import (
     max_abs,
     psd_split,
     real_columns,
-    signature_matrix,
     solve_care_hermitian,
     solve_lyapunov_hermitian,
 )
@@ -43,9 +43,10 @@ from .systems import (
     GeneralQSys,
     PrVerdict,
     _coupling_residual,
+    _doubling,
     _inertia,
-    check_pr_annihilation,
-    check_pr_general,
+    _kind_rules,
+    _LayoutModel,
     eig_sum_condition,
     is_hurwitz,
     is_positive_definite,
@@ -54,11 +55,15 @@ from .systems import (
 from .transfer import StateSpaceTF, hinf_norm
 
 
-def _stack_cols_doubled(blocks: list[np.ndarray]) -> np.ndarray:
-    """Concatenate doubled matrices along columns, keeping doubled order."""
-    ann = [b[:, : b.shape[1] // 2] for b in blocks]
-    cre = [b[:, b.shape[1] // 2 :] for b in blocks]
-    return np.hstack(ann + cre)
+def _stack_cols(blocks: list[np.ndarray], d: int) -> np.ndarray:
+    """Concatenate field blocks along columns half by half (doubled order when d = 2)."""
+    widths = [b.shape[1] // d for b in blocks]
+    return np.hstack([b[:, i * w : (i + 1) * w] for i in range(d) for b, w in zip(blocks, widths)])
+
+
+def _field_index(m_tot: int, lo: int, hi: int, d: int) -> np.ndarray:
+    """Positions of fields lo..hi-1 of m_tot in each of the d halves."""
+    return np.concatenate([half * m_tot + np.arange(lo, hi) for half in range(d)])
 
 
 def _identity_pad(rows: int, cols: int) -> np.ndarray:
@@ -95,12 +100,21 @@ class CostOutput:
 
 
 @dataclass(frozen=True)
-class PlantModel:
+class PlantModel(_LayoutModel):
     """Plant with split inputs (noise W, control U) and measured output Y.
 
     There is structurally no feedthrough from the control field into Y; the
     noise feedthrough ``k`` is m_y x m_w (doubled for the general kind).
+    Construction sets the counts ``n_modes``, ``m_w``, ``m_u`` and ``m_y``.
     """
+
+    _layout: ClassVar[dict[str, tuple[str, str]]] = {
+        "f": ("n_modes", "n_modes"),
+        "g_w": ("n_modes", "m_w"),
+        "g_u": ("n_modes", "m_u"),
+        "h": ("m_y", "n_modes"),
+        "k": ("m_y", "m_w"),
+    }
 
     kind: str
     f: np.ndarray
@@ -111,64 +125,34 @@ class PlantModel:
     cost: CostOutput | None = None
 
     def __post_init__(self):
-        if self.kind not in ("general", "annihilation"):
-            raise DomainError(f"unknown kind {self.kind!r}")
-        names = ("f", "g_w", "g_u", "h", "k")
-        mats = [as_matrix(getattr(self, nm), nm) for nm in names]
-        f, g_w, g_u, h, k = mats
-        d = 2 if self.kind == "general" else 1
-        n = f.shape[0] // d
-        if f.shape != (d * n, d * n):
-            raise DimensionError(f"f must be square, got {f.shape}")
-        if g_w.shape[0] != d * n or g_u.shape[0] != d * n or h.shape[1] != d * n:
-            raise DimensionError("plant blocks disagree on the state dimension")
-        if k.shape != (h.shape[0], g_w.shape[1]):
+        super().__post_init__()
+        cost = self.cost
+        if cost is not None and (
+            cost.c.shape[1] != self.f.shape[0] or cost.d.shape[1] != self.g_u.shape[1]
+        ):
             raise DimensionError(
-                f"k must map noise to output, expected {(h.shape[0], g_w.shape[1])}, "
-                f"got {k.shape}"
+                f"cost blocks do not match the plant: c {cost.c.shape}, d {cost.d.shape}"
             )
-        if self.kind == "general":
-            for nm, mat in zip(names, mats):
-                if mat.shape[0] % 2 or mat.shape[1] % 2:
-                    raise DimensionError(f"general-kind {nm} needs even dimensions")
-                if not is_doubled(mat):
-                    raise DomainError(f"general-kind {nm} lacks doubled-up structure")
-        if self.cost is not None:
-            dd = self.cost
-            if dd.c.shape[1] != d * n or dd.d.shape[1] != g_u.shape[1]:
-                raise DimensionError(
-                    f"cost blocks do not match the plant: c {dd.c.shape}, d {dd.d.shape}"
-                )
-        for nm, mat in zip(names, mats):
-            object.__setattr__(self, nm, mat)
-
-    @property
-    def _half(self) -> int:
-        return 2 if self.kind == "general" else 1
-
-    @property
-    def n_modes(self) -> int:
-        return self.f.shape[0] // self._half
-
-    @property
-    def m_w(self) -> int:
-        return self.g_w.shape[1] // self._half
-
-    @property
-    def m_u(self) -> int:
-        return self.g_u.shape[1] // self._half
-
-    @property
-    def m_y(self) -> int:
-        return self.h.shape[0] // self._half
 
     def with_cost(self, cost: CostOutput) -> "PlantModel":
         return replace(self, cost=cost)
 
 
 @dataclass(frozen=True)
-class ControllerModel:
-    """Controller with noise input W-tilde, measurement input Y, output U."""
+class ControllerModel(_LayoutModel):
+    """Controller with noise input W-tilde, measurement input Y, output U.
+
+    Construction sets the counts ``n_modes``, ``m_wt``, ``m_y`` and ``m_u``.
+    """
+
+    _layout: ClassVar[dict[str, tuple[str, str]]] = {
+        "f_c": ("n_modes", "n_modes"),
+        "g_cw": ("n_modes", "m_wt"),
+        "g_cy": ("n_modes", "m_y"),
+        "h_c": ("m_u", "n_modes"),
+        "k_cw": ("m_u", "m_wt"),
+        "k_cy": ("m_u", "m_y"),
+    }
 
     kind: str
     f_c: np.ndarray
@@ -178,68 +162,10 @@ class ControllerModel:
     k_cw: np.ndarray
     k_cy: np.ndarray
 
-    def __post_init__(self):
-        if self.kind not in ("general", "annihilation"):
-            raise DomainError(f"unknown kind {self.kind!r}")
-        names = ("f_c", "g_cw", "g_cy", "h_c", "k_cw", "k_cy")
-        mats = [as_matrix(getattr(self, nm), nm) for nm in names]
-        f_c, g_cw, g_cy, h_c, k_cw, k_cy = mats
-        d = 2 if self.kind == "general" else 1
-        n_c = f_c.shape[0]
-        if f_c.shape != (n_c, n_c):
-            raise DimensionError(f"f_c must be square, got {f_c.shape}")
-        if g_cw.shape[0] != n_c or g_cy.shape[0] != n_c or h_c.shape[1] != n_c:
-            raise DimensionError("controller blocks disagree on the state dimension")
-        if k_cw.shape != (h_c.shape[0], g_cw.shape[1]):
-            raise DimensionError("k_cw shape inconsistent with h_c and g_cw")
-        if k_cy.shape != (h_c.shape[0], g_cy.shape[1]):
-            raise DimensionError("k_cy shape inconsistent with h_c and g_cy")
-        if self.kind == "general":
-            for nm, mat in zip(names, mats):
-                if mat.shape[0] % 2 or mat.shape[1] % 2:
-                    raise DimensionError(f"general-kind {nm} needs even dimensions")
-                if not is_doubled(mat):
-                    raise DomainError(f"general-kind {nm} lacks doubled-up structure")
-        for nm, mat in zip(names, mats):
-            object.__setattr__(self, nm, mat)
 
-    @property
-    def _half(self) -> int:
-        return 2 if self.kind == "general" else 1
-
-    @property
-    def n_modes(self) -> int:
-        return self.f_c.shape[0] // self._half
-
-    @property
-    def m_wt(self) -> int:
-        return self.g_cw.shape[1] // self._half
-
-    @property
-    def m_y(self) -> int:
-        return self.g_cy.shape[1] // self._half
-
-    @property
-    def m_u(self) -> int:
-        return self.h_c.shape[0] // self._half
-
-
-def trivial_controller(m_y: int, m_u: int, extra_noise: int = 0) -> ControllerModel:
-    """The static controller dU = dW-tilde (annihilation kind, n_c = 0).
-
-    ``extra_noise`` appends unused noise channels; the feedthrough keeps the
-    identity in its first block.
-    """
-    m_wt = m_u + extra_noise
-    return ControllerModel(
-        kind="annihilation",
-        f_c=np.zeros((0, 0)),
-        g_cw=np.zeros((0, m_wt)),
-        g_cy=np.zeros((0, m_y)),
-        h_c=np.zeros((m_u, 0)),
-        k_cw=_identity_pad(m_u, m_wt),
-        k_cy=np.zeros((m_u, m_y)),
-    )
+def trivial_controller(m_y: int, m_u: int) -> ControllerModel:
+    """The static controller dU = dW-tilde (annihilation kind, n_c = 0)."""
+    return static_controller(np.zeros((m_u, m_y)), _identity_pad(m_u, m_u))
 
 
 def static_controller(k_cy, k_cw) -> ControllerModel:
@@ -284,30 +210,29 @@ def _square_completion(kind, f, g_blocks, h_given, label, pattern_residuals) -> 
     ill-conditioned; ``pattern_residuals`` holds the caller's feedthrough
     deviations, which are reported with that check.
     """
-    general = kind == "general"
-    g = _stack_cols_doubled(g_blocks) if general else np.hstack(g_blocks)
-    d = 2 if general else 1
+    d = _doubling(kind)
+    rules = _kind_rules(kind)
+    g = _stack_cols(g_blocks, d)
     n, m_tot = f.shape[0] // d, g.shape[1] // d
-    sig = signature_matrix(m_tot) if general else np.eye(m_tot)
+    sig = rules.signature(m_tot)
     if not eig_sum_condition(f):
         raise NotAugmentableError(
             "certificate equation is degenerate (eigenvalue-sum condition fails)"
         )
     theta = solve_lyapunov_hermitian(f, hermitian_part(g @ sig @ dagger(g)))
     pos, neg, _ = _inertia(theta)
-    if general and (pos != n or neg != n):
+    if d == 2 and (pos != n or neg != n):
         raise NotAugmentableError(
             "certificate lacks the required inertia",
             residuals={"inertia_positive": float(pos), "inertia_negative": float(neg)},
         )
-    if not general and pos != n:
+    if d == 1 and pos != n:
         raise NotAugmentableError(
             f"no positive definite certificate for the augmented {label}",
             residuals={"theta_min_eig": float(np.min(np.linalg.eigvalsh(theta)))},
         )
     h_full = -sig @ dagger(g) @ np.linalg.inv(theta)
-    m_given = h_given.shape[0] // d
-    given = np.concatenate([half * m_tot + np.arange(m_given) for half in range(d)])
+    given = _field_index(m_tot, 0, h_given.shape[0] // d, d)
     h_aug = h_full.copy()
     h_aug[given] = h_given
     row_dev = _coupling_residual(g, theta, h_aug, sig)
@@ -319,16 +244,12 @@ def _square_completion(kind, f, g_blocks, h_given, label, pattern_residuals) -> 
             f"{label} output rows do not match the coupling identity",
             residuals={"row_mismatch": row_dev, **pattern_residuals},
         )
-    if general:
-        qsys, check = GeneralQSys, check_pr_general
-    else:
-        qsys, check = AnnihilationQSys, check_pr_annihilation
-    system = qsys(f=f, g=g, h=h_aug, k=np.eye(d * m_tot), n_modes=n, m_fields=m_tot)
+    system = rules.system(f=f, g=g, h=h_aug, k=np.eye(d * m_tot), n_modes=n, m_fields=m_tot)
     return PlantAugmentation(
         system=system,
         theta=theta,
         h_tilde=np.delete(h_full, given, axis=0),
-        verdict=check(system),
+        verdict=rules.check(system),
     )
 
 
@@ -393,7 +314,6 @@ def close_loop(p: PlantModel, c: ControllerModel) -> ClosedLoop:
             [c.g_cy @ p.k, c.g_cw],
         ]
     )
-    half = p._half
     n_states = a.shape[0]
     if p.cost is not None:
         cz = np.hstack([p.cost.c + p.cost.d @ c.k_cy @ p.h, p.cost.d @ c.h_c])
@@ -438,9 +358,12 @@ def modified_forms(p: PlantModel, c: ControllerModel) -> tuple[PlantModel, Contr
 
     The returned plant absorbs K_cy through its state/noise matrices and
     takes the controller noise W-tilde as additional noise columns; the
-    returned controller is strictly proper (zero feedthroughs).  The closed
-    loop is unchanged once the shared W-tilde channels of the pair are
-    identified with each other.
+    returned controller is strictly proper (zero feedthroughs).  Once the
+    shared W-tilde channels of the pair are identified with each other, the
+    loop's state and noise matrices are unchanged.  The plant keeps its cost
+    block, so the cost terms that pass through the controller feedthroughs
+    are dropped: D K_cy on the state and on W, and D K_cw on W-tilde.  The
+    cost transfer is unchanged only when D K_cy = 0 and D K_cw = 0.
     """
     _check_loop_dims(p, c)
     if c.m_wt < c.m_u:
@@ -451,14 +374,9 @@ def modified_forms(p: PlantModel, c: ControllerModel) -> tuple[PlantModel, Contr
     f_mod = p.f + p.g_u @ c.k_cy @ p.h
     folded = p.g_w + p.g_u @ c.k_cy @ p.k
     extra = p.g_u @ c.k_cw
-    if p.kind == "general":
-        g_w_mod = _stack_cols_doubled([folded, extra])
-        k_mod = _stack_cols_doubled(
-            [p.k, np.zeros((p.k.shape[0], extra.shape[1]), dtype=complex)]
-        )
-    else:
-        g_w_mod = np.hstack([folded, extra])
-        k_mod = np.hstack([p.k, np.zeros((p.k.shape[0], extra.shape[1]), dtype=complex)])
+    d = _doubling(p.kind)
+    g_w_mod = _stack_cols([folded, extra], d)
+    k_mod = _stack_cols([p.k, np.zeros((p.k.shape[0], extra.shape[1]), dtype=complex)], d)
     plant_mod = PlantModel(
         kind=p.kind, f=f_mod, g_w=g_w_mod, g_u=p.g_u, h=p.h, k=k_mod, cost=p.cost
     )
@@ -817,12 +735,8 @@ def random_pr_plant(
         n, m_w + m_u, seed, kind=kind, hurwitz_required=(kind == "annihilation")
     )
     k = _identity_pattern(kind, m_y, m_w)
-    if kind == "annihilation":
-        return PlantModel(
-            kind=kind, f=sys.f, g_w=sys.g[:, :m_w], g_u=sys.g[:, m_w:], h=sys.h[:m_y], k=k
-        )
-    m_tot = m_w + m_u
-    g_w = np.hstack([sys.g[:, :m_w], sys.g[:, m_tot : m_tot + m_w]])
-    g_u = np.hstack([sys.g[:, m_w:m_tot], sys.g[:, m_tot + m_w :]])
-    h = np.vstack([sys.h[:m_y], sys.h[m_tot : m_tot + m_y]])
+    d, m_tot = _doubling(kind), m_w + m_u
+    g_w = sys.g[:, _field_index(m_tot, 0, m_w, d)]
+    g_u = sys.g[:, _field_index(m_tot, m_w, m_tot, d)]
+    h = sys.h[_field_index(m_tot, 0, m_y, d)]
     return PlantModel(kind=kind, f=sys.f, g_w=g_w, g_u=g_u, h=h, k=k)

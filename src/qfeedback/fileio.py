@@ -18,35 +18,23 @@ import numpy as np
 
 from .errors import DimensionError, DomainError, FileFormatError
 from .feedback import ControllerModel, CostOutput, PlantModel
-from .systems import AnnihilationQSys, GeneralQSys
+from .systems import AnnihilationQSys, GeneralQSys, _doubling
 
 SCHEMA_VERSION = 1
 
-# Document kind -> (model class, dimension names in document order,
-# matrix name -> (row dimension, column dimension)).  Every dimension counts
-# modes or fields; the general representation doubles each of them.
-_SQUARE = (
-    ("n_modes", "m_fields"),
-    {"f": ("n_modes", "n_modes"), "g": ("n_modes", "m_fields"),
-     "h": ("m_fields", "n_modes"), "k": ("m_fields", "m_fields")},
-)
-_LAYOUTS = {
-    "annihilation": (AnnihilationQSys, *_SQUARE),
-    "general": (GeneralQSys, *_SQUARE),
-    "plant": (
-        PlantModel,
-        ("n_modes", "m_w", "m_u", "m_y"),
-        {"f": ("n_modes", "n_modes"), "g_w": ("n_modes", "m_w"), "g_u": ("n_modes", "m_u"),
-         "h": ("m_y", "n_modes"), "k": ("m_y", "m_w")},
-    ),
-    "controller": (
-        ControllerModel,
-        ("n_modes", "m_wt", "m_y", "m_u"),
-        {"f_c": ("n_modes", "n_modes"), "g_cw": ("n_modes", "m_wt"), "g_cy": ("n_modes", "m_y"),
-         "h_c": ("m_u", "n_modes"), "k_cw": ("m_u", "m_wt"), "k_cy": ("m_u", "m_y")},
-    ),
+# Document kind -> model class.  Each class declares its matrix layout; the
+# document lists the layout's counts as dimensions, in order of appearance.
+_MODELS = {
+    "annihilation": AnnihilationQSys,
+    "general": GeneralQSys,
+    "plant": PlantModel,
+    "controller": ControllerModel,
 }
 _REPRESENTATIONS = ("annihilation", "general")
+
+
+def _dimension_names(cls) -> tuple[str, ...]:
+    return tuple(dict.fromkeys(nm for dims in cls._layout.values() for nm in dims))
 
 
 def matrix_to_entries(arr: np.ndarray) -> list[list[list[float]]]:
@@ -165,13 +153,13 @@ def document_to_model(doc: dict) -> LoadedFile:
             f"unsupported schema_version {version!r}", "schema_version"
         )
     kind = _require(doc, "kind", "document")
-    if not isinstance(kind, str) or kind not in _LAYOUTS:
+    if not isinstance(kind, str) or kind not in _MODELS:
         raise FileFormatError(f"unknown kind {kind!r}", "kind")
     metadata = doc.get("metadata", {})
     if not isinstance(metadata, dict):
         raise FileFormatError("must be an object", "metadata")
 
-    cls, dim_names, layout = _LAYOUTS[kind]
+    cls = _MODELS[kind]
     square = kind in _REPRESENTATIONS
     try:
         rep = kind if square else _require(doc, "representation", "document")
@@ -180,10 +168,10 @@ def document_to_model(doc: dict) -> LoadedFile:
                 f"representation must be 'annihilation' or 'general', got {rep!r}",
                 "representation",
             )
-        dims = _read_dims(doc, dim_names)
-        size = {nm: (2 if rep == "general" else 1) * v for nm, v in dims.items()}
+        dims = _read_dims(doc, _dimension_names(cls))
+        size = {nm: _doubling(rep) * v for nm, v in dims.items()}
         mats = _decode_matrices(
-            doc, {nm: (size[r], size[c]) for nm, (r, c) in layout.items()}
+            doc, {nm: (size[r], size[c]) for nm, (r, c) in cls._layout.items()}
         )
         if square:
             model = cls(**mats, **dims)
@@ -199,17 +187,14 @@ def document_to_model(doc: dict) -> LoadedFile:
 
 def model_to_document(model, metadata: dict[str, Any] | None = None) -> dict[str, Any]:
     """Encode a model as a schema-versioned JSON-ready document."""
-    kind = next(
-        (k for k, (cls, _, _) in _LAYOUTS.items() if isinstance(model, cls)), None
-    )
+    kind = next((k for k, cls in _MODELS.items() if isinstance(model, cls)), None)
     if kind is None:
         raise DomainError(f"cannot serialize object of type {type(model).__name__}")
-    _, dim_names, layout = _LAYOUTS[kind]
     doc: dict[str, Any] = {"schema_version": SCHEMA_VERSION, "kind": kind}
     if kind not in _REPRESENTATIONS:
         doc["representation"] = model.kind
-    doc["dimensions"] = {nm: getattr(model, nm) for nm in dim_names}
-    doc["matrices"] = {nm: matrix_to_entries(getattr(model, nm)) for nm in layout}
+    doc["dimensions"] = {nm: getattr(model, nm) for nm in _dimension_names(type(model))}
+    doc["matrices"] = {nm: matrix_to_entries(getattr(model, nm)) for nm in model._layout}
     if kind == "plant" and model.cost is not None:
         doc["cost"] = {
             "c": matrix_to_entries(model.cost.c),

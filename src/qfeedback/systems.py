@@ -11,7 +11,7 @@ live here.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import ClassVar
+from typing import Callable, ClassVar, NamedTuple
 
 import numpy as np
 
@@ -34,6 +34,20 @@ from .linalg import (
     signature_matrix,
     solve_lyapunov_hermitian,
 )
+
+
+def _doubling(kind: str) -> int:
+    """Coordinates per mode or field: 2 for the general kind, 1 for annihilation.
+
+    The general kind doubles every mode and field into (annihilation,
+    creation) coordinates; this is the one place that maps a kind to its
+    factor.
+    """
+    if kind == "general":
+        return 2
+    if kind == "annihilation":
+        return 1
+    raise DomainError(f"unknown kind {kind!r}")
 
 
 def _inertia(h: np.ndarray) -> tuple[int, int, int]:
@@ -94,9 +108,7 @@ class HamiltonianCoupling:
         theta = require_hermitian(self.theta, "theta")
         m = require_hermitian(self.m, "m")
         n = as_matrix(self.n_coupling, "n_coupling")
-        if self.kind not in ("general", "annihilation"):
-            raise DomainError(f"unknown kind {self.kind!r}")
-        if self.kind == "general":
+        if _doubling(self.kind) == 2:
             if theta.shape[0] % 2 or n.shape[0] % 2:
                 raise DimensionError("general-kind parameters need even dimensions")
             if not (is_doubled(m) and is_doubled(n)):
@@ -120,26 +132,59 @@ class HamiltonianCoupling:
 
     @property
     def n_modes(self) -> int:
-        d = self.theta.shape[0]
-        return d // 2 if self.kind == "general" else d
+        return self.theta.shape[0] // _doubling(self.kind)
 
     @property
     def m_fields(self) -> int:
-        d = self.n_coupling.shape[0]
-        return d // 2 if self.kind == "general" else d
+        return self.n_coupling.shape[0] // _doubling(self.kind)
+
+
+class _LayoutModel:
+    """Model matrices validated against a class-level layout.
+
+    ``_layout`` maps each matrix, in document order, to the names of the mode
+    or field counts that size its rows and columns.  Every dimension is
+    ``_doubling(kind)`` times its count, and the general kind also requires
+    doubled-up structure of every matrix.  A count the caller does not fix
+    is read from the first matrix whose rows it sizes, else from the first
+    whose columns it sizes; every count then becomes an attribute.
+    """
+
+    _layout: ClassVar[dict[str, tuple[str, str]]]
+
+    def __post_init__(self):
+        self._check_layout({})
+
+    def _check_layout(self, counts: dict[str, int]) -> None:
+        d = _doubling(self.kind)
+        mats = {name: as_matrix(getattr(self, name), name) for name in self._layout}
+        for axis in (0, 1):
+            for name, dims in self._layout.items():
+                counts.setdefault(dims[axis], mats[name].shape[axis] // d)
+        for name, (rows, cols) in self._layout.items():
+            want = (d * counts[rows], d * counts[cols])
+            if mats[name].shape != want:
+                raise DimensionError(f"{name} must have shape {want}, got {mats[name].shape}")
+            if d == 2 and not is_doubled(mats[name]):
+                raise DomainError(f"general-kind {name} lacks doubled-up structure")
+        for name, value in {**mats, **counts}.items():
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)
-class _FieldSystem:
+class _FieldSystem(_LayoutModel):
     """QSDE coefficients (F, G, H, K) with mode/field counts.
 
-    Every dimension is ``_doubling`` times the mode or field count, and the
-    doubled kind also requires doubled-up structure of every block.
     ``n_modes`` and ``m_fields`` default to the values implied by the matrix
     shapes; pass them explicitly to cross-check an external dimension record.
     """
 
-    _doubling: ClassVar[int] = 1
+    _layout: ClassVar[dict[str, tuple[str, str]]] = {
+        "f": ("n_modes", "n_modes"),
+        "g": ("n_modes", "m_fields"),
+        "h": ("m_fields", "n_modes"),
+        "k": ("m_fields", "m_fields"),
+    }
 
     f: np.ndarray
     g: np.ndarray
@@ -149,35 +194,22 @@ class _FieldSystem:
     m_fields: int = -1
 
     def __post_init__(self):
-        d = self._doubling
-        f = as_matrix(self.f, "f")
-        h = as_matrix(self.h, "h")
-        if self.n_modes < 0:
-            object.__setattr__(self, "n_modes", f.shape[0] // d)
-        if self.m_fields < 0:
-            object.__setattr__(self, "m_fields", h.shape[0] // d)
-        n, m = d * self.n_modes, d * self.m_fields
-        g = as_matrix(self.g, "g")
-        k = as_matrix(self.k, "k")
-        shapes = {"f": (f, (n, n)), "g": (g, (n, m)), "h": (h, (m, n)), "k": (k, (m, m))}
-        for name, (mat, want) in shapes.items():
-            if mat.shape != want:
-                raise DimensionError(f"{name} must have shape {want}, got {mat.shape}")
-            if d == 2 and not is_doubled(mat):
-                raise DomainError(f"{name} lacks doubled-up structure")
-            object.__setattr__(self, name, mat)
+        fixed = ("n_modes", "m_fields")
+        self._check_layout({nm: getattr(self, nm) for nm in fixed if getattr(self, nm) >= 0})
 
 
 @dataclass(frozen=True)
 class GeneralQSys(_FieldSystem):
     """Doubled-up QSDE coefficients (F, G, H, K) with mode/field counts."""
 
-    _doubling: ClassVar[int] = 2
+    kind: ClassVar[str] = "general"
 
 
 @dataclass(frozen=True)
 class AnnihilationQSys(_FieldSystem):
     """Annihilation-operator QSDE coefficients (F, G, H, K), plain matrices."""
+
+    kind: ClassVar[str] = "annihilation"
 
 
 @dataclass(frozen=True)
@@ -401,6 +433,26 @@ def check_pr_annihilation(s: AnnihilationQSys, tol: float = RESIDUAL_TOL) -> PrV
     )
 
 
+class _KindRules(NamedTuple):
+    """What a representation kind selects besides its doubling factor."""
+
+    system: type
+    check: Callable[..., PrVerdict]
+    realize: Callable[[HamiltonianCoupling], _FieldSystem]
+    signature: Callable[[int], np.ndarray]  # J or I over a field count
+
+
+def _kind_rules(kind: str) -> _KindRules:
+    """The kind table: square class, realizability check, realization, J or I.
+
+    Built on each call from the module's names, so that rebinding one of
+    them (as ``bench/tracing.py`` does) takes effect here too.
+    """
+    if _doubling(kind) == 2:
+        return _KindRules(GeneralQSys, check_pr_general, realize_general, signature_matrix)
+    return _KindRules(AnnihilationQSys, check_pr_annihilation, realize_annihilation, np.eye)
+
+
 def extract_params(s) -> HamiltonianCoupling:
     """Recover the physical parameters (Theta, M, N) from a realizable system.
 
@@ -419,14 +471,10 @@ def extract_params(s) -> HamiltonianCoupling:
         When the recovered M is materially off that structure or the round
         trip fails, which indicates an input outside the checker's tolerances.
     """
-    if isinstance(s, GeneralQSys):
-        kind = "general"
-        verdict = check_pr_general(s)
-    elif isinstance(s, AnnihilationQSys):
-        kind = "annihilation"
-        verdict = check_pr_annihilation(s)
-    else:
+    if not isinstance(s, _FieldSystem):
         raise DomainError(f"expected a quantum system model, got {type(s).__name__}")
+    rules = _kind_rules(s.kind)
+    verdict = rules.check(s)
     if not verdict.realizable:
         reason = verdict.failure_reason or "unknown"
         raise NotRealizableError(
@@ -436,17 +484,17 @@ def extract_params(s) -> HamiltonianCoupling:
 
     theta = verdict.theta
     n = s.h.copy()
-    sig = signature_matrix(s.m_fields) if kind == "general" else np.eye(s.m_fields)
+    sig = rules.signature(s.m_fields)
     m = 1j * np.linalg.inv(theta) @ s.f + 0.5j * dagger(n) @ sig @ n
-    checks = [("Hermitian", dagger)] + ([("doubled-up", conj_swap)] if kind == "general" else [])
+    checks = [("Hermitian", dagger)] + ([("doubled-up", conj_swap)] if s.kind == "general" else [])
     for name, involution in checks:
         dev = max_abs(m - involution(m)) / (1.0 + max_abs(m))
         if dev > 1e-6:
             raise DomainError(f"recovered Hamiltonian matrix is not {name} (deviation {dev:.3e})")
         m = 0.5 * (m + involution(m))
-    params = HamiltonianCoupling(theta=theta, m=m, n_coupling=n, kind=kind)
+    params = HamiltonianCoupling(theta=theta, m=m, n_coupling=n, kind=s.kind)
 
-    rebuilt = realize_general(params) if kind == "general" else realize_annihilation(params)
+    rebuilt = rules.realize(params)
     scale = 1.0 + max_abs(s.f)
     round_trip = max(
         max_abs(rebuilt.f - s.f),
@@ -488,15 +536,12 @@ def random_pr_system(
     """
     if n < 1 or m < 1:
         raise DimensionError("need n >= 1 and m >= 1")
-    if kind not in ("general", "annihilation"):
-        raise DomainError(f"unknown kind {kind!r}")
+    rules = _kind_rules(kind)
     rng = np.random.default_rng(seed)
-    general = kind == "general"
-    sig = signature_matrix(n) if general else np.eye(n)
-    realize = realize_general if general else realize_annihilation
+    sig = rules.signature(n)
 
     def draw(rows: int, cols: int) -> np.ndarray:
-        if general:
+        if kind == "general":
             return delta_build(_random_complex(rng, rows, cols), _random_complex(rng, rows, cols))
         return _random_complex(rng, rows, cols)
 
@@ -508,7 +553,7 @@ def random_pr_system(
         theta = hermitian_part(t @ sig @ dagger(t))
         m_mat = hermitian_part(draw(n, n))
         params = HamiltonianCoupling(theta=theta, m=m_mat, n_coupling=draw(m, n), kind=kind)
-        sys = realize(params)
+        sys = rules.realize(params)
         if not eig_sum_condition(sys.f):
             continue
         if hurwitz_required and not is_hurwitz(sys.f, tol=1e-6):

@@ -39,6 +39,7 @@ from qfeedback import (
     trivial_controller,
 )
 from qfeedback.coherent import random_admissible_triple
+from qfeedback.feedback import _identity_pad
 from qfeedback.linalg import dagger, doubling_permutation, is_doubled, max_abs
 
 
@@ -277,6 +278,15 @@ def test_modified_forms_state_matrix_shift(cavity_plant) -> None:
     np.testing.assert_allclose(p_mod.f, [[0.0]], atol=1e-14)
 
 
+def share_w_tilde(m_w: int, m_wt: int) -> np.ndarray:
+    """Columns (W, plant's W-tilde, controller's W-tilde) -> (W, W-tilde), summing the copies."""
+    share = np.zeros((m_w + 2 * m_wt, m_w + m_wt))
+    share[:m_w, :m_w] = np.eye(m_w)
+    share[m_w : m_w + m_wt, m_w:] = np.eye(m_wt)
+    share[m_w + m_wt :, m_w:] = np.eye(m_wt)
+    return share
+
+
 def test_modified_forms_loop_equivalence_20_frequencies() -> None:
     rng = np.random.default_rng(67)
     for seed in range(10):
@@ -299,15 +309,31 @@ def test_modified_forms_loop_equivalence_20_frequencies() -> None:
         g_orig = gamma_cl(p, c)
         p_mod, c_mod = modified_forms(p, c)
         g_mod = gamma_cl(p_mod, c_mod)
-        m_w, m_wt = p.m_w, c.m_wt
-        share = np.zeros((m_w + 2 * m_wt, m_w + m_wt))
-        share[:m_w, :m_w] = np.eye(m_w)
-        share[m_w : m_w + m_wt, m_w:] = np.eye(m_wt)
-        share[m_w + m_wt :, m_w:] = np.eye(m_wt)
+        share = share_w_tilde(p.m_w, c.m_wt)
         for omega in np.linspace(-8.0, 8.0, 20):
             got = tf_eval(g_mod, 1j * omega) @ share
             want = tf_eval(g_orig, 1j * omega)
             assert max_abs(got - want) <= 1e-9, (seed, omega)
+
+
+def test_modified_forms_drops_the_cost_feedthrough_through_k_cw() -> None:
+    # the folded controller has K_cw = 0, so the direct term D K_cw from
+    # W-tilde to the cost is lost when D != 0; adding it back restores the loop
+    p = random_pr_plant(2, 2, 1, 1, seed=17).with_cost(
+        CostOutput(c=[[0.4, -0.2]], d=[[0.5]])
+    )
+    c = synth_noise_annihilation([[-2.0]], [[0.3]], [[0.6]]).controller
+    assert max_abs(c.k_cw) > 0.0 and max_abs(c.k_cy) == 0.0
+    g_orig = gamma_cl(p, c)
+    g_mod = gamma_cl(*modified_forms(p, c))
+    share = share_w_tilde(p.m_w, c.m_wt)
+    dropped = np.zeros((1, p.m_w + c.m_wt), dtype=complex)
+    dropped[:, p.m_w :] = p.cost.d @ c.k_cw
+    for s in (0.0, 1j, -3j, 10j, 0.5 + 2j):
+        got = tf_eval(g_mod, s) @ share
+        want = tf_eval(g_orig, s)
+        assert max_abs(got + dropped - want) <= 1e-12, s
+        assert max_abs(got - want) == pytest.approx(0.5, abs=1e-12), s
 
 
 # ---------------------------------------------------------------------------
@@ -552,7 +578,7 @@ def test_close_augmented_loop_is_pointwise_all_pass(cavity_plant) -> None:
 
 
 def test_close_augmented_loop_channel_map(cavity_plant) -> None:
-    c = trivial_controller(1, 1, extra_noise=1)
+    c = static_controller(np.zeros((1, 1)), _identity_pad(1, 2))
     loop = close_augmented_loop(cavity_plant, c)
     assert loop.channel_map == {
         "replaced_output": (0, 1),

@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qfeedback import (
     AnnihilationQSys,
@@ -157,6 +159,53 @@ class TestRoundTrips:
             encoded = matrix_to_entries(mat)
             decoded = entries_to_matrix(encoded, "matrices.f")
             assert np.array_equal(decoded, mat)
+
+
+def random_model(rng: np.random.Generator, doc_kind: str, rep: str, with_cost: bool):
+    """A model with dimensions 0-3 and entries at scales 1e-12 to 1e12."""
+
+    def draw(rows, cols):
+        scale = 10.0 ** rng.uniform(-12.0, 12.0)
+        a1, a2 = scale * (rng.standard_normal((2, rows, cols)) + 1j * rng.standard_normal((2, rows, cols)))
+        return delta_build(a1, a2) if rep == "general" else a1
+
+    n, a, b, c = (int(v) for v in rng.integers(0, 4, 4))
+    if doc_kind == "system":
+        cls = GeneralQSys if rep == "general" else AnnihilationQSys
+        return cls(f=draw(n, n), g=draw(n, a), h=draw(a, n), k=draw(a, a))
+    if doc_kind == "plant":
+        rows = int(rng.integers(0, 3))
+        cost = CostOutput(c=draw(rows, n), d=draw(rows, b)) if with_cost else None
+        return PlantModel(
+            kind=rep, f=draw(n, n), g_w=draw(n, a), g_u=draw(n, b), h=draw(c, n), k=draw(c, a),
+            cost=cost,
+        )
+    return ControllerModel(
+        kind=rep, f_c=draw(n, n), g_cw=draw(n, a), g_cy=draw(n, b), h_c=draw(c, n),
+        k_cw=draw(c, a), k_cy=draw(c, b),
+    )
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    doc_kind=st.sampled_from(["system", "plant", "controller"]),
+    rep=st.sampled_from(["annihilation", "general"]),
+    with_cost=st.booleans(),
+)
+def test_save_load_save_is_bit_identical_for_every_document_kind(
+    tmp_path_factory, seed, doc_kind, rep, with_cost
+):
+    model = random_model(np.random.default_rng(seed), doc_kind, rep, with_cost)
+    root = tmp_path_factory.mktemp("round_trip")
+    save_system(root / "a.json", model, metadata={"seed": seed})
+    loaded = load_system(root / "a.json")
+    save_system(root / "b.json", loaded.model, metadata=loaded.metadata)
+    assert (root / "a.json").read_bytes() == (root / "b.json").read_bytes()
+    assert type(loaded.model) is type(model) and loaded.model.kind == rep
+    assert json.loads((root / "a.json").read_text())["kind"] == (
+        rep if doc_kind == "system" else doc_kind
+    )
 
 
 def cavity_doc(**overrides):

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qfeedback import (
     AnnihilationQSys,
@@ -197,6 +199,30 @@ def test_round_trip_realize_extract_realize() -> None:
             got = getattr(rebuilt, name)
             want = getattr(s, name)
             assert max_abs(got - want) <= 1e-8 * (1 + max_abs(want)), (kind, seed, name)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(["annihilation", "general"]),
+    n=st.integers(1, 5),
+    m=st.integers(1, 3),
+)
+def test_realize_check_extract_realize_round_trips(seed, kind, n, m) -> None:
+    s = random_pr_system(n, m, seed=seed, kind=kind)
+    check = check_pr_general if kind == "general" else check_pr_annihilation
+    realize = realize_general if kind == "general" else realize_annihilation
+    verdict = check(s)
+    assert verdict.realizable
+    p = extract_params(s)
+    assert p.kind == kind and (p.n_modes, p.m_fields) == (n, m)
+    np.testing.assert_array_equal(p.theta, verdict.theta)
+    np.testing.assert_array_equal(p.n_coupling, s.h)
+    rebuilt = realize(p)
+    assert type(rebuilt) is type(s) and (rebuilt.n_modes, rebuilt.m_fields) == (n, m)
+    for name in ("f", "g", "h", "k"):
+        got, want = getattr(rebuilt, name), getattr(s, name)
+        assert max_abs(got - want) <= 1e-8 * (1 + max_abs(want)), name
 
 
 def test_round_trip_keeps_doubled_structure_of_recovered_m() -> None:

@@ -28,12 +28,13 @@ from .feedback import (
     ClosedLoop,
     ControllerModel,
     PlantModel,
+    _check_loop_dims,
     _identity_pad,
+    _static_fold,
     augment_plant,
     close_augmented_loop,
     close_loop,
     complete_static_pr,
-    modified_forms,
     static_controller,
     synth_noise_annihilation,
     trivial_controller,
@@ -166,29 +167,38 @@ def kalman_design(f_a, g_a, h_a, l_select) -> KalmanResult:
 def verify_zero_gain(p: PlantModel, k_cy, k_cw) -> TheoremReport:
     """Check that the loop with a static controller has zero Kalman gain.
 
-    Folds the static feedthroughs into the plant, completes the result to a
-    square realizable system over all noises, and runs the Kalman design on
-    it with the measured rows selected.  The claim: the gain vanishes and
-    the covariance equals the realizability certificate, so the estimator
-    never uses the measurement record.
+    Folding U = K_cy Y + K_cw W-tilde into the plant leaves a noise-only
+    plant over (W, W-tilde), with the closed loop's state and noise
+    matrices and the plant's measurement rows.  Its square realizable
+    completion gets a Kalman design with the measured rows selected.  The
+    claim: the gain vanishes and the covariance equals the realizability
+    certificate, so the estimator never uses the measurement record.
 
     Raises
     ------
+    DimensionError
+        When K_cw has fewer noise columns than controls.
     NotAugmentableError
-        When the modified plant is not realizable, i.e. the hypothesis of
+        When the noise-only plant is not realizable, i.e. the hypothesis of
         the claim fails for this (k_cy, k_cw).
     """
     if p.kind != "annihilation":
         raise DomainError("zero-gain verification is annihilation-kind only")
     ctrl = static_controller(k_cy, k_cw)
-    plant_mod, _ = modified_forms(p, ctrl)
+    _check_loop_dims(p, ctrl)
+    if ctrl.m_wt < ctrl.m_u:
+        raise DimensionError(
+            f"need at least as many controller noises as controls "
+            f"(m_wt={ctrl.m_wt} < m_u={ctrl.m_u})"
+        )
+    f_fold, g_fold = _static_fold(p, ctrl.k_cy)
     noise_only = PlantModel(
         kind="annihilation",
-        f=plant_mod.f,
-        g_w=plant_mod.g_w,
+        f=f_fold,
+        g_w=np.hstack([g_fold, p.g_u @ ctrl.k_cw]),
         g_u=np.zeros((p.n_modes, 0), dtype=complex),
-        h=plant_mod.h,
-        k=plant_mod.k,
+        h=p.h,
+        k=np.hstack([p.k, np.zeros((p.m_y, ctrl.m_wt), dtype=complex)]),
     )
     ap = augment_plant(noise_only)
     l_select = _identity_pad(p.m_y, ap.system.m_fields)

@@ -3,8 +3,8 @@
 The plant exposes noise inputs W, control inputs U and measured-field
 outputs Y; the controller consumes Y plus its own noise W-tilde and returns
 U.  This module assembles the closed loop, the square augmented forms on
-which realizability certificates live, the modified (strictly proper)
-plant/controller pair, and the Riccati-based synthesis of controller noise
+which realizability certificates live, the realizable completion of a
+static controller, and the Riccati-based synthesis of controller noise
 channels that makes an arbitrary controller triple physically realizable.
 """
 
@@ -34,7 +34,7 @@ from .linalg import (
     is_doubled,
     max_abs,
     psd_split,
-    real_columns,
+    real_lstsq,
     solve_care_hermitian,
     solve_lyapunov_hermitian,
 )
@@ -292,6 +292,11 @@ def _check_loop_dims(p: PlantModel, c: ControllerModel) -> None:
         )
 
 
+def _static_fold(p: PlantModel, k_cy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The plant's state and noise matrices under U = K_cy Y: F + G_u K_cy H, G_w + G_u K_cy K."""
+    return p.f + p.g_u @ k_cy @ p.h, p.g_w + p.g_u @ k_cy @ p.k
+
+
 def close_loop(p: PlantModel, c: ControllerModel) -> ClosedLoop:
     """Interconnect plant and controller.
 
@@ -302,18 +307,9 @@ def close_loop(p: PlantModel, c: ControllerModel) -> ClosedLoop:
     the controller output equation; absent a cost block the output is empty.
     """
     _check_loop_dims(p, c)
-    a = np.block(
-        [
-            [p.f + p.g_u @ c.k_cy @ p.h, p.g_u @ c.h_c],
-            [c.g_cy @ p.h, c.f_c],
-        ]
-    )
-    b = np.block(
-        [
-            [p.g_w + p.g_u @ c.k_cy @ p.k, p.g_u @ c.k_cw],
-            [c.g_cy @ p.k, c.g_cw],
-        ]
-    )
+    f_fold, g_fold = _static_fold(p, c.k_cy)
+    a = np.block([[f_fold, p.g_u @ c.h_c], [c.g_cy @ p.h, c.f_c]])
+    b = np.block([[g_fold, p.g_u @ c.k_cw], [c.g_cy @ p.k, c.g_cw]])
     n_states = a.shape[0]
     if p.cost is not None:
         cz = np.hstack([p.cost.c + p.cost.d @ c.k_cy @ p.h, p.cost.d @ c.h_c])
@@ -351,45 +347,6 @@ def gamma_cl(p: PlantModel, c: ControllerModel) -> StateSpaceTF:
     if p.cost is None:
         raise DomainError("plant has no cost output block")
     return close_loop(p, c).system
-
-
-def modified_forms(p: PlantModel, c: ControllerModel) -> tuple[PlantModel, ControllerModel]:
-    """Fold the controller feedthroughs into the plant.
-
-    The returned plant absorbs K_cy through its state/noise matrices and
-    takes the controller noise W-tilde as additional noise columns; the
-    returned controller is strictly proper (zero feedthroughs).  Once the
-    shared W-tilde channels of the pair are identified with each other, the
-    loop's state and noise matrices are unchanged.  The plant keeps its cost
-    block, so the cost terms that pass through the controller feedthroughs
-    are dropped: D K_cy on the state and on W, and D K_cw on W-tilde.  The
-    cost transfer is unchanged only when D K_cy = 0 and D K_cw = 0.
-    """
-    _check_loop_dims(p, c)
-    if c.m_wt < c.m_u:
-        raise DimensionError(
-            f"need at least as many controller noises as controls "
-            f"(m_wt={c.m_wt} < m_u={c.m_u})"
-        )
-    f_mod = p.f + p.g_u @ c.k_cy @ p.h
-    folded = p.g_w + p.g_u @ c.k_cy @ p.k
-    extra = p.g_u @ c.k_cw
-    d = _doubling(p.kind)
-    g_w_mod = _stack_cols([folded, extra], d)
-    k_mod = _stack_cols([p.k, np.zeros((p.k.shape[0], extra.shape[1]), dtype=complex)], d)
-    plant_mod = PlantModel(
-        kind=p.kind, f=f_mod, g_w=g_w_mod, g_u=p.g_u, h=p.h, k=k_mod, cost=p.cost
-    )
-    ctrl_mod = ControllerModel(
-        kind=c.kind,
-        f_c=c.f_c,
-        g_cw=c.g_cw,
-        g_cy=c.g_cy,
-        h_c=c.h_c,
-        k_cw=np.zeros_like(c.k_cw),
-        k_cy=np.zeros_like(c.k_cy),
-    )
-    return plant_mod, ctrl_mod
 
 
 @dataclass(frozen=True)
@@ -592,8 +549,6 @@ class AugmentedClosedLoop:
 
     system: StateSpaceTF
     theta: np.ndarray
-    plant_theta: np.ndarray
-    controller_theta: np.ndarray
     channel_map: dict[str, tuple[int, int]]
     internally_stable: bool
 
@@ -652,8 +607,6 @@ def close_augmented_loop(p: PlantModel, c: ControllerModel) -> AugmentedClosedLo
     return AugmentedClosedLoop(
         system=StateSpaceTF(a=loop.system.a, b=loop.system.b, c=c_rows, d=d_rows),
         theta=theta,
-        plant_theta=ap.theta,
-        controller_theta=ac.theta,
         channel_map=channel_map,
         internally_stable=loop.internally_stable,
     )
@@ -663,10 +616,10 @@ def complete_static_pr(p: PlantModel, k_cy) -> tuple[np.ndarray, np.ndarray] | N
     """Find K_cw making a static controller's loop keep the plant realizable.
 
     Solves jointly for a Hermitian certificate Theta_a and a PSD Gram matrix
-    S = K_cw K_cw^dagger such that the modified plant satisfies the coupling
-    identity on the measured channels and the certificate equation over all
-    noises.  Returns (k_cw, theta_a) or None when the affine system has no
-    admissible solution.
+    S = K_cw K_cw^dagger such that the plant with U = K_cy Y folded in
+    satisfies the coupling identity on the measured channels and the
+    certificate equation over all noises.  Returns (k_cw, theta_a) or None
+    when the affine system has no admissible solution.
     """
     if p.kind != "annihilation":
         raise DomainError("static completion is annihilation-kind only")
@@ -679,25 +632,23 @@ def complete_static_pr(p: PlantModel, k_cy) -> tuple[np.ndarray, np.ndarray] | N
         theta = augment_plant(p).theta
         return np.eye(m_u, dtype=complex), theta
 
-    f_mod = p.f + p.g_u @ k_cy @ p.h
-    g_fold = p.g_w + p.g_u @ k_cy @ p.k
+    f_fold, g_fold = _static_fold(p, k_cy)
     target_coup = -(p.g_w[:, : p.m_y] + p.g_u @ k_cy)
 
+    # unknowns: the Theta_a basis, then the S basis (which has no coupling image)
     basis_t = hermitian_basis(n)
     basis_s = hermitian_basis(m_u)
-    a_mat = np.hstack(
+    sol, residual, _ = real_lstsq(
         [
-            real_columns(f_mod @ basis_t + basis_t @ dagger(f_mod), basis_t @ dagger(p.h)),
-            real_columns(
-                p.g_u @ basis_s @ dagger(p.g_u),
-                np.zeros((len(basis_s), n * p.m_y), dtype=complex),
+            np.concatenate(
+                [f_fold @ basis_t + basis_t @ dagger(f_fold), p.g_u @ basis_s @ dagger(p.g_u)]
             ),
-        ]
+            np.concatenate(
+                [basis_t @ dagger(p.h), np.zeros((len(basis_s), n, p.m_y), dtype=complex)]
+            ),
+        ],
+        [-(g_fold @ dagger(g_fold)), target_coup],
     )
-    rhs_c = np.concatenate([(-(g_fold @ dagger(g_fold))).ravel(), target_coup.ravel()])
-    rhs = np.concatenate([rhs_c.real, rhs_c.imag])
-    sol, *_ = np.linalg.lstsq(a_mat, rhs, rcond=None)
-    residual = float(np.max(np.abs(a_mat @ sol - rhs))) if rhs.size else 0.0
     scale = 1.0 + max_abs(g_fold) ** 2 + max_abs(target_coup)
     if residual > RESIDUAL_TOL * scale:
         return None

@@ -161,16 +161,23 @@ def hermitian_basis(n: int) -> np.ndarray:
     return basis
 
 
-def real_columns(*images) -> np.ndarray:
-    """Least-squares columns [Re; Im] from stacked complex images.
+def real_lstsq(images, targets) -> tuple[np.ndarray, float, np.ndarray]:
+    """Least squares over real unknowns that enter complex equations.
 
-    Each image has shape (k, ...) with one slice per unknown; slice i of
-    every image is flattened and concatenated into complex column i, whose
-    real and imaginary parts are then stacked.
+    ``images[j]`` has shape (k, ...): slice i is the image of unknown i in
+    equation block j, whose right-hand side is ``targets[j]``.  Real and
+    imaginary parts are stacked into one real system.  Returns the k real
+    coefficients, the largest residual entry (0.0 with no equations) and
+    the real matrix.
     """
     k = images[0].shape[0]
     vec = np.concatenate([im.reshape(k, math.prod(im.shape[1:])) for im in images], axis=1)
-    return np.concatenate([vec.real, vec.imag], axis=1).T
+    a_mat = np.concatenate([vec.real, vec.imag], axis=1).T
+    rhs_c = np.concatenate([t.ravel() for t in targets])
+    rhs = np.concatenate([rhs_c.real, rhs_c.imag])
+    sol, *_ = np.linalg.lstsq(a_mat, rhs, rcond=None)
+    residual = float(np.max(np.abs(a_mat @ sol - rhs))) if rhs.size else 0.0
+    return sol, residual, a_mat
 
 
 def min_eigenvalue_pair_gap(a) -> float:

@@ -29,7 +29,7 @@ from .linalg import (
     is_doubled,
     max_abs,
     min_eigenvalue_pair_gap,
-    real_columns,
+    real_lstsq,
     require_hermitian,
     signature_matrix,
     solve_lyapunov_hermitian,
@@ -274,12 +274,10 @@ def _certificate_family_annihilation(f, g, h):
     theta0 + span(null_basis).
     """
     basis = hermitian_basis(f.shape[0])
-    a_mat = real_columns(f @ basis + basis @ dagger(f), basis @ dagger(h))
-    rhs_c = np.concatenate([(-(g @ dagger(g))).ravel(), (-g).ravel()])
-    rhs = np.concatenate([rhs_c.real, rhs_c.imag])
-    sol, *_ = np.linalg.lstsq(a_mat, rhs, rcond=None)
+    sol, residual, a_mat = real_lstsq(
+        [f @ basis + basis @ dagger(f), basis @ dagger(h)], [-(g @ dagger(g)), -g]
+    )
     theta0 = np.tensordot(sol, basis, 1)
-    residual = float(np.max(np.abs(a_mat @ sol - rhs))) if rhs.size else 0.0
 
     _, svals, vt = np.linalg.svd(a_mat)
     smax = svals[0] if svals.size else 0.0
@@ -299,10 +297,7 @@ def _search_positive_definite(theta0, null_basis):
     """
     if null_basis:
         n = theta0.shape[0]
-        cols = real_columns(np.array(null_basis))
-        gap = (np.eye(n, dtype=complex) - theta0).ravel()
-        rhs = np.concatenate([gap.real, gap.imag])
-        coeff, *_ = np.linalg.lstsq(cols, rhs, rcond=None)
+        coeff, *_ = real_lstsq([np.array(null_basis)], [np.eye(n, dtype=complex) - theta0])
         nearest = hermitian_part(
             theta0 + sum(c * b for c, b in zip(coeff, null_basis))
         )

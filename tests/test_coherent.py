@@ -15,6 +15,7 @@ from scipy.integrate import quad
 from qfeedback import (
     CostOutput,
     DesignError,
+    DimensionError,
     DomainError,
     InstabilityError,
     NotAugmentableError,
@@ -104,10 +105,19 @@ def test_zero_gain_broken_plant_raises() -> None:
         verify_zero_gain(broken, np.zeros((1, 1)), np.eye(1))
 
 
+def test_zero_gain_rejects_fewer_controller_noises_than_controls(cavity_plant) -> None:
+    with pytest.raises(
+        DimensionError,
+        match=r"^need at least as many controller noises as controls \(m_wt=0 < m_u=1\)$",
+    ):
+        verify_zero_gain(cavity_plant, [[0.5]], np.zeros((1, 0)))
+
+
 def test_zero_gain_suite_100_plants_3_feedthroughs() -> None:
-    # with k_cy = 0 any co-isometric k_cw keeps the modified plant realizable,
-    # which gives three hypothesis-satisfying static feedthrough choices per
-    # plant; nonzero k_cy needs the joint completion and is covered separately
+    # with k_cy = 0 any co-isometric k_cw keeps the loop's noise-only plant
+    # realizable, which gives three hypothesis-satisfying static feedthrough
+    # choices per plant; nonzero k_cy needs the joint completion and is
+    # covered separately
     shapes = [(1, 1, 1, 1), (2, 2, 1, 1), (2, 2, 2, 1), (3, 3, 2, 2), (2, 3, 1, 2)]
     rng = np.random.default_rng(89)
     count = 0

@@ -7,8 +7,12 @@ composition paths (state-space blocks vs transfer-function loop algebra).
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qfeedback import (
     ControllerModel,
@@ -29,7 +33,7 @@ from qfeedback import (
     delta_build,
     gamma_cl,
     hinf_norm,
-    modified_forms,
+    random_challengers,
     random_pr_plant,
     signature_matrix,
     static_controller,
@@ -251,93 +255,29 @@ def test_gamma_cl_trivial_controller_restriction(cavity_plant_with_cost) -> None
         np.testing.assert_allclose(got[:, 1:], want_wt, atol=1e-12)
 
 
-def test_gamma_cl_matches_transfer_loop_algebra() -> None:
+@pytest.mark.parametrize(
+    "cost_d, feedthrough, points",
+    [
+        (0.0, False, (1.0 + 1.0j,)),
+        # D != 0 with K_cy and K_cw != 0 pins the cost terms D K_cy (state, W) and D K_cw (W-tilde)
+        (0.5, True, (0.0, 1j, -3j, 10j, 0.5 + 2j)),
+    ],
+    ids=["synthesized", "feedthroughs-with-cost-d"],
+)
+def test_gamma_cl_matches_transfer_loop_algebra(cost_d, feedthrough, points) -> None:
     p = random_pr_plant(2, 2, 1, 1, seed=17).with_cost(
-        CostOutput(c=np.array([[0.4, -0.2]]), d=np.zeros((1, 1)))
+        CostOutput(c=np.array([[0.4, -0.2]]), d=[[cost_d]])
     )
-    synth = synth_noise_annihilation(
-        [[-2.0]], np.array([[0.3]]), np.array([[0.6]])
-    )
-    g = gamma_cl(p, synth.controller)
-    s = 1.0 + 1.0j
-    np.testing.assert_allclose(
-        tf_eval(g, s), loop_tf_oracle(p, synth.controller, s), atol=1e-9
-    )
-
-
-def test_modified_forms_widens_noise_with_control_columns(cavity_plant) -> None:
-    p_mod, c_mod = modified_forms(cavity_plant, trivial_controller(1, 1))
-    np.testing.assert_array_equal(p_mod.g_w[:, 1:], cavity_plant.g_u)
-    assert max_abs(c_mod.k_cw) == 0.0
-    assert max_abs(c_mod.k_cy) == 0.0
-
-
-def test_modified_forms_state_matrix_shift(cavity_plant) -> None:
-    # f + g_u k_cy h = -1 + (-1)(-1)(1) = 0
-    p_mod, _ = modified_forms(cavity_plant, static_controller([[-1.0]], [[1.0]]))
-    np.testing.assert_allclose(p_mod.f, [[0.0]], atol=1e-14)
-
-
-def share_w_tilde(m_w: int, m_wt: int) -> np.ndarray:
-    """Columns (W, plant's W-tilde, controller's W-tilde) -> (W, W-tilde), summing the copies."""
-    share = np.zeros((m_w + 2 * m_wt, m_w + m_wt))
-    share[:m_w, :m_w] = np.eye(m_w)
-    share[m_w : m_w + m_wt, m_w:] = np.eye(m_wt)
-    share[m_w + m_wt :, m_w:] = np.eye(m_wt)
-    return share
-
-
-def test_modified_forms_loop_equivalence_20_frequencies() -> None:
-    rng = np.random.default_rng(67)
-    for seed in range(10):
-        p = random_pr_plant(2, 2, 1, 1, seed=400 + seed).with_cost(
-            CostOutput(c=rng.standard_normal((1, 2)), d=np.zeros((1, 1)))
-        )
-        synth = synth_noise_annihilation([[-1.5]], [[0.4]], [[0.7]])
-        base = synth.controller
-        k_cw = np.full((1, base.m_wt), 0.5)
-        k_cw[0, 0] = 1.0
-        c = ControllerModel(
-            kind="annihilation",
-            f_c=base.f_c,
-            g_cw=base.g_cw,
-            g_cy=base.g_cy,
-            h_c=base.h_c,
-            k_cw=k_cw,
-            k_cy=np.array([[0.3]]),
-        )
-        g_orig = gamma_cl(p, c)
-        p_mod, c_mod = modified_forms(p, c)
-        g_mod = gamma_cl(p_mod, c_mod)
-        share = share_w_tilde(p.m_w, c.m_wt)
-        for omega in np.linspace(-8.0, 8.0, 20):
-            got = tf_eval(g_mod, 1j * omega) @ share
-            want = tf_eval(g_orig, 1j * omega)
-            assert max_abs(got - want) <= 1e-9, (seed, omega)
-
-
-def test_modified_forms_drops_the_cost_feedthrough_through_k_cw() -> None:
-    # the folded controller has K_cw = 0, so the direct term D K_cw from
-    # W-tilde to the cost is lost when D != 0; adding it back restores the loop
-    p = random_pr_plant(2, 2, 1, 1, seed=17).with_cost(
-        CostOutput(c=[[0.4, -0.2]], d=[[0.5]])
-    )
-    c = synth_noise_annihilation([[-2.0]], [[0.3]], [[0.6]]).controller
-    assert max_abs(c.k_cw) > 0.0 and max_abs(c.k_cy) == 0.0
-    g_orig = gamma_cl(p, c)
-    g_mod = gamma_cl(*modified_forms(p, c))
-    share = share_w_tilde(p.m_w, c.m_wt)
-    dropped = np.zeros((1, p.m_w + c.m_wt), dtype=complex)
-    dropped[:, p.m_w :] = p.cost.d @ c.k_cw
-    for s in (0.0, 1j, -3j, 10j, 0.5 + 2j):
-        got = tf_eval(g_mod, s) @ share
-        want = tf_eval(g_orig, s)
-        assert max_abs(got + dropped - want) <= 1e-12, s
-        assert max_abs(got - want) == pytest.approx(0.5, abs=1e-12), s
+    c = synth_noise_annihilation([[-2.0]], np.array([[0.3]]), np.array([[0.6]])).controller
+    if feedthrough:
+        c = replace(c, k_cw=0.7 * c.k_cw, k_cy=np.array([[0.3]]))
+    g = gamma_cl(p, c)
+    for s in points:
+        np.testing.assert_allclose(tf_eval(g, s), loop_tf_oracle(p, c, s), atol=1e-9)
 
 
 # ---------------------------------------------------------------------------
-# general kind: closed loop and modified forms
+# general kind: closed loop
 
 GENERAL_K_CY = [np.zeros((2, 2)), delta_build([[0.3]], [[0.1]])]
 
@@ -384,29 +324,6 @@ def test_close_loop_general_kind_matches_transfer_loop_algebra(k_cy) -> None:
     for s in (0.3 + 0.7j, -0.2j, 2.0):
         want = loop_tf_oracle(p, c, s)[:, canonical]
         np.testing.assert_allclose(tf_eval(gamma_cl(p, c), s), want, atol=1e-10)
-
-
-@pytest.mark.parametrize("k_cy", GENERAL_K_CY)
-def test_modified_forms_general_kind_keeps_doubled_stacking(k_cy) -> None:
-    # the folded loop drops the cost feedthrough D K_cw, so the cost is strictly proper here
-    p, c = general_pair(k_cy)
-    p = p.with_cost(CostOutput(c=p.cost.c, d=np.zeros_like(p.cost.d)))
-    p_mod, c_mod = modified_forms(p, c)
-    m_w, m_wt = p.m_w, c.m_wt
-    assert p_mod.m_w == m_w + m_wt
-    assert is_doubled(p_mod.g_w) and is_doubled(p_mod.k)
-    np.testing.assert_array_equal(p_mod.k[:, m_w : m_w + m_wt], 0.0)
-    assert max_abs(c_mod.k_cw) == 0.0 and max_abs(c_mod.k_cy) == 0.0
-    # identify the plant's copy of W-tilde with the controller's, per half
-    half = np.zeros((m_w + 2 * m_wt, m_w + m_wt))
-    half[:m_w, :m_w] = np.eye(m_w)
-    half[m_w : m_w + m_wt, m_w:] = np.eye(m_wt)
-    half[m_w + m_wt :, m_w:] = np.eye(m_wt)
-    share = np.kron(np.eye(2), half)
-    for omega in (-3.0, 0.0, 0.5, 4.0):
-        got = tf_eval(gamma_cl(p_mod, c_mod), 1j * omega) @ share
-        want = tf_eval(gamma_cl(p, c), 1j * omega)
-        np.testing.assert_allclose(got, want, atol=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -586,6 +503,30 @@ def test_close_augmented_loop_channel_map(cavity_plant) -> None:
         "controller_unused": (2, 3),
     }
     assert loop.system.d.shape == (3, 3)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 4),
+    m_y=st.integers(1, 2),
+    extra_noise=st.integers(0, 1),
+    m_u=st.integers(1, 2),
+)
+def test_augmented_loop_certificate_holds_for_trivial_and_challengers(
+    seed, n, m_y, extra_noise, m_u
+) -> None:
+    p = random_pr_plant(n, m_y + extra_noise, m_u, m_y, seed=seed)
+    challengers = random_challengers(p, count=2, seed=seed)
+    for c in [trivial_controller(m_y, m_u), *challengers]:
+        loop = close_augmented_loop(p, c)
+        a, b, c_out, d = loop.system.a, loop.system.b, loop.system.c, loop.system.d
+        theta = loop.theta
+        lyap = a @ theta + theta @ dagger(a) + b @ dagger(b)
+        assert max_abs(lyap) <= 1e-10 * (1.0 + max_abs(a) * max_abs(theta) + max_abs(b) ** 2)
+        coupling = b + theta @ dagger(c_out) @ d
+        assert max_abs(coupling) <= 1e-10 * (1.0 + max_abs(b) + max_abs(theta) * max_abs(c_out))
+        assert max_abs(dagger(d) @ d - np.eye(d.shape[1])) <= 1e-10
 
 
 def test_complete_static_pr_zero_gain_fast_path(cavity_plant) -> None:

@@ -25,7 +25,7 @@ from qfeedback import (
     solve_lyapunov_hermitian,
     solve_sylvester,
 )
-from qfeedback.linalg import hermitian_basis, max_abs, real_columns
+from qfeedback.linalg import hermitian_basis, max_abs, real_lstsq
 
 
 def random_hermitian(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -349,11 +349,20 @@ def test_hermitian_basis_matches_looped_reference(n: int) -> None:
     np.testing.assert_array_equal(basis, np.array(looped_hermitian_basis(n)).reshape(basis.shape))
 
 
-def test_real_columns_stack_real_and_imaginary_parts() -> None:
-    basis = hermitian_basis(2)
-    h = np.array([[1.0, 2j]])
-    cols = real_columns(basis, basis @ h.conj().T)
+def test_real_lstsq_recovers_hermitian_coefficients() -> None:
+    basis = hermitian_basis(3)
+    h = np.array([[1.0, 2j, -1.0], [0.5, 0.0, 1j]])
+    coeffs = np.arange(9.0) - 4.0
+    known = np.tensordot(coeffs, basis, 1)
+    sol, residual, a_mat = real_lstsq(
+        [basis, basis @ h.conj().T], [known, known @ h.conj().T]
+    )
     for k, b in enumerate(basis):
         vec = np.concatenate([b.ravel(), (b @ h.conj().T).ravel()])
-        np.testing.assert_array_equal(cols[:, k], np.concatenate([vec.real, vec.imag]))
-    assert real_columns(hermitian_basis(0), np.zeros((0, 3))).shape == (6, 0)
+        np.testing.assert_array_equal(a_mat[:, k], np.concatenate([vec.real, vec.imag]))
+    np.testing.assert_allclose(sol, coeffs, rtol=0, atol=1e-12)
+    assert residual <= 1e-12
+    sol, residual, a_mat = real_lstsq(
+        [hermitian_basis(0), np.zeros((0, 3))], [np.zeros((0, 0)), np.ones(3)]
+    )
+    assert a_mat.shape == (6, 0) and sol.shape == (0,) and residual == 1.0

@@ -668,6 +668,30 @@ def complete_static_pr(p: PlantModel, k_cy) -> tuple[np.ndarray, np.ndarray] | N
     return k_cw, theta
 
 
+def _static_screen(p: PlantModel, k_stack: np.ndarray) -> np.ndarray:
+    """Lower bounds on ``complete_static_pr``'s residual for stacked gains K_cy (N, m_u, m_y).
+
+    Each bound is relative to that solve's scale, so a gain whose bound
+    exceeds RESIDUAL_TOL cannot be accepted; K_cy = 0 (no solve) gets 0.
+    The coupling rows Theta_a H^dagger = -(G_w[:, :m_y] + G_u K_cy) involve
+    neither S nor the folded F, so their span over Hermitian Theta_a is fixed
+    per plant.  A target's part off that span, in 2-norm over the square root
+    of its real row count, is at most the largest residual entry of any fit.
+    """
+    n = p.n_modes
+    targets = -(p.g_w[:, : p.m_y] + p.g_u @ k_stack)
+    g_fold = p.g_w + p.g_u @ k_stack @ p.k
+    scale = 1.0 + np.abs(g_fold).max(axis=(1, 2), initial=0.0) ** 2
+    scale += np.abs(targets).max(axis=(1, 2), initial=0.0)
+    images = (hermitian_basis(n) @ dagger(p.h)).reshape(n * n, n * p.m_y)
+    u, sigma, _ = np.linalg.svd(np.concatenate([images.real, images.imag], axis=1).T)
+    q = u[:, : np.count_nonzero(sigma > 0.0)]  # an extra direction only weakens the bound
+    vec = targets.reshape(len(k_stack), n * p.m_y)
+    b = np.concatenate([vec.real, vec.imag], axis=1).T
+    bound = np.linalg.norm(b - q @ (q.T @ b), axis=0) / np.sqrt(max(len(b), 1))
+    return np.where(np.abs(k_stack).max(axis=(1, 2), initial=0.0) == 0.0, 0.0, bound / scale)
+
+
 def random_pr_plant(
     n: int, m_w: int, m_u: int, m_y: int, seed: int, kind: str = "annihilation"
 ) -> PlantModel:

@@ -41,6 +41,19 @@ def two_port_cavity_plant(with_cost: bool = False) -> PlantModel:
     )
 
 
+def stateless_plant() -> PlantModel:
+    """A plant with no modes: the measurement is the noise field itself."""
+    return PlantModel(
+        kind="annihilation",
+        f=np.zeros((0, 0)),
+        g_w=np.zeros((0, 1)),
+        g_u=np.zeros((0, 1)),
+        h=np.zeros((1, 0)),
+        k=np.eye(1),
+        cost=CostOutput(c=np.zeros((1, 0)), d=np.zeros((1, 1))),
+    )
+
+
 def cavity_all_pass() -> StateSpaceTF:
     """State-space realization of the all-pass factor (s - 1)/(s + 1)."""
     return StateSpaceTF(

@@ -8,6 +8,8 @@ seeded plant families.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -33,7 +35,7 @@ from qfeedback import (
     verify_zero_gain,
 )
 
-from conftest import freq_response, random_unitary, two_port_cavity_plant
+from conftest import freq_response, random_unitary, stateless_plant, two_port_cavity_plant
 
 ROOT2 = np.sqrt(2.0)
 
@@ -225,19 +227,6 @@ def test_static_lqg_no_control_degenerate_pass() -> None:
     assert "degenerate" in report.narrative
 
 
-def stateless_plant() -> PlantModel:
-    """A plant with no modes: the measurement is the noise field itself."""
-    return PlantModel(
-        kind="annihilation",
-        f=np.zeros((0, 0)),
-        g_w=np.zeros((0, 1)),
-        g_u=np.zeros((0, 1)),
-        h=np.zeros((1, 0)),
-        k=np.eye(1),
-        cost=CostOutput(c=np.zeros((1, 0)), d=np.zeros((1, 1))),
-    )
-
-
 def test_theorems_on_a_stateless_plant() -> None:
     # n = 0: the Kalman covariance is 0 x 0, so there is no gain to speak of
     zero_gain = verify_zero_gain(stateless_plant(), [[0.0]], [[1.0]])
@@ -288,6 +277,88 @@ def test_static_lqg_20_seeded_plants() -> None:
         )
         report = verify_static_lqg(p, seed=1729 + seed, dynamic_count=20)
         assert report.holds, (seed, report.narrative)
+
+
+def unscreened_static_lqg(p: PlantModel, seed: int, dynamic_count: int):
+    """T5's sweep with the full completion run on every candidate gain.
+
+    Returns (holds, evidence, narrative) for a realizable plant with controls.
+    """
+    if p.m_u <= 2 and p.m_y <= 2:
+        grid = itertools.product((-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0), repeat=p.m_u * p.m_y)
+        gains = [np.array(combo, dtype=complex).reshape(p.m_u, p.m_y) for combo in grid]
+    else:
+        rng = np.random.default_rng(seed)
+        gains = [rng.uniform(-2.0, 2.0, size=(p.m_u, p.m_y)).astype(complex) for _ in range(64)]
+    max_gain = max_q_dev = 0.0
+    zero_gain_ok = True
+    best_static = np.inf
+    used = skipped = 0
+    for k_cy in gains:
+        completed = complete_static_pr(p, k_cy)
+        if completed is None:
+            skipped += 1
+            continue
+        k_cw, _ = completed
+        report = verify_zero_gain(p, k_cy, k_cw)
+        max_gain = max(max_gain, report.evidence["gain_norm"])
+        max_q_dev = max(max_q_dev, report.evidence["covariance_vs_certificate"])
+        zero_gain_ok = zero_gain_ok and report.holds
+        loop = close_loop(p, static_controller(k_cy, k_cw))
+        if loop.internally_stable:
+            best_static = min(best_static, lqg_cost(loop).value)
+            used += 1
+        else:
+            skipped += 1
+    best_dynamic = np.inf
+    dyn_used = dyn_skipped = 0
+    for ctrl in random_challengers(p, dynamic_count, seed + 1):
+        loop = close_loop(p, ctrl)
+        if loop.internally_stable:
+            best_dynamic = min(best_dynamic, lqg_cost(loop).value)
+            dyn_used += 1
+        else:
+            dyn_skipped += 1
+    evidence = {
+        "max_gain_norm": max_gain,
+        "max_covariance_dev": max_q_dev,
+        "best_static_cost": best_static,
+        "best_dynamic_cost": best_dynamic,
+        "static_used": float(used),
+        "static_skipped": float(skipped),
+        "dynamic_used": float(dyn_used),
+        "dynamic_skipped": float(dyn_skipped),
+    }
+    narrative = (
+        f"best static cost {best_static:.6g} vs best dynamic "
+        f"{best_dynamic:.6g} over {dyn_used} stable challengers; "
+        f"max Kalman gain {max_gain:.3g} across {used + skipped} candidate gains."
+    )
+    return zero_gain_ok and best_static <= best_dynamic + 1e-6, evidence, narrative
+
+
+# the five acceptance shapes and a 64-draw random-gain shape (m_u = 3)
+@pytest.mark.parametrize(
+    "shape", [(1, 1, 1, 1), (2, 2, 1, 1), (2, 2, 2, 2), (1, 2, 1, 1), (2, 3, 1, 2), (1, 3, 3, 1)]
+)
+def test_static_lqg_matches_the_unscreened_sweep(shape) -> None:
+    n, m_w, m_u, m_y = shape
+    rng = np.random.default_rng(29)
+    for seed in range(2):
+        p = random_pr_plant(n, m_w, m_u, m_y, seed=300 + seed).with_cost(
+            CostOutput(c=rng.standard_normal((1, n)), d=np.zeros((1, m_u)))
+        )
+        report = verify_static_lqg(p, seed=1729 + seed, dynamic_count=4)
+        holds, evidence, narrative = unscreened_static_lqg(p, 1729 + seed, 4)
+        assert (report.holds, report.narrative) == (holds, narrative)
+        assert report.evidence == evidence  # bit-identical, static_used/skipped included
+
+
+def test_static_lqg_cavity_matches_the_unscreened_sweep(cavity_plant_with_cost) -> None:
+    report = verify_static_lqg(cavity_plant_with_cost, seed=1729, dynamic_count=12)
+    holds, evidence, narrative = unscreened_static_lqg(cavity_plant_with_cost, 1729, 12)
+    assert (report.holds, report.narrative, report.evidence) == (holds, narrative, evidence)
+    assert evidence["static_used"] == 5.0  # c = -0.5 ... 2; c = -1, -2 admit no completion
 
 
 # ---------------------------------------------------------------------------

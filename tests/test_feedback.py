@@ -42,9 +42,19 @@ from qfeedback import (
     tf_eval,
     trivial_controller,
 )
-from qfeedback.coherent import random_admissible_triple
-from qfeedback.feedback import _identity_pad
-from qfeedback.linalg import dagger, doubling_permutation, is_doubled, max_abs
+from qfeedback.coherent import _static_gain_candidates, random_admissible_triple
+from qfeedback.feedback import _identity_pad, _static_screen
+from qfeedback.linalg import (
+    RESIDUAL_TOL,
+    dagger,
+    doubling_permutation,
+    hermitian_basis,
+    is_doubled,
+    max_abs,
+    real_lstsq,
+)
+
+from conftest import stateless_plant
 
 
 ROOT2 = np.sqrt(2.0)
@@ -550,6 +560,70 @@ def test_complete_static_pr_cavity_grid(cavity_plant) -> None:
 @pytest.mark.parametrize("c_val", [-1.0, -2.0])
 def test_complete_static_pr_infeasible_below_boundary(cavity_plant, c_val) -> None:
     assert complete_static_pr(cavity_plant, [[c_val]]) is None
+
+
+# the five acceptance shapes, a 64-draw random-gain shape (m_u = 3) and n = 0
+@pytest.mark.parametrize(
+    "shape",
+    [(1, 1, 1, 1), (2, 2, 1, 1), (2, 2, 2, 2), (1, 2, 1, 1), (2, 3, 1, 2)]
+    + [(1, 3, 3, 1), (0, 1, 1, 1)],
+)
+def test_static_screen_rejects_only_gains_the_completion_rejects(shape) -> None:
+    n, m_w, m_u, m_y = shape
+    for seed in range(3):
+        p = stateless_plant() if n == 0 else random_pr_plant(n, m_w, m_u, m_y, seed=900 + seed)
+        gains = _static_gain_candidates(m_u, m_y, 1729 + seed)
+        bounds = _static_screen(p, gains)
+        assert bounds.shape == (len(gains),)
+        rejected = bounds > RESIDUAL_TOL
+        for k_cy in gains[rejected]:
+            assert complete_static_pr(p, k_cy) is None, (shape, seed, k_cy)
+        assert not rejected[np.abs(gains).max(axis=(1, 2)) == 0.0].any()
+        if n * n < 2 * n * m_y:
+            # fewer Hermitian unknowns than real coupling rows: a random target is off the span
+            assert rejected.any(), (shape, seed)
+        if n == 0:
+            assert not rejected.any()
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 3),
+    m_y=st.integers(1, 2),
+    extra_noise=st.integers(0, 1),
+    m_u=st.integers(1, 3),
+    exponent=st.integers(-8, 0),
+)
+def test_static_screen_bound_is_below_the_full_residual(
+    seed, n, m_y, extra_noise, m_u, exponent
+) -> None:
+    # off-grid complex gains of magnitude 10^exponent against the full
+    # completion system, rebuilt here: Theta_a and S unknowns, certificate
+    # and coupling equations
+    p = random_pr_plant(n, m_y + extra_noise, m_u, m_y, seed=seed)
+    rng = np.random.default_rng(seed)
+    gains = 10.0**exponent * (
+        rng.uniform(-2.0, 2.0, (4, m_u, m_y)) + 1j * rng.uniform(-2.0, 2.0, (4, m_u, m_y))
+    )
+    basis_t, basis_s = hermitian_basis(n), hermitian_basis(m_u)
+    for k_cy, bound in zip(gains, _static_screen(p, gains)):
+        f_fold = p.f + p.g_u @ k_cy @ p.h
+        g_fold = p.g_w + p.g_u @ k_cy @ p.k
+        target = -(p.g_w[:, :m_y] + p.g_u @ k_cy)
+        _, residual, _ = real_lstsq(
+            [
+                np.concatenate(
+                    [f_fold @ basis_t + basis_t @ dagger(f_fold), p.g_u @ basis_s @ dagger(p.g_u)]
+                ),
+                np.concatenate(
+                    [basis_t @ dagger(p.h), np.zeros((m_u * m_u, n, m_y), dtype=complex)]
+                ),
+            ],
+            [-(g_fold @ dagger(g_fold)), target],
+        )
+        scale = 1.0 + max_abs(g_fold) ** 2 + max_abs(target)
+        assert bound * scale <= residual + 1e-12 * scale, (bound * scale, residual)
 
 
 def test_random_pr_plant_is_augmentable() -> None:

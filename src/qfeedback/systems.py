@@ -307,9 +307,8 @@ def _search_positive_definite(theta0, null_basis):
         return theta0
     if not null_basis or len(null_basis) > 2:
         return None
-    grids = [np.concatenate([np.linspace(-20.0, 20.0, 161)]) for _ in null_basis]
     if len(null_basis) == 1:
-        for t in grids[0]:
+        for t in np.linspace(-20.0, 20.0, 161):
             cand = theta0 + t * null_basis[0]
             if is_positive_definite(cand):
                 return cand

@@ -2,9 +2,9 @@
 
 The frequency-domain side of realizability lives here: (J,J)-unitarity for
 doubled-up systems, the lossless bounded real property for annihilation
-systems, and the H2/H-infinity norms used by the feedback analyses.  Each
-structural check runs an algebraic state-space prong and an independent
-sampled frequency prong and reports them separately.
+systems, and the H2/H-infinity norms used by the feedback analyses.  Both
+structural checks test Gamma~ S Gamma = S (S = J or I) by an algebraic
+prong and an independent sampled frequency prong, reported separately.
 """
 
 from __future__ import annotations
@@ -233,6 +233,37 @@ def minimal_realization(g: StateSpaceTF) -> StateSpaceTF:
     )
 
 
+def _signature_check(g, red, sig, tol, gate, x_ok) -> tuple[str, str, dict[str, float]]:
+    """Check Gamma~(s) S Gamma(s) = S: the core of both structure checks.
+
+    Algebraic prong: D^dagger S D = S and, on the realization ``red`` of
+    ``g``, the Hermitian X with A X + X A^dagger + B S B^dagger = 0 must
+    satisfy X C^dagger = -B S D^dagger and the form test ``x_ok(X)``.  An
+    unsolvable certificate equation makes the prong indeterminate, and a
+    non-None ``gate`` replaces it.  Sampled prong: the identity on ``g`` at
+    the grid frequencies.  Returns (algebraic, sampled, residuals).
+    """
+    residuals = {"feedthrough": max_abs(dagger(g.d) @ sig @ g.d - sig)}
+    feed_ok = residuals["feedthrough"] <= tol * (1.0 + max_abs(g.d) ** 2)
+    if gate is not None:
+        algebraic = gate
+    elif red.state_dim == 0:
+        algebraic = "pass" if feed_ok else "fail"
+    else:
+        try:
+            x = solve_lyapunov_hermitian(red.a, hermitian_part(red.b @ sig @ dagger(red.b)))
+        except SingularityError:
+            algebraic = "indeterminate"
+        else:
+            residuals["coupling"] = max_abs(x @ dagger(red.c) + red.b @ sig @ dagger(red.d))
+            scale = 1.0 + max_abs(red.b) + max_abs(x) * max_abs(red.c)
+            ok = feed_ok and residuals["coupling"] <= tol * scale and x_ok(x)
+            algebraic = "pass" if ok else "fail"
+    worst, used = _sample_worst(g, lambda v: np.abs(v.conj().swapaxes(1, 2) @ sig @ v - sig))
+    residuals["sampled"] = worst
+    return algebraic, "pass" if used and worst <= FREQ_TOL else "fail", residuals
+
+
 def jj_unitary_check(g: StateSpaceTF, half_io: int, tol: float = RESIDUAL_TOL) -> TransferCheck:
     """Check Gamma~(s) J Gamma(s) = J for a square doubled-dimension system.
 
@@ -247,37 +278,12 @@ def jj_unitary_check(g: StateSpaceTF, half_io: int, tol: float = RESIDUAL_TOL) -
             f"need square io of dimension {2 * half_io}, got "
             f"{g.output_dim} x {g.input_dim}"
         )
-    j = signature_matrix(half_io)
-    prongs: dict[str, str] = {}
-    residuals: dict[str, float] = {}
-
-    residuals["feedthrough"] = max_abs(dagger(g.d) @ j @ g.d - j)
-    feed_ok = residuals["feedthrough"] <= tol * (1.0 + max_abs(g.d) ** 2)
-
-    if g.state_dim == 0:
-        prongs["algebraic"] = "pass" if feed_ok else "fail"
-    elif not eig_sum_condition(g.a):
-        prongs["algebraic"] = "indeterminate"
-    else:
-        try:
-            x = solve_lyapunov_hermitian(g.a, hermitian_part(g.b @ j @ dagger(g.b)))
-        except SingularityError:
-            x = None
-        if x is None:
-            prongs["algebraic"] = "indeterminate"
-        else:
-            residuals["coupling"] = max_abs(x @ dagger(g.c) + g.b @ j @ dagger(g.d))
-            scale = 1.0 + max_abs(g.b) + max_abs(x) * max_abs(g.c)
-            prongs["algebraic"] = (
-                "pass" if feed_ok and residuals["coupling"] <= tol * scale else "fail"
-            )
-
-    worst, used = _sample_worst(g, lambda v: np.abs(v.conj().swapaxes(1, 2) @ j @ v - j))
-    residuals["sampled"] = worst
-    prongs["sampled"] = "pass" if used and worst <= FREQ_TOL else "fail"
-
-    verdict = prongs["algebraic"] == "pass" and prongs["sampled"] == "pass"
-    return TransferCheck(verdict=verdict, prongs=prongs, residuals=residuals)
+    gate = None if eig_sum_condition(g.a) else "indeterminate"
+    algebraic, sampled, residuals = _signature_check(
+        g, g, signature_matrix(half_io), tol, gate, lambda x: True
+    )
+    prongs = {"algebraic": algebraic, "sampled": sampled}
+    return TransferCheck(algebraic == sampled == "pass", prongs, residuals)
 
 
 def lossless_br_check(g: StateSpaceTF, tol: float = RESIDUAL_TOL) -> TransferCheck:
@@ -294,35 +300,12 @@ def lossless_br_check(g: StateSpaceTF, tol: float = RESIDUAL_TOL) -> TransferChe
             f"lossless check needs square io, got {g.output_dim} x {g.input_dim}"
         )
     red = g if is_minimal(g) else minimal_realization(g)
-    prongs: dict[str, str] = {}
-    residuals: dict[str, float] = {}
-
     stable = red.state_dim == 0 or is_hurwitz(red.a)
-    prongs["stability"] = "pass" if stable else "fail"
-
-    residuals["feedthrough"] = max_abs(dagger(g.d) @ g.d - np.eye(g.input_dim))
-    feed_ok = residuals["feedthrough"] <= tol * (1.0 + max_abs(g.d) ** 2)
-
-    if not stable:
-        prongs["algebraic"] = "fail"
-    elif red.state_dim == 0:
-        prongs["algebraic"] = "pass" if feed_ok else "fail"
-    else:
-        x = solve_lyapunov_hermitian(red.a, hermitian_part(red.b @ dagger(red.b)))
-        residuals["coupling"] = max_abs(x @ dagger(red.c) + red.b @ dagger(g.d))
-        scale = 1.0 + max_abs(red.b) + max_abs(x) * max_abs(red.c)
-        coup_ok = residuals["coupling"] <= tol * scale
-        prongs["algebraic"] = (
-            "pass" if feed_ok and coup_ok and is_positive_definite(x) else "fail"
-        )
-
-    eye = np.eye(g.input_dim)
-    worst, used = _sample_worst(g, lambda v: np.abs(v.conj().swapaxes(1, 2) @ v - eye))
-    residuals["sampled"] = worst
-    prongs["sampled"] = "pass" if used and worst <= FREQ_TOL else "fail"
-
-    verdict = all(prongs[p] == "pass" for p in ("stability", "algebraic", "sampled"))
-    return TransferCheck(verdict=verdict, prongs=prongs, residuals=residuals)
+    algebraic, sampled, residuals = _signature_check(
+        g, red, np.eye(g.input_dim), tol, None if stable else "fail", is_positive_definite
+    )
+    prongs = {"stability": "pass" if stable else "fail", "algebraic": algebraic, "sampled": sampled}
+    return TransferCheck(all(v == "pass" for v in prongs.values()), prongs, residuals)
 
 
 def h2_norm(g: StateSpaceTF) -> NormResult:

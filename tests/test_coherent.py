@@ -289,7 +289,8 @@ def unscreened_static_lqg(p: PlantModel, seed: int, dynamic_count: int):
         gains = [np.array(combo, dtype=complex).reshape(p.m_u, p.m_y) for combo in grid]
     else:
         rng = np.random.default_rng(seed)
-        gains = [rng.uniform(-2.0, 2.0, size=(p.m_u, p.m_y)).astype(complex) for _ in range(64)]
+        gains = [np.zeros((p.m_u, p.m_y), dtype=complex)]
+        gains += [rng.uniform(-2.0, 2.0, size=(p.m_u, p.m_y)).astype(complex) for _ in range(64)]
     max_gain = max_q_dev = 0.0
     zero_gain_ok = True
     best_static = np.inf
@@ -354,6 +355,20 @@ def test_static_lqg_matches_the_unscreened_sweep(shape) -> None:
         assert report.evidence == evidence  # bit-identical, static_used/skipped included
 
 
+@pytest.mark.parametrize("shape", [(1, 3, 3, 1), (2, 3, 1, 3), (3, 3, 3, 3), (1, 3, 1, 3)])
+def test_static_lqg_holds_beyond_the_gain_grid(shape) -> None:
+    # m_u or m_y above 2 sweeps random gains; K_cy = 0 leads them and always completes
+    n, m_w, m_u, m_y = shape
+    rng = np.random.default_rng(31)
+    for seed in range(3):
+        p = random_pr_plant(n, m_w, m_u, m_y, seed=400 + seed).with_cost(
+            CostOutput(c=rng.standard_normal((1, n)), d=np.zeros((1, m_u)))
+        )
+        report = verify_static_lqg(p, seed=1729 + seed, dynamic_count=4)
+        assert report.holds, (seed, report.narrative)
+        assert report.evidence["static_used"] >= 1.0
+
+
 def test_static_lqg_cavity_matches_the_unscreened_sweep(cavity_plant_with_cost) -> None:
     report = verify_static_lqg(cavity_plant_with_cost, seed=1729, dynamic_count=12)
     holds, evidence, narrative = unscreened_static_lqg(cavity_plant_with_cost, 1729, 12)
@@ -380,6 +395,13 @@ def test_trivial_hinf_rejects_bad_selector(cavity_plant) -> None:
         verify_trivial_hinf(cavity_plant, [[0.5, 0.5]], [])
     with pytest.raises(DomainError):
         verify_trivial_hinf(cavity_plant, [[1.0, 1.0]], [])
+
+
+@pytest.mark.parametrize("selector", [[[1.0 + 1.0j, 0.0]], [[1.0, 0.5j]]])
+def test_trivial_hinf_rejects_complex_selector(selector) -> None:
+    p = random_pr_plant(1, 1, 1, 1, seed=3)
+    with pytest.raises(DomainError):
+        verify_trivial_hinf(p, selector, random_challengers(p, count=2, seed=3))
 
 
 def test_trivial_hinf_non_realizable_plant_is_skipped() -> None:

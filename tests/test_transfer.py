@@ -37,7 +37,16 @@ from qfeedback import (
     tf_eval,
 )
 from qfeedback import transfer
-from qfeedback.linalg import FREQ_TOL, SPECTRAL_GAP_TOL
+from qfeedback.linalg import (
+    FREQ_TOL,
+    RESIDUAL_TOL,
+    SPECTRAL_GAP_TOL,
+    dagger,
+    hermitian_part,
+    max_abs,
+    solve_lyapunov_hermitian,
+)
+from qfeedback.systems import eig_sum_condition, is_hurwitz, is_positive_definite
 from qfeedback.transfer import (
     _BLOCK_ENTRIES,
     _freq_response,
@@ -357,6 +366,136 @@ def test_lossless_forward_and_perturbed_families() -> None:
         b[0, 0] += 1e-2
         g = StateSpaceTF(a=s.f, b=b, c=s.h, d=s.k)
         assert not lossless_br_check(g).verdict, seed
+
+
+def test_jj_unitary_imaginary_axis_pair_is_indeterminate() -> None:
+    # lambda = i and -i give lambda_1 + conj(lambda_2) = 0: the certificate is not unique
+    g = StateSpaceTF(a=np.diag([1j, -1j]), b=np.zeros((2, 2)), c=np.zeros((2, 2)), d=np.eye(2))
+    check = jj_unitary_check(g, half_io=1)
+    assert check.prongs == {"algebraic": "indeterminate", "sampled": "pass"}
+    assert not check.verdict
+    assert "coupling" not in check.residuals
+
+
+def _unitary_prong(g: StateSpaceTF, sig: np.ndarray) -> tuple[float, str]:
+    worst, used = _sample_worst(g, lambda v: np.abs(v.conj().swapaxes(1, 2) @ sig @ v - sig))
+    return worst, "pass" if used and worst <= FREQ_TOL else "fail"
+
+
+def _reference_jj(g: StateSpaceTF, half_io: int, tol: float = RESIDUAL_TOL):
+    """The (J,J)-unitary check written out on its own, as before the shared core."""
+    j = signature_matrix(half_io)
+    prongs, residuals = {}, {}
+    residuals["feedthrough"] = max_abs(dagger(g.d) @ j @ g.d - j)
+    feed_ok = residuals["feedthrough"] <= tol * (1.0 + max_abs(g.d) ** 2)
+    if g.state_dim == 0:
+        prongs["algebraic"] = "pass" if feed_ok else "fail"
+    elif not eig_sum_condition(g.a):
+        prongs["algebraic"] = "indeterminate"
+    else:
+        try:
+            x = solve_lyapunov_hermitian(g.a, hermitian_part(g.b @ j @ dagger(g.b)))
+        except SingularityError:
+            x = None
+        if x is None:
+            prongs["algebraic"] = "indeterminate"
+        else:
+            residuals["coupling"] = max_abs(x @ dagger(g.c) + g.b @ j @ dagger(g.d))
+            scale = 1.0 + max_abs(g.b) + max_abs(x) * max_abs(g.c)
+            ok = feed_ok and residuals["coupling"] <= tol * scale
+            prongs["algebraic"] = "pass" if ok else "fail"
+    residuals["sampled"], prongs["sampled"] = _unitary_prong(g, j)
+    verdict = prongs["algebraic"] == "pass" and prongs["sampled"] == "pass"
+    return verdict, prongs, residuals
+
+
+def _reference_lossless(g: StateSpaceTF, tol: float = RESIDUAL_TOL):
+    """The lossless bounded real check written out on its own, as before the shared core."""
+    red = g if is_minimal(g) else minimal_realization(g)
+    prongs, residuals = {}, {}
+    stable = red.state_dim == 0 or is_hurwitz(red.a)
+    prongs["stability"] = "pass" if stable else "fail"
+    residuals["feedthrough"] = max_abs(dagger(g.d) @ g.d - np.eye(g.input_dim))
+    feed_ok = residuals["feedthrough"] <= tol * (1.0 + max_abs(g.d) ** 2)
+    if not stable:
+        prongs["algebraic"] = "fail"
+    elif red.state_dim == 0:
+        prongs["algebraic"] = "pass" if feed_ok else "fail"
+    else:
+        x = solve_lyapunov_hermitian(red.a, hermitian_part(red.b @ dagger(red.b)))
+        residuals["coupling"] = max_abs(x @ dagger(red.c) + red.b @ dagger(g.d))
+        scale = 1.0 + max_abs(red.b) + max_abs(x) * max_abs(red.c)
+        ok = feed_ok and residuals["coupling"] <= tol * scale and is_positive_definite(x)
+        prongs["algebraic"] = "pass" if ok else "fail"
+    residuals["sampled"], prongs["sampled"] = _unitary_prong(g, np.eye(g.input_dim))
+    verdict = all(prongs[p] == "pass" for p in ("stability", "algebraic", "sampled"))
+    return verdict, prongs, residuals
+
+
+def _signature_family():
+    """Systems reaching every gate of both checks: stable, unstable, perturbed B,
+    hidden states, stateless, general with and without perturbation, an
+    imaginary-axis eigenvalue pair and a near-singular certificate."""
+    rng = np.random.default_rng(61)
+    family = []
+    for seed in range(4):
+        n, m = 1 + seed % 3, 1 + seed % 2
+        s = random_pr_system(n, m, seed=seed, kind="annihilation", hurwitz_required=True)
+        b = s.g.copy()
+        b[0, 0] += 1e-2
+        k = 1 + seed % 2
+        hidden = StateSpaceTF(
+            np.block([[s.f, np.zeros((n, k))], [np.zeros((k, n)), -2.0 * np.eye(k)]]),
+            np.vstack([s.g, np.zeros((k, m))]),
+            np.hstack([s.h, rng.standard_normal((m, k))]),
+            s.k,
+        )
+        q = random_unitary(rng, 2 * m)
+        family += [
+            StateSpaceTF.from_system(s),  # stable
+            StateSpaceTF(-s.f, s.g, s.h, s.k),  # unstable
+            StateSpaceTF(s.f, b, s.h, s.k),  # perturbed B
+            hidden,  # hidden states
+        ]
+        for d in (q, 2 * q, signature_matrix(m)):  # stateless
+            family.append(
+                StateSpaceTF(np.zeros((0, 0)), np.zeros((0, 2 * m)), np.zeros((2 * m, 0)), d)
+            )
+        sg = random_pr_system(n, m, seed=seed, kind="general")
+        bg = sg.g.copy()
+        bg[0, 0] += 1e-2
+        family += [StateSpaceTF.from_system(sg), StateSpaceTF(sg.f, bg, sg.h, sg.k)]
+        b_axis = rng.standard_normal((2, 2)) * (seed % 2)  # imaginary-axis pair, coupled or not
+        family.append(StateSpaceTF((1 + seed) * np.diag([1j, -1j]), b_axis, b_axis.T, np.eye(2)))
+    # all-pass with a weakly controllable mode: its Gramian X fails the definiteness cut
+    b_weak = np.diag([1.0, 1e-5])
+    family.append(StateSpaceTF(-np.eye(2), b_weak, -np.diag([2.0, 2e5]), np.eye(2)))
+    return family
+
+
+def test_signature_checks_match_the_separate_references() -> None:
+    gates = set()
+    for g in _signature_family():
+        check = lossless_br_check(g)
+        assert (check.verdict, check.prongs, check.residuals) == _reference_lossless(g)
+        gates.add(("lossless", *check.prongs.values(), "coupling" in check.residuals))
+        if g.input_dim % 2 == 0:
+            half = g.input_dim // 2
+            check = jj_unitary_check(g, half_io=half)
+            assert (check.verdict, check.prongs, check.residuals) == _reference_jj(g, half)
+            gates.add(("jj", *check.prongs.values(), "coupling" in check.residuals))
+    assert {
+        ("lossless", "pass", "pass", "pass", True),  # stable all-pass
+        ("lossless", "pass", "pass", "pass", False),  # stateless unitary
+        ("lossless", "pass", "fail", "fail", True),  # perturbed B
+        ("lossless", "pass", "fail", "pass", True),  # certificate form test
+        ("lossless", "fail", "fail", "fail", False),  # unstable gate
+        ("jj", "pass", "pass", True),  # general realizable
+        ("jj", "fail", "fail", True),  # perturbed B
+        ("jj", "pass", "pass", False),  # stateless J-unitary
+        ("jj", "indeterminate", "pass", False),  # eigenvalue-sum gate
+        ("jj", "indeterminate", "fail", False),
+    } <= gates
 
 
 # ---------------------------------------------------------------------------

@@ -22,12 +22,12 @@ from .errors import (
     DomainError,
     InstabilityError,
     NotAugmentableError,
-    NotRealizableError,
 )
 from .feedback import (
     ClosedLoop,
     ControllerModel,
     PlantModel,
+    _canonical_controller,
     _check_loop_dims,
     _identity_pad,
     _static_fold,
@@ -37,7 +37,6 @@ from .feedback import (
     close_loop,
     complete_static_pr,
     static_controller,
-    synth_noise_annihilation,
     trivial_controller,
 )
 from .linalg import (
@@ -50,6 +49,7 @@ from .linalg import (
     max_abs,
     solve_care_hermitian,
 )
+from .systems import HamiltonianCoupling, _certificate_defect, _random_complex, realize_annihilation
 from .transfer import (
     NormResult,
     StateSpaceTF,
@@ -57,7 +57,6 @@ from .transfer import (
     _sigma_max,
     h2_norm,
     hinf_norm,
-    lossless_br_check,
 )
 
 STATIC_GAIN_GRID = (-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0)
@@ -233,6 +232,12 @@ def lqg_cost(cl: ClosedLoop) -> NormResult:
     return h2_norm(cl.system)
 
 
+def _least_stable_cost(loops: list[ClosedLoop]) -> tuple[float, int]:
+    """Least LQG cost over the internally stable loops (inf if none), and their count."""
+    costs = [lqg_cost(loop).value for loop in loops if loop.internally_stable]
+    return min(costs, default=np.inf), len(costs)
+
+
 def _static_gain_candidates(m_u: int, m_y: int, seed: int) -> np.ndarray:
     """The documented static K_cy sweep, stacked (N, m_u, m_y).
 
@@ -268,20 +273,24 @@ def random_admissible_triple(
 
 
 def random_challengers(p: PlantModel, count: int, seed: int) -> list[ControllerModel]:
-    """Seeded realizable dynamic controllers (1 or 2 states) compatible with a plant."""
+    """``count`` seeded realizable dynamic controllers (1 or 2 states) for a plant.
+
+    Each realizes Theta_c = I, a random Hermitian M and a coupling N stacking
+    random m_u rows (H_c), -sqrt(2) I on n_c extra noise channels and random
+    m_y rows.  Then F_c + F_c^dagger + H_c^dagger H_c + G_cy G_cy^dagger + I
+    = -I: each challenger is realizable, stabilizes every Hurwitz plant and
+    is strictly admissible for ``synth_noise_annihilation``.
+    """
     rng = np.random.default_rng(seed)
     out: list[ControllerModel] = []
-    attempts = 0
-    while len(out) < count and attempts < 20 * count + 20:
-        attempts += 1
+    for _ in range(count):
         n_c = int(rng.integers(1, 3))
-        f_c, g_cy, h_c = random_admissible_triple(rng, n_c, p.m_y, p.m_u)
-        for _ in range(6):
-            try:
-                out.append(synth_noise_annihilation(f_c, g_cy, h_c).controller)
-                break
-            except NotRealizableError:
-                g_cy = 0.5 * g_cy
+        m = hermitian_part(_random_complex(rng, n_c, n_c))
+        h_c = _random_complex(rng, p.m_u, n_c)
+        n_coupling = np.vstack([h_c, -np.sqrt(2.0) * np.eye(n_c), _random_complex(rng, p.m_y, n_c)])
+        s = realize_annihilation(HamiltonianCoupling(np.eye(n_c), m, n_coupling, "annihilation"))
+        m_wt = p.m_u + n_c
+        out.append(_canonical_controller("annihilation", s.f, s.g[:, :m_wt], s.g[:, m_wt:], h_c))
     return out
 
 
@@ -329,35 +338,24 @@ def verify_static_lqg(
     max_gain = 0.0
     max_q_dev = 0.0
     zero_gain_ok = True
-    best_static = np.inf
-    used = skipped = 0
+    static_loops = []
     candidates = _static_gain_candidates(p.m_u, p.m_y, seed)
     for k_cy, bound in zip(candidates, _static_screen(p, candidates)):
         completed = complete_static_pr(p, k_cy) if bound <= RESIDUAL_TOL else None
         if completed is None:
-            skipped += 1
             continue
         k_cw, _ = completed
         report = verify_zero_gain(p, k_cy, k_cw)
         max_gain = max(max_gain, report.evidence["gain_norm"])
         max_q_dev = max(max_q_dev, report.evidence["covariance_vs_certificate"])
         zero_gain_ok = zero_gain_ok and report.holds
-        loop = close_loop(p, static_controller(k_cy, k_cw))
-        if loop.internally_stable:
-            best_static = min(best_static, lqg_cost(loop).value)
-            used += 1
-        else:
-            skipped += 1
+        static_loops.append(close_loop(p, static_controller(k_cy, k_cw)))
+    best_static, used = _least_stable_cost(static_loops)
+    skipped = len(candidates) - used
 
-    best_dynamic = np.inf
-    dyn_used = dyn_skipped = 0
-    for ctrl in random_challengers(p, dynamic_count, seed + 1):
-        loop = close_loop(p, ctrl)
-        if loop.internally_stable:
-            best_dynamic = min(best_dynamic, lqg_cost(loop).value)
-            dyn_used += 1
-        else:
-            dyn_skipped += 1
+    dynamic_loops = [close_loop(p, c) for c in random_challengers(p, dynamic_count, seed + 1)]
+    best_dynamic, dyn_used = _least_stable_cost(dynamic_loops)
+    dyn_skipped = len(dynamic_loops) - dyn_used
 
     cost_ok = best_static <= best_dynamic + 1e-6
     holds = zero_gain_ok and cost_ok
@@ -408,8 +406,12 @@ def verify_trivial_hinf(
 
     Every realizable controller closes an all-pass augmented loop, so the
     selected cost rows have H-infinity norm exactly 1 for the trivial
-    controller and every challenger alike.  Challengers that fail their own
-    realizability completion are reported as skipped, not as refutations.
+    controller and every challenger alike.  Each loop counts as lossless when
+    it is internally stable and its own certificate diag(Theta_p, Theta_c)
+    passes the realizability check's residual tests with S = D and
+    D^dagger D = I (the lossless bounded-real lemma).  Challengers that fail
+    their own realizability completion are reported as skipped, not as
+    refutations.
     """
     if p.kind != "annihilation":
         raise DomainError("trivial-controller verification is annihilation-kind only")
@@ -426,7 +428,7 @@ def verify_trivial_hinf(
     for label, ctrl in entries:
         try:
             acl = close_augmented_loop(p, ctrl)
-        except (NotAugmentableError, NotRealizableError, DimensionError) as exc:
+        except (NotAugmentableError, DimensionError) as exc:
             if label == "trivial" and isinstance(exc, NotAugmentableError):
                 return TheoremReport(
                     theorem="T6",
@@ -441,7 +443,10 @@ def verify_trivial_hinf(
         pad[:, : l_select.shape[1]] = l_select
         selected = StateSpaceTF(full.a, full.b, pad @ full.c, pad @ full.d)
         norms.append(hinf_norm(selected).value)
-        lossless_ok &= lossless_br_check(full).verdict
+        q = hermitian_part(full.b @ dagger(full.b))
+        feed = max_abs(dagger(full.d) @ full.d - np.eye(full.input_dim))
+        defect = _certificate_defect(full.a, full.b, full.c, full.d, q, acl.theta, {}, RESIDUAL_TOL)
+        lossless_ok &= acl.internally_stable and feed <= RESIDUAL_TOL and defect is None
         pointwise.append(_sample_worst(selected, sigma_dev)[0])
 
     worst_norm = max(abs(v - 1.0) for v in norms) if norms else np.inf

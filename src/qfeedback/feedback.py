@@ -163,6 +163,14 @@ class ControllerModel(_LayoutModel):
     k_cy: np.ndarray
 
 
+def _canonical_controller(kind: str, f_c, g_cw, g_cy, h_c) -> ControllerModel:
+    """A controller with the identity-pattern feedthrough K_cw = [I, 0], K_cy = 0."""
+    d = _doubling(kind)
+    k_cw = _identity_pattern(kind, h_c.shape[0] // d, g_cw.shape[1] // d)
+    k_cy = np.zeros((h_c.shape[0], g_cy.shape[1]))
+    return ControllerModel(kind=kind, f_c=f_c, g_cw=g_cw, g_cy=g_cy, h_c=h_c, k_cw=k_cw, k_cy=k_cy)
+
+
 def trivial_controller(m_y: int, m_u: int) -> ControllerModel:
     """The static controller dU = dW-tilde (annihilation kind, n_c = 0)."""
     return static_controller(np.zeros((m_u, m_y)), _identity_pad(m_u, m_u))
@@ -425,16 +433,8 @@ def synth_noise_annihilation(f_c, g_cy, h_c, rel_tol: float = 1e-6) -> Synthesis
         g_cwb = split.positive_factor
 
     r = g_cwb.shape[1]
-    g_cwa = -theta @ dagger(h_c)
-    controller = ControllerModel(
-        kind="annihilation",
-        f_c=f_c,
-        g_cw=np.hstack([g_cwa, g_cwb]),
-        g_cy=g_cy,
-        h_c=h_c,
-        k_cw=_identity_pad(m_u, m_u + r),
-        k_cy=np.zeros((m_u, m_y)),
-    )
+    g_cw = np.hstack([-theta @ dagger(h_c), g_cwb])
+    controller = _canonical_controller("annihilation", f_c, g_cw, g_cy, h_c)
     return SynthesisResult(
         controller=controller,
         theta=theta,
@@ -492,23 +492,12 @@ def synth_noise_general(f_c, g_cy, h_c, theta) -> SynthesisResult:
     r = max(g_cw1b.shape[1], r_pos)
     if g_cw1b.shape[1] < r:
         g_cw1b = np.hstack([g_cw1b, np.zeros((2 * n_c, r - g_cw1b.shape[1]), dtype=complex)])
-    swap = np.vstack([g_cw1b[n_c:].conj(), g_cw1b[:n_c].conj()])
-    g_cw2b = swap
+    g_cw2b = np.vstack([g_cw1b[n_c:].conj(), g_cw1b[:n_c].conj()])
 
     g_cw1a = -theta @ dagger(h_c1)
     g_cw2a = theta @ dagger(h_c2)
     g_cw = np.hstack([g_cw1a, g_cw1b, g_cw2a, g_cw2b])
-    m_wt = m_u + r
-
-    controller = ControllerModel(
-        kind="general",
-        f_c=f_c,
-        g_cw=g_cw,
-        g_cy=g_cy,
-        h_c=h_c,
-        k_cw=_identity_pattern("general", m_u, m_wt),
-        k_cy=np.zeros((2 * m_u, 2 * m_y)),
-    )
+    controller = _canonical_controller("general", f_c, g_cw, g_cy, h_c)
     zero = max_abs(m_defect) <= RESIDUAL_TOL * (1.0 + max_abs(theta))
     return SynthesisResult(
         controller=controller, theta=theta, extra_channels=r, zero_noise=zero

@@ -10,6 +10,7 @@ live here.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Callable, ClassVar, NamedTuple
 
@@ -265,6 +266,21 @@ def _coupling_residual(g, theta, h, sig) -> float:
     return max_abs(g + theta @ dagger(h) @ sig)
 
 
+def _certificate_defect(f, g, h, sig, q, theta, residuals, tol) -> str | None:
+    """First of F Theta + Theta F^dagger + Q = 0 and G = -Theta H^dagger S to fail, or None.
+
+    The residuals go into ``residuals``, against tol * (1 + |Q|) and
+    tol * (1 + |G| + |Theta| |H|).
+    """
+    residuals["lyapunov"] = max_abs(f @ theta + theta @ dagger(f) + q)
+    if residuals["lyapunov"] > tol * (1.0 + max_abs(q)):
+        return "lyapunov"
+    residuals["coupling"] = _coupling_residual(g, theta, h, sig)
+    if residuals["coupling"] > tol * (1.0 + max_abs(g) + max_abs(theta) * max_abs(h)):
+        return "coupling"
+    return None
+
+
 def _certificate_family_annihilation(f, g, h):
     """Affine family of Hermitian Theta solving both certificate equations.
 
@@ -307,18 +323,13 @@ def _search_positive_definite(theta0, null_basis):
         return theta0
     if not null_basis or len(null_basis) > 2:
         return None
-    if len(null_basis) == 1:
-        for t in np.linspace(-20.0, 20.0, 161):
-            cand = theta0 + t * null_basis[0]
-            if is_positive_definite(cand):
-                return cand
-    else:
-        coarse = np.linspace(-10.0, 10.0, 41)
-        for t1 in coarse:
-            for t2 in coarse:
-                cand = theta0 + t1 * null_basis[0] + t2 * null_basis[1]
-                if is_positive_definite(cand):
-                    return cand
+    grid = np.linspace(-20.0, 20.0, 161) if len(null_basis) == 1 else np.linspace(-10.0, 10.0, 41)
+    for steps in itertools.product(grid, repeat=len(null_basis)):
+        cand = theta0
+        for t, direction in zip(steps, null_basis):
+            cand = cand + t * direction
+        if is_positive_definite(cand):
+            return cand
     return None
 
 
@@ -351,14 +362,9 @@ def _check_certificate(s, sig, tol, form_defect, fallback=None) -> PrVerdict:
     except SingularityError:
         return _indeterminate(residuals)
 
-    residuals["lyapunov"] = max_abs(f @ theta + theta @ dagger(f) + q)
-    if residuals["lyapunov"] > tol * (1.0 + max_abs(q)):
-        return PrVerdict(False, None, residuals, "lyapunov")
-
-    residuals["coupling"] = _coupling_residual(g, theta, h, sig)
-    scale = 1.0 + max_abs(g) + max_abs(theta) * max_abs(h)
-    if residuals["coupling"] > tol * scale:
-        return PrVerdict(False, None, residuals, "coupling")
+    failed = _certificate_defect(f, g, h, sig, q, theta, residuals, tol)
+    if failed:
+        return PrVerdict(False, None, residuals, failed)
 
     defect = form_defect(theta)
     if defect is not None:
@@ -391,13 +397,9 @@ def _family_fallback(s, q, residuals, tol) -> PrVerdict:
     if theta is None:
         residuals["certificate_family"] = family_residual
         return _indeterminate(residuals)
-    residuals["lyapunov"] = max_abs(f @ theta + theta @ dagger(f) + q)
-    residuals["coupling"] = _coupling_residual(g, theta, h, np.eye(s.m_fields))
-    ok = residuals["lyapunov"] <= tol * (1.0 + max_abs(q)) and residuals[
-        "coupling"
-    ] <= tol * (1.0 + max_abs(g) + max_abs(theta) * max_abs(h))
-    if not ok:
-        return PrVerdict(False, None, residuals, "coupling")
+    failed = _certificate_defect(f, g, h, np.eye(s.m_fields), q, theta, residuals, tol)
+    if failed:
+        return PrVerdict(False, None, residuals, failed)
     return PrVerdict(True, theta, residuals, None)
 
 

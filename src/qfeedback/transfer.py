@@ -33,7 +33,7 @@ from .linalg import (
     signature_matrix,
     solve_lyapunov_hermitian,
 )
-from .systems import eig_sum_condition, is_hurwitz, is_positive_definite
+from .systems import eig_sum_condition, is_hurwitz
 
 
 @dataclass(frozen=True)
@@ -233,15 +233,15 @@ def minimal_realization(g: StateSpaceTF) -> StateSpaceTF:
     )
 
 
-def _signature_check(g, red, sig, tol, gate, x_ok) -> tuple[str, str, dict[str, float]]:
+def _signature_check(g, red, sig, tol, gate) -> tuple[str, str, dict[str, float]]:
     """Check Gamma~(s) S Gamma(s) = S: the core of both structure checks.
 
     Algebraic prong: D^dagger S D = S and, on the realization ``red`` of
     ``g``, the Hermitian X with A X + X A^dagger + B S B^dagger = 0 must
-    satisfy X C^dagger = -B S D^dagger and the form test ``x_ok(X)``.  An
-    unsolvable certificate equation makes the prong indeterminate, and a
-    non-None ``gate`` replaces it.  Sampled prong: the identity on ``g`` at
-    the grid frequencies.  Returns (algebraic, sampled, residuals).
+    satisfy X C^dagger = -B S D^dagger.  An unsolvable certificate equation
+    makes the prong indeterminate, and a non-None ``gate`` replaces it.
+    Sampled prong: the identity on ``g`` at the grid frequencies.  Returns
+    (algebraic, sampled, residuals).
     """
     residuals = {"feedthrough": max_abs(dagger(g.d) @ sig @ g.d - sig)}
     feed_ok = residuals["feedthrough"] <= tol * (1.0 + max_abs(g.d) ** 2)
@@ -257,7 +257,7 @@ def _signature_check(g, red, sig, tol, gate, x_ok) -> tuple[str, str, dict[str, 
         else:
             residuals["coupling"] = max_abs(x @ dagger(red.c) + red.b @ sig @ dagger(red.d))
             scale = 1.0 + max_abs(red.b) + max_abs(x) * max_abs(red.c)
-            ok = feed_ok and residuals["coupling"] <= tol * scale and x_ok(x)
+            ok = feed_ok and residuals["coupling"] <= tol * scale
             algebraic = "pass" if ok else "fail"
     worst, used = _sample_worst(g, lambda v: np.abs(v.conj().swapaxes(1, 2) @ sig @ v - sig))
     residuals["sampled"] = worst
@@ -279,9 +279,7 @@ def jj_unitary_check(g: StateSpaceTF, half_io: int, tol: float = RESIDUAL_TOL) -
             f"{g.output_dim} x {g.input_dim}"
         )
     gate = None if eig_sum_condition(g.a) else "indeterminate"
-    algebraic, sampled, residuals = _signature_check(
-        g, g, signature_matrix(half_io), tol, gate, lambda x: True
-    )
+    algebraic, sampled, residuals = _signature_check(g, g, signature_matrix(half_io), tol, gate)
     prongs = {"algebraic": algebraic, "sampled": sampled}
     return TransferCheck(algebraic == sampled == "pass", prongs, residuals)
 
@@ -291,9 +289,10 @@ def lossless_br_check(g: StateSpaceTF, tol: float = RESIDUAL_TOL) -> TransferChe
 
     Non-minimal realizations are first reduced exactly, since the property
     belongs to the transfer function.  Prongs: (i) stability of the reduced
-    state matrix, (ii) algebraic: Hermitian X > 0 with
+    state matrix, (ii) algebraic: Hermitian X with
     A X + X A^dagger + B B^dagger = 0, X C^dagger = -B D^dagger and
-    D^dagger D = I, (iii) sampled unitarity on the frequency grid.
+    D^dagger D = I (X > 0 follows from minimality and stability), (iii)
+    sampled unitarity on the frequency grid.
     """
     if g.input_dim != g.output_dim:
         raise DimensionError(
@@ -302,7 +301,7 @@ def lossless_br_check(g: StateSpaceTF, tol: float = RESIDUAL_TOL) -> TransferChe
     red = g if is_minimal(g) else minimal_realization(g)
     stable = red.state_dim == 0 or is_hurwitz(red.a)
     algebraic, sampled, residuals = _signature_check(
-        g, red, np.eye(g.input_dim), tol, None if stable else "fail", is_positive_definite
+        g, red, np.eye(g.input_dim), tol, None if stable else "fail"
     )
     prongs = {"stability": "pass" if stable else "fail", "algebraic": algebraic, "sampled": sampled}
     return TransferCheck(all(v == "pass" for v in prongs.values()), prongs, residuals)

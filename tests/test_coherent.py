@@ -9,9 +9,12 @@ seeded plant families.
 from __future__ import annotations
 
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from qfeedback import (
@@ -22,6 +25,8 @@ from qfeedback import (
     InstabilityError,
     NotAugmentableError,
     PlantModel,
+    augment_controller,
+    augment_plant,
     close_loop,
     complete_static_pr,
     kalman_design,
@@ -29,11 +34,14 @@ from qfeedback import (
     random_challengers,
     random_pr_plant,
     static_controller,
+    synth_noise_annihilation,
     trivial_controller,
     verify_static_lqg,
     verify_trivial_hinf,
     verify_zero_gain,
 )
+
+from qfeedback import coherent
 
 from conftest import freq_response, random_unitary, stateless_plant, two_port_cavity_plant
 
@@ -377,6 +385,53 @@ def test_static_lqg_cavity_matches_the_unscreened_sweep(cavity_plant_with_cost) 
 
 
 # ---------------------------------------------------------------------------
+# challengers and the loop-cost invariant
+
+
+# the five acceptance shapes and one with three of every channel
+@pytest.mark.parametrize(
+    "shape", [(1, 1, 1, 1), (2, 2, 1, 1), (2, 2, 2, 2), (1, 2, 1, 1), (2, 3, 1, 2), (4, 3, 3, 3)]
+)
+def test_random_challengers_are_realizable_admissible_and_stabilizing(shape) -> None:
+    for seed in range(4):
+        p = random_pr_plant(*shape, seed=500 + seed)
+        challengers = random_challengers(p, count=6, seed=seed)
+        assert len(challengers) == 6
+        for c in challengers:
+            assert c.n_modes in (1, 2)
+            # F_c + F_c^dagger + H_c^dagger H_c + G_cy G_cy^dagger + I = -I
+            slack = c.f_c + c.f_c.conj().T + c.h_c.conj().T @ c.h_c + c.g_cy @ c.g_cy.conj().T
+            np.testing.assert_allclose(slack, -2.0 * np.eye(c.n_modes), atol=1e-12)
+            assert augment_controller(c).verdict.realizable
+            synth = synth_noise_annihilation(c.f_c, c.g_cy, c.h_c)
+            assert synth.admissibility_norm < 1.0
+            assert augment_controller(synth.controller).verdict.realizable
+            assert close_loop(p, c).internally_stable
+
+
+@settings(max_examples=24, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 32),
+    m_u=st.integers(1, 2),
+    m_y=st.integers(1, 2),
+)
+def test_every_realizable_loop_costs_the_plant_certificate(seed, n, m_u, m_y) -> None:
+    # diag(Theta_p, Theta_c) is every realizable loop's state covariance, so a
+    # strictly proper cost row costs sqrt(tr(C Theta_p C^dagger)) whatever the controller
+    rng = np.random.default_rng(seed)
+    p = random_pr_plant(n, m_y, m_u, m_y, seed=seed).with_cost(
+        CostOutput(c=rng.standard_normal((1, n)), d=np.zeros((1, m_u)))
+    )
+    theta_p = augment_plant(p).theta
+    expected = float(np.sqrt(np.trace(p.cost.c @ theta_p @ p.cost.c.conj().T).real))
+    for ctrl in [trivial_controller(m_y, m_u), *random_challengers(p, 5, seed)]:
+        loop = close_loop(p, ctrl)
+        assert loop.internally_stable
+        assert abs(lqg_cost(loop).value - expected) <= 1e-10 * expected
+
+
+# ---------------------------------------------------------------------------
 # trivial-controller optimality in H-infinity
 
 
@@ -438,3 +493,18 @@ def test_trivial_hinf_suite_50_plants() -> None:
         assert report.holds, (seed, report.narrative)
         assert report.evidence["worst_norm_dev"] <= 1e-6
         assert report.evidence["max_pointwise_dev"] <= 1e-7
+
+
+def test_trivial_hinf_refutes_a_wrong_loop_certificate(cavity_plant, monkeypatch) -> None:
+    # the loops stay all-pass; only their certificates are scaled off the identities
+    close = coherent.close_augmented_loop
+
+    def scaled(p, c):
+        loop = close(p, c)
+        return replace(loop, theta=1.01 * loop.theta)
+
+    monkeypatch.setattr(coherent, "close_augmented_loop", scaled)
+    report = verify_trivial_hinf(cavity_plant, [[1.0, 0.0]], random_challengers(cavity_plant, 2, 11))
+    assert report.evidence["lossless_all"] == 0.0
+    assert not report.holds
+    assert report.evidence["worst_norm_dev"] <= 1e-6

@@ -357,7 +357,7 @@ def verify_static_lqg(
     best_dynamic, dyn_used = _least_stable_cost(dynamic_loops)
     dyn_skipped = len(dynamic_loops) - dyn_used
 
-    cost_ok = best_static <= best_dynamic + 1e-6
+    cost_ok = best_static <= best_dynamic + 1e-6 * max(1.0, best_dynamic)
     holds = zero_gain_ok and cost_ok
     return TheoremReport(
         theorem="T5",

@@ -20,6 +20,7 @@ from .errors import (
     DomainError,
     NotAugmentableError,
     NotRealizableError,
+    SingularityError,
 )
 from .linalg import (
     RESIDUAL_TOL,
@@ -42,12 +43,12 @@ from .systems import (
     AnnihilationQSys,
     GeneralQSys,
     PrVerdict,
+    _certificate_defect,
     _coupling_residual,
     _doubling,
     _inertia,
     _kind_rules,
     _LayoutModel,
-    eig_sum_condition,
     is_hurwitz,
     is_positive_definite,
     random_pr_system,
@@ -211,23 +212,28 @@ def _square_completion(kind, f, g_blocks, h_given, label, pattern_residuals) -> 
     existing output rows, both in doubled order for the general kind.  The
     certificate Theta solves F Theta + Theta F^dagger + G S G^dagger = 0
     with S = J (general) or I (annihilation) and must have inertia (n, n)
-    or be positive definite.  The missing output rows are
-    -S G^dagger Theta^{-1}.  The given rows are checked with the
+    or be positive definite; the Lyapunov solver's spectral-gap precheck
+    decides whether that equation is degenerate.  The missing output rows
+    are -S G^dagger Theta^{-1}.  The given rows are checked with the
     realizability check's own coupling residual |G + Theta H_aug^dagger S|,
     which needs no Theta^{-1} and so stays accurate when Theta is
     ill-conditioned; ``pattern_residuals`` holds the caller's feedthrough
-    deviations, which are reported with that check.
+    deviations, which are reported with that check.  The verdict reads the
+    realizability check's residual tests off this Theta: the inertia gates
+    above are its form test, and K = I by construction.
     """
     d = _doubling(kind)
     rules = _kind_rules(kind)
     g = _stack_cols(g_blocks, d)
     n, m_tot = f.shape[0] // d, g.shape[1] // d
     sig = rules.signature(m_tot)
-    if not eig_sum_condition(f):
+    q = hermitian_part(g @ sig @ dagger(g))
+    try:
+        theta = solve_lyapunov_hermitian(f, q)
+    except SingularityError:
         raise NotAugmentableError(
             "certificate equation is degenerate (eigenvalue-sum condition fails)"
-        )
-    theta = solve_lyapunov_hermitian(f, hermitian_part(g @ sig @ dagger(g)))
+        ) from None
     pos, neg, _ = _inertia(theta)
     if d == 2 and (pos != n or neg != n):
         raise NotAugmentableError(
@@ -252,12 +258,13 @@ def _square_completion(kind, f, g_blocks, h_given, label, pattern_residuals) -> 
             f"{label} output rows do not match the coupling identity",
             residuals={"row_mismatch": row_dev, **pattern_residuals},
         )
-    system = rules.system(f=f, g=g, h=h_aug, k=np.eye(d * m_tot), n_modes=n, m_fields=m_tot)
+    residuals = {"feedthrough": 0.0}
+    failed = _certificate_defect(f, g, h_aug, sig, q, theta, residuals, RESIDUAL_TOL)
     return PlantAugmentation(
-        system=system,
+        system=rules.system(f=f, g=g, h=h_aug, k=np.eye(d * m_tot), n_modes=n, m_fields=m_tot),
         theta=theta,
         h_tilde=np.delete(h_full, given, axis=0),
-        verdict=rules.check(system),
+        verdict=PrVerdict(failed is None, None if failed else theta, residuals, failed),
     )
 
 

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigvals, schur, get_lapack_funcs
+from scipy.linalg import schur, get_lapack_funcs
 
 from .errors import DimensionError, DomainError, SingularityError
 
@@ -180,15 +180,6 @@ def real_lstsq(images, targets) -> tuple[np.ndarray, float, np.ndarray]:
     return sol, residual, a_mat
 
 
-def min_eigenvalue_pair_gap(a) -> float:
-    """min over (i, j) of |lambda_i(A) + conj(lambda_j(A))|."""
-    a = as_matrix(a, "a")
-    if a.shape[0] == 0:
-        return np.inf
-    la = eigvals(a)
-    return float(np.min(np.abs(la[:, None] + la.conj()[None, :])))
-
-
 def solve_sylvester(a, b, c) -> np.ndarray:
     """Solve A X + X B + C = 0 by Bartels-Stewart.
 
@@ -281,17 +272,6 @@ def _care_scale(r, q, x) -> float:
     return 1.0 + max_abs(q) + max_abs(x) ** 2 * max_abs(r)
 
 
-def _reorder_schur_leading(t, u, positions):
-    """Move the given diagonal positions (ascending) to the top-left block."""
-    trexc, = get_lapack_funcs(("trexc",), (t,))
-    for target, src in enumerate(sorted(positions)):
-        if src != target:
-            t, u, info = trexc(t, u, src + 1, target + 1)
-            if info != 0:
-                raise SingularityError(f"Schur reordering failed (info={info})")
-    return t, u
-
-
 def solve_care_hermitian(a, r, q) -> CareSolution:
     """Hermitian solutions of A X + X A^dagger + X R X + Q = 0.
 
@@ -340,19 +320,18 @@ def solve_care_hermitian(a, r, q) -> CareSolution:
             return None
         return x, res, herm_dev
 
-    # Ordered Schur, most-negative real parts leading.
+    # Ordered Schur: one LAPACK reorder moves the n most-negative real parts
+    # to the leading block.
     t, u = schur(ham, output="complex")
     d = np.diag(t)
-    order = np.lexsort((d.imag, d.real))
-    try:
-        t2, u2 = _reorder_schur_leading(t.copy(), u.copy(), list(order[:n]))
-        got = _extract(u2[:n, :n], u2[n:, :n])
-        if got is not None:
-            x, res, dev = got
-            return CareSolution(x, True, "stable-subspace", res, dev)
-    except SingularityError:
-        pass
-
+    select = np.zeros(2 * n, dtype=np.int32)
+    select[np.lexsort((d.imag, d.real))[:n]] = 1
+    trsen, = get_lapack_funcs(("trsen",), (t,))
+    _, u2, *_, info = trsen(select, t, u, job="N")
+    got = _extract(u2[:n, :n], u2[n:, :n]) if info == 0 else None
+    if got is not None:
+        x, res, dev = got
+        return CareSolution(x, True, "stable-subspace", res, dev)
     return CareSolution(None, False, "none", np.inf, np.inf)
 
 

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from typing import Callable, ClassVar, NamedTuple
 
 import numpy as np
+from scipy.linalg import eigvals
 
 from .errors import DimensionError, DomainError, GenerationError, NotRealizableError, SingularityError
 from .linalg import (
@@ -29,7 +30,6 @@ from .linalg import (
     hermitian_part,
     is_doubled,
     max_abs,
-    min_eigenvalue_pair_gap,
     real_lstsq,
     require_hermitian,
     signature_matrix,
@@ -63,22 +63,25 @@ def _inertia(h: np.ndarray) -> tuple[int, int, int]:
 def is_positive_definite(h) -> bool:
     """True when the Hermitian matrix has all eigenvalues above the rank cutoff."""
     h = require_hermitian(h, "matrix")
-    if h.shape[0] == 0:
-        return True
-    lam = np.linalg.eigvalsh(h)
-    return bool(lam[0] > RANK_TOL * max(1.0, float(np.max(np.abs(lam)))))
+    return _inertia(h)[0] == h.shape[0]
 
 
 def eig_sum_condition(f) -> bool:
     """True when no eigenvalue pair of F satisfies lambda_i + conj(lambda_j) = 0.
 
     Under this condition the Lyapunov certificate equation has a unique
-    solution, which makes the realizability checks decisive.
+    solution.  The certificate paths do not call this test: they let the
+    spectral-gap precheck of ``solve_lyapunov_hermitian`` decide, which
+    applies the same cut.  It serves the random generator's redraws.
     """
     f = as_matrix(f, "f")
     if f.shape[0] != f.shape[1]:
         raise DimensionError(f"f must be square, got {f.shape}")
-    return min_eigenvalue_pair_gap(f) > SPECTRAL_GAP_TOL * max(1.0, max_abs(f))
+    if f.shape[0] == 0:
+        return True
+    lam = eigvals(f)
+    gap = float(np.min(np.abs(lam[:, None] + lam.conj()[None, :])))
+    return gap > SPECTRAL_GAP_TOL * max(1.0, max_abs(f))
 
 
 def is_hurwitz(f, tol: float = SPECTRAL_GAP_TOL) -> bool:
@@ -344,8 +347,10 @@ def _check_certificate(s, sig, tol, form_defect, fallback=None) -> PrVerdict:
     for the unique certificate and checks the coupling identity
     G = -Theta H^dagger S.  ``form_defect(theta)`` returns None for a
     certificate of the right form, else the residuals explaining the
-    defect.  Systems failing the eigenvalue-sum condition are indeterminate
-    unless ``fallback(s, q, residuals, tol)`` decides them.
+    defect.  The eigenvalue-sum condition is decided once, by the
+    ``SingularityError`` of the Lyapunov solver's spectral-gap precheck;
+    systems failing it are indeterminate unless
+    ``fallback(s, q, residuals, tol)`` decides them.
     """
     f, g, h = s.f, s.g, s.h
     residuals: dict[str, float] = {}
@@ -355,12 +360,10 @@ def _check_certificate(s, sig, tol, form_defect, fallback=None) -> PrVerdict:
         return PrVerdict(False, None, residuals, "feedthrough")
 
     q = hermitian_part(g @ sig @ dagger(g))
-    if not eig_sum_condition(f):
-        return fallback(s, q, residuals, tol) if fallback else _indeterminate(residuals)
     try:
         theta = solve_lyapunov_hermitian(f, q)
     except SingularityError:
-        return _indeterminate(residuals)
+        return fallback(s, q, residuals, tol) if fallback else _indeterminate(residuals)
 
     failed = _certificate_defect(f, g, h, sig, q, theta, residuals, tol)
     if failed:

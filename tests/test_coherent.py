@@ -287,6 +287,19 @@ def test_static_lqg_20_seeded_plants() -> None:
         assert report.holds, (seed, report.narrative)
 
 
+def test_static_lqg_holds_at_a_large_cost_scale() -> None:
+    # every stable realizable loop costs sqrt(tr(C Theta_p C^dagger)), so the
+    # best static and dynamic costs agree only to rounding, here near 1e9
+    rng = np.random.default_rng(83)
+    for n, m_w, m_u, m_y in [(1, 1, 1, 1), (2, 2, 1, 1), (1, 2, 1, 1)]:
+        for k in range(4):
+            p = random_pr_plant(n, m_w, m_u, m_y, seed=700 + k).with_cost(
+                CostOutput(c=1e9 * rng.standard_normal((1, n)), d=np.zeros((1, m_u)))
+            )
+            report = verify_static_lqg(p, seed=1729 + k, dynamic_count=20)
+            assert report.holds, ((n, m_w, m_u, m_y), k, report.narrative)
+
+
 def unscreened_static_lqg(p: PlantModel, seed: int, dynamic_count: int):
     """T5's sweep with the full completion run on every candidate gain.
 

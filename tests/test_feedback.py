@@ -53,6 +53,7 @@ from qfeedback.linalg import (
     max_abs,
     real_lstsq,
 )
+from qfeedback.systems import _kind_rules
 
 from conftest import stateless_plant
 
@@ -226,6 +227,71 @@ def test_augment_ill_conditioned_synthesized_controller(seed: int) -> None:
     aug = augment_controller(result.controller)
     assert aug.verdict.realizable, aug.verdict.residuals
     assert max_abs(aug.theta - result.theta) <= 1e-8 * max_abs(result.theta)
+
+
+def test_augment_degenerate_certificate_equation() -> None:
+    # lambda = -1 and lambda = 1 cancel in lambda_i + conj(lambda_j)
+    p = PlantModel(
+        kind="annihilation",
+        f=np.diag([-1.0, 1.0]),
+        g_w=[[1.0], [1.0]],
+        g_u=[[0.5], [-0.5]],
+        h=[[1.0, 1.0]],
+        k=np.eye(1),
+    )
+    with pytest.raises(NotAugmentableError) as info:
+        augment_plant(p)
+    assert str(info.value) == "certificate equation is degenerate (eigenvalue-sum condition fails)"
+
+
+def completion_controllers(p: PlantModel, seed: int) -> list[ControllerModel]:
+    """Challengers and synthesized controllers over the plant's channels."""
+    rng = np.random.default_rng(seed)
+    if p.kind == "annihilation":
+        out = random_challengers(p, 3, seed)
+        for n_c in (1, 3):
+            # a small measurement gain keeps the certificate Riccati solvable
+            f_c, g_cy, h_c = random_admissible_triple(rng, n_c, p.m_y, p.m_u)
+            out.append(synth_noise_annihilation(f_c, 0.25 * g_cy, h_c).controller)
+        return out
+
+    def draw(rows: int, cols: int) -> np.ndarray:
+        return delta_build(
+            rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols)),
+            0.2 * (rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))),
+        )
+
+    return [
+        synth_noise_general(
+            draw(n_c, n_c) - 4.0 * np.eye(2 * n_c), draw(n_c, p.m_y), draw(p.m_u, n_c), general_theta(n_c, seed)
+        ).controller
+        for n_c in (1, 2)
+    ]
+
+
+@pytest.mark.parametrize("kind", ["annihilation", "general"])
+@pytest.mark.parametrize(
+    "shape",
+    [(1, 1, 1, 1), (2, 2, 1, 1), (2, 2, 2, 2), (1, 2, 1, 1), (2, 3, 1, 2), (4, 3, 3, 3), (8, 2, 2, 2)],
+)
+def test_completion_verdict_is_the_realizability_check(kind, shape) -> None:
+    # the completion judges its own Theta; the full check must agree exactly
+    rules = _kind_rules(kind)
+    checked = 0
+    for seed in range(3):
+        p = random_pr_plant(*shape, seed=40 + seed, kind=kind)
+        augs = [augment_plant(p)] + [augment_controller(c) for c in completion_controllers(p, seed)]
+        for aug in augs:
+            got, want = aug.verdict, rules.check(aug.system)
+            assert (got.realizable, got.indeterminate, got.failure_reason) == (
+                want.realizable,
+                want.indeterminate,
+                want.failure_reason,
+            )
+            assert list(got.residuals.items()) == list(want.residuals.items())
+            assert np.array_equal(got.theta, want.theta)
+            checked += got.realizable
+    assert checked >= 9
 
 
 # ---------------------------------------------------------------------------

@@ -53,7 +53,8 @@ from .systems import HamiltonianCoupling, _certificate_defect, _random_complex, 
 from .transfer import (
     NormResult,
     StateSpaceTF,
-    _sample_worst,
+    _hinf_norm,
+    _sample_grid,
     _sigma_max,
     h2_norm,
     hinf_norm,
@@ -409,7 +410,9 @@ def verify_trivial_hinf(
     controller and every challenger alike.  Each loop counts as lossless when
     it is internally stable and its own certificate diag(Theta_p, Theta_c)
     passes the realizability check's residual tests with S = D and
-    D^dagger D = I (the lossless bounded-real lemma).  Challengers that fail
+    D^dagger D = I (the lossless bounded-real lemma).  Each loop's sigma_max is
+    sampled on the grid once: its peak seeds the H-infinity norm, and
+    max |sigma_max - 1| is the pointwise deviation.  Challengers that fail
     their own realizability completion are reported as skipped, not as
     refutations.
     """
@@ -424,7 +427,6 @@ def verify_trivial_hinf(
     skipped: list[str] = []
     entries = [("trivial", trivial_controller(p.m_y, p.m_u))]
     entries += [(f"challenger {i}", c) for i, c in enumerate(challengers)]
-    sigma_dev = lambda v: np.abs(_sigma_max(v) - 1.0)
     for label, ctrl in entries:
         try:
             acl = close_augmented_loop(p, ctrl)
@@ -442,12 +444,13 @@ def verify_trivial_hinf(
         pad = np.zeros((l_select.shape[0], full.output_dim), dtype=complex)
         pad[:, : l_select.shape[1]] = l_select
         selected = StateSpaceTF(full.a, full.b, pad @ full.c, pad @ full.d)
-        norms.append(hinf_norm(selected).value)
+        sigma, _ = _sample_grid(selected, _sigma_max)
+        norms.append(_hinf_norm(selected, grid_sigma=sigma).value)
         q = hermitian_part(full.b @ dagger(full.b))
         feed = max_abs(dagger(full.d) @ full.d - np.eye(full.input_dim))
         defect = _certificate_defect(full.a, full.b, full.c, full.d, q, acl.theta, {}, RESIDUAL_TOL)
         lossless_ok &= acl.internally_stable and feed <= RESIDUAL_TOL and defect is None
-        pointwise.append(_sample_worst(selected, sigma_dev)[0])
+        pointwise.append(float(np.max(np.abs(sigma - 1.0), initial=0.0)))
 
     worst_norm = max(abs(v - 1.0) for v in norms) if norms else np.inf
     holds = bool(norms) and worst_norm <= 1e-6 and lossless_ok

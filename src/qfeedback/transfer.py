@@ -127,7 +127,13 @@ def _freq_response(g: StateSpaceTF, s: np.ndarray) -> np.ndarray:
 
 
 def _sigma_max(v: np.ndarray) -> np.ndarray:
-    return np.linalg.svd(v, compute_uv=False)[:, 0]
+    """sigma_max of each matrix of the stack (k, p, m): sqrt of the top eigenvalue of its
+    smaller Gram matrix, each point scaled by its largest |entry| (0 if all are 0)."""
+    scale = np.max(np.abs(v), axis=(1, 2), initial=0.0)
+    w = v / np.where(scale > 0.0, scale, 1.0)[:, None, None]
+    wh = w.conj().swapaxes(1, 2)
+    gram = w @ wh if v.shape[1] <= v.shape[2] else wh @ w
+    return scale * np.sqrt(np.max(np.linalg.eigvalsh(gram), axis=1, initial=0.0))
 
 
 def tf_eval(g: StateSpaceTF, s: complex) -> np.ndarray:
@@ -167,21 +173,23 @@ def default_frequency_grid(a=None) -> np.ndarray:
     return _frequency_grid(_pole_scale(lam))
 
 
-def _sample_worst(g: StateSpaceTF, metric) -> tuple[float, int]:
-    """Worst metric value over the default grid, skipping points at the poles of A.
-
-    ``metric`` maps a stack of responses (k, p, m) to an array of values.
-    Returns the largest value and the number of grid points used.
-    """
+def _sample_grid(g: StateSpaceTF, metric) -> tuple[np.ndarray, int]:
+    """``metric`` of the response stacks (k, p, m) on the default grid, skipping points
+    at the poles of A: the values along the grid axis, and the number of points used."""
     lam = np.linalg.eigvals(g.a)
     scale = _pole_scale(lam)
     s = 1j * _frequency_grid(scale)
     s = s[np.min(np.abs(s[:, None] - lam), axis=1, initial=np.inf) > 1e-8 * scale]
     step = max(1, _BLOCK_ENTRIES // max(1, g.state_dim**2))
-    worst = 0.0
-    for i in range(0, s.size, step):
-        worst = float(np.max(metric(_freq_response(g, s[i : i + step])), initial=worst))
-    return worst, s.size
+    blocks = [metric(_freq_response(g, s[i : i + step])) for i in range(0, s.size, step)]
+    return (np.concatenate(blocks) if blocks else np.zeros(0)), s.size
+
+
+def _sample_worst(g: StateSpaceTF, metric) -> tuple[float, int]:
+    """Worst ``metric`` value over the default grid (0 when no point is used),
+    and the number of grid points used."""
+    values, used = _sample_grid(g, metric)
+    return float(np.max(values, initial=0.0)), used
 
 
 def _controllable_basis(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -399,15 +407,16 @@ def hinf_norm(g: StateSpaceTF, rel_tol: float = 1e-6) -> NormResult:
     The lower bracket starts from the larger of the grid-sampled gain and
     sigma_max(D) inflated by 1e-9 (the all-pass degeneracy guard); the upper
     bracket doubles a gain estimate until the Hamiltonian test passes, and
-    halving stops at ``rel_tol`` relative width (or when the midpoint no
-    longer moves).  The feasibility questions of both searches are answered
-    by comparison with one bracket on the norm, which the quadratically
-    convergent level-set iteration closes in a few Hamiltonian eigensolves.
-    Levels within a 1e-8 relative band of that bracket, and every level when
-    the iteration does not close, run the Hamiltonian test itself; away from
-    the band the two answers agree, so the value and bracket are those of
-    testing every level.  The certificate counts the Hamiltonian eigensolves
-    under ``hamiltonian_solves``.
+    halving stops at width ``rel_tol`` times the lower end (``rel_tol`` while
+    that end is 0), or when the midpoint no longer moves.  The feasibility
+    questions of both searches are answered by comparison with one bracket
+    on the norm, which the quadratically convergent level-set iteration
+    closes in a few Hamiltonian eigensolves.  Levels within a 1e-8 relative
+    band of that bracket, and every level when the iteration does not close,
+    run the Hamiltonian test itself; away from the band the two answers
+    agree, so the value and bracket are those of testing every level.  The
+    certificate counts the Hamiltonian eigensolves under
+    ``hamiltonian_solves``.
 
     Raises
     ------
@@ -416,6 +425,12 @@ def hinf_norm(g: StateSpaceTF, rel_tol: float = 1e-6) -> NormResult:
     InstabilityError
         When A is not Hurwitz.
     """
+    return _hinf_norm(g, rel_tol)
+
+
+def _hinf_norm(g: StateSpaceTF, rel_tol: float = 1e-6, grid_sigma: np.ndarray | None = None) -> NormResult:
+    """``hinf_norm`` from the grid values ``_sample_grid(g, _sigma_max)[0]``,
+    which a caller that already sampled them passes as ``grid_sigma``."""
     if not (np.isfinite(rel_tol) and rel_tol > 0.0):
         raise DomainError(f"rel_tol must be finite and positive, got {rel_tol!r}")
     sigma_d = float(np.linalg.svd(g.d, compute_uv=False)[0]) if g.d.size else 0.0
@@ -424,14 +439,16 @@ def hinf_norm(g: StateSpaceTF, rel_tol: float = 1e-6) -> NormResult:
     if not is_hurwitz(g.a):
         raise InstabilityError("H-infinity norm needs a Hurwitz state matrix")
 
-    grid_max, _ = _sample_worst(g, _sigma_max)
+    if grid_sigma is None:
+        grid_sigma, _ = _sample_grid(g, _sigma_max)
+    grid_max = float(np.max(grid_sigma, initial=0.0))
     lo = max(sigma_d * (1.0 + 1e-9), grid_max * (1.0 - 1e-12))
     bracket, solves = _level_set_bracket(g, lo)
 
     def feasible(gamma: float) -> bool:
         nonlocal solves
         if bracket is not None:
-            band = _LEVEL_SET_BAND * max(bracket[0], 1.0)
+            band = _LEVEL_SET_BAND * (bracket[0] or 1.0)
             if gamma > bracket[1] + band:
                 return True
             if gamma < bracket[0] - band:
@@ -452,7 +469,7 @@ def hinf_norm(g: StateSpaceTF, rel_tol: float = 1e-6) -> NormResult:
         raise GenerationError("H-infinity upper bracket search failed to close")
 
     iterations = 0
-    while hi - lo > rel_tol * max(lo, 1.0):
+    while hi - lo > rel_tol * (lo or 1.0):
         mid = 0.5 * (lo + hi)
         if mid in (lo, hi):
             break

@@ -25,10 +25,12 @@ from qfeedback import (
     InstabilityError,
     NotAugmentableError,
     PlantModel,
+    StateSpaceTF,
     augment_controller,
     augment_plant,
     close_loop,
     complete_static_pr,
+    hinf_norm,
     kalman_design,
     lqg_cost,
     random_challengers,
@@ -41,7 +43,8 @@ from qfeedback import (
     verify_zero_gain,
 )
 
-from qfeedback import coherent
+from qfeedback import coherent, transfer
+from qfeedback.transfer import _sample_worst, _sigma_max
 
 from conftest import freq_response, random_unitary, stateless_plant, two_port_cavity_plant
 
@@ -506,6 +509,47 @@ def test_trivial_hinf_suite_50_plants() -> None:
         assert report.holds, (seed, report.narrative)
         assert report.evidence["worst_norm_dev"] <= 1e-6
         assert report.evidence["max_pointwise_dev"] <= 1e-7
+
+
+def _two_sampling_reference(p: PlantModel, l_select, challengers) -> tuple[float, float, float]:
+    """T6's trivial norm, worst norm deviation and pointwise deviation, with each
+    loop's norm and |sigma_max - 1| sampled by separate grid passes."""
+    l_select = np.asarray(l_select, dtype=float)
+    norms, pointwise = [], []
+    for ctrl in [trivial_controller(p.m_y, p.m_u), *challengers]:
+        full = coherent.close_augmented_loop(p, ctrl).system
+        pad = np.zeros((l_select.shape[0], full.output_dim), dtype=complex)
+        pad[:, : l_select.shape[1]] = l_select
+        selected = StateSpaceTF(full.a, full.b, pad @ full.c, pad @ full.d)
+        norms.append(hinf_norm(selected).value)
+        pointwise.append(_sample_worst(selected, lambda v: np.abs(_sigma_max(v) - 1.0))[0])
+    return norms[0], max(abs(v - 1.0) for v in norms), max(pointwise)
+
+
+def test_trivial_hinf_samples_each_loop_once(monkeypatch) -> None:
+    p = random_pr_plant(2, 3, 1, 2, seed=3)
+    challengers = random_challengers(p, count=5, seed=3)
+    grids = []
+    grid = transfer._frequency_grid
+    monkeypatch.setattr(transfer, "_frequency_grid", lambda scale: grids.append(scale) or grid(scale))
+    report = verify_trivial_hinf(p, [[1.0, 0.0, 0.0, 0.0]], challengers)
+    assert report.evidence["loops_checked"] == 6.0
+    assert len(grids) == 6
+
+
+@pytest.mark.parametrize("shape", [(1, 1, 1, 1), (2, 2, 1, 1), (2, 2, 2, 2), (1, 2, 1, 1), (2, 3, 1, 2)])
+def test_trivial_hinf_matches_the_two_sampling_reference(shape: tuple[int, int, int, int]) -> None:
+    n, m_w, m_u, m_y = shape
+    for seed in range(3):
+        p = random_pr_plant(n, m_w, m_u, m_y, seed=40 + seed)
+        challengers = random_challengers(p, count=5, seed=40 + seed)
+        selector = np.zeros((1, m_w + m_u))
+        selector[0, 0] = 1.0
+        report = verify_trivial_hinf(p, selector, challengers)
+        trivial, worst, pointwise = _two_sampling_reference(p, selector, challengers)
+        assert report.evidence["trivial_norm"] == trivial
+        assert report.evidence["worst_norm_dev"] == worst
+        assert abs(report.evidence["max_pointwise_dev"] - pointwise) <= 1e-15
 
 
 def test_trivial_hinf_refutes_a_wrong_loop_certificate(cavity_plant, monkeypatch) -> None:

@@ -130,6 +130,32 @@ def test_sampling_when_one_pencil_exceeds_the_block(monkeypatch) -> None:
     assert worst == pytest.approx(want[0], rel=1e-12)
 
 
+@pytest.mark.parametrize("shape", [(1, 1), (1, 2), (2, 1), (2, 2), (1, 3), (2, 4), (3, 3), (8, 3)])
+def test_sigma_max_matches_the_svd(shape: tuple[int, int]) -> None:
+    rng = np.random.default_rng(100 * shape[0] + shape[1])
+    k = 400
+    v = rng.standard_normal((k, *shape)) + 1j * rng.standard_normal((k, *shape))
+    # magnitudes 1e-12...1e12, every other point with columns graded down to 1e-8
+    v *= 10.0 ** rng.uniform(-12.0, 12.0, size=(k, 1, 1))
+    v[1::2] *= np.logspace(0.0, -8.0, shape[1])
+    v[::9] = 0.0
+    got = _sigma_max(v)
+    want = np.linalg.svd(v, compute_uv=False)[:, 0]
+    assert np.all(got[::9] == 0.0)
+    assert np.all(np.abs(got - want) <= 8.0 * np.finfo(float).eps * want)
+
+
+def test_sigma_max_of_empty_and_extreme_responses() -> None:
+    assert np.array_equal(_sigma_max(np.zeros((3, 0, 2))), np.zeros(3))
+    assert np.array_equal(_sigma_max(np.zeros((3, 2, 0))), np.zeros(3))
+    assert _sigma_max(np.zeros((0, 2, 2))).shape == (0,)
+    # 2**(+-500) is about 1e+-150; from 2**(+-600) the unscaled Gram matrix over- or underflows
+    for s in (2.0**500, 2.0**-500, 2.0**600, 2.0**-600):
+        row = np.array([[[3.0 * s, 4.0 * s]]])
+        assert _sigma_max(row)[0] / s == 5.0
+        assert _sigma_max(row.swapaxes(1, 2))[0] / s == 5.0
+
+
 def test_grid_point_on_a_pole_is_skipped() -> None:
     grid = default_frequency_grid()
     w0 = grid[np.argmin(np.abs(grid - 0.5))]
@@ -606,7 +632,7 @@ def _reference_bisection(g: StateSpaceTF, rel_tol: float = 1e-6) -> dict[str, fl
     while not _gamma_feasible(g, hi):
         hi *= 2.0
     iterations = 0
-    while hi - lo > rel_tol * max(lo, 1.0):
+    while hi - lo > rel_tol * (lo or 1.0):
         mid = 0.5 * (lo + hi)
         if _gamma_feasible(g, mid):
             hi = mid
@@ -706,9 +732,24 @@ def test_hinf_norm_is_homogeneous(seed: int, strictly_proper: bool, alpha: float
     g = random_stable_tf(rng, n, m, p, strictly_proper=strictly_proper)
     base = hinf_norm(g).value
     scaled = hinf_norm(StateSpaceTF(a=g.a, b=g.b, c=alpha * g.c, d=alpha * g.d)).value
-    # Each bisection is within rel_tol * max(1, value) of the norm; the
-    # unscaled one's error is scaled by alpha with it.
-    assert abs(scaled - alpha * base) <= 1e-6 * (max(1.0, scaled) + alpha * max(1.0, base))
+    # Each bisection is within rel_tol * value / 2 of its norm.
+    assert abs(scaled - alpha * base) <= 2e-6 * alpha * base
+
+
+@pytest.mark.parametrize("scale", [1e-6, 1e-4, 1e-2, 1.0, 1e2, 1e4, 1e6])
+def test_hinf_norm_is_relatively_accurate_at_every_output_scale(scale: float) -> None:
+    # scale / (s + 1) peaks at omega = 0; the scaled all-pass cavity is flat at scale
+    low_pass = StateSpaceTF(a=[[-1.0]], b=[[1.0]], c=[[scale]], d=[[0.0]])
+    g = cavity_all_pass()
+    flat = StateSpaceTF(a=g.a, b=g.b, c=scale * g.c, d=scale * g.d)
+    for system in (low_pass, flat):
+        assert abs(hinf_norm(system).value - scale) <= 2e-6 * scale
+
+
+def test_hinf_norm_of_a_zero_response_stops_at_once() -> None:
+    result = hinf_norm(StateSpaceTF(a=[[-1.0]], b=[[1.0]], c=[[0.0]], d=[[0.0]]))
+    assert result.certificate["iterations"] == 0.0
+    assert result.value <= 1e-8
 
 
 def test_all_pass_pointwise_on_default_grid() -> None:

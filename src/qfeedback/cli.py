@@ -425,27 +425,17 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         report, lines, status = _DISPATCH[args.command](args)
-    except FileFormatError as exc:
+    except (FileFormatError, DomainError, DimensionError, *_FAILURE_ERRORS) as exc:
+        status = 1 if isinstance(exc, _FAILURE_ERRORS) else 2
         if args.format == "json":
-            print(json.dumps({"error": str(exc), "location": exc.location,
-                              "seed": args.seed, "exit_status": 2}, indent=2))
+            where = {"location": exc.location} if isinstance(exc, FileFormatError) else {}
+            print(json.dumps({"error": str(exc), **where, "seed": args.seed,
+                              "exit_status": status}, indent=2))
+        elif status == 1:
+            print(exc)
         else:
             print(f"input error: {exc}", file=sys.stderr)
-        return 2
-    except _FAILURE_ERRORS as exc:
-        if args.format == "json":
-            print(json.dumps({"error": str(exc), "seed": args.seed,
-                              "exit_status": 1}, indent=2))
-        else:
-            print(str(exc))
-        return 1
-    except (DomainError, DimensionError) as exc:
-        if args.format == "json":
-            print(json.dumps({"error": str(exc), "seed": args.seed,
-                              "exit_status": 2}, indent=2))
-        else:
-            print(f"input error: {exc}", file=sys.stderr)
-        return 2
+        return status
 
     report["seed"] = args.seed
     report["exit_status"] = status

@@ -50,15 +50,7 @@ from .linalg import (
     solve_care_hermitian,
 )
 from .systems import HamiltonianCoupling, _certificate_defect, _random_complex, realize_annihilation
-from .transfer import (
-    NormResult,
-    StateSpaceTF,
-    _hinf_norm,
-    _sample_grid,
-    _sigma_max,
-    h2_norm,
-    hinf_norm,
-)
+from .transfer import NormResult, StateSpaceTF, h2_norm, hinf_norm
 
 STATIC_GAIN_GRID = (-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0)
 
@@ -410,11 +402,11 @@ def verify_trivial_hinf(
     controller and every challenger alike.  Each loop counts as lossless when
     it is internally stable and its own certificate diag(Theta_p, Theta_c)
     passes the realizability check's residual tests with S = D and
-    D^dagger D = I (the lossless bounded-real lemma).  Each loop's sigma_max is
-    sampled on the grid once: its peak seeds the H-infinity norm, and
-    max |sigma_max - 1| is the pointwise deviation.  Challengers that fail
-    their own realizability completion are reported as skipped, not as
-    refutations.
+    D^dagger D = I (the lossless bounded-real lemma).  One ``hinf_norm`` per
+    loop samples its grid once, and the pointwise deviation max |sigma_max - 1|
+    comes from its certificate's grid range (a static loop's is its norm).
+    Challengers that fail their own realizability completion are reported as
+    skipped, not as refutations.
     """
     if p.kind != "annihilation":
         raise DomainError("trivial-controller verification is annihilation-kind only")
@@ -444,13 +436,14 @@ def verify_trivial_hinf(
         pad = np.zeros((l_select.shape[0], full.output_dim), dtype=complex)
         pad[:, : l_select.shape[1]] = l_select
         selected = StateSpaceTF(full.a, full.b, pad @ full.c, pad @ full.d)
-        sigma, _ = _sample_grid(selected, _sigma_max)
-        norms.append(_hinf_norm(selected, grid_sigma=sigma).value)
+        norm = hinf_norm(selected)
+        norms.append(norm.value)
         q = hermitian_part(full.b @ dagger(full.b))
         feed = max_abs(dagger(full.d) @ full.d - np.eye(full.input_dim))
         defect = _certificate_defect(full.a, full.b, full.c, full.d, q, acl.theta, {}, RESIDUAL_TOL)
         lossless_ok &= acl.internally_stable and feed <= RESIDUAL_TOL and defect is None
-        pointwise.append(float(np.max(np.abs(sigma - 1.0), initial=0.0)))
+        top, bottom = (norm.certificate.get(k, norm.value) for k in ("grid_lower_bound", "grid_min"))
+        pointwise.append(max(top - 1.0, 1.0 - bottom))
 
     worst_norm = max(abs(v - 1.0) for v in norms) if norms else np.inf
     holds = bool(norms) and worst_norm <= 1e-6 and lossless_ok

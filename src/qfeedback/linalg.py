@@ -68,6 +68,12 @@ def require_hermitian(a, name: str) -> np.ndarray:
     return hermitian_part(a)
 
 
+def require_tolerance(value: float, name: str) -> None:
+    """Reject a tolerance that is not a finite positive number."""
+    if not (np.isfinite(value) and value > 0.0):
+        raise DomainError(f"{name} must be finite and positive, got {value!r}")
+
+
 def signature_matrix(half_dim: int) -> np.ndarray:
     """The signature matrix diag(I, -I) with blocks of size ``half_dim``."""
     if half_dim < 0:

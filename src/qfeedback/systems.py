@@ -32,6 +32,7 @@ from .linalg import (
     max_abs,
     real_lstsq,
     require_hermitian,
+    require_tolerance,
     signature_matrix,
     solve_lyapunov_hermitian,
 )
@@ -352,6 +353,7 @@ def _check_certificate(s, sig, tol, form_defect, fallback=None) -> PrVerdict:
     systems failing it are indeterminate unless
     ``fallback(s, q, residuals, tol)`` decides them.
     """
+    require_tolerance(tol, "tol")
     f, g, h = s.f, s.g, s.h
     residuals: dict[str, float] = {}
 

@@ -15,7 +15,6 @@ import numpy as np
 
 from .errors import (
     DimensionError,
-    DomainError,
     GenerationError,
     InfiniteNormError,
     InstabilityError,
@@ -30,6 +29,7 @@ from .linalg import (
     dagger,
     hermitian_part,
     max_abs,
+    require_tolerance,
     signature_matrix,
     solve_lyapunov_hermitian,
 )
@@ -217,21 +217,20 @@ def _controllable_basis(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def is_minimal(g: StateSpaceTF) -> bool:
     """True when the realization is both controllable and observable."""
-    n = g.state_dim
-    return (
-        _controllable_basis(g.a, g.b).shape[1] == n
-        and _controllable_basis(dagger(g.a), dagger(g.c)).shape[1] == n
-    )
+    return minimal_realization(g) is g
 
 
 def minimal_realization(g: StateSpaceTF) -> StateSpaceTF:
     """Exact reduction to the controllable and observable part.
 
-    Projects onto the controllable subspace, then onto the observable
-    subspace of the result (the controllable subspace of the dual).  The
-    transfer function is unchanged.
+    Returns ``g`` itself when it is already minimal; otherwise projects onto
+    the controllable subspace, then onto the observable subspace of the
+    result (the controllable subspace of the dual).  The transfer function
+    is unchanged.
     """
     v = _controllable_basis(g.a, g.b)
+    if v.shape[1] == g.state_dim == _controllable_basis(dagger(g.a), dagger(g.c)).shape[1]:
+        return g
     a1 = dagger(v) @ g.a @ v
     b1 = dagger(v) @ g.b
     c1 = g.c @ v
@@ -251,6 +250,7 @@ def _signature_check(g, red, sig, tol, gate) -> tuple[str, str, dict[str, float]
     Sampled prong: the identity on ``g`` at the grid frequencies.  Returns
     (algebraic, sampled, residuals).
     """
+    require_tolerance(tol, "tol")
     residuals = {"feedthrough": max_abs(dagger(g.d) @ sig @ g.d - sig)}
     feed_ok = residuals["feedthrough"] <= tol * (1.0 + max_abs(g.d) ** 2)
     if gate is not None:
@@ -306,7 +306,7 @@ def lossless_br_check(g: StateSpaceTF, tol: float = RESIDUAL_TOL) -> TransferChe
         raise DimensionError(
             f"lossless check needs square io, got {g.output_dim} x {g.input_dim}"
         )
-    red = g if is_minimal(g) else minimal_realization(g)
+    red = minimal_realization(g)
     stable = red.state_dim == 0 or is_hurwitz(red.a)
     algebraic, sampled, residuals = _signature_check(
         g, red, np.eye(g.input_dim), tol, None if stable else "fail"
@@ -389,7 +389,7 @@ def _level_set_bracket(g: StateSpaceTF, lo: float) -> tuple[tuple[float, float] 
     within _LEVEL_SET_MAX_STEPS steps.
     """
     for step in range(_LEVEL_SET_MAX_STEPS):
-        gamma = lo + _LEVEL_SET_STEP * max(lo, 1.0)
+        gamma = lo + _LEVEL_SET_STEP * (lo or 1.0)
         axis = _axis_eigenvalues(g, gamma)
         if axis is None:
             return None, step
@@ -415,8 +415,8 @@ def hinf_norm(g: StateSpaceTF, rel_tol: float = 1e-6) -> NormResult:
     band of that bracket, and every level when the iteration does not close,
     run the Hamiltonian test itself; away from the band the two answers
     agree, so the value and bracket are those of testing every level.  The
-    certificate counts the Hamiltonian eigensolves under
-    ``hamiltonian_solves``.
+    certificate adds the grid's sigma_max range, ``grid_lower_bound`` and
+    ``grid_min``, and the eigensolve count ``hamiltonian_solves``.
 
     Raises
     ------
@@ -425,23 +425,15 @@ def hinf_norm(g: StateSpaceTF, rel_tol: float = 1e-6) -> NormResult:
     InstabilityError
         When A is not Hurwitz.
     """
-    return _hinf_norm(g, rel_tol)
-
-
-def _hinf_norm(g: StateSpaceTF, rel_tol: float = 1e-6, grid_sigma: np.ndarray | None = None) -> NormResult:
-    """``hinf_norm`` from the grid values ``_sample_grid(g, _sigma_max)[0]``,
-    which a caller that already sampled them passes as ``grid_sigma``."""
-    if not (np.isfinite(rel_tol) and rel_tol > 0.0):
-        raise DomainError(f"rel_tol must be finite and positive, got {rel_tol!r}")
+    require_tolerance(rel_tol, "rel_tol")
     sigma_d = float(np.linalg.svd(g.d, compute_uv=False)[0]) if g.d.size else 0.0
     if g.state_dim == 0 or g.b.size == 0 or g.c.size == 0:
         return NormResult(sigma_d, "static", {"sigma_max_d": sigma_d})
     if not is_hurwitz(g.a):
         raise InstabilityError("H-infinity norm needs a Hurwitz state matrix")
 
-    if grid_sigma is None:
-        grid_sigma, _ = _sample_grid(g, _sigma_max)
-    grid_max = float(np.max(grid_sigma, initial=0.0))
+    sigma, _ = _sample_grid(g, _sigma_max)
+    grid_max = float(np.max(sigma, initial=0.0))
     lo = max(sigma_d * (1.0 + 1e-9), grid_max * (1.0 - 1e-12))
     bracket, solves = _level_set_bracket(g, lo)
 
@@ -487,6 +479,7 @@ def _hinf_norm(g: StateSpaceTF, rel_tol: float = 1e-6, grid_sigma: np.ndarray | 
             "bracket_high": hi,
             "iterations": float(iterations),
             "grid_lower_bound": grid_max,
+            "grid_min": float(np.min(sigma, initial=grid_max)),
             "hamiltonian_solves": float(solves),
         },
     )

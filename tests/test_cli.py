@@ -150,6 +150,22 @@ class TestCheck:
         assert "realizable: true" in out
         assert "feedthrough=1.00e+00" in out
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0"])
+    def test_unusable_tol_exits_two(self, capsys, tmp_path, tol):
+        # Theta = 0.5 leaves a coupling residual of 0.5: no finite positive tol passes it
+        path = tmp_path / "coupling_off.json"
+        save_system(path, AnnihilationQSys(f=[[-1.0]], g=[[-1.0]], h=[[3.0]], k=[[1.0]]))
+        code, out, err = run(capsys, "--format", "json", "--tol", tol, "check", path, "--transfer")
+        assert code == 2 and err == ""
+        assert json.loads(out) == {
+            "error": f"tol must be finite and positive, got {float(tol)!r}",
+            "seed": 1729,
+            "exit_status": 2,
+        }
+        code, out, err = run(capsys, "--tol", tol, "check", path)
+        assert code == 2 and out == ""
+        assert err.startswith("input error: tol must be finite and positive")
+
     def test_malformed_entry_exits_two_on_stderr(self, corpus, capsys):
         code, out, err = run(capsys, "check", corpus / "malformed.json")
         assert code == 2 and out == ""

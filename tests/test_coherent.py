@@ -537,6 +537,17 @@ def test_trivial_hinf_samples_each_loop_once(monkeypatch) -> None:
     assert len(grids) == 6
 
 
+def test_trivial_hinf_calls_the_public_norm_once_per_loop(monkeypatch) -> None:
+    p = random_pr_plant(2, 3, 1, 2, seed=3)
+    challengers = random_challengers(p, count=5, seed=3)
+    calls = []
+    norm = coherent.hinf_norm
+    monkeypatch.setattr(coherent, "hinf_norm", lambda g, *args: calls.append(g) or norm(g, *args))
+    report = verify_trivial_hinf(p, [[1.0, 0.0, 0.0, 0.0]], challengers)
+    assert report.holds and report.evidence["loops_checked"] == 6.0
+    assert len(calls) == 6
+
+
 @pytest.mark.parametrize("shape", [(1, 1, 1, 1), (2, 2, 1, 1), (2, 2, 2, 2), (1, 2, 1, 1), (2, 3, 1, 2)])
 def test_trivial_hinf_matches_the_two_sampling_reference(shape: tuple[int, int, int, int]) -> None:
     n, m_w, m_u, m_y = shape

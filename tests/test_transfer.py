@@ -197,6 +197,32 @@ def test_minimal_realization_strips_hidden_state() -> None:
     )
 
 
+def test_minimal_realization_returns_a_minimal_input_itself() -> None:
+    g = cavity_all_pass()
+    assert minimal_realization(g) is g
+    hidden = StateSpaceTF(a=np.diag([-1.0, -2.0]), b=[[1.0], [0.0]], c=[[1.0, 0.0]], d=[[0.0]])
+    reduced = minimal_realization(hidden)
+    assert reduced is not hidden and minimal_realization(reduced) is reduced
+
+
+@pytest.mark.parametrize(
+    "b, c, staircases",
+    [
+        ([[1.0], [1.0]], [[1.0, 1.0]], 2),  # minimal
+        ([[1.0], [0.0]], [[1.0, 1.0]], 2),  # uncontrollable: the observable staircase runs once
+        ([[1.0], [1.0]], [[1.0, 0.0]], 3),  # controllable, unobservable: it runs again after projecting
+    ],
+    ids=["minimal", "uncontrollable", "unobservable"],
+)
+def test_lossless_check_decides_minimality_once(b, c, staircases: int, monkeypatch) -> None:
+    g = StateSpaceTF(a=np.diag([-1.0, -2.0]), b=b, c=c, d=[[0.0]])
+    calls = []
+    basis = transfer._controllable_basis
+    monkeypatch.setattr(transfer, "_controllable_basis", lambda a, v: calls.append(a) or basis(a, v))
+    lossless_br_check(g)
+    assert len(calls) == staircases
+
+
 @pytest.mark.parametrize("seed", range(4))
 @pytest.mark.parametrize(
     "kind,modes", [("annihilation", 6), ("annihilation", 16), ("annihilation", 32),
@@ -303,6 +329,21 @@ def test_jj_unitary_rejects_scaled_feedthrough() -> None:
     check = jj_unitary_check(g, half_io=1)
     assert not check.verdict
     assert check.prongs["algebraic"] == "fail"
+
+
+@pytest.mark.parametrize("tol", [np.nan, np.inf, -1.0, 0.0])
+def test_realizability_checks_reject_an_unusable_tol(tol: float) -> None:
+    ann = random_pr_system(2, 1, seed=0, kind="annihilation", hurwitz_required=True)
+    gen = random_pr_system(1, 1, seed=0, kind="general")
+    checks = [
+        lambda: check_pr_annihilation(ann, tol),
+        lambda: check_pr_general(gen, tol),
+        lambda: lossless_br_check(StateSpaceTF.from_system(ann), tol),
+        lambda: jj_unitary_check(StateSpaceTF.from_system(gen), gen.m_fields, tol),
+    ]
+    for check in checks:
+        with pytest.raises(DomainError, match="tol must be finite and positive"):
+            check()
 
 
 def test_lossless_cavity_all_pass() -> None:
@@ -691,6 +732,23 @@ def test_hinf_norm_without_level_set_bracket_is_unchanged(hinf_family, monkeypat
         result = hinf_norm(g)
         assert _as_reference(result) == want
         assert result.certificate["hamiltonian_solves"] >= result.certificate["iterations"]
+
+
+@pytest.mark.parametrize("scale", [1e-6, 1e-4, 1e-2, 1.0, 1e2])
+def test_level_set_step_is_relative_below_norm_one(scale: float) -> None:
+    g = StateSpaceTF(a=[[-1.0]], b=[[1.0]], c=[[scale]], d=[[0.0]])
+    result = hinf_norm(g)
+    assert result.certificate["hamiltonian_solves"] == 1.0
+    assert _as_reference(result) == _reference_bisection(g)
+
+
+def test_hinf_norm_certificate_carries_the_grid_sigma_max_range(hinf_family) -> None:
+    for g in hinf_family:
+        sigma, _ = transfer._sample_grid(g, _sigma_max)
+        cert = hinf_norm(g).certificate
+        assert cert["grid_min"] == float(np.min(sigma))
+        assert cert["grid_lower_bound"] == float(np.max(sigma))
+    assert not hasattr(transfer, "_hinf_norm")
 
 
 @pytest.mark.parametrize("rel_tol", [0.0, -1.0, np.nan, np.inf])

@@ -222,20 +222,26 @@ def solve_sylvester(a, b, c) -> np.ndarray:
 
     ta, ua = schur(a, output="complex")
     tb, ub = schur(b, output="complex")
-    la, lb = np.diag(ta), np.diag(tb)
+    return _bartels_stewart(ta, ua, tb, ub, c, max(1.0, max_abs(a), max_abs(b)))
+
+
+def _bartels_stewart(ta, ua, tb, ub, c, scale, tranb="N") -> np.ndarray:
+    """A X + X B + C = 0 from Schur forms A = Ua Ta Ua^dagger, B = Ub op(Tb) Ub^dagger (op(Tb) =
+    Tb^dagger for ``tranb`` "C"); its gap precheck is the one eigenvalue-sum decision."""
+    la, lb = np.diag(ta), (np.diag(tb).conj() if tranb == "C" else np.diag(tb))
     sums = np.abs(la[:, None] + lb[None, :])
     i, j = np.unravel_index(np.argmin(sums), sums.shape)
-    if sums[i, j] < SPECTRAL_GAP_TOL * max(1.0, max_abs(a), max_abs(b)):
+    if sums[i, j] < SPECTRAL_GAP_TOL * scale:
         raise SingularityError(
             f"spectra of A and -B collide: {la[i]:.6g} + {lb[j]:.6g} ~ 0",
             eigenvalue_pair=(complex(la[i]), complex(lb[j])),
         )
 
     trsyl, = get_lapack_funcs(("trsyl",), (ta, tb))
-    y, scale, info = trsyl(ta, tb, -(ua.conj().T @ c @ ub))
+    y, sc, info = trsyl(ta, tb, -(ua.conj().T @ c @ ub), tranb=tranb)
     if info < 0:
         raise SingularityError(f"trsyl rejected argument {-info}")
-    return ua @ (y / scale) @ ub.conj().T
+    return ua @ (y / sc) @ ub.conj().T
 
 
 def solve_lyapunov_hermitian(a, q) -> np.ndarray:
@@ -243,14 +249,16 @@ def solve_lyapunov_hermitian(a, q) -> np.ndarray:
 
     ``q`` must be Hermitian; the result is symmetrized.  Solvability needs
     lambda_i(A) + conj(lambda_j(A)) != 0, checked as in
-    :func:`solve_sylvester`.
+    :func:`solve_sylvester`, on one Schur form A = U T U^dagger for both sides.
     """
     a = as_matrix(a, "a")
     q = require_hermitian(q, "q")
-    if q.shape[0] != a.shape[0]:
+    if q.shape != a.shape:
         raise DimensionError(f"shape mismatch: a {a.shape}, q {q.shape}")
-    x = solve_sylvester(a, a.conj().T, q)
-    return hermitian_part(x)
+    if a.shape[0] == 0:
+        return np.zeros((0, 0), dtype=complex)
+    t, u = schur(a, output="complex")
+    return hermitian_part(_bartels_stewart(t, u, t, u, q, max(1.0, max_abs(a)), tranb="C"))
 
 
 @dataclass(frozen=True)

@@ -10,8 +10,10 @@ prong and an independent sampled frequency prong, reported separately.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
+from scipy.linalg import schur
 
 from .errors import (
     DimensionError,
@@ -38,7 +40,7 @@ from .systems import is_hurwitz
 
 @dataclass(frozen=True)
 class StateSpaceTF:
-    """State-space realization (A, B, C, D) of C (sI - A)^{-1} B + D."""
+    """State-space realization (A, B, C, D) of C (sI - A)^{-1} B + D, stored read-only."""
 
     a: np.ndarray
     b: np.ndarray
@@ -61,10 +63,9 @@ class StateSpaceTF:
             raise DimensionError(
                 f"d must have shape ({c.shape[0]}, {b.shape[1]}), got {d.shape}"
             )
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "d", d)
+        for name, m in zip("abcd", (a.copy(), b.copy(), c.copy(), d.copy())):
+            m.flags.writeable = False
+            object.__setattr__(self, name, m)
 
     @property
     def state_dim(self) -> int:
@@ -77,6 +78,12 @@ class StateSpaceTF:
     @property
     def output_dim(self) -> int:
         return self.c.shape[0]
+
+    @cached_property
+    def _schur(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Schur form A = Z T Z^dagger (A is read-only): poles diag(T), T and Z."""
+        t, z = schur(self.a, output="complex") if self.state_dim else (self.a, self.a)
+        return np.diag(t), t, z
 
     @classmethod
     def from_system(cls, s) -> "StateSpaceTF":
@@ -106,8 +113,8 @@ class TransferCheck:
     residuals: dict[str, float]
 
 
-# Grid sampling solves at most this many pencil entries (points * n * n) at once,
-# which bounds the memory of the stacked solve at large n.
+# Grid sampling back-substitutes at most this many entries (points * n * min(m, p))
+# at once, which bounds the memory of the stacked solution at large n.
 _BLOCK_ENTRIES = 2**14
 _GRID_SEED = 1729
 _GRID_POINTS = 200
@@ -119,11 +126,34 @@ def _pole_scale(lam: np.ndarray) -> float:
     return max(1.0, float(np.max(np.abs(lam)))) if lam.size else 1.0
 
 
+def _shifted_solve(poles: np.ndarray, t: np.ndarray, rhs: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """(sI - T)^{-1} rhs by back-substitution, all columns at once; ``s`` is each column's point."""
+    x = np.empty_like(rhs)
+    for i in range(poles.size - 1, -1, -1):
+        x[i] = (rhs[i] + t[i, i + 1 :] @ x[i + 1 :]) / (s - poles[i])
+    return x
+
+
+def _response(a, b, c, d, form, s: np.ndarray) -> np.ndarray:
+    """C (sI - A)^{-1} B + D at the points ``s`` as (k, p, m) from A's Schur form (Laub 1981),
+    refined once against A itself for the accuracy of a dense solve at each point."""
+    poles, t, z = form
+    k, s = s.size, np.tile(s, d.shape[1])
+    x = _shifted_solve(poles, t, np.repeat(dagger(z) @ b, k, axis=1), s)
+    y = z @ x
+    x += _shifted_solve(poles, t, dagger(z) @ (np.repeat(b, k, axis=1) - y * s + a @ y), s)
+    return (c @ z @ x).reshape(*d.shape, k).transpose(2, 0, 1) + d
+
+
 def _freq_response(g: StateSpaceTF, s: np.ndarray) -> np.ndarray:
-    """C (sI - A)^{-1} B + D at every point of ``s``, stacked as (k, p, m)."""
-    pencil = s[:, None, None] * np.eye(g.state_dim, dtype=complex) - g.a
-    # B gets an explicit batch axis: NumPy 1.x would read a 2-D B as a stack of vectors.
-    return g.c @ np.linalg.solve(pencil, g.b[None]) + g.d
+    """C (sI - A)^{-1} B + D at every point of ``s``, stacked as (k, p, m).  With more inputs
+    than outputs the transpose is solved instead, on the Schur form of A^T that
+    A^T = (conj(Z) J)(J T^T J)(J Z^T) gives, J the reversal."""
+    if g.input_dim <= g.output_dim:
+        return _response(g.a, g.b, g.c, g.d, g._schur, s)
+    poles, t, z = g._schur
+    form = (poles[::-1], t.T[::-1, ::-1], z.conj()[:, ::-1])
+    return _response(g.a.T, g.c.T, g.b.T, g.d.T, form, s).swapaxes(1, 2)
 
 
 def _sigma_max(v: np.ndarray) -> np.ndarray:
@@ -137,14 +167,14 @@ def _sigma_max(v: np.ndarray) -> np.ndarray:
 
 
 def tf_eval(g: StateSpaceTF, s: complex) -> np.ndarray:
-    """Evaluate C (sI - A)^{-1} B + D at the point ``s``.
+    """Evaluate C (sI - A)^{-1} B + D at the point ``s`` from the Schur form ``g`` keeps.
 
     Raises
     ------
     SingularityError
         When ``s`` sits within the spectral-gap guard of an eigenvalue of A.
     """
-    lam = np.linalg.eigvals(g.a)
+    lam = g._schur[0]
     gap = float(np.min(np.abs(s - lam), initial=np.inf))
     if gap < SPECTRAL_GAP_TOL * _pole_scale(lam):
         raise SingularityError(
@@ -176,11 +206,11 @@ def default_frequency_grid(a=None) -> np.ndarray:
 def _sample_grid(g: StateSpaceTF, metric) -> tuple[np.ndarray, int]:
     """``metric`` of the response stacks (k, p, m) on the default grid, skipping points
     at the poles of A: the values along the grid axis, and the number of points used."""
-    lam = np.linalg.eigvals(g.a)
+    lam = g._schur[0]
     scale = _pole_scale(lam)
     s = 1j * _frequency_grid(scale)
     s = s[np.min(np.abs(s[:, None] - lam), axis=1, initial=np.inf) > 1e-8 * scale]
-    step = max(1, _BLOCK_ENTRIES // max(1, g.state_dim**2))
+    step = max(1, _BLOCK_ENTRIES // max(1, g.state_dim * min(g.input_dim, g.output_dim)))
     blocks = [metric(_freq_response(g, s[i : i + step])) for i in range(0, s.size, step)]
     return (np.concatenate(blocks) if blocks else np.zeros(0)), s.size
 
@@ -448,7 +478,7 @@ def hinf_norm(g: StateSpaceTF, rel_tol: float = 1e-6) -> NormResult:
         solves += 1
         return _gamma_feasible(g, gamma)
 
-    margin = abs(float(np.max(np.linalg.eigvals(g.a).real)))
+    margin = abs(float(np.max(g._schur[0].real)))
     estimate = sigma_d + 2.0 * float(
         np.linalg.norm(g.c, 2) * np.linalg.norm(g.b, 2)
     ) / max(margin, SPECTRAL_GAP_TOL)

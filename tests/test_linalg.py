@@ -181,6 +181,31 @@ def test_sylvester_residual_at_larger_sizes(n: int, q: int) -> None:
     assert max_abs(a @ x + x @ b + c) <= 1e-8 * (1 + max_abs(c))
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 16, 32, 64])
+def test_lyapunov_matches_the_two_sided_sylvester_solve(n: int) -> None:
+    rng = np.random.default_rng(300 + n)
+    a = random_stable(rng, n)
+    q = random_hermitian(rng, n)
+    x = solve_lyapunov_hermitian(a, q)
+    ref = solve_sylvester(a, a.conj().T, q)
+    ref = (ref + ref.conj().T) / 2
+    if n == 1:
+        assert np.array_equal(x, ref)
+    assert max_abs(x - ref) <= 1e-12 * max_abs(ref)
+
+
+def test_lyapunov_collision_carries_the_sylvester_pair() -> None:
+    # 2j + conj(2j) = 0; the other sums stay at least 1 away from 0
+    a = np.array([[2j, 1.0], [0.0, -1.0]])
+    q = np.eye(2)
+    with pytest.raises(SingularityError) as lyap:
+        solve_lyapunov_hermitian(a, q)
+    with pytest.raises(SingularityError) as sylv:
+        solve_sylvester(a, a.conj().T, q)
+    assert lyap.value.eigenvalue_pair == (2j, -2j)
+    assert sylv.value.eigenvalue_pair == lyap.value.eigenvalue_pair
+
+
 def test_lyapunov_scalar() -> None:
     # -x - x + 2 = 0 -> x = 1
     x = solve_lyapunov_hermitian([[-1.0]], [[2.0]])

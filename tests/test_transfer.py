@@ -99,8 +99,8 @@ def test_stacked_responses_match_per_point_solves(n: int) -> None:
     else:
         g = StateSpaceTF(np.zeros((0, 0)), np.zeros((0, 2)), np.zeros((3, 0)), rng.standard_normal((3, 2)))
     grid = default_frequency_grid(g.a)
-    # From n = 8 on, the sampled grid spans more than one stacked solve.
-    assert n < 8 or grid.size > _BLOCK_ENTRIES // n**2
+    # At n = 32 the sampled grid spans more than one block of points * n * min(m, p) entries.
+    assert n < 32 or grid.size > _BLOCK_ENTRIES // (n * 2)
     ref = np.array([_response_per_point(g, 1j * w) for w in grid])
     got = _freq_response(g, 1j * grid)
     assert got.shape == (grid.size, 3, 2)
@@ -111,14 +111,75 @@ def test_stacked_responses_match_per_point_solves(n: int) -> None:
     assert worst == pytest.approx(want, rel=1e-12)
 
 
-def test_stacked_solve_gives_b_a_batch_axis(monkeypatch) -> None:
-    # NumPy 1.x reads a b with one axis fewer than the stack as a stack of vectors.
-    ndims = []
-    solve = np.linalg.solve
-    monkeypatch.setattr(np.linalg, "solve", lambda a, b: ndims.append((a.ndim, b.ndim)) or solve(a, b))
-    g = random_stable_tf(np.random.default_rng(3), 2, 2, 2, strictly_proper=False)
-    _freq_response(g, 1j * np.array([0.5, 2.0]))
-    assert ndims == [(3, 3)]
+def _jordan_tf(rng: np.random.Generator, n: int) -> StateSpaceTF:
+    """One eigenvalue -0.5 with a unit superdiagonal, in a random unitary basis."""
+    q = random_unitary(rng, n)
+    a = q @ (-0.5 * np.eye(n) + np.eye(n, k=1)) @ dagger(q)
+    b, c, d = rng.standard_normal((n, 2)), rng.standard_normal((3, n)), rng.standard_normal((3, 2))
+    return StateSpaceTF(a, b, c, d)
+
+
+@pytest.mark.parametrize(
+    "kind, n",
+    [("dense", 0), ("dense", 1), ("dense", 8), ("dense", 32), ("dense", 64), ("jordan", 8), ("jordan", 32)]
+    + [("wide", 0), ("wide", 1), ("wide", 8), ("wide", 32)],
+)
+def test_schur_evaluator_matches_per_point_solves(kind: str, n: int) -> None:
+    # "wide" has more inputs than outputs, which the evaluator solves as the transpose
+    rng = np.random.default_rng(200 + n)
+    m, p = (3, 2) if kind == "wide" else (2, 3)
+    if kind == "jordan":
+        g = _jordan_tf(rng, n)
+    elif n:
+        g = random_stable_tf(rng, n, m, p, strictly_proper=False)
+    else:
+        g = StateSpaceTF(np.zeros((0, 0)), np.zeros((0, m)), np.zeros((p, 0)), rng.standard_normal((p, m)))
+    s = 1j * default_frequency_grid(g.a)
+    if kind != "jordan" and n:
+        lam = np.linalg.eigvals(g.a)
+        s = np.append(s, lam[0] + 1e-6j * max(1.0, np.max(np.abs(lam))))
+    assert _freq_response(g, s[:0]).shape == (0, p, m)
+    got = _freq_response(g, s)
+    assert got.shape == (s.size, p, m)
+    if n == 0:
+        assert np.array_equal(got, np.broadcast_to(g.d, got.shape))
+        return
+    # Both evaluations are backward stable. The Schur form and the back-substitution
+    # (refined once against A) perturb the pencil sI - A by E with
+    # |E| <= c n eps (|A| + |s|), and the LU reference by no more, so to first order
+    # each response moves by at most |C| R |E| R |B|, R = |(sI - A)^{-1}|: that is
+    # c n eps kappa |C| R |B| with kappa = (|A| + |s|) R, the condition of sI - A
+    # measured against the data. Forming C Z X + D adds rounding of order eps |D|.
+    # c = 4 is about three times the worst ratio seen over these families and seeds.
+    eps = np.finfo(float).eps
+    norm_a, norm_b, norm_c, norm_d = (np.linalg.norm(mat, 2) for mat in (g.a, g.b, g.c, g.d))
+    for k, sk in enumerate(s):
+        r = 1.0 / np.linalg.svd(sk * np.eye(n) - g.a, compute_uv=False)[-1]
+        kappa = (norm_a + abs(sk)) * r
+        bound = 4.0 * eps * (n * kappa * norm_c * r * norm_b + norm_d)
+        assert np.max(np.abs(got[k] - _response_per_point(g, sk))) <= bound
+
+
+def test_schur_form_is_computed_once_per_system(monkeypatch) -> None:
+    shapes = []
+    schur = transfer.schur
+    monkeypatch.setattr(transfer, "schur", lambda a, **kw: shapes.append(a.shape) or schur(a, **kw))
+    s = random_pr_system(4, 2, seed=5, kind="annihilation", hurwitz_required=True)
+    g = StateSpaceTF.from_system(s)
+    assert hinf_norm(g).value == pytest.approx(1.0, rel=1e-6)
+    assert lossless_br_check(g).verdict
+    tf_eval(g, 0.3j)
+    assert shapes == [(4, 4)]
+
+
+def test_realization_matrices_are_read_only_copies() -> None:
+    a = np.array([[-1.0 + 0j]])
+    g = StateSpaceTF(a=a, b=[[1.0]], c=[[1.0]], d=[[0.0]])
+    a[0, 0] = -2.0
+    assert g.a[0, 0] == -1.0
+    for m in (g.a, g.b, g.c, g.d):
+        with pytest.raises(ValueError):
+            m[0, 0] = 3.0
 
 
 def test_sampling_when_one_pencil_exceeds_the_block(monkeypatch) -> None:

@@ -49,7 +49,7 @@ from .linalg import (
     max_abs,
     solve_care_hermitian,
 )
-from .systems import HamiltonianCoupling, _certificate_defect, _random_complex, realize_annihilation
+from .systems import _annihilation_fg, _certificate_defect, _lyapunov_defect, _random_complex
 from .transfer import NormResult, StateSpaceTF, h2_norm, hinf_norm
 
 STATIC_GAIN_GRID = (-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0)
@@ -225,10 +225,10 @@ def lqg_cost(cl: ClosedLoop) -> NormResult:
     return h2_norm(cl.system)
 
 
-def _least_stable_cost(loops: list[ClosedLoop]) -> tuple[float, int]:
-    """Least LQG cost over the internally stable loops (inf if none), and their count."""
-    costs = [lqg_cost(loop).value for loop in loops if loop.internally_stable]
-    return min(costs, default=np.inf), len(costs)
+def _not_realizable(theorem: str, exc: NotAugmentableError) -> TheoremReport:
+    """The skipped report of a theorem whose plant has no square realizable completion."""
+    reason = f"skipped: plant not physically realizable ({exc})"
+    return TheoremReport(theorem, False, {"hypothesis_ok": 0.0}, reason)
 
 
 def _static_gain_candidates(m_u: int, m_y: int, seed: int) -> np.ndarray:
@@ -272,7 +272,8 @@ def random_challengers(p: PlantModel, count: int, seed: int) -> list[ControllerM
     random m_u rows (H_c), -sqrt(2) I on n_c extra noise channels and random
     m_y rows.  Then F_c + F_c^dagger + H_c^dagger H_c + G_cy G_cy^dagger + I
     = -I: each challenger is realizable, stabilizes every Hurwitz plant and
-    is strictly admissible for ``synth_noise_annihilation``.
+    is strictly admissible for ``synth_noise_annihilation``.  (I, M, N) is
+    valid by construction and goes straight into the realization formula.
     """
     rng = np.random.default_rng(seed)
     out: list[ControllerModel] = []
@@ -281,9 +282,9 @@ def random_challengers(p: PlantModel, count: int, seed: int) -> list[ControllerM
         m = hermitian_part(_random_complex(rng, n_c, n_c))
         h_c = _random_complex(rng, p.m_u, n_c)
         n_coupling = np.vstack([h_c, -np.sqrt(2.0) * np.eye(n_c), _random_complex(rng, p.m_y, n_c)])
-        s = realize_annihilation(HamiltonianCoupling(np.eye(n_c), m, n_coupling, "annihilation"))
+        f_c, g_c = _annihilation_fg(np.eye(n_c, dtype=complex), m, n_coupling)
         m_wt = p.m_u + n_c
-        out.append(_canonical_controller("annihilation", s.f, s.g[:, :m_wt], s.g[:, m_wt:], h_c))
+        out.append(_canonical_controller("annihilation", f_c, g_c[:, :m_wt], g_c[:, m_wt:], h_c))
     return out
 
 
@@ -296,7 +297,9 @@ def verify_static_lqg(
     loops admit a realizable completion (one coupling-row projection per
     plant first rejects gains the completion cannot accept), verifies the
     zero-gain property at each, and compares LQG costs against seeded
-    realizable dynamic controllers.
+    realizable dynamic controllers.  Static loops cost ``h2_norm``; a stable
+    dynamic loop (Theta_c = I) must pass the Lyapunov residual test at its state
+    covariance Theta = diag(Theta_p, I), and costs sqrt(tr(C Theta C^dagger)).
     The zero-gain certificates carry the substance; the cost comparison is
     corroborating evidence.
     """
@@ -307,14 +310,9 @@ def verify_static_lqg(
     if max_abs(p.cost.d) > 0.0:
         raise DomainError("cost block must be strictly proper")
     try:
-        augment_plant(p)
+        ap = augment_plant(p)
     except NotAugmentableError as exc:
-        return TheoremReport(
-            theorem="T5",
-            holds=False,
-            evidence={"hypothesis_ok": 0.0},
-            narrative=f"skipped: plant not physically realizable ({exc})",
-        )
+        return _not_realizable("T5", exc)
 
     if p.m_u == 0:
         cost = lqg_cost(close_loop(p, trivial_controller(p.m_y, 0)))
@@ -334,7 +332,7 @@ def verify_static_lqg(
     static_loops = []
     candidates = _static_gain_candidates(p.m_u, p.m_y, seed)
     for k_cy, bound in zip(candidates, _static_screen(p, candidates)):
-        completed = complete_static_pr(p, k_cy) if bound <= RESIDUAL_TOL else None
+        completed = complete_static_pr(p, k_cy, _ap=ap) if bound <= RESIDUAL_TOL else None
         if completed is None:
             continue
         k_cw, _ = completed
@@ -343,15 +341,23 @@ def verify_static_lqg(
         max_q_dev = max(max_q_dev, report.evidence["covariance_vs_certificate"])
         zero_gain_ok = zero_gain_ok and report.holds
         static_loops.append(close_loop(p, static_controller(k_cy, k_cw)))
-    best_static, used = _least_stable_cost(static_loops)
+    static_costs = [lqg_cost(loop).value for loop in static_loops if loop.internally_stable]
+    best_static, used = min(static_costs, default=np.inf), len(static_costs)
     skipped = len(candidates) - used
 
     dynamic_loops = [close_loop(p, c) for c in random_challengers(p, dynamic_count, seed + 1)]
-    best_dynamic, dyn_used = _least_stable_cost(dynamic_loops)
+    dynamic_costs, invariant_ok = [], True
+    for g in (loop.system for loop in dynamic_loops if loop.internally_stable):
+        theta = np.eye(g.state_dim, dtype=complex)
+        theta[: p.n_modes, : p.n_modes] = ap.theta
+        q = hermitian_part(g.b @ dagger(g.b))
+        invariant_ok &= not _lyapunov_defect(g.a, theta, q, {}, RESIDUAL_TOL)
+        dynamic_costs.append(float(np.sqrt(max(np.trace(g.c @ theta @ dagger(g.c)).real, 0.0))))
+    best_dynamic, dyn_used = min(dynamic_costs, default=np.inf), len(dynamic_costs)
     dyn_skipped = len(dynamic_loops) - dyn_used
 
     cost_ok = best_static <= best_dynamic + 1e-6 * max(1.0, best_dynamic)
-    holds = zero_gain_ok and cost_ok
+    holds = zero_gain_ok and cost_ok and invariant_ok
     return TheoremReport(
         theorem="T5",
         holds=holds,
@@ -412,6 +418,10 @@ def verify_trivial_hinf(
         raise DomainError("trivial-controller verification is annihilation-kind only")
     l_select = as_matrix(l_select, "l_select")
     _validate_selector(l_select, p.m_w + p.m_u)
+    try:
+        ap = augment_plant(p)
+    except NotAugmentableError as exc:
+        return _not_realizable("T6", exc)
 
     norms: list[float] = []
     pointwise: list[float] = []
@@ -421,15 +431,8 @@ def verify_trivial_hinf(
     entries += [(f"challenger {i}", c) for i, c in enumerate(challengers)]
     for label, ctrl in entries:
         try:
-            acl = close_augmented_loop(p, ctrl)
+            acl = close_augmented_loop(p, ctrl, _ap=ap)
         except (NotAugmentableError, DimensionError) as exc:
-            if label == "trivial" and isinstance(exc, NotAugmentableError):
-                return TheoremReport(
-                    theorem="T6",
-                    holds=False,
-                    evidence={"hypothesis_ok": 0.0},
-                    narrative=f"skipped: plant not physically realizable ({exc})",
-                )
             skipped.append(f"{label}: {exc}")
             continue
         full = acl.system

@@ -549,7 +549,7 @@ class AugmentedClosedLoop:
     internally_stable: bool
 
 
-def close_augmented_loop(p: PlantModel, c: ControllerModel) -> AugmentedClosedLoop:
+def close_augmented_loop(p: PlantModel, c: ControllerModel, *, _ap=None) -> AugmentedClosedLoop:
     """Interconnect the augmentations of plant and controller.
 
     Both subsystems are first completed to square realizable systems; the
@@ -558,12 +558,13 @@ def close_augmented_loop(p: PlantModel, c: ControllerModel) -> AugmentedClosedLo
     diag(theta_plant, theta_controller) and identity feedthrough, which is
     what makes every row-selected closed-loop transfer function all-pass.
     The augmentation needs K_cy = 0, so the state and input matrices are
-    those of :func:`close_loop`.
+    those of :func:`close_loop`.  The private ``_ap`` is ``augment_plant(p)``
+    when a caller closing many loops around one plant already has it.
     """
     if p.kind != "annihilation" or c.kind != "annihilation":
         raise DomainError("augmented loop composition is annihilation-kind only")
     loop = close_loop(p, c)
-    ap = augment_plant(p)
+    ap = augment_plant(p) if _ap is None else _ap
     ac = augment_controller(c)
     n, n_c = p.n_modes, c.n_modes
     m_w, m_u, m_y, m_wt = p.m_w, p.m_u, p.m_y, c.m_wt
@@ -608,14 +609,15 @@ def close_augmented_loop(p: PlantModel, c: ControllerModel) -> AugmentedClosedLo
     )
 
 
-def complete_static_pr(p: PlantModel, k_cy) -> tuple[np.ndarray, np.ndarray] | None:
+def complete_static_pr(p: PlantModel, k_cy, *, _ap=None) -> tuple[np.ndarray, np.ndarray] | None:
     """Find K_cw making a static controller's loop keep the plant realizable.
 
     Solves jointly for a Hermitian certificate Theta_a and a PSD Gram matrix
     S = K_cw K_cw^dagger such that the plant with U = K_cy Y folded in
     satisfies the coupling identity on the measured channels and the
     certificate equation over all noises.  Returns (k_cw, theta_a) or None
-    when the affine system has no admissible solution.
+    when the affine system has no admissible solution.  K_cy = 0 reads
+    Theta_a off ``augment_plant(p)``, or off the private ``_ap`` that holds it.
     """
     if p.kind != "annihilation":
         raise DomainError("static completion is annihilation-kind only")
@@ -625,8 +627,7 @@ def complete_static_pr(p: PlantModel, k_cy) -> tuple[np.ndarray, np.ndarray] | N
     n, m_u = p.n_modes, p.m_u
 
     if max_abs(k_cy) == 0.0:
-        theta = augment_plant(p).theta
-        return np.eye(m_u, dtype=complex), theta
+        return np.eye(m_u, dtype=complex), (augment_plant(p) if _ap is None else _ap).theta
 
     f_fold, g_fold = _static_fold(p, k_cy)
     target_coup = -(p.g_w[:, : p.m_y] + p.g_u @ k_cy)

@@ -36,7 +36,7 @@ def as_matrix(x, name: str = "matrix") -> np.ndarray:
     a = np.atleast_2d(np.asarray(x, dtype=complex))
     if a.ndim != 2:
         raise DimensionError(f"{name} must be 2-D, got shape {a.shape}")
-    if a.size and not np.all(np.isfinite(a)):
+    if a.size and not np.isfinite(a).all():
         raise DomainError(f"{name} has non-finite entries")
     return a
 
@@ -49,7 +49,7 @@ def dagger(a) -> np.ndarray:
 def max_abs(a) -> float:
     """Largest entry magnitude; 0 for empty matrices."""
     a = np.asarray(a)
-    return float(np.max(np.abs(a))) if a.size else 0.0
+    return float(np.abs(a).max()) if a.size else 0.0
 
 
 def hermitian_part(a) -> np.ndarray:
@@ -244,12 +244,13 @@ def _bartels_stewart(ta, ua, tb, ub, c, scale, tranb="N") -> np.ndarray:
     return ua @ (y / sc) @ ub.conj().T
 
 
-def solve_lyapunov_hermitian(a, q) -> np.ndarray:
+def solve_lyapunov_hermitian(a, q, _schur=None) -> np.ndarray:
     """Solve A X + X A^dagger + Q = 0 for Hermitian X.
 
     ``q`` must be Hermitian; the result is symmetrized.  Solvability needs
     lambda_i(A) + conj(lambda_j(A)) != 0, checked as in
-    :func:`solve_sylvester`, on one Schur form A = U T U^dagger for both sides.
+    :func:`solve_sylvester`, on one Schur form A = U T U^dagger for both sides
+    (the private ``_schur`` = (T, U) of ``a`` when the caller holds it).
     """
     a = as_matrix(a, "a")
     q = require_hermitian(q, "q")
@@ -257,7 +258,7 @@ def solve_lyapunov_hermitian(a, q) -> np.ndarray:
         raise DimensionError(f"shape mismatch: a {a.shape}, q {q.shape}")
     if a.shape[0] == 0:
         return np.zeros((0, 0), dtype=complex)
-    t, u = schur(a, output="complex")
+    t, u = schur(a, output="complex") if _schur is None else _schur
     return hermitian_part(_bartels_stewart(t, u, t, u, q, max(1.0, max_abs(a)), tranb="C"))
 
 

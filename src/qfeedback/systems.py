@@ -258,16 +258,26 @@ def realize_annihilation(p: HamiltonianCoupling) -> AnnihilationQSys:
     """
     if p.kind != "annihilation":
         raise DomainError(f"expected annihilation-kind parameters, got {p.kind!r}")
-    theta, m, n = p.theta, p.m, p.n_coupling
-    f = theta @ (-1j * m - 0.5 * dagger(n) @ n)
-    g = -theta @ dagger(n)
+    n = p.n_coupling
+    f, g = _annihilation_fg(p.theta, p.m, n)
     k = np.eye(p.m_fields, dtype=complex)
     return AnnihilationQSys(f=f, g=g, h=n.copy(), k=k, n_modes=p.n_modes, m_fields=p.m_fields)
+
+
+def _annihilation_fg(theta, m, n) -> tuple[np.ndarray, np.ndarray]:
+    """F = Theta (-i M - (1/2) N^dagger N) and G = -Theta N^dagger, (Theta, M, N) unvalidated."""
+    return theta @ (-1j * m - 0.5 * dagger(n) @ n), -theta @ dagger(n)
 
 
 def _coupling_residual(g, theta, h, sig) -> float:
     """Residual of the coupling identity G = -Theta H^dagger S."""
     return max_abs(g + theta @ dagger(h) @ sig)
+
+
+def _lyapunov_defect(f, theta, q, residuals, tol) -> bool:
+    """True when |F Theta + Theta F^dagger + Q| (into ``residuals``) exceeds tol * (1 + |Q|)."""
+    residuals["lyapunov"] = max_abs(f @ theta + theta @ dagger(f) + q)
+    return residuals["lyapunov"] > tol * (1.0 + max_abs(q))
 
 
 def _certificate_defect(f, g, h, sig, q, theta, residuals, tol) -> str | None:
@@ -276,8 +286,7 @@ def _certificate_defect(f, g, h, sig, q, theta, residuals, tol) -> str | None:
     The residuals go into ``residuals``, against tol * (1 + |Q|) and
     tol * (1 + |G| + |Theta| |H|).
     """
-    residuals["lyapunov"] = max_abs(f @ theta + theta @ dagger(f) + q)
-    if residuals["lyapunov"] > tol * (1.0 + max_abs(q)):
+    if _lyapunov_defect(f, theta, q, residuals, tol):
         return "lyapunov"
     residuals["coupling"] = _coupling_residual(g, theta, h, sig)
     if residuals["coupling"] > tol * (1.0 + max_abs(g) + max_abs(theta) * max_abs(h)):

@@ -289,7 +289,8 @@ def _signature_check(g, red, sig, tol, gate) -> tuple[str, str, dict[str, float]
         algebraic = "pass" if feed_ok else "fail"
     else:
         try:
-            x = solve_lyapunov_hermitian(red.a, hermitian_part(red.b @ sig @ dagger(red.b)))
+            q = hermitian_part(red.b @ sig @ dagger(red.b))
+            x = solve_lyapunov_hermitian(red.a, q, g._schur[1:] if red is g else None)
         except SingularityError:
             algebraic = "indeterminate"
         else:
@@ -361,7 +362,7 @@ def h2_norm(g: StateSpaceTF) -> NormResult:
         return NormResult(0.0, "lyapunov-gramian", {"gramian_trace": 0.0})
     if not is_hurwitz(g.a):
         raise InstabilityError("H2 norm needs a Hurwitz state matrix")
-    p = solve_lyapunov_hermitian(g.a, hermitian_part(g.b @ dagger(g.b)))
+    p = solve_lyapunov_hermitian(g.a, hermitian_part(g.b @ dagger(g.b)), g._schur[1:])
     tr = float(np.trace(g.c @ p @ dagger(g.c)).real)
     residual = max_abs(g.a @ p + p @ dagger(g.a) + g.b @ dagger(g.b))
     return NormResult(

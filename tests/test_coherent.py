@@ -362,6 +362,15 @@ def unscreened_static_lqg(p: PlantModel, seed: int, dynamic_count: int):
     return zero_gain_ok and best_static <= best_dynamic + 1e-6, evidence, narrative
 
 
+def assert_matches_the_unscreened_evidence(got: dict, want: dict) -> None:
+    """Bit-identical evidence, except the dynamic cost, which T5 reads off the loop
+    invariant diag(Theta_p, I) while the oracle solves each loop's Lyapunov equation."""
+    got, want = dict(got), dict(want)
+    dynamic, expected = got.pop("best_dynamic_cost"), want.pop("best_dynamic_cost")
+    assert got == want  # static_used/skipped included
+    assert dynamic == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
 # the five acceptance shapes and a 64-draw random-gain shape (m_u = 3)
 @pytest.mark.parametrize(
     "shape", [(1, 1, 1, 1), (2, 2, 1, 1), (2, 2, 2, 2), (1, 2, 1, 1), (2, 3, 1, 2), (1, 3, 3, 1)]
@@ -376,7 +385,7 @@ def test_static_lqg_matches_the_unscreened_sweep(shape) -> None:
         report = verify_static_lqg(p, seed=1729 + seed, dynamic_count=4)
         holds, evidence, narrative = unscreened_static_lqg(p, 1729 + seed, 4)
         assert (report.holds, report.narrative) == (holds, narrative)
-        assert report.evidence == evidence  # bit-identical, static_used/skipped included
+        assert_matches_the_unscreened_evidence(report.evidence, evidence)
 
 
 @pytest.mark.parametrize("shape", [(1, 3, 3, 1), (2, 3, 1, 3), (3, 3, 3, 3), (1, 3, 1, 3)])
@@ -396,8 +405,33 @@ def test_static_lqg_holds_beyond_the_gain_grid(shape) -> None:
 def test_static_lqg_cavity_matches_the_unscreened_sweep(cavity_plant_with_cost) -> None:
     report = verify_static_lqg(cavity_plant_with_cost, seed=1729, dynamic_count=12)
     holds, evidence, narrative = unscreened_static_lqg(cavity_plant_with_cost, 1729, 12)
-    assert (report.holds, report.narrative, report.evidence) == (holds, narrative, evidence)
+    assert (report.holds, report.narrative) == (holds, narrative)
+    assert_matches_the_unscreened_evidence(report.evidence, evidence)
     assert evidence["static_used"] == 5.0  # c = -0.5 ... 2; c = -1, -2 admit no completion
+
+
+def test_static_lqg_refutes_a_wrong_plant_certificate(cavity_plant_with_cost, monkeypatch) -> None:
+    # every stable dynamic loop is checked at diag(Theta_p, I); a Theta_p 1% off
+    # leaves the static costs winning, so only that residual test can refute it
+    rng = np.random.default_rng(37)
+    plants = [cavity_plant_with_cost]
+    for n, m_w, m_u, m_y in [(1, 1, 1, 1), (2, 2, 1, 1), (2, 3, 1, 2)]:
+        cost = CostOutput(c=rng.standard_normal((1, n)), d=np.zeros((1, m_u)))
+        plants.append(random_pr_plant(n, m_w, m_u, m_y, seed=610).with_cost(cost))
+    augment = coherent.augment_plant
+    for p in plants:
+        honest = verify_static_lqg(p, seed=1729, dynamic_count=8)
+
+        def scaled(q, p=p):
+            # verify_zero_gain's noise-only plant keeps its exact certificate
+            ap = augment(q)
+            return replace(ap, theta=1.01 * ap.theta) if q is p else ap
+
+        monkeypatch.setattr(coherent, "augment_plant", scaled)
+        report = verify_static_lqg(p, seed=1729, dynamic_count=8)
+        monkeypatch.setattr(coherent, "augment_plant", augment)
+        assert honest.holds and not report.holds, report.narrative
+        assert report.evidence["best_static_cost"] == honest.evidence["best_static_cost"]
 
 
 # ---------------------------------------------------------------------------
@@ -567,8 +601,8 @@ def test_trivial_hinf_refutes_a_wrong_loop_certificate(cavity_plant, monkeypatch
     # the loops stay all-pass; only their certificates are scaled off the identities
     close = coherent.close_augmented_loop
 
-    def scaled(p, c):
-        loop = close(p, c)
+    def scaled(p, c, **private):
+        loop = close(p, c, **private)
         return replace(loop, theta=1.01 * loop.theta)
 
     monkeypatch.setattr(coherent, "close_augmented_loop", scaled)

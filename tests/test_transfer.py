@@ -36,7 +36,7 @@ from qfeedback import (
     signature_matrix,
     tf_eval,
 )
-from qfeedback import transfer
+from qfeedback import linalg, transfer
 from qfeedback.linalg import (
     FREQ_TOL,
     RESIDUAL_TOL,
@@ -161,15 +161,22 @@ def test_schur_evaluator_matches_per_point_solves(kind: str, n: int) -> None:
 
 
 def test_schur_form_is_computed_once_per_system(monkeypatch) -> None:
-    shapes = []
+    # the Lyapunov certificates of h2_norm and both structure checks reuse the cached form
+    shapes, lyapunov_factored = [], []
     schur = transfer.schur
     monkeypatch.setattr(transfer, "schur", lambda a, **kw: shapes.append(a.shape) or schur(a, **kw))
+    monkeypatch.setattr(linalg, "schur", lambda a, **kw: lyapunov_factored.append(a) or schur(a, **kw))
     s = random_pr_system(4, 2, seed=5, kind="annihilation", hurwitz_required=True)
     g = StateSpaceTF.from_system(s)
     assert hinf_norm(g).value == pytest.approx(1.0, rel=1e-6)
     assert lossless_br_check(g).verdict
     tf_eval(g, 0.3j)
-    assert shapes == [(4, 4)]
+    strictly_proper = StateSpaceTF(g.a, g.b, g.c, np.zeros_like(g.d))
+    assert h2_norm(strictly_proper).value > 0.0
+    doubled = StateSpaceTF.from_system(random_pr_system(2, 1, seed=3, kind="general"))
+    assert jj_unitary_check(doubled, 1).verdict
+    assert shapes == [(4, 4), (4, 4), (4, 4)]
+    assert lyapunov_factored == []
 
 
 def test_realization_matrices_are_read_only_copies() -> None:

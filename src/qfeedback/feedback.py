@@ -25,6 +25,7 @@ from .errors import (
 from .linalg import (
     RESIDUAL_TOL,
     STRUCTURE_TOL,
+    _hurwitz_spectrum,
     as_matrix,
     conj_swap,
     dagger,
@@ -408,11 +409,10 @@ def synth_noise_annihilation(f_c, g_cy, h_c, rel_tol: float = 1e-6) -> Synthesis
             admissibility_norm=0.0,
         )
 
-    if not is_hurwitz(f_c):
+    g_adm = StateSpaceTF(f_c, np.eye(n_c), h_c, np.zeros((m_u, n_c)))
+    if not _hurwitz_spectrum(g_adm._schur[0], f_c):
         raise NotRealizableError("admissibility failed: state matrix is not Hurwitz")
-    nu = hinf_norm(
-        StateSpaceTF(f_c, np.eye(n_c), h_c, np.zeros((m_u, n_c))), rel_tol
-    ).value
+    nu = hinf_norm(g_adm, rel_tol).value
     if nu > 1.0 + 2.0 * rel_tol:
         shown = f"{round(nu):.1f}" if abs(nu - round(nu)) < 1e-5 else f"{nu:.6g}"
         raise NotRealizableError(f"H∞ admissibility failed: {shown} > 1")

@@ -31,6 +31,11 @@ SPECTRAL_GAP_TOL = 1e-10
 FREQ_TOL = 1e-7
 
 
+def _hurwitz_spectrum(lam: np.ndarray, a: np.ndarray, tol: float = SPECTRAL_GAP_TOL) -> bool:
+    """The Hurwitz rule on the spectrum ``lam`` of ``a``: max Re lambda < -tol * max(1, |a|)."""
+    return bool(np.max(lam.real, initial=-np.inf) < -tol * max(1.0, max_abs(a)))
+
+
 def as_matrix(x, name: str = "matrix") -> np.ndarray:
     """Coerce ``x`` to a 2-D complex array, rejecting NaN/Inf entries."""
     a = np.atleast_2d(np.asarray(x, dtype=complex))
@@ -38,6 +43,14 @@ def as_matrix(x, name: str = "matrix") -> np.ndarray:
         raise DimensionError(f"{name} must be 2-D, got shape {a.shape}")
     if a.size and not np.isfinite(a).all():
         raise DomainError(f"{name} has non-finite entries")
+    return a
+
+
+def as_square(x, name: str = "matrix") -> np.ndarray:
+    """:func:`as_matrix` for a square matrix."""
+    a = as_matrix(x, name)
+    if a.shape[0] != a.shape[1]:
+        raise DimensionError(f"{name} must be square, got {a.shape}")
     return a
 
 
@@ -59,9 +72,7 @@ def hermitian_part(a) -> np.ndarray:
 
 def require_hermitian(a, name: str) -> np.ndarray:
     """Validate Hermitian symmetry within RESIDUAL_TOL (relative) and symmetrize."""
-    a = as_matrix(a, name)
-    if a.shape[0] != a.shape[1]:
-        raise DimensionError(f"{name} must be square, got {a.shape}")
+    a = as_square(a, name)
     dev = max_abs(a - a.conj().T)
     if dev > RESIDUAL_TOL * (1.0 + max_abs(a)):
         raise DomainError(f"{name} is not Hermitian (deviation {dev:.3e})")

@@ -22,7 +22,9 @@ from .linalg import (
     RANK_TOL,
     RESIDUAL_TOL,
     SPECTRAL_GAP_TOL,
+    _hurwitz_spectrum,
     as_matrix,
+    as_square,
     conj_swap,
     dagger,
     delta_build,
@@ -75,9 +77,7 @@ def eig_sum_condition(f) -> bool:
     spectral-gap precheck of ``solve_lyapunov_hermitian`` decide, which
     applies the same cut.  It serves the random generator's redraws.
     """
-    f = as_matrix(f, "f")
-    if f.shape[0] != f.shape[1]:
-        raise DimensionError(f"f must be square, got {f.shape}")
+    f = as_square(f, "f")
     if f.shape[0] == 0:
         return True
     lam = eigvals(f)
@@ -86,12 +86,9 @@ def eig_sum_condition(f) -> bool:
 
 
 def is_hurwitz(f, tol: float = SPECTRAL_GAP_TOL) -> bool:
-    """True when every eigenvalue of ``f`` has real part below -tol * scale."""
-    f = as_matrix(f, "f")
-    if f.shape[0] == 0:
-        return True
-    lam = np.linalg.eigvals(f)
-    return bool(np.max(lam.real) < -tol * max(1.0, max_abs(f)))
+    """True when every eigenvalue of ``f`` has real part below -tol * max(1, |f|)."""
+    f = as_square(f, "f")
+    return _hurwitz_spectrum(np.linalg.eigvals(f), f, tol)
 
 
 @dataclass(frozen=True)

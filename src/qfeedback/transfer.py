@@ -17,6 +17,7 @@ from scipy.linalg import schur
 
 from .errors import (
     DimensionError,
+    DomainError,
     GenerationError,
     InfiniteNormError,
     InstabilityError,
@@ -27,7 +28,9 @@ from .linalg import (
     RANK_TOL,
     RESIDUAL_TOL,
     SPECTRAL_GAP_TOL,
+    _hurwitz_spectrum,
     as_matrix,
+    as_square,
     dagger,
     hermitian_part,
     max_abs,
@@ -35,7 +38,6 @@ from .linalg import (
     signature_matrix,
     solve_lyapunov_hermitian,
 )
-from .systems import is_hurwitz
 
 
 @dataclass(frozen=True)
@@ -48,13 +50,11 @@ class StateSpaceTF:
     d: np.ndarray
 
     def __post_init__(self):
-        a = as_matrix(self.a, "a")
+        a = as_square(self.a, "a")
         b = as_matrix(self.b, "b")
         c = as_matrix(self.c, "c")
         d = as_matrix(self.d, "d")
         n = a.shape[0]
-        if a.shape != (n, n):
-            raise DimensionError(f"a must be square, got {a.shape}")
         if b.shape[0] != n:
             raise DimensionError(f"b must have {n} rows, got {b.shape}")
         if c.shape[1] != n:
@@ -171,9 +171,13 @@ def tf_eval(g: StateSpaceTF, s: complex) -> np.ndarray:
 
     Raises
     ------
+    DomainError
+        When ``s`` is not finite.
     SingularityError
         When ``s`` sits within the spectral-gap guard of an eigenvalue of A.
     """
+    if not np.isfinite(s):
+        raise DomainError(f"evaluation point must be finite, got {s!r}")
     lam = g._schur[0]
     gap = float(np.min(np.abs(s - lam), initial=np.inf))
     if gap < SPECTRAL_GAP_TOL * _pole_scale(lam):
@@ -184,12 +188,20 @@ def tf_eval(g: StateSpaceTF, s: complex) -> np.ndarray:
     return _freq_response(g, np.array([s], dtype=complex))[0]
 
 
-def _frequency_grid(scale: float) -> np.ndarray:
-    base = np.logspace(-3.0, 3.0, _GRID_POINTS) * scale
+def _unit_frequency_grid() -> np.ndarray:
+    """The default grid at scale 1, unsorted: drawn once, since its seed is fixed."""
+    base = np.logspace(-3.0, 3.0, _GRID_POINTS)
     rng = np.random.default_rng(_GRID_SEED)
-    mags = 10.0 ** rng.uniform(-3.0, 3.0, _GRID_RANDOM_POINTS) * scale
+    mags = 10.0 ** rng.uniform(-3.0, 3.0, _GRID_RANDOM_POINTS)
     signs = rng.choice([-1.0, 1.0], _GRID_RANDOM_POINTS)
-    return np.unique(np.concatenate([-base[::-1], [0.0], base, mags * signs]))
+    return np.concatenate([-base[::-1], [0.0], base, mags * signs])
+
+
+_UNIT_GRID = _unit_frequency_grid()
+
+
+def _frequency_grid(scale: float) -> np.ndarray:
+    return np.unique(_UNIT_GRID * scale)
 
 
 def default_frequency_grid(a=None) -> np.ndarray:
@@ -199,7 +211,7 @@ def default_frequency_grid(a=None) -> np.ndarray:
     of ``a`` when above 1), their negatives, omega = 0 and 56 seeded random
     points with log-uniform magnitude and random sign.
     """
-    lam = np.linalg.eigvals(as_matrix(a, "a")) if a is not None else np.zeros(0)
+    lam = np.linalg.eigvals(as_square(a, "a")) if a is not None else np.zeros(0)
     return _frequency_grid(_pole_scale(lam))
 
 
@@ -245,11 +257,6 @@ def _controllable_basis(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return basis
 
 
-def is_minimal(g: StateSpaceTF) -> bool:
-    """True when the realization is both controllable and observable."""
-    return minimal_realization(g) is g
-
-
 def minimal_realization(g: StateSpaceTF) -> StateSpaceTF:
     """Exact reduction to the controllable and observable part.
 
@@ -290,7 +297,7 @@ def _signature_check(g, red, sig, tol, gate) -> tuple[str, str, dict[str, float]
     else:
         try:
             q = hermitian_part(red.b @ sig @ dagger(red.b))
-            x = solve_lyapunov_hermitian(red.a, q, g._schur[1:] if red is g else None)
+            x = solve_lyapunov_hermitian(red.a, q, red._schur[1:])
         except SingularityError:
             algebraic = "indeterminate"
         else:
@@ -328,8 +335,8 @@ def lossless_br_check(g: StateSpaceTF, tol: float = RESIDUAL_TOL) -> TransferChe
 
     Non-minimal realizations are first reduced exactly, since the property
     belongs to the transfer function.  Prongs: (i) stability of the reduced
-    state matrix, (ii) algebraic: Hermitian X with
-    A X + X A^dagger + B B^dagger = 0, X C^dagger = -B D^dagger and
+    state matrix, read off its Schur diagonal, (ii) algebraic: Hermitian X
+    with A X + X A^dagger + B B^dagger = 0, X C^dagger = -B D^dagger and
     D^dagger D = I (X > 0 follows from minimality and stability), (iii)
     sampled unitarity on the frequency grid.
     """
@@ -338,7 +345,7 @@ def lossless_br_check(g: StateSpaceTF, tol: float = RESIDUAL_TOL) -> TransferChe
             f"lossless check needs square io, got {g.output_dim} x {g.input_dim}"
         )
     red = minimal_realization(g)
-    stable = red.state_dim == 0 or is_hurwitz(red.a)
+    stable = _hurwitz_spectrum(red._schur[0], red.a)
     algebraic, sampled, residuals = _signature_check(
         g, red, np.eye(g.input_dim), tol, None if stable else "fail"
     )
@@ -360,7 +367,7 @@ def h2_norm(g: StateSpaceTF) -> NormResult:
         raise InfiniteNormError("H2 norm needs a strictly proper system (D = 0)")
     if g.state_dim == 0:
         return NormResult(0.0, "lyapunov-gramian", {"gramian_trace": 0.0})
-    if not is_hurwitz(g.a):
+    if not _hurwitz_spectrum(g._schur[0], g.a):
         raise InstabilityError("H2 norm needs a Hurwitz state matrix")
     p = solve_lyapunov_hermitian(g.a, hermitian_part(g.b @ dagger(g.b)), g._schur[1:])
     tr = float(np.trace(g.c @ p @ dagger(g.c)).real)
@@ -460,7 +467,7 @@ def hinf_norm(g: StateSpaceTF, rel_tol: float = 1e-6) -> NormResult:
     sigma_d = float(np.linalg.svd(g.d, compute_uv=False)[0]) if g.d.size else 0.0
     if g.state_dim == 0 or g.b.size == 0 or g.c.size == 0:
         return NormResult(sigma_d, "static", {"sigma_max_d": sigma_d})
-    if not is_hurwitz(g.a):
+    if not _hurwitz_spectrum(g._schur[0], g.a):
         raise InstabilityError("H-infinity norm needs a Hurwitz state matrix")
 
     sigma, _ = _sample_grid(g, _sigma_max)

@@ -1,4 +1,5 @@
-"""The package's public surface: ``__all__`` is exact and star-importable, and the source keeps no dead names."""
+"""The package's public surface: ``__all__`` is exact and star-importable, the source keeps no dead names,
+and the transfer layer does not depend on the systems layer."""
 
 from __future__ import annotations
 
@@ -53,3 +54,14 @@ def test_no_unused_import_or_unreferenced_private_definition() -> None:
         ]
     assert unused == []
     assert [entry for entry in private if entry.split(": ")[1] not in referenced] == []
+
+
+def test_transfer_imports_nothing_from_systems() -> None:
+    # the transfer layer reads stability off its own Schur form, not systems.is_hurwitz
+    imported = set()
+    for node in ast.walk(ast.parse((SRC / "transfer.py").read_text())):
+        if isinstance(node, ast.ImportFrom):
+            imported |= {f"{node.module or ''}.{alias.name}" for alias in node.names}
+        elif isinstance(node, ast.Import):
+            imported |= {alias.name for alias in node.names}
+    assert not any("systems" in name.split(".") for name in imported)

@@ -15,6 +15,7 @@ from qfeedback import (
     AnnihilationQSys,
     ControllerModel,
     CostOutput,
+    GeneralQSys,
     PlantModel,
     dagger,
     delta_build,
@@ -552,6 +553,15 @@ class TestGen:
 
 
 class TestGeneralKind:
+    def test_check_reports_an_indeterminate_verdict(self, capsys, tmp_path):
+        # a doubled-up lossless mode: the eigenvalue-sum condition fails
+        path = tmp_path / "lossless_mode.json"
+        f = delta_build([[-1j]], [[0.0]])
+        save_system(path, GeneralQSys(f=f, g=np.zeros((2, 2)), h=np.zeros((2, 2)), k=np.eye(2)))
+        code, out, _ = run(capsys, "check", path)
+        assert code == 1
+        assert "realizable: false\nindeterminate: true\n" in out
+
     def test_check_transfer_runs_the_jj_unitary_test(self, capsys, tmp_path):
         path = tmp_path / "general.json"
         save_system(path, random_pr_system(2, 1, seed=5, kind="general"))

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from qfeedback import (
     AnnihilationQSys,
+    DimensionError,
     DomainError,
     GeneralQSys,
     HamiltonianCoupling,
@@ -246,6 +247,38 @@ def test_eig_sum_condition_examples() -> None:
     assert eig_sum_condition([[-1.0]])
     assert not eig_sum_condition([[1j]])
     assert not eig_sum_condition(np.diag([-1.0, 1.0]))
+
+
+def test_is_hurwitz_rejects_a_non_square_matrix() -> None:
+    with pytest.raises(DimensionError):
+        is_hurwitz([[1.0, 2.0]])
+
+
+def test_doubled_lossless_mode_is_indeterminate() -> None:
+    # F = Delta(-i, 0) has the eigenvalue pair (-i, i), whose sums with conjugates vanish
+    f = delta_build([[-1j]], [[0.0]])
+    s = GeneralQSys(f=f, g=np.zeros((2, 2)), h=np.zeros((2, 2)), k=np.eye(2))
+    verdict = check_pr_general(s)
+    assert verdict.indeterminate and not verdict.realizable
+    assert verdict.failure_reason == "eigenvalue-sum-degenerate"
+
+
+def test_degenerate_annihilation_above_two_modes_is_indeterminate() -> None:
+    s = AnnihilationQSys(
+        f=-1j * np.diag([1.0, 2.0, 3.0]), g=np.zeros((3, 1)), h=np.zeros((1, 3)), k=np.eye(1)
+    )
+    verdict = check_pr_annihilation(s)
+    assert verdict.indeterminate and not verdict.realizable
+    assert verdict.failure_reason == "eigenvalue-sum-degenerate"
+
+
+def test_degenerate_annihilation_family_without_a_coupling_fit_fails() -> None:
+    # Theta with -i Theta + i Theta + 1 = 0 does not exist: the family residual is 1
+    s = AnnihilationQSys(f=[[-1j]], g=[[1.0]], h=[[0.0]], k=[[1.0]])
+    verdict = check_pr_annihilation(s)
+    assert not verdict.realizable and not verdict.indeterminate
+    assert verdict.failure_reason == "coupling"
+    assert verdict.residuals["certificate_family"] == pytest.approx(1.0)
 
 
 def test_random_pr_system_annihilation_is_realizable() -> None:

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from qfeedback import (
+    DimensionError,
     DomainError,
     GeneralQSys,
     InfiniteNormError,
@@ -34,9 +35,11 @@ from qfeedback import (
     random_pr_plant,
     random_pr_system,
     signature_matrix,
+    synth_noise_annihilation,
     tf_eval,
 )
 from qfeedback import linalg, transfer
+from qfeedback.coherent import random_admissible_triple
 from qfeedback.linalg import (
     FREQ_TOL,
     RESIDUAL_TOL,
@@ -53,7 +56,6 @@ from qfeedback.transfer import (
     _gamma_feasible,
     _sample_worst,
     _sigma_max,
-    is_minimal,
 )
 
 from conftest import (
@@ -179,6 +181,42 @@ def test_schur_form_is_computed_once_per_system(monkeypatch) -> None:
     assert lyapunov_factored == []
 
 
+def test_stability_gates_read_the_schur_form(monkeypatch) -> None:
+    # no eigenvalue routine sees an n x n state matrix (hinf_norm's 2n x 2n Hamiltonians
+    # may), and each system, a minimal part included, is factored once
+    s = random_pr_system(4, 2, seed=5, kind="annihilation", hurwitz_required=True)
+
+    def hidden() -> StateSpaceTF:
+        return StateSpaceTF(
+            a=np.block([[s.f, np.zeros((4, 1))], [np.zeros((1, 4)), -np.eye(1)]]),
+            b=np.vstack([s.g, np.zeros((1, 2))]),
+            c=np.hstack([s.h, np.ones((2, 1))]),
+            d=s.k,
+        )
+
+    f_c, g_cy, h_c = random_admissible_triple(np.random.default_rng(11), 3, 2, 2)
+    eig_shapes, schur_shapes = [], []
+    eigvals, eig, schur = np.linalg.eigvals, np.linalg.eig, transfer.schur
+    monkeypatch.setattr(np.linalg, "eigvals", lambda a: eig_shapes.append(a.shape) or eigvals(a))
+    monkeypatch.setattr(np.linalg, "eig", lambda a: eig_shapes.append(a.shape) or eig(a))
+    monkeypatch.setattr(transfer, "schur", lambda a, **kw: schur_shapes.append(a.shape) or schur(a, **kw))
+    runs = [
+        (lambda: h2_norm(StateSpaceTF(s.f, s.g, s.h, np.zeros_like(s.k))), 4, [(4, 4)]),
+        (lambda: hinf_norm(StateSpaceTF.from_system(s)), 4, [(4, 4)]),
+        (lambda: lossless_br_check(StateSpaceTF.from_system(s)), 4, [(4, 4)]),
+        (lambda: lossless_br_check(hidden()), 5, [(4, 4), (5, 5)]),
+        (lambda: synth_noise_annihilation(f_c, g_cy, h_c), 3, [(3, 3)]),
+    ]
+    for call, n, factored in runs:
+        eig_shapes.clear()
+        schur_shapes.clear()
+        call()
+        assert set(eig_shapes) <= {(2 * n, 2 * n)}
+        assert schur_shapes == factored
+    assert eig_shapes  # the spy saw the synthesis norm's Hamiltonians
+    assert lossless_br_check(hidden()).verdict
+
+
 def test_realization_matrices_are_read_only_copies() -> None:
     a = np.array([[-1.0 + 0j]])
     g = StateSpaceTF(a=a, b=[[1.0]], c=[[1.0]], d=[[0.0]])
@@ -238,20 +276,32 @@ def test_grid_point_on_a_pole_is_skipped() -> None:
     assert info.value.eigenvalue_pair == (1j * w0, pytest.approx(1j * w0))
 
 
+@pytest.mark.parametrize("point", [complex("nan"), complex("inf"), complex(0.0, float("-inf"))])
+def test_tf_eval_rejects_a_non_finite_point(point: complex) -> None:
+    with pytest.raises(DomainError):
+        tf_eval(cavity_all_pass(), point)
+
+
+def test_default_frequency_grid_rejects_a_non_square_matrix() -> None:
+    with pytest.raises(DimensionError):
+        default_frequency_grid([[1.0, 2.0, 3.0]])
+
+
 def test_is_minimal_cavity() -> None:
-    assert is_minimal(cavity_all_pass())
+    g = cavity_all_pass()
+    assert minimal_realization(g) is g
 
 
 def test_is_minimal_detects_unreachable_state() -> None:
     g = StateSpaceTF(
         a=np.diag([-1.0, -2.0]), b=[[1.0], [0.0]], c=[[1.0, 0.0]], d=[[0.0]]
     )
-    assert not is_minimal(g)
+    assert minimal_realization(g) is not g
 
 
 def test_is_minimal_zero_input_map() -> None:
     g = StateSpaceTF(a=[[-1.0]], b=[[0.0]], c=[[1.0]], d=[[0.0]])
-    assert not is_minimal(g)
+    assert minimal_realization(g) is not g
 
 
 def test_minimal_realization_strips_hidden_state() -> None:
@@ -301,7 +351,7 @@ def test_realizable_systems_are_minimal_at_large_n(kind: str, modes: int, seed: 
         modes, 2, seed=seed, kind=kind, hurwitz_required=kind == "annihilation"
     )
     g = StateSpaceTF.from_system(s)
-    assert is_minimal(g)
+    assert minimal_realization(g) is g
     if kind == "annihilation":
         assert check_pr_annihilation(s).realizable
         check = lossless_br_check(g)
@@ -338,7 +388,7 @@ def test_minimal_realization_strips_hidden_blocks(
     u = random_unitary(rng, n)
     g = StateSpaceTF(a=u @ a @ u.conj().T, b=u @ b, c=c @ u.conj().T, d=g0.d)
 
-    assert not is_minimal(g)
+    assert minimal_realization(g) is not g
     reduced = minimal_realization(g)
     assert reduced.state_dim == core
     s = 1j * default_frequency_grid(g.a)
@@ -360,7 +410,7 @@ def test_minimality_and_lossless_verdict_invariant_under_unitary_state_change(
         g = StateSpaceTF(a=g.a, b=np.zeros_like(g.b), c=g.c, d=g.d)
     u = random_unitary(rng, n)
     moved = StateSpaceTF(a=u.conj().T @ g.a @ u, b=u.conj().T @ g.b, c=g.c @ u, d=g.d)
-    assert is_minimal(moved) == is_minimal(g)
+    assert (minimal_realization(moved) is moved) == (minimal_realization(g) is g)
     assert lossless_br_check(moved).verdict == lossless_br_check(g).verdict
 
 
@@ -443,7 +493,7 @@ def test_jj_unitary_forward_family() -> None:
         m = 1 + seed % 2
         s = random_pr_system(n, m, seed=seed, kind="general")
         g = StateSpaceTF(a=s.f, b=s.g, c=s.h, d=s.k)
-        if not is_minimal(g):
+        if minimal_realization(g) is not g:
             continue
         check = jj_unitary_check(g, half_io=s.m_fields)
         if check.prongs["algebraic"] == "indeterminate":
@@ -488,7 +538,7 @@ def test_lossless_forward_and_perturbed_families() -> None:
             n, m, seed=200 + seed, kind="annihilation", hurwitz_required=True
         )
         g = StateSpaceTF(a=s.f, b=s.g, c=s.h, d=s.k)
-        if not is_minimal(g):
+        if minimal_realization(g) is not g:
             continue
         assert lossless_br_check(g).verdict, seed
         passed += 1
@@ -546,7 +596,7 @@ def _reference_jj(g: StateSpaceTF, half_io: int, tol: float = RESIDUAL_TOL):
 
 def _reference_lossless(g: StateSpaceTF, tol: float = RESIDUAL_TOL):
     """The lossless bounded real check written out on its own, as before the shared core."""
-    red = g if is_minimal(g) else minimal_realization(g)
+    red = minimal_realization(g)
     prongs, residuals = {}, {}
     stable = red.state_dim == 0 or is_hurwitz(red.a)
     prongs["stability"] = "pass" if stable else "fail"

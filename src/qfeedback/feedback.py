@@ -26,6 +26,9 @@ from .linalg import (
     RESIDUAL_TOL,
     STRUCTURE_TOL,
     _hurwitz_spectrum,
+    _inertia,
+    _psd_factor,
+    _read_only,
     as_matrix,
     conj_swap,
     dagger,
@@ -44,12 +47,12 @@ from .systems import (
     AnnihilationQSys,
     GeneralQSys,
     PrVerdict,
-    _certificate_defect,
-    _coupling_residual,
+    _coupling_defect,
     _doubling,
-    _inertia,
+    _has_certificate_inertia,
     _kind_rules,
     _LayoutModel,
+    _lyapunov_defect,
     is_hurwitz,
     is_positive_definite,
     random_pr_system,
@@ -85,7 +88,7 @@ def _identity_pattern(kind: str, rows: int, cols: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CostOutput:
-    """Performance output Z = C x + D u over plant state and control."""
+    """Performance output Z = C x + D u over plant state and control, stored read-only."""
 
     c: np.ndarray
     d: np.ndarray
@@ -97,8 +100,8 @@ class CostOutput:
             raise DimensionError(
                 f"cost blocks disagree on output count: c {c.shape}, d {d.shape}"
             )
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "c", _read_only(c))
+        object.__setattr__(self, "d", _read_only(d))
 
 
 @dataclass(frozen=True)
@@ -212,16 +215,16 @@ def _square_completion(kind, f, g_blocks, h_given, label, pattern_residuals) -> 
     G stacks the input blocks ``g_blocks`` and ``h_given`` holds the
     existing output rows, both in doubled order for the general kind.  The
     certificate Theta solves F Theta + Theta F^dagger + G S G^dagger = 0
-    with S = J (general) or I (annihilation) and must have inertia (n, n)
-    or be positive definite; the Lyapunov solver's spectral-gap precheck
+    with S = J (general) or I (annihilation) and must have the kind's
+    certificate inertia; the Lyapunov solver's spectral-gap precheck
     decides whether that equation is degenerate.  The missing output rows
     are -S G^dagger Theta^{-1}.  The given rows are checked with the
-    realizability check's own coupling residual |G + Theta H_aug^dagger S|,
+    realizability check's own coupling test |G + Theta H_aug^dagger S|,
     which needs no Theta^{-1} and so stays accurate when Theta is
     ill-conditioned; ``pattern_residuals`` holds the caller's feedthrough
-    deviations, which are reported with that check.  The verdict reads the
-    realizability check's residual tests off this Theta: the inertia gates
-    above are its form test, and K = I by construction.
+    deviations, which are reported with that check.  The verdict adds the
+    Lyapunov test to that coupling test; the inertia gate is its form test,
+    and K = I by construction.
     """
     d = _doubling(kind)
     rules = _kind_rules(kind)
@@ -235,13 +238,13 @@ def _square_completion(kind, f, g_blocks, h_given, label, pattern_residuals) -> 
         raise NotAugmentableError(
             "certificate equation is degenerate (eigenvalue-sum condition fails)"
         ) from None
-    pos, neg, _ = _inertia(theta)
-    if d == 2 and (pos != n or neg != n):
-        raise NotAugmentableError(
-            "certificate lacks the required inertia",
-            residuals={"inertia_positive": float(pos), "inertia_negative": float(neg)},
-        )
-    if d == 1 and pos != n:
+    pos, neg, _ = inertia = _inertia(theta)
+    if not _has_certificate_inertia(inertia, n, d):
+        if d == 2:
+            raise NotAugmentableError(
+                "certificate lacks the required inertia",
+                residuals={"inertia_positive": float(pos), "inertia_negative": float(neg)},
+            )
         raise NotAugmentableError(
             f"no positive definite certificate for the augmented {label}",
             residuals={"theta_min_eig": float(np.min(np.linalg.eigvalsh(theta)))},
@@ -250,17 +253,18 @@ def _square_completion(kind, f, g_blocks, h_given, label, pattern_residuals) -> 
     given = _field_index(m_tot, 0, h_given.shape[0] // d, d)
     h_aug = h_full.copy()
     h_aug[given] = h_given
-    row_dev = _coupling_residual(g, theta, h_aug, sig)
-    scale = 1.0 + max_abs(g) + max_abs(theta) * max_abs(h_aug)
-    if row_dev > RESIDUAL_TOL * scale or any(
+    coupling: dict[str, float] = {}
+    if _coupling_defect(g, theta, h_aug, sig, coupling, RESIDUAL_TOL) or any(
         dev > RESIDUAL_TOL for dev in pattern_residuals.values()
     ):
         raise NotAugmentableError(
             f"{label} output rows do not match the coupling identity",
-            residuals={"row_mismatch": row_dev, **pattern_residuals},
+            residuals={"row_mismatch": coupling["coupling"], **pattern_residuals},
         )
     residuals = {"feedthrough": 0.0}
-    failed = _certificate_defect(f, g, h_aug, sig, q, theta, residuals, RESIDUAL_TOL)
+    failed = "lyapunov" if _lyapunov_defect(f, theta, q, residuals, RESIDUAL_TOL) else None
+    if failed is None:
+        residuals.update(coupling)
     return PlantAugmentation(
         system=rules.system(f=f, g=g, h=h_aug, k=np.eye(d * m_tot), n_modes=n, m_fields=m_tot),
         theta=theta,
@@ -431,13 +435,10 @@ def synth_noise_annihilation(f_c, g_cy, h_c, rel_tol: float = 1e-6) -> Synthesis
                 "no positive definite certificate found for an admissible triple"
             )
         theta = care.x
-        slack = -hermitian_part(
-            f_c @ theta + theta @ dagger(f_c) + theta @ r_mat @ theta + q_mat
-        )
-        split = psd_split(slack)
-        if max_abs(split.negative) > RESIDUAL_TOL * (1.0 + max_abs(slack)):
+        slack = -hermitian_part(f_c @ theta + theta @ dagger(f_c) + theta @ r_mat @ theta + q_mat)
+        g_cwb = _psd_factor(slack)
+        if g_cwb is None:
             raise NotRealizableError("certificate slack is not positive semidefinite")
-        g_cwb = split.positive_factor
 
     r = g_cwb.shape[1]
     g_cw = np.hstack([-theta @ dagger(h_c), g_cwb])
@@ -478,8 +479,7 @@ def synth_noise_general(f_c, g_cy, h_c, theta) -> SynthesisResult:
     if dev > RESIDUAL_TOL * (1.0 + max_abs(theta)):
         raise DomainError("theta must be Hermitian")
     theta = hermitian_part(theta)
-    pos, neg, _ = _inertia(theta)
-    if pos != n_c or neg != n_c:
+    if not _has_certificate_inertia(_inertia(theta), n_c, 2):
         raise DomainError("theta must be invertible with inertia (n_c, n_c)")
     if max_abs(conj_swap(theta) + theta) > STRUCTURE_TOL * (1.0 + max_abs(theta)):
         raise DomainError("theta must be antisymmetric under the conjugation swap")
@@ -651,12 +651,9 @@ def complete_static_pr(p: PlantModel, k_cy, *, _ap=None) -> tuple[np.ndarray, np
         return None
     theta = hermitian_part(np.tensordot(sol[: len(basis_t)], basis_t, 1))
     s_gram = hermitian_part(np.tensordot(sol[len(basis_t) :], basis_s, 1))
-    if not is_positive_definite(theta):
+    k_cw = _psd_factor(s_gram) if is_positive_definite(theta) else None
+    if k_cw is None:
         return None
-    split = psd_split(s_gram)
-    if max_abs(split.negative) > RESIDUAL_TOL * (1.0 + max_abs(s_gram)):
-        return None
-    k_cw = split.positive_factor
     if k_cw.shape[1] < m_u:
         # pad ignored noise channels so the controller keeps m_wt >= m_u
         k_cw = np.hstack(

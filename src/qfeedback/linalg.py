@@ -36,6 +36,19 @@ def _hurwitz_spectrum(lam: np.ndarray, a: np.ndarray, tol: float = SPECTRAL_GAP_
     return bool(np.max(lam.real, initial=-np.inf) < -tol * max(1.0, max_abs(a)))
 
 
+def _sum_collision(la: np.ndarray, lb: np.ndarray, scale: float) -> tuple[complex, complex] | None:
+    """The eigenvalue-sum gap rule: (la_i, lb_j) minimizing |la_i + lb_j| if below SPECTRAL_GAP_TOL * scale."""
+    sums = np.abs(la[:, None] + lb[None, :])
+    i, j = np.unravel_index(np.argmin(sums), sums.shape)
+    return (complex(la[i]), complex(lb[j])) if sums[i, j] < SPECTRAL_GAP_TOL * scale else None
+
+
+def _sign_cut(lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The Hermitian sign cut: masks of ``lam`` above and below +-RANK_TOL * max(1, max|lam|)."""
+    cut = RANK_TOL * max(1.0, float(np.max(np.abs(lam), initial=0.0)))
+    return lam > cut, lam < -cut
+
+
 def as_matrix(x, name: str = "matrix") -> np.ndarray:
     """Coerce ``x`` to a 2-D complex array, rejecting NaN/Inf entries."""
     a = np.atleast_2d(np.asarray(x, dtype=complex))
@@ -51,6 +64,13 @@ def as_square(x, name: str = "matrix") -> np.ndarray:
     a = as_matrix(x, name)
     if a.shape[0] != a.shape[1]:
         raise DimensionError(f"{name} must be square, got {a.shape}")
+    return a
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """A read-only copy of ``a``: what a validated model stores."""
+    a = a.copy()
+    a.flags.writeable = False
     return a
 
 
@@ -238,14 +258,11 @@ def solve_sylvester(a, b, c) -> np.ndarray:
 
 def _bartels_stewart(ta, ua, tb, ub, c, scale, tranb="N") -> np.ndarray:
     """A X + X B + C = 0 from Schur forms A = Ua Ta Ua^dagger, B = Ub op(Tb) Ub^dagger (op(Tb) =
-    Tb^dagger for ``tranb`` "C"); its gap precheck is the one eigenvalue-sum decision."""
+    Tb^dagger for ``tranb`` "C"); its gap precheck applies :func:`_sum_collision`."""
     la, lb = np.diag(ta), (np.diag(tb).conj() if tranb == "C" else np.diag(tb))
-    sums = np.abs(la[:, None] + lb[None, :])
-    i, j = np.unravel_index(np.argmin(sums), sums.shape)
-    if sums[i, j] < SPECTRAL_GAP_TOL * scale:
+    if (pair := _sum_collision(la, lb, scale)) is not None:
         raise SingularityError(
-            f"spectra of A and -B collide: {la[i]:.6g} + {lb[j]:.6g} ~ 0",
-            eigenvalue_pair=(complex(la[i]), complex(lb[j])),
+            f"spectra of A and -B collide: {pair[0]:.6g} + {pair[1]:.6g} ~ 0", eigenvalue_pair=pair
         )
 
     trsyl, = get_lapack_funcs(("trsyl",), (ta, tb))
@@ -378,8 +395,8 @@ class PsdSplit:
 def psd_split(m) -> PsdSplit:
     """Split a Hermitian matrix into PSD parts via its eigendecomposition.
 
-    Eigenvalues with magnitude below RANK_TOL * max(1, |lambda|_max) are treated
-    as zero, so the factors carry exactly the significantly nonzero modes.
+    Eigenvalues inside the :func:`_sign_cut` are treated as zero, so the
+    factors carry exactly the significantly nonzero modes.
     """
     m = require_hermitian(m, "m")
     n = m.shape[0]
@@ -387,11 +404,23 @@ def psd_split(m) -> PsdSplit:
         z = np.zeros((0, 0), dtype=complex)
         return PsdSplit(z, z, z, z)
     lam, v = np.linalg.eigh(m)
-    cut = RANK_TOL * max(1.0, float(np.max(np.abs(lam))) if lam.size else 0.0)
-    pos = lam > cut
-    neg = lam < -cut
+    pos, neg = _sign_cut(lam)
     positive = (v[:, pos] * lam[pos]) @ v[:, pos].conj().T if pos.any() else np.zeros((n, n), dtype=complex)
     negative = (v[:, neg] * (-lam[neg])) @ v[:, neg].conj().T if neg.any() else np.zeros((n, n), dtype=complex)
     pf = v[:, pos] * np.sqrt(lam[pos]) if pos.any() else np.zeros((n, 0), dtype=complex)
     nf = v[:, neg] * np.sqrt(-lam[neg]) if neg.any() else np.zeros((n, 0), dtype=complex)
     return PsdSplit(hermitian_part(positive), hermitian_part(negative), pf, nf)
+
+
+def _psd_factor(m) -> np.ndarray | None:
+    """The PSD-slack rule: psd_split's positive factor, None if |negative| > RESIDUAL_TOL (1 + |m|)."""
+    split = psd_split(m)
+    return None if max_abs(split.negative) > RESIDUAL_TOL * (1.0 + max_abs(m)) else split.positive_factor
+
+
+def _inertia(h: np.ndarray) -> tuple[int, int, int]:
+    """Counts of (positive, negative, zero) eigenvalues of a Hermitian matrix, by :func:`_sign_cut`."""
+    if h.shape[0] == 0:
+        return (0, 0, 0)
+    pos, neg = _sign_cut(np.linalg.eigvalsh(h))
+    return (int(np.sum(pos)), int(np.sum(neg)), int(np.sum(~(pos | neg))))

@@ -23,6 +23,9 @@ from .linalg import (
     RESIDUAL_TOL,
     SPECTRAL_GAP_TOL,
     _hurwitz_spectrum,
+    _inertia,
+    _read_only,
+    _sum_collision,
     as_matrix,
     as_square,
     conj_swap,
@@ -54,35 +57,30 @@ def _doubling(kind: str) -> int:
     raise DomainError(f"unknown kind {kind!r}")
 
 
-def _inertia(h: np.ndarray) -> tuple[int, int, int]:
-    """Counts of (positive, negative, zero) eigenvalues of a Hermitian matrix."""
-    if h.shape[0] == 0:
-        return (0, 0, 0)
-    lam = np.linalg.eigvalsh(h)
-    cut = RANK_TOL * max(1.0, float(np.max(np.abs(lam))))
-    return (int(np.sum(lam > cut)), int(np.sum(lam < -cut)), int(np.sum(np.abs(lam) <= cut)))
+def _has_certificate_inertia(inertia: tuple[int, int, int], n: int, d: int) -> bool:
+    """The certificate rule of the kind with doubling ``d``: ``_inertia`` (n, (d - 1) n, 0)."""
+    return inertia == (n, (d - 1) * n, 0)
 
 
 def is_positive_definite(h) -> bool:
     """True when the Hermitian matrix has all eigenvalues above the rank cutoff."""
     h = require_hermitian(h, "matrix")
-    return _inertia(h)[0] == h.shape[0]
+    return _has_certificate_inertia(_inertia(h), h.shape[0], 1)
 
 
 def eig_sum_condition(f) -> bool:
     """True when no eigenvalue pair of F satisfies lambda_i + conj(lambda_j) = 0.
 
     Under this condition the Lyapunov certificate equation has a unique
-    solution.  The certificate paths do not call this test: they let the
-    spectral-gap precheck of ``solve_lyapunov_hermitian`` decide, which
-    applies the same cut.  It serves the random generator's redraws.
+    solution.  The certificate paths let the spectral-gap precheck of
+    ``solve_lyapunov_hermitian`` decide it; both apply ``_sum_collision``.
+    This test serves the random generator's redraws.
     """
     f = as_square(f, "f")
     if f.shape[0] == 0:
         return True
     lam = eigvals(f)
-    gap = float(np.min(np.abs(lam[:, None] + lam.conj()[None, :])))
-    return gap > SPECTRAL_GAP_TOL * max(1.0, max_abs(f))
+    return _sum_collision(lam, lam.conj(), max(1.0, max_abs(f))) is None
 
 
 def is_hurwitz(f, tol: float = SPECTRAL_GAP_TOL) -> bool:
@@ -110,27 +108,25 @@ class HamiltonianCoupling:
         theta = require_hermitian(self.theta, "theta")
         m = require_hermitian(self.m, "m")
         n = as_matrix(self.n_coupling, "n_coupling")
-        if _doubling(self.kind) == 2:
+        d = _doubling(self.kind)
+        if d == 2:
             if theta.shape[0] % 2 or n.shape[0] % 2:
                 raise DimensionError("general-kind parameters need even dimensions")
             if not (is_doubled(m) and is_doubled(n)):
                 raise DomainError("general-kind M and N must be doubled-up")
-            pos, neg, zero = _inertia(theta)
-            if zero or pos != neg:
-                raise DomainError(
-                    f"theta must have inertia (n, n), got ({pos}, {neg}, {zero} zero)"
-                )
-        else:
-            if not is_positive_definite(theta):
-                raise DomainError("annihilation-kind theta must be positive definite")
+        inertia = _inertia(theta)
+        if not _has_certificate_inertia(inertia, theta.shape[0] // d, d):
+            raise DomainError(
+                "theta must have inertia (n, n), got ({}, {}, {} zero)".format(*inertia)
+                if d == 2 else "annihilation-kind theta must be positive definite"
+            )
         if m.shape[0] != theta.shape[0] or n.shape[1] != theta.shape[0]:
             raise DimensionError(
                 f"parameter shapes disagree: theta {theta.shape}, m {m.shape}, "
                 f"n {n.shape}"
             )
-        object.__setattr__(self, "theta", theta)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "n_coupling", n)
+        for name, value in (("theta", theta), ("m", m), ("n_coupling", n)):
+            object.__setattr__(self, name, _read_only(value))
 
     @property
     def n_modes(self) -> int:
@@ -149,7 +145,8 @@ class _LayoutModel:
     ``_doubling(kind)`` times its count, and the general kind also requires
     doubled-up structure of every matrix.  A count the caller does not fix
     is read from the first matrix whose rows it sizes, else from the first
-    whose columns it sizes; every count then becomes an attribute.
+    whose columns it sizes; every count then becomes an attribute, and
+    every matrix a read-only copy.
     """
 
     _layout: ClassVar[dict[str, tuple[str, str]]]
@@ -169,7 +166,9 @@ class _LayoutModel:
                 raise DimensionError(f"{name} must have shape {want}, got {mats[name].shape}")
             if d == 2 and not is_doubled(mats[name]):
                 raise DomainError(f"general-kind {name} lacks doubled-up structure")
-        for name, value in {**mats, **counts}.items():
+        for name, value in mats.items():
+            object.__setattr__(self, name, _read_only(value))
+        for name, value in counts.items():
             object.__setattr__(self, name, value)
 
 
@@ -245,7 +244,7 @@ def realize_general(p: HamiltonianCoupling) -> GeneralQSys:
     f = -1j * theta @ m - 0.5 * theta @ dagger(n) @ j @ n
     g = -theta @ dagger(n) @ j
     k = np.eye(2 * p.m_fields, dtype=complex)
-    return GeneralQSys(f=f, g=g, h=n.copy(), k=k, n_modes=p.n_modes, m_fields=p.m_fields)
+    return GeneralQSys(f=f, g=g, h=n, k=k, n_modes=p.n_modes, m_fields=p.m_fields)
 
 
 def realize_annihilation(p: HamiltonianCoupling) -> AnnihilationQSys:
@@ -258,17 +257,12 @@ def realize_annihilation(p: HamiltonianCoupling) -> AnnihilationQSys:
     n = p.n_coupling
     f, g = _annihilation_fg(p.theta, p.m, n)
     k = np.eye(p.m_fields, dtype=complex)
-    return AnnihilationQSys(f=f, g=g, h=n.copy(), k=k, n_modes=p.n_modes, m_fields=p.m_fields)
+    return AnnihilationQSys(f=f, g=g, h=n, k=k, n_modes=p.n_modes, m_fields=p.m_fields)
 
 
 def _annihilation_fg(theta, m, n) -> tuple[np.ndarray, np.ndarray]:
     """F = Theta (-i M - (1/2) N^dagger N) and G = -Theta N^dagger, (Theta, M, N) unvalidated."""
     return theta @ (-1j * m - 0.5 * dagger(n) @ n), -theta @ dagger(n)
-
-
-def _coupling_residual(g, theta, h, sig) -> float:
-    """Residual of the coupling identity G = -Theta H^dagger S."""
-    return max_abs(g + theta @ dagger(h) @ sig)
 
 
 def _lyapunov_defect(f, theta, q, residuals, tol) -> bool:
@@ -277,18 +271,17 @@ def _lyapunov_defect(f, theta, q, residuals, tol) -> bool:
     return residuals["lyapunov"] > tol * (1.0 + max_abs(q))
 
 
-def _certificate_defect(f, g, h, sig, q, theta, residuals, tol) -> str | None:
-    """First of F Theta + Theta F^dagger + Q = 0 and G = -Theta H^dagger S to fail, or None.
+def _coupling_defect(g, theta, h, sig, residuals, tol) -> bool:
+    """True when |G + Theta H^dagger S| (into ``residuals``) exceeds tol * (1 + |G| + |Theta| |H|)."""
+    residuals["coupling"] = max_abs(g + theta @ dagger(h) @ sig)
+    return residuals["coupling"] > tol * (1.0 + max_abs(g) + max_abs(theta) * max_abs(h))
 
-    The residuals go into ``residuals``, against tol * (1 + |Q|) and
-    tol * (1 + |G| + |Theta| |H|).
-    """
+
+def _certificate_defect(f, g, h, sig, q, theta, residuals, tol) -> str | None:
+    """First of F Theta + Theta F^dagger + Q = 0 and G = -Theta H^dagger S to fail, or None."""
     if _lyapunov_defect(f, theta, q, residuals, tol):
         return "lyapunov"
-    residuals["coupling"] = _coupling_residual(g, theta, h, sig)
-    if residuals["coupling"] > tol * (1.0 + max_abs(g) + max_abs(theta) * max_abs(h)):
-        return "coupling"
-    return None
+    return "coupling" if _coupling_defect(g, theta, h, sig, residuals, tol) else None
 
 
 def _certificate_family_annihilation(f, g, h):
@@ -347,19 +340,22 @@ def _indeterminate(residuals) -> PrVerdict:
     return PrVerdict(False, None, residuals, "eigenvalue-sum-degenerate", indeterminate=True)
 
 
-def _check_certificate(s, sig, tol, form_defect, fallback=None) -> PrVerdict:
-    """Realizability core shared by both system kinds.
+def _check_certificate(s, kind: str, tol) -> PrVerdict:
+    """Realizability core of both system kinds, which reads all it varies off ``kind``.
 
-    Requires K = I, then solves F Theta + Theta F^dagger + G S G^dagger = 0
-    for the unique certificate and checks the coupling identity
-    G = -Theta H^dagger S.  ``form_defect(theta)`` returns None for a
-    certificate of the right form, else the residuals explaining the
-    defect.  The eigenvalue-sum condition is decided once, by the
-    ``SingularityError`` of the Lyapunov solver's spectral-gap precheck;
-    systems failing it are indeterminate unless
-    ``fallback(s, q, residuals, tol)`` decides them.
+    ``s`` must be of the kind's class.  Requires K = I, solves
+    F Theta + Theta F^dagger + G S G^dagger = 0 (S = J or I) for the unique
+    certificate, checks it with :func:`_certificate_defect`, then asks for
+    the kind's inertia ("theta-form"; the general kind reports
+    ``inertia_defect``).  The eigenvalue-sum condition is the Lyapunov
+    solver's ``SingularityError``; such systems are indeterminate unless the
+    annihilation kind's :func:`_family_fallback` decides them.
     """
     require_tolerance(tol, "tol")
+    rules = _kind_rules(kind)
+    if not isinstance(s, rules.system):
+        raise DomainError(f"expected a system of kind {kind!r}, got {type(s).__name__}")
+    d, sig = _doubling(kind), rules.signature(s.m_fields)
     f, g, h = s.f, s.g, s.h
     residuals: dict[str, float] = {}
 
@@ -371,28 +367,18 @@ def _check_certificate(s, sig, tol, form_defect, fallback=None) -> PrVerdict:
     try:
         theta = solve_lyapunov_hermitian(f, q)
     except SingularityError:
-        return fallback(s, q, residuals, tol) if fallback else _indeterminate(residuals)
+        return _family_fallback(s, q, residuals, tol) if d == 1 else _indeterminate(residuals)
 
     failed = _certificate_defect(f, g, h, sig, q, theta, residuals, tol)
     if failed:
         return PrVerdict(False, None, residuals, failed)
 
-    defect = form_defect(theta)
-    if defect is not None:
-        residuals.update(defect)
+    pos, neg, zero = inertia = _inertia(theta)
+    if not _has_certificate_inertia(inertia, s.n_modes, d):
+        if d == 2:
+            residuals["inertia_defect"] = float(zero + abs(pos - neg))
         return PrVerdict(False, None, residuals, "theta-form")
     return PrVerdict(True, theta, residuals, None)
-
-
-def _inertia_defect(theta) -> dict[str, float] | None:
-    pos, neg, zero = _inertia(theta)
-    if zero or pos != neg:
-        return {"inertia_defect": float(zero + abs(pos - neg))}
-    return None
-
-
-def _definiteness_defect(theta) -> dict[str, float] | None:
-    return None if is_positive_definite(theta) else {}
 
 
 def _family_fallback(s, q, residuals, tol) -> PrVerdict:
@@ -421,9 +407,9 @@ def check_pr_general(s: GeneralQSys, tol: float = RESIDUAL_TOL) -> PrVerdict:
     F Theta + Theta F^dagger + G J G^dagger = 0 with inertia (n, n), and the
     coupling identity G = -Theta H^dagger J.  When the eigenvalue-sum
     condition fails the certificate is non-unique and the verdict is
-    indeterminate.
+    indeterminate.  An annihilation-kind system raises ``DomainError``.
     """
-    return _check_certificate(s, signature_matrix(s.m_fields), tol, _inertia_defect)
+    return _check_certificate(s, "general", tol)
 
 
 def check_pr_annihilation(s: AnnihilationQSys, tol: float = RESIDUAL_TOL) -> PrVerdict:
@@ -433,11 +419,10 @@ def check_pr_annihilation(s: AnnihilationQSys, tol: float = RESIDUAL_TOL) -> PrV
     certificate required positive definite.  When the eigenvalue-sum
     condition fails, small systems (n <= 2) fall back to a parameterized
     search of the affine certificate family; an undecided search reports
-    indeterminate rather than false.
+    indeterminate rather than false.  A general-kind system raises
+    ``DomainError``.
     """
-    return _check_certificate(
-        s, np.eye(s.m_fields), tol, _definiteness_defect, _family_fallback
-    )
+    return _check_certificate(s, "annihilation", tol)
 
 
 class _KindRules(NamedTuple):
@@ -490,7 +475,7 @@ def extract_params(s) -> HamiltonianCoupling:
         )
 
     theta = verdict.theta
-    n = s.h.copy()
+    n = s.h
     sig = rules.signature(s.m_fields)
     m = 1j * np.linalg.inv(theta) @ s.f + 0.5j * dagger(n) @ sig @ n
     checks = [("Hermitian", dagger)] + ([("doubled-up", conj_swap)] if s.kind == "general" else [])

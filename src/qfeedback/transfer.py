@@ -29,6 +29,7 @@ from .linalg import (
     RESIDUAL_TOL,
     SPECTRAL_GAP_TOL,
     _hurwitz_spectrum,
+    _read_only,
     as_matrix,
     as_square,
     dagger,
@@ -63,9 +64,8 @@ class StateSpaceTF:
             raise DimensionError(
                 f"d must have shape ({c.shape[0]}, {b.shape[1]}), got {d.shape}"
             )
-        for name, m in zip("abcd", (a.copy(), b.copy(), c.copy(), d.copy())):
-            m.flags.writeable = False
-            object.__setattr__(self, name, m)
+        for name, m in zip("abcd", (a, b, c, d)):
+            object.__setattr__(self, name, _read_only(m))
 
     @property
     def state_dim(self) -> int:
@@ -454,7 +454,9 @@ def hinf_norm(g: StateSpaceTF, rel_tol: float = 1e-6) -> NormResult:
     run the Hamiltonian test itself; away from the band the two answers
     agree, so the value and bracket are those of testing every level.  The
     certificate adds the grid's sigma_max range, ``grid_lower_bound`` and
-    ``grid_min``, and the eigensolve count ``hamiltonian_solves``.
+    ``grid_min``, and the eigensolve count ``hamiltonian_solves``.  A
+    Hurwitz (or empty) A with an empty B or C has the "static" norm
+    sigma_max(D).
 
     Raises
     ------
@@ -465,10 +467,10 @@ def hinf_norm(g: StateSpaceTF, rel_tol: float = 1e-6) -> NormResult:
     """
     require_tolerance(rel_tol, "rel_tol")
     sigma_d = float(np.linalg.svd(g.d, compute_uv=False)[0]) if g.d.size else 0.0
-    if g.state_dim == 0 or g.b.size == 0 or g.c.size == 0:
-        return NormResult(sigma_d, "static", {"sigma_max_d": sigma_d})
     if not _hurwitz_spectrum(g._schur[0], g.a):
         raise InstabilityError("H-infinity norm needs a Hurwitz state matrix")
+    if g.state_dim == 0 or g.b.size == 0 or g.c.size == 0:
+        return NormResult(sigma_d, "static", {"sigma_max_d": sigma_d})
 
     sigma, _ = _sample_grid(g, _sigma_max)
     grid_max = float(np.max(sigma, initial=0.0))

@@ -82,6 +82,30 @@ def loop_tf_oracle(p: PlantModel, c: ControllerModel, s: complex) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# model validation
+
+
+def test_plant_controller_and_cost_store_read_only_copies() -> None:
+    arr = np.array([[-1.0 + 0j]])
+    cost = CostOutput(c=arr, d=arr)
+    p = PlantModel(kind="annihilation", f=arr, g_w=arr, g_u=arr, h=arr, k=arr, cost=cost)
+    c = ControllerModel(
+        kind="annihilation", f_c=arr, g_cw=arr, g_cy=arr, h_c=arr, k_cw=arr, k_cy=arr
+    )
+    arr[0, 0] = np.nan
+    models = [
+        (p, ("f", "g_w", "g_u", "h", "k")),
+        (c, ("f_c", "g_cw", "g_cy", "h_c", "k_cw", "k_cy")),
+        (p.cost, ("c", "d")),
+    ]
+    for model, names in models:
+        for name in names:
+            assert getattr(model, name)[0, 0] == -1.0, name
+            with pytest.raises(ValueError):
+                getattr(model, name)[0, 0] = 0.0
+
+
+# ---------------------------------------------------------------------------
 # plant and controller augmentation
 
 

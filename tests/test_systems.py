@@ -18,6 +18,7 @@ from qfeedback import (
     DomainError,
     GeneralQSys,
     HamiltonianCoupling,
+    SingularityError,
     check_pr_annihilation,
     check_pr_general,
     delta_build,
@@ -28,7 +29,7 @@ from qfeedback import (
     realize_general,
     signature_matrix,
 )
-from qfeedback.linalg import max_abs
+from qfeedback.linalg import SPECTRAL_GAP_TOL, max_abs, solve_lyapunov_hermitian
 from qfeedback.systems import eig_sum_condition, is_hurwitz
 
 ROOT2 = np.sqrt(2.0)
@@ -247,6 +248,78 @@ def test_eig_sum_condition_examples() -> None:
     assert eig_sum_condition([[-1.0]])
     assert not eig_sum_condition([[1j]])
     assert not eig_sum_condition(np.diag([-1.0, 1.0]))
+
+
+def _gap_spectrum(gap: float, offdiag: float) -> np.ndarray:
+    """Triangular F with eigenvalues -1 + i and 1 - gap + i, whose pair sum has modulus ``gap``."""
+    f = np.diag([-1.0 + 1j, 1.0 - gap + 1j])
+    f[0, 1] = offdiag
+    return f
+
+
+def _gap_cases() -> list:
+    """(F, collides) over exact collisions and gaps at 10x and 0.1x the cut, named."""
+    cases = [
+        ("empty", np.zeros((0, 0)), False),
+        ("imaginary", np.array([[3j]]), True),
+        ("zero", np.zeros((1, 1)), True),
+        ("mirror-pair", np.diag([-1.0 + 2j, 1.0 + 2j, -3.0]), True),
+        ("mirror-pair-rotated", np.array([[-1.0 + 2j, 5.0], [0.0, 1.0 + 2j]]), True),
+    ]
+    for offdiag in (0.0, 1e3):
+        cut = SPECTRAL_GAP_TOL * max(1.0, max_abs(_gap_spectrum(0.0, offdiag)))
+        for factor, collides in ((10.0, False), (0.1, True)):
+            f = _gap_spectrum(factor * cut, offdiag)
+            cases.append((f"gap-{factor:g}x-offdiag-{offdiag:g}", f, collides))
+    for factor, collides in ((10.0, False), (0.1, True)):
+        cases.append((f"self-{factor:g}x", np.array([[-0.5 * factor * SPECTRAL_GAP_TOL + 1j]]), collides))
+    return [pytest.param(f, collides, id=name) for name, f, collides in cases]
+
+
+@pytest.mark.parametrize("f, collides", _gap_cases())
+def test_eig_sum_condition_agrees_with_the_lyapunov_gap_precheck(f, collides) -> None:
+    # one gap rule: eig_sum_condition is False exactly when the Lyapunov solve raises
+    try:
+        solve_lyapunov_hermitian(f, np.eye(f.shape[0]))
+        raised = False
+    except SingularityError:
+        raised = True
+    assert eig_sum_condition(f) is not raised
+    assert raised is collides
+
+
+def test_check_pr_general_rejects_an_annihilation_system() -> None:
+    with pytest.raises(DomainError, match="kind 'general'"):
+        check_pr_general(random_pr_system(2, 2, seed=0))
+
+
+def test_check_pr_annihilation_rejects_a_general_system() -> None:
+    s = random_pr_system(2, 1, seed=0, kind="general")
+    assert check_pr_general(s).realizable
+    with pytest.raises(DomainError, match="kind 'annihilation'"):
+        check_pr_annihilation(s)
+
+
+def test_validated_models_store_read_only_copies() -> None:
+    f = np.array([[-1.0 + 0j]])
+    g = np.array([[-ROOT2 + 0j]])
+    s = AnnihilationQSys(f=f, g=g, h=-g, k=np.eye(1, dtype=complex))
+    f[0, 0] = np.nan
+    g[0, 0] = 0.0
+    assert s.f[0, 0] == -1.0 and s.g[0, 0] == -ROOT2
+    drawn = random_pr_system(2, 2, seed=1)
+    for name in ("f", "g", "h", "k"):
+        with pytest.raises(ValueError):
+            getattr(drawn, name)[0, 0] += 1
+    assert check_pr_annihilation(drawn).realizable
+
+    theta, n = np.eye(1, dtype=complex), np.array([[ROOT2 + 0j]])
+    p = annihilation_params(theta, np.zeros((1, 1), dtype=complex), n)
+    theta[0, 0] = n[0, 0] = 0.0
+    assert p.theta[0, 0] == 1.0 and p.n_coupling[0, 0] == ROOT2
+    for name in ("theta", "m", "n_coupling"):
+        with pytest.raises(ValueError):
+            getattr(p, name)[0, 0] = 2.0
 
 
 def test_is_hurwitz_rejects_a_non_square_matrix() -> None:

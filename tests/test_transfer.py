@@ -766,6 +766,23 @@ def test_hinf_norm_rejects_unstable() -> None:
         hinf_norm(g)
 
 
+@pytest.mark.parametrize(
+    "b, c",
+    [([[1.0]], np.zeros((0, 1))), (np.zeros((1, 0)), [[1.0]]), (np.zeros((1, 0)), np.zeros((0, 1)))],
+    ids=["empty-c", "empty-b", "empty-both"],
+)
+def test_hinf_norm_gates_before_its_static_answer(b, c) -> None:
+    # an empty B or C still needs a Hurwitz A, as h2_norm requires
+    d = np.zeros((np.shape(c)[0], np.shape(b)[1]))
+    unstable = StateSpaceTF([[1.0]], b, c, d)
+    for norm in (h2_norm, hinf_norm):
+        with pytest.raises(InstabilityError):
+            norm(unstable)
+    stable = StateSpaceTF([[-1.0]], b, c, d)
+    assert hinf_norm(stable).value == h2_norm(stable).value == 0.0
+    assert hinf_norm(stable).method == "static"
+
+
 def test_hinf_norm_dense_sampling_oracle_50_systems() -> None:
     rng = np.random.default_rng(61)
     for _ in range(50):

@@ -24,13 +24,11 @@ from .errors import (
 )
 from .linalg import (
     RESIDUAL_TOL,
-    STRUCTURE_TOL,
+    _check_layout,
     _hurwitz_spectrum,
     _inertia,
     _psd_factor,
-    _read_only,
     as_matrix,
-    conj_swap,
     dagger,
     delta_build,
     doubling_permutation,
@@ -41,7 +39,6 @@ from .linalg import (
     psd_split,
     real_lstsq,
     solve_care_hermitian,
-    solve_lyapunov_hermitian,
 )
 from .systems import (
     AnnihilationQSys,
@@ -52,7 +49,9 @@ from .systems import (
     _has_certificate_inertia,
     _kind_rules,
     _LayoutModel,
+    _commutation_matrix,
     _lyapunov_defect,
+    _solve_certificate,
     is_hurwitz,
     is_positive_definite,
     random_pr_system,
@@ -88,20 +87,22 @@ def _identity_pattern(kind: str, rows: int, cols: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CostOutput:
-    """Performance output Z = C x + D u over plant state and control, stored read-only."""
+    """Performance output Z = C x + D u over plant state and control, stored read-only.
+
+    Construction checks the shapes against ``_layout`` and sets the counts
+    ``output_dim``, ``state_dim`` and ``input_dim``.
+    """
+
+    _layout: ClassVar[dict[str, tuple[str, str]]] = {
+        "c": ("output_dim", "state_dim"),
+        "d": ("output_dim", "input_dim"),
+    }
 
     c: np.ndarray
     d: np.ndarray
 
     def __post_init__(self):
-        c = as_matrix(self.c, "cost c")
-        d = as_matrix(self.d, "cost d")
-        if c.shape[0] != d.shape[0]:
-            raise DimensionError(
-                f"cost blocks disagree on output count: c {c.shape}, d {d.shape}"
-            )
-        object.__setattr__(self, "c", _read_only(c))
-        object.__setattr__(self, "d", _read_only(d))
+        _check_layout(self, {}, 1)
 
 
 @dataclass(frozen=True)
@@ -131,13 +132,8 @@ class PlantModel(_LayoutModel):
 
     def __post_init__(self):
         super().__post_init__()
-        cost = self.cost
-        if cost is not None and (
-            cost.c.shape[1] != self.f.shape[0] or cost.d.shape[1] != self.g_u.shape[1]
-        ):
-            raise DimensionError(
-                f"cost blocks do not match the plant: c {cost.c.shape}, d {cost.d.shape}"
-            )
+        if self.cost is not None:  # the cost reads the plant's state and control coordinates
+            _check_layout(self.cost, {"state_dim": self.f.shape[0], "input_dim": self.g_u.shape[1]}, 1)
 
     def with_cost(self, cost: CostOutput) -> "PlantModel":
         return replace(self, cost=cost)
@@ -233,7 +229,7 @@ def _square_completion(kind, f, g_blocks, h_given, label, pattern_residuals) -> 
     sig = rules.signature(m_tot)
     q = hermitian_part(g @ sig @ dagger(g))
     try:
-        theta = solve_lyapunov_hermitian(f, q)
+        theta = _solve_certificate(f, q, d)
     except SingularityError:
         raise NotAugmentableError(
             "certificate equation is degenerate (eigenvalue-sum condition fails)"
@@ -328,8 +324,8 @@ def close_loop(p: PlantModel, c: ControllerModel) -> ClosedLoop:
     """
     _check_loop_dims(p, c)
     f_fold, g_fold = _static_fold(p, c.k_cy)
-    a = np.block([[f_fold, p.g_u @ c.h_c], [c.g_cy @ p.h, c.f_c]])
-    b = np.block([[g_fold, p.g_u @ c.k_cw], [c.g_cy @ p.k, c.g_cw]])
+    a = np.vstack([np.hstack([f_fold, p.g_u @ c.h_c]), np.hstack([c.g_cy @ p.h, c.f_c])])
+    b = np.vstack([np.hstack([g_fold, p.g_u @ c.k_cw]), np.hstack([c.g_cy @ p.k, c.g_cw])])
     n_states = a.shape[0]
     if p.cost is not None:
         cz = np.hstack([p.cost.c + p.cost.d @ c.k_cy @ p.h, p.cost.d @ c.h_c])
@@ -474,15 +470,7 @@ def synth_noise_general(f_c, g_cy, h_c, theta) -> SynthesisResult:
     if g_cy.shape[0] != 2 * n_c or h_c.shape[1] != 2 * n_c:
         raise DimensionError("controller triple shapes are inconsistent")
 
-    theta = as_matrix(theta, "theta")
-    dev = max_abs(theta - dagger(theta))
-    if dev > RESIDUAL_TOL * (1.0 + max_abs(theta)):
-        raise DomainError("theta must be Hermitian")
-    theta = hermitian_part(theta)
-    if not _has_certificate_inertia(_inertia(theta), n_c, 2):
-        raise DomainError("theta must be invertible with inertia (n_c, n_c)")
-    if max_abs(conj_swap(theta) + theta) > STRUCTURE_TOL * (1.0 + max_abs(theta)):
-        raise DomainError("theta must be antisymmetric under the conjugation swap")
+    theta = _commutation_matrix(theta, n_c, 2)
 
     h_c1, h_c2 = h_c[:m_u], h_c[m_u:]
     g_cy1, g_cy2 = g_cy[:, :m_y], g_cy[:, m_y:]
@@ -576,26 +564,22 @@ def close_augmented_loop(p: PlantModel, c: ControllerModel, *, _ap=None) -> Augm
     k_t = eye_py[m_y:, :m_w]
     k_bar = eye_py[m_y:, m_w:]
 
-    c_rows = np.block(
+    c_rows = np.vstack(
         [
-            [p.h, h_caug[m_wt:]],
-            [h_tilde, k_bar @ c.h_c],
-            [np.zeros((r, n), dtype=complex), h_caug[m_u:m_wt]],
+            np.hstack([p.h, h_caug[m_wt:]]),
+            np.hstack([h_tilde, k_bar @ c.h_c]),
+            np.hstack([np.zeros((r, n), dtype=complex), h_caug[m_u:m_wt]]),
         ]
     )
-    d_rows = np.block(
+    d_rows = np.vstack(
         [
-            [p.k, np.zeros((m_y, m_wt), dtype=complex)],
-            [k_t, k_bar @ c.k_cw],
-            [np.zeros((r, m_w), dtype=complex), np.eye(m_wt)[m_u:, :]],
+            np.hstack([p.k, np.zeros((m_y, m_wt), dtype=complex)]),
+            np.hstack([k_t, k_bar @ c.k_cw]),
+            np.hstack([np.zeros((r, m_w), dtype=complex), np.eye(m_wt)[m_u:, :]]),
         ]
     )
-    theta = np.block(
-        [
-            [ap.theta, np.zeros((n, n_c), dtype=complex)],
-            [np.zeros((n_c, n), dtype=complex), ac.theta],
-        ]
-    )
+    theta = np.zeros((n + n_c, n + n_c), dtype=complex)
+    theta[:n, :n], theta[n:, n:] = ap.theta, ac.theta
     channel_map = {
         "replaced_output": (0, m_y),
         "plant_unused": (m_y, m_w + m_u),

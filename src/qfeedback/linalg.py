@@ -74,6 +74,32 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _check_layout(model, counts: dict[str, int], d: int) -> None:
+    """Validate ``model``'s matrices against its class-level ``_layout`` and store them.
+
+    ``_layout`` maps each matrix, in document order, to the names of the
+    counts that size its rows and columns.  Every dimension is ``d`` times its
+    count, and d = 2 (the general kind) also requires doubled-up structure of
+    every matrix.  A count not fixed in ``counts`` is read from the first
+    matrix whose rows it sizes, else from the first whose columns it sizes;
+    every count then becomes an attribute, and every matrix a read-only copy.
+    """
+    mats = {name: as_matrix(getattr(model, name), name) for name in model._layout}
+    for axis in (0, 1):
+        for name, dims in model._layout.items():
+            counts.setdefault(dims[axis], mats[name].shape[axis] // d)
+    for name, (rows, cols) in model._layout.items():
+        want = (d * counts[rows], d * counts[cols])
+        if mats[name].shape != want:
+            raise DimensionError(f"{name} must have shape {want}, got {mats[name].shape}")
+        if d == 2 and not is_doubled(mats[name]):
+            raise DomainError(f"general-kind {name} lacks doubled-up structure")
+    for name, value in mats.items():
+        object.__setattr__(model, name, _read_only(value))
+    for name, value in counts.items():
+        object.__setattr__(model, name, value)
+
+
 def dagger(a) -> np.ndarray:
     """Conjugate transpose."""
     return np.asarray(a, dtype=complex).conj().T

@@ -22,18 +22,18 @@ from .linalg import (
     RANK_TOL,
     RESIDUAL_TOL,
     SPECTRAL_GAP_TOL,
+    STRUCTURE_TOL,
+    _check_layout,
     _hurwitz_spectrum,
     _inertia,
     _read_only,
     _sum_collision,
-    as_matrix,
     as_square,
     conj_swap,
     dagger,
     delta_build,
     hermitian_basis,
     hermitian_part,
-    is_doubled,
     max_abs,
     real_lstsq,
     require_hermitian,
@@ -89,15 +89,53 @@ def is_hurwitz(f, tol: float = SPECTRAL_GAP_TOL) -> bool:
     return _hurwitz_spectrum(np.linalg.eigvals(f), f, tol)
 
 
+def _commutation_matrix(theta, n: int, d: int) -> np.ndarray:
+    """The commutation-matrix rule for n modes of the kind with doubling ``d``.
+
+    Theta must be Hermitian, of size d n and of the kind's certificate
+    inertia; for d = 2 it must also be antisymmetric under ``conj_swap``
+    within STRUCTURE_TOL (relative).  Returns the symmetrized Theta.
+    """
+    theta = require_hermitian(theta, "theta")
+    if theta.shape[0] != d * n:
+        raise DimensionError(f"theta must have shape {(d * n, d * n)}, got {theta.shape}")
+    inertia = _inertia(theta)
+    if not _has_certificate_inertia(inertia, n, d):
+        raise DomainError(
+            "theta must have inertia (n, n), got ({}, {}, {} zero)".format(*inertia)
+            if d == 2 else "annihilation-kind theta must be positive definite"
+        )
+    if d == 2 and max_abs(conj_swap(theta) + theta) > STRUCTURE_TOL * (1.0 + max_abs(theta)):
+        raise DomainError("theta must be antisymmetric under the conjugation swap")
+    return theta
+
+
+class _LayoutModel:
+    """Model matrices validated by ``linalg._check_layout`` against a class-level
+    ``_layout``, every dimension ``_doubling(kind)`` times its count."""
+
+    _layout: ClassVar[dict[str, tuple[str, str]]]
+
+    def __post_init__(self):
+        _check_layout(self, {}, _doubling(self.kind))
+
+
 @dataclass(frozen=True)
-class HamiltonianCoupling:
+class HamiltonianCoupling(_LayoutModel):
     """Physical parameters (Theta, M, N) of a linear quantum system.
 
     ``theta`` is the commutation matrix, ``m`` the quadratic Hamiltonian
     matrix and ``n_coupling`` the field coupling.  ``kind`` selects the
-    doubled-up general form or the annihilation-only form; shapes and
-    structure are validated on construction.
+    doubled-up general form or the annihilation-only form.  Construction
+    validates M and N against the layout, M as Hermitian and Theta by
+    :func:`_commutation_matrix`, and sets the counts ``n_modes`` and
+    ``m_fields``.
     """
+
+    _layout: ClassVar[dict[str, tuple[str, str]]] = {
+        "m": ("n_modes", "n_modes"),
+        "n_coupling": ("m_fields", "n_modes"),
+    }
 
     theta: np.ndarray
     m: np.ndarray
@@ -105,71 +143,10 @@ class HamiltonianCoupling:
     kind: str
 
     def __post_init__(self):
-        theta = require_hermitian(self.theta, "theta")
-        m = require_hermitian(self.m, "m")
-        n = as_matrix(self.n_coupling, "n_coupling")
-        d = _doubling(self.kind)
-        if d == 2:
-            if theta.shape[0] % 2 or n.shape[0] % 2:
-                raise DimensionError("general-kind parameters need even dimensions")
-            if not (is_doubled(m) and is_doubled(n)):
-                raise DomainError("general-kind M and N must be doubled-up")
-        inertia = _inertia(theta)
-        if not _has_certificate_inertia(inertia, theta.shape[0] // d, d):
-            raise DomainError(
-                "theta must have inertia (n, n), got ({}, {}, {} zero)".format(*inertia)
-                if d == 2 else "annihilation-kind theta must be positive definite"
-            )
-        if m.shape[0] != theta.shape[0] or n.shape[1] != theta.shape[0]:
-            raise DimensionError(
-                f"parameter shapes disagree: theta {theta.shape}, m {m.shape}, "
-                f"n {n.shape}"
-            )
-        for name, value in (("theta", theta), ("m", m), ("n_coupling", n)):
-            object.__setattr__(self, name, _read_only(value))
-
-    @property
-    def n_modes(self) -> int:
-        return self.theta.shape[0] // _doubling(self.kind)
-
-    @property
-    def m_fields(self) -> int:
-        return self.n_coupling.shape[0] // _doubling(self.kind)
-
-
-class _LayoutModel:
-    """Model matrices validated against a class-level layout.
-
-    ``_layout`` maps each matrix, in document order, to the names of the mode
-    or field counts that size its rows and columns.  Every dimension is
-    ``_doubling(kind)`` times its count, and the general kind also requires
-    doubled-up structure of every matrix.  A count the caller does not fix
-    is read from the first matrix whose rows it sizes, else from the first
-    whose columns it sizes; every count then becomes an attribute, and
-    every matrix a read-only copy.
-    """
-
-    _layout: ClassVar[dict[str, tuple[str, str]]]
-
-    def __post_init__(self):
-        self._check_layout({})
-
-    def _check_layout(self, counts: dict[str, int]) -> None:
-        d = _doubling(self.kind)
-        mats = {name: as_matrix(getattr(self, name), name) for name in self._layout}
-        for axis in (0, 1):
-            for name, dims in self._layout.items():
-                counts.setdefault(dims[axis], mats[name].shape[axis] // d)
-        for name, (rows, cols) in self._layout.items():
-            want = (d * counts[rows], d * counts[cols])
-            if mats[name].shape != want:
-                raise DimensionError(f"{name} must have shape {want}, got {mats[name].shape}")
-            if d == 2 and not is_doubled(mats[name]):
-                raise DomainError(f"general-kind {name} lacks doubled-up structure")
-        for name, value in mats.items():
-            object.__setattr__(self, name, _read_only(value))
-        for name, value in counts.items():
-            object.__setattr__(self, name, value)
+        object.__setattr__(self, "m", require_hermitian(self.m, "m"))
+        super().__post_init__()
+        theta = _commutation_matrix(self.theta, self.n_modes, _doubling(self.kind))
+        object.__setattr__(self, "theta", _read_only(theta))
 
 
 @dataclass(frozen=True)
@@ -196,7 +173,8 @@ class _FieldSystem(_LayoutModel):
 
     def __post_init__(self):
         fixed = ("n_modes", "m_fields")
-        self._check_layout({nm: getattr(self, nm) for nm in fixed if getattr(self, nm) >= 0})
+        counts = {nm: getattr(self, nm) for nm in fixed if getattr(self, nm) >= 0}
+        _check_layout(self, counts, _doubling(self.kind))
 
 
 @dataclass(frozen=True)
@@ -336,6 +314,13 @@ def _search_positive_definite(theta0, null_basis):
     return None
 
 
+def _solve_certificate(f, q, d: int) -> np.ndarray:
+    """The unique Hermitian Theta with F Theta + Theta F^dagger + Q = 0, exactly antisymmetric
+    under ``conj_swap`` for d = 2 (-conj_swap(Theta) solves the same equation for doubled-up F, Q)."""
+    theta = solve_lyapunov_hermitian(f, q)
+    return 0.5 * (theta - conj_swap(theta)) if d == 2 else theta
+
+
 def _indeterminate(residuals) -> PrVerdict:
     return PrVerdict(False, None, residuals, "eigenvalue-sum-degenerate", indeterminate=True)
 
@@ -365,7 +350,7 @@ def _check_certificate(s, kind: str, tol) -> PrVerdict:
 
     q = hermitian_part(g @ sig @ dagger(g))
     try:
-        theta = solve_lyapunov_hermitian(f, q)
+        theta = _solve_certificate(f, q, d)
     except SingularityError:
         return _family_fallback(s, q, residuals, tol) if d == 1 else _indeterminate(residuals)
 

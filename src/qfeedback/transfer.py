@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import ClassVar
 
 import numpy as np
 from scipy.linalg import schur
@@ -28,9 +29,8 @@ from .linalg import (
     RANK_TOL,
     RESIDUAL_TOL,
     SPECTRAL_GAP_TOL,
+    _check_layout,
     _hurwitz_spectrum,
-    _read_only,
-    as_matrix,
     as_square,
     dagger,
     hermitian_part,
@@ -43,7 +43,18 @@ from .linalg import (
 
 @dataclass(frozen=True)
 class StateSpaceTF:
-    """State-space realization (A, B, C, D) of C (sI - A)^{-1} B + D, stored read-only."""
+    """State-space realization (A, B, C, D) of C (sI - A)^{-1} B + D, stored read-only.
+
+    Construction checks the shapes against ``_layout`` and sets the counts
+    ``state_dim``, ``input_dim`` and ``output_dim``.
+    """
+
+    _layout: ClassVar[dict[str, tuple[str, str]]] = {
+        "a": ("state_dim", "state_dim"),
+        "b": ("state_dim", "input_dim"),
+        "c": ("output_dim", "state_dim"),
+        "d": ("output_dim", "input_dim"),
+    }
 
     a: np.ndarray
     b: np.ndarray
@@ -51,33 +62,7 @@ class StateSpaceTF:
     d: np.ndarray
 
     def __post_init__(self):
-        a = as_square(self.a, "a")
-        b = as_matrix(self.b, "b")
-        c = as_matrix(self.c, "c")
-        d = as_matrix(self.d, "d")
-        n = a.shape[0]
-        if b.shape[0] != n:
-            raise DimensionError(f"b must have {n} rows, got {b.shape}")
-        if c.shape[1] != n:
-            raise DimensionError(f"c must have {n} columns, got {c.shape}")
-        if d.shape != (c.shape[0], b.shape[1]):
-            raise DimensionError(
-                f"d must have shape ({c.shape[0]}, {b.shape[1]}), got {d.shape}"
-            )
-        for name, m in zip("abcd", (a, b, c, d)):
-            object.__setattr__(self, name, _read_only(m))
-
-    @property
-    def state_dim(self) -> int:
-        return self.a.shape[0]
-
-    @property
-    def input_dim(self) -> int:
-        return self.b.shape[1]
-
-    @property
-    def output_dim(self) -> int:
-        return self.c.shape[0]
+        _check_layout(self, {}, 1)
 
     @cached_property
     def _schur(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -19,6 +19,7 @@ from qfeedback import (
     CostOutput,
     DimensionError,
     DomainError,
+    HamiltonianCoupling,
     NotAugmentableError,
     NotRealizableError,
     PlantModel,
@@ -35,6 +36,7 @@ from qfeedback import (
     hinf_norm,
     random_challengers,
     random_pr_plant,
+    random_pr_system,
     signature_matrix,
     static_controller,
     synth_noise_annihilation,
@@ -103,6 +105,40 @@ def test_plant_controller_and_cost_store_read_only_copies() -> None:
             assert getattr(model, name)[0, 0] == -1.0, name
             with pytest.raises(ValueError):
                 getattr(model, name)[0, 0] = 0.0
+
+
+def test_transfer_function_cost_and_parameters_expose_their_layout_counts() -> None:
+    g = StateSpaceTF(a=-np.eye(3), b=np.ones((3, 2)), c=np.ones((1, 3)), d=np.zeros((1, 2)))
+    assert (g.state_dim, g.input_dim, g.output_dim) == (3, 2, 1)
+    cost = CostOutput(c=np.ones((2, 3)), d=np.zeros((2, 1)))
+    assert (cost.output_dim, cost.state_dim, cost.input_dim) == (2, 3, 1)
+    n = delta_build(np.ones((3, 2)), np.zeros((3, 2)))
+    p = HamiltonianCoupling(theta=signature_matrix(2), m=np.zeros((4, 4)), n_coupling=n, kind="general")
+    assert (p.n_modes, p.m_fields) == (2, 3)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: StateSpaceTF(a=-np.ones((3, 2)), b=np.ones((3, 2)), c=np.ones((1, 2)), d=np.zeros((1, 2))),
+        lambda: StateSpaceTF(a=-np.eye(3), b=np.ones((2, 2)), c=np.ones((1, 3)), d=np.zeros((1, 2))),
+        lambda: StateSpaceTF(a=-np.eye(3), b=np.ones((3, 2)), c=np.ones((1, 2)), d=np.zeros((1, 2))),
+        lambda: StateSpaceTF(a=-np.eye(3), b=np.ones((3, 2)), c=np.ones((1, 3)), d=np.zeros((2, 2))),
+        lambda: CostOutput(c=np.ones((2, 3)), d=np.zeros((1, 1))),
+        lambda: PlantModel(
+            kind="annihilation", f=-np.eye(1), g_w=np.ones((1, 1)), g_u=np.ones((1, 1)), h=np.ones((1, 1)),
+            k=np.eye(1), cost=CostOutput(c=np.ones((1, 2)), d=np.zeros((1, 1))),
+        ),
+        lambda: HamiltonianCoupling(theta=np.eye(1), m=np.zeros((1, 1)), n_coupling=np.ones((2, 3)), kind="annihilation"),
+        lambda: HamiltonianCoupling(theta=np.eye(2), m=np.zeros((1, 1)), n_coupling=np.ones((2, 1)), kind="annihilation"),
+        lambda: HamiltonianCoupling(
+            theta=signature_matrix(1), m=np.zeros((2, 2)), n_coupling=np.zeros((3, 2)), kind="general"
+        ),
+    ],
+)
+def test_transfer_function_cost_and_parameters_reject_a_mismatched_matrix(build) -> None:
+    with pytest.raises(DimensionError):
+        build()
 
 
 # ---------------------------------------------------------------------------
@@ -569,6 +605,12 @@ def test_synth_general_rejects_bad_theta() -> None:
         synth_noise_general(f_c, zeros, zeros, np.diag([2.0, -1.0]))
     with pytest.raises(DomainError):
         synth_noise_general(f_c, zeros, zeros, [[0.0, 1.0], [0.0, 0.0]])
+
+
+def test_synth_general_rejects_a_non_square_theta() -> None:
+    s = random_pr_system(1, 1, 0, kind="general")
+    with pytest.raises(DimensionError):
+        synth_noise_general(s.f, s.g, s.h, np.zeros((2, 3)))
 
 
 # ---------------------------------------------------------------------------

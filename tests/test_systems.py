@@ -117,6 +117,12 @@ def test_general_params_reject_indefinite_inertia() -> None:
         general_params(np.eye(2), np.zeros((2, 2)), np.zeros((2, 2)))
 
 
+def test_general_params_reject_theta_off_conjugation_antisymmetry() -> None:
+    # inertia (1, 1), but Theta + conj_swap(Theta) = I: no doubled-up system carries it
+    with pytest.raises(DomainError, match="antisymmetric under the conjugation swap"):
+        general_params(np.diag([2.0, -1.0]), delta_build([[1.0]], [[0.0]]), np.zeros((0, 2)))
+
+
 # ---------------------------------------------------------------------------
 # realizability checks
 
@@ -224,6 +230,19 @@ def test_realize_check_extract_realize_round_trips(seed, kind, n, m) -> None:
     assert type(rebuilt) is type(s) and (rebuilt.n_modes, rebuilt.m_fields) == (n, m)
     for name in ("f", "g", "h", "k"):
         got, want = getattr(rebuilt, name), getattr(s, name)
+        assert max_abs(got - want) <= 1e-8 * (1 + max_abs(want)), name
+
+
+@pytest.mark.parametrize(("n", "seed"), [(24, 12), (25, 35), (32, 15)])
+def test_extract_params_round_trips_large_general_draws(n, seed) -> None:
+    # the Lyapunov certificates of these draws are off conj-swap antisymmetry
+    # by more than STRUCTURE_TOL unless the solve restores that structure
+    s = random_pr_system(n, 2, seed=seed, kind="general")
+    p = extract_params(s)
+    rebuilt = realize_general(p)
+    for name in ("f", "g", "h", "k"):
+        got = getattr(rebuilt, name)
+        want = getattr(s, name)
         assert max_abs(got - want) <= 1e-8 * (1 + max_abs(want)), name
 
 

@@ -296,7 +296,7 @@ def cmd_verify(args) -> tuple[dict, list[str], int]:
             if theorem == "T5":
                 if plant.cost is None:
                     plant = plant.with_cost(
-                        CostOutput(c=plant.h, d=np.zeros((plant.m_y, plant.m_u)))
+                        CostOutput(c=plant.h, d=np.zeros((plant.h.shape[0], plant.g_u.shape[1])))
                     )
                 rep = verify_static_lqg(plant, seed=args.seed)
             else:

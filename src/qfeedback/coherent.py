@@ -40,16 +40,19 @@ from .feedback import (
     trivial_controller,
 )
 from .linalg import (
-    RANK_TOL,
     RESIDUAL_TOL,
-    SPECTRAL_GAP_TOL,
+    _certificate_defect,
+    _hurwitz_spectrum,
+    _lyapunov_defect,
+    _psd_factor,
+    _rank_cut,
     as_matrix,
     dagger,
     hermitian_part,
     max_abs,
     solve_care_hermitian,
 )
-from .systems import _annihilation_fg, _certificate_defect, _lyapunov_defect, _random_complex
+from .systems import _annihilation_fg, _random_complex, is_positive_definite
 from .transfer import NormResult, StateSpaceTF, h2_norm, hinf_norm
 
 STATIC_GAIN_GRID = (-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0)
@@ -80,11 +83,11 @@ class TheoremReport:
 
 
 def _detectability_defect(f: np.ndarray, c: np.ndarray) -> float:
-    """Smallest PBH singular value over modes not strictly stable."""
+    """Smallest PBH singular value over the modes that the Hurwitz rule does not call stable."""
     n = f.shape[0]
     worst = np.inf
     for lam in np.linalg.eigvals(f):
-        if lam.real < -SPECTRAL_GAP_TOL:
+        if _hurwitz_spectrum(np.atleast_1d(lam), f):
             continue
         pencil = np.vstack([lam * np.eye(n) - f, c])
         sv = np.linalg.svd(pencil, compute_uv=False)
@@ -118,13 +121,13 @@ def kalman_design(f_a, g_a, h_a, l_select) -> KalmanResult:
         raise DimensionError("filter blocks disagree on dimensions")
 
     v = hermitian_part(l_select @ dagger(l_select))
-    if v.size == 0 or np.min(np.linalg.eigvalsh(v)) <= RANK_TOL * max(1.0, max_abs(v)):
+    if v.size == 0 or not is_positive_definite(v):
         raise DomainError("selector Gram matrix L L^dagger is singular")
     v_inv = np.linalg.inv(v)
 
     c_meas = l_select @ h_a
     defect = _detectability_defect(f_a, c_meas)
-    if defect <= RANK_TOL * max(1.0, max_abs(f_a)):
+    if defect <= _rank_cut(max_abs(f_a)):
         raise DesignError(
             f"(state, measured output) pair is not detectable "
             f"(PBH defect {defect:.3g})"
@@ -135,12 +138,9 @@ def kalman_design(f_a, g_a, h_a, l_select) -> KalmanResult:
     r_care = hermitian_part(-dagger(c_meas) @ v_inv @ c_meas)
     q_care = hermitian_part(g_a @ dagger(g_a) - s @ v_inv @ dagger(s))
     care = solve_care_hermitian(a_care, r_care, q_care)
-    scale = 1.0 + max_abs(q_care)
-    if not care.exists or (
-        n and np.min(np.linalg.eigvalsh(care.x)) < -RESIDUAL_TOL * scale
-    ):
+    if not care.exists or _psd_factor(care.x) is None:
         raise DesignError("no stabilizing positive semidefinite covariance found")
-    q = hermitian_part(care.x)
+    q = care.x
 
     gain = (g_a + q @ dagger(h_a)) @ dagger(l_select) @ v_inv
     residual = max_abs(

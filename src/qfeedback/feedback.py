@@ -25,8 +25,10 @@ from .errors import (
 from .linalg import (
     RESIDUAL_TOL,
     _check_layout,
+    _coupling_defect,
     _hurwitz_spectrum,
     _inertia,
+    _lyapunov_defect,
     _psd_factor,
     as_matrix,
     dagger,
@@ -44,13 +46,11 @@ from .systems import (
     AnnihilationQSys,
     GeneralQSys,
     PrVerdict,
-    _coupling_defect,
     _doubling,
     _has_certificate_inertia,
     _kind_rules,
     _LayoutModel,
     _commutation_matrix,
-    _lyapunov_defect,
     _solve_certificate,
     is_hurwitz,
     is_positive_definite,
@@ -456,7 +456,8 @@ def synth_noise_general(f_c, g_cy, h_c, theta) -> SynthesisResult:
     defect M is split by sign into interlocked extra noise factors, and the
     structured coupling columns -Theta H_c1^dagger / +Theta H_c2^dagger
     complete the controller noise matrix.  Zero extra noise is reported when
-    M vanishes, meaning Theta already satisfies the realizability Riccati.
+    the sign split of M needs no extra channel, as in the annihilation-kind
+    synthesis: Theta then satisfies the realizability Riccati.
     """
     f_c = as_matrix(f_c, "f_c")
     g_cy = as_matrix(g_cy, "g_cy")
@@ -493,9 +494,8 @@ def synth_noise_general(f_c, g_cy, h_c, theta) -> SynthesisResult:
     g_cw2a = theta @ dagger(h_c2)
     g_cw = np.hstack([g_cw1a, g_cw1b, g_cw2a, g_cw2b])
     controller = _canonical_controller("general", f_c, g_cw, g_cy, h_c)
-    zero = max_abs(m_defect) <= RESIDUAL_TOL * (1.0 + max_abs(theta))
     return SynthesisResult(
-        controller=controller, theta=theta, extra_channels=r, zero_noise=zero
+        controller=controller, theta=theta, extra_channels=r, zero_noise=(r == 0)
     )
 
 

@@ -128,9 +128,7 @@ def _decode_matrices(
     return out
 
 
-def _decode_cost(doc: dict, n: int, m_u: int) -> CostOutput | None:
-    if "cost" not in doc:
-        return None
+def _decode_cost(doc: dict, n: int, m_u: int) -> CostOutput:
     cost_doc = doc["cost"]
     if not isinstance(cost_doc, dict):
         raise FileFormatError("must be an object", "cost")
@@ -173,15 +171,14 @@ def document_to_model(doc: dict) -> LoadedFile:
         mats = _decode_matrices(
             doc, {nm: (size[r], size[c]) for nm, (r, c) in cls._layout.items()}
         )
-        if square:
-            model = cls(**mats, **dims)
-        elif kind == "plant":
-            cost = _decode_cost(doc, size["n_modes"], size["m_u"])
-            model = cls(kind=rep, cost=cost, **mats)
-        else:
-            model = cls(kind=rep, **mats)
+        model = cls(**mats, **dims) if square else cls(kind=rep, **mats)
     except (DimensionError, DomainError) as exc:
         raise FileFormatError(str(exc), "matrices") from exc
+    if kind == "plant" and "cost" in doc:
+        try:
+            model = model.with_cost(_decode_cost(doc, size["n_modes"], size["m_u"]))
+        except (DimensionError, DomainError) as exc:
+            raise FileFormatError(str(exc), "cost") from exc
     return LoadedFile(kind=kind, model=model, metadata=metadata, document=doc)
 
 

@@ -43,10 +43,34 @@ def _sum_collision(la: np.ndarray, lb: np.ndarray, scale: float) -> tuple[comple
     return (complex(la[i]), complex(lb[j])) if sums[i, j] < SPECTRAL_GAP_TOL * scale else None
 
 
+def _rank_cut(scale: float, dim: int = 1) -> float:
+    """The rank rule: a singular value or |eigenvalue| at most RANK_TOL * max(1, scale) * dim is zero."""
+    return RANK_TOL * max(1.0, scale) * dim
+
+
 def _sign_cut(lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The Hermitian sign cut: masks of ``lam`` above and below +-RANK_TOL * max(1, max|lam|)."""
-    cut = RANK_TOL * max(1.0, float(np.max(np.abs(lam), initial=0.0)))
+    """The Hermitian sign cut: masks of ``lam`` beyond +-:func:`_rank_cut` of max|lam|."""
+    cut = _rank_cut(float(np.abs(lam).max(initial=0.0)))
     return lam > cut, lam < -cut
+
+
+def _lyapunov_defect(f, theta, q, residuals, tol) -> bool:
+    """True when |F Theta + Theta F^dagger + Q| (into ``residuals``) exceeds tol * (1 + |Q|)."""
+    residuals["lyapunov"] = max_abs(f @ theta + theta @ dagger(f) + q)
+    return residuals["lyapunov"] > tol * (1.0 + max_abs(q))
+
+
+def _coupling_defect(g, theta, h, sig, residuals, tol) -> bool:
+    """True when |G + Theta H^dagger S| (into ``residuals``) exceeds tol * (1 + |G| + |Theta| |H|)."""
+    residuals["coupling"] = max_abs(g + theta @ dagger(h) @ sig)
+    return residuals["coupling"] > tol * (1.0 + max_abs(g) + max_abs(theta) * max_abs(h))
+
+
+def _certificate_defect(f, g, h, sig, q, theta, residuals, tol) -> str | None:
+    """First of F Theta + Theta F^dagger + Q = 0 and G = -Theta H^dagger S to fail, or None."""
+    if _lyapunov_defect(f, theta, q, residuals, tol):
+        return "lyapunov"
+    return "coupling" if _coupling_defect(g, theta, h, sig, residuals, tol) else None
 
 
 def as_matrix(x, name: str = "matrix") -> np.ndarray:
@@ -119,10 +143,11 @@ def hermitian_part(a) -> np.ndarray:
 def require_hermitian(a, name: str) -> np.ndarray:
     """Validate Hermitian symmetry within RESIDUAL_TOL (relative) and symmetrize."""
     a = as_square(a, name)
-    dev = max_abs(a - a.conj().T)
+    ah = a.conj().T
+    dev = max_abs(a - ah)
     if dev > RESIDUAL_TOL * (1.0 + max_abs(a)):
         raise DomainError(f"{name} is not Hermitian (deviation {dev:.3e})")
-    return hermitian_part(a)
+    return 0.5 * (a + ah)
 
 
 def require_tolerance(value: float, name: str) -> None:
@@ -376,8 +401,7 @@ def solve_care_hermitian(a, r, q) -> CareSolution:
     ham = np.block([[a.conj().T, r], [-q, -a]])
 
     def _extract(z, y):
-        smin = np.linalg.svd(z, compute_uv=False)[-1]
-        if smin <= SPECTRAL_GAP_TOL:
+        if np.linalg.svd(z, compute_uv=False)[-1] <= _rank_cut(0.0):
             return None
         x = y @ np.linalg.inv(z)
         herm_dev = max_abs(x - x.conj().T) / (1.0 + max_abs(x))
@@ -431,11 +455,10 @@ def psd_split(m) -> PsdSplit:
         return PsdSplit(z, z, z, z)
     lam, v = np.linalg.eigh(m)
     pos, neg = _sign_cut(lam)
-    positive = (v[:, pos] * lam[pos]) @ v[:, pos].conj().T if pos.any() else np.zeros((n, n), dtype=complex)
-    negative = (v[:, neg] * (-lam[neg])) @ v[:, neg].conj().T if neg.any() else np.zeros((n, n), dtype=complex)
-    pf = v[:, pos] * np.sqrt(lam[pos]) if pos.any() else np.zeros((n, 0), dtype=complex)
-    nf = v[:, neg] * np.sqrt(-lam[neg]) if neg.any() else np.zeros((n, 0), dtype=complex)
-    return PsdSplit(hermitian_part(positive), hermitian_part(negative), pf, nf)
+    vp, vn = v[:, pos], v[:, neg]
+    positive = hermitian_part((vp * lam[pos]) @ vp.conj().T)
+    negative = hermitian_part((vn * (-lam[neg])) @ vn.conj().T)
+    return PsdSplit(positive, negative, vp * np.sqrt(lam[pos]), vn * np.sqrt(-lam[neg]))
 
 
 def _psd_factor(m) -> np.ndarray | None:
@@ -449,4 +472,5 @@ def _inertia(h: np.ndarray) -> tuple[int, int, int]:
     if h.shape[0] == 0:
         return (0, 0, 0)
     pos, neg = _sign_cut(np.linalg.eigvalsh(h))
-    return (int(np.sum(pos)), int(np.sum(neg)), int(np.sum(~(pos | neg))))
+    p, q = int(np.count_nonzero(pos)), int(np.count_nonzero(neg))
+    return (p, q, h.shape[0] - p - q)

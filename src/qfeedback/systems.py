@@ -19,13 +19,14 @@ from scipy.linalg import eigvals
 
 from .errors import DimensionError, DomainError, GenerationError, NotRealizableError, SingularityError
 from .linalg import (
-    RANK_TOL,
     RESIDUAL_TOL,
     SPECTRAL_GAP_TOL,
     STRUCTURE_TOL,
+    _certificate_defect,
     _check_layout,
     _hurwitz_spectrum,
     _inertia,
+    _rank_cut,
     _read_only,
     _sum_collision,
     as_square,
@@ -243,25 +244,6 @@ def _annihilation_fg(theta, m, n) -> tuple[np.ndarray, np.ndarray]:
     return theta @ (-1j * m - 0.5 * dagger(n) @ n), -theta @ dagger(n)
 
 
-def _lyapunov_defect(f, theta, q, residuals, tol) -> bool:
-    """True when |F Theta + Theta F^dagger + Q| (into ``residuals``) exceeds tol * (1 + |Q|)."""
-    residuals["lyapunov"] = max_abs(f @ theta + theta @ dagger(f) + q)
-    return residuals["lyapunov"] > tol * (1.0 + max_abs(q))
-
-
-def _coupling_defect(g, theta, h, sig, residuals, tol) -> bool:
-    """True when |G + Theta H^dagger S| (into ``residuals``) exceeds tol * (1 + |G| + |Theta| |H|)."""
-    residuals["coupling"] = max_abs(g + theta @ dagger(h) @ sig)
-    return residuals["coupling"] > tol * (1.0 + max_abs(g) + max_abs(theta) * max_abs(h))
-
-
-def _certificate_defect(f, g, h, sig, q, theta, residuals, tol) -> str | None:
-    """First of F Theta + Theta F^dagger + Q = 0 and G = -Theta H^dagger S to fail, or None."""
-    if _lyapunov_defect(f, theta, q, residuals, tol):
-        return "lyapunov"
-    return "coupling" if _coupling_defect(g, theta, h, sig, residuals, tol) else None
-
-
 def _certificate_family_annihilation(f, g, h):
     """Affine family of Hermitian Theta solving both certificate equations.
 
@@ -277,10 +259,10 @@ def _certificate_family_annihilation(f, g, h):
     theta0 = np.tensordot(sol, basis, 1)
 
     _, svals, vt = np.linalg.svd(a_mat)
-    smax = svals[0] if svals.size else 0.0
+    cut = _rank_cut(svals[0] if svals.size else 0.0, max(a_mat.shape))
     null = []
     for idx in range(len(basis)):
-        if idx >= svals.size or svals[idx] <= RANK_TOL * max(1.0, smax) * max(a_mat.shape):
+        if idx >= svals.size or svals[idx] <= cut:
             null.append(np.tensordot(vt[idx].conj(), basis, 1))
     return hermitian_part(theta0), [hermitian_part(b) for b in null], residual
 

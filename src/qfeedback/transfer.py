@@ -26,11 +26,12 @@ from .errors import (
 )
 from .linalg import (
     FREQ_TOL,
-    RANK_TOL,
     RESIDUAL_TOL,
     SPECTRAL_GAP_TOL,
     _check_layout,
+    _coupling_defect,
     _hurwitz_spectrum,
+    _rank_cut,
     as_square,
     dagger,
     hermitian_part,
@@ -224,12 +225,12 @@ def _controllable_basis(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
     Orthogonal staircase (Van Dooren 1981): each step projects the new block
     off the basis so far (Gram-Schmidt twice), keeps its left singular
-    vectors above RANK_TOL * max(1, |A|, |B|) * n, and continues with A times
-    them.  Every block multiplied by A is orthonormal, so no power of A is
-    formed and the rank cut keeps its meaning at every n.
+    vectors above the rank rule's cut at scale max(|A|, |B|) and dim n, and
+    continues with A times them.  Every block multiplied by A is orthonormal,
+    so no power of A is formed and the rank cut keeps its meaning at every n.
     """
     n = a.shape[0]
-    cut = RANK_TOL * max(1.0, max_abs(a), max_abs(b)) * max(n, 1)
+    cut = _rank_cut(max(max_abs(a), max_abs(b)), max(n, 1))
     basis = np.zeros((n, 0), dtype=complex)
     block = b
     while block.shape[1] and basis.shape[1] < n:
@@ -267,7 +268,8 @@ def _signature_check(g, red, sig, tol, gate) -> tuple[str, str, dict[str, float]
 
     Algebraic prong: D^dagger S D = S and, on the realization ``red`` of
     ``g``, the Hermitian X with A X + X A^dagger + B S B^dagger = 0 must
-    satisfy X C^dagger = -B S D^dagger.  An unsolvable certificate equation
+    satisfy X C^dagger = -B S D^dagger, which is the realizability check's
+    coupling test with G = B S D^dagger.  An unsolvable certificate equation
     makes the prong indeterminate, and a non-None ``gate`` replaces it.
     Sampled prong: the identity on ``g`` at the grid frequencies.  Returns
     (algebraic, sampled, residuals).
@@ -286,10 +288,9 @@ def _signature_check(g, red, sig, tol, gate) -> tuple[str, str, dict[str, float]
         except SingularityError:
             algebraic = "indeterminate"
         else:
-            residuals["coupling"] = max_abs(x @ dagger(red.c) + red.b @ sig @ dagger(red.d))
-            scale = 1.0 + max_abs(red.b) + max_abs(x) * max_abs(red.c)
-            ok = feed_ok and residuals["coupling"] <= tol * scale
-            algebraic = "pass" if ok else "fail"
+            g_cpl = red.b @ sig @ dagger(red.d)
+            coupled = not _coupling_defect(g_cpl, x, red.c, np.eye(red.output_dim), residuals, tol)
+            algebraic = "pass" if feed_ok and coupled else "fail"
     worst, used = _sample_worst(g, lambda v: np.abs(v.conj().swapaxes(1, 2) @ sig @ v - sig))
     residuals["sampled"] = worst
     return algebraic, "pass" if used and worst <= FREQ_TOL else "fail", residuals

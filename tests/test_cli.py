@@ -20,6 +20,7 @@ from qfeedback import (
     dagger,
     delta_build,
     load_system,
+    random_pr_plant,
     random_pr_system,
     save_system,
     signature_matrix,
@@ -206,6 +207,17 @@ class TestCheck:
         assert report["location"] == "matrices.f[0][0]"
         assert report["exit_status"] == 2
         assert "entry must be [re, im]" in report["error"]
+
+    def test_json_cost_block_fault_is_located_at_cost(self, corpus, capsys, tmp_path):
+        doc = json.loads((corpus / "cavity_plant.json").read_text())
+        doc["cost"]["d"] = [[[0, 0], [0, 0]]]
+        path = tmp_path / "wide_cost.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "--format", "json", "check", path)
+        assert code == 2 and err == ""
+        report = json.loads(out)
+        assert report["location"] == "cost"
+        assert report["error"] == "cost: d must have shape (1, 1), got (1, 2)"
 
 
 class TestParams:
@@ -581,6 +593,14 @@ class TestGeneralKind:
         code, out, _ = run(capsys, "check", path, "--transfer")
         assert code == 1
         assert "transfer check (jj_unitary): false\n" in out
+
+    def test_verify_t5_on_a_general_plant_reports_the_library_fault(self, capsys, tmp_path):
+        # the CLI's default cost block is sized from the plant's doubled matrices
+        path = tmp_path / "gp.json"
+        save_system(path, random_pr_plant(1, 1, 1, 1, 0, kind="general"))
+        code, out, err = run(capsys, "verify", "T5", path)
+        assert code == 2 and out == ""
+        assert err == "input error: static LQG verification is annihilation-kind only\n"
 
     def test_synth_general_controller(self, capsys, tmp_path):
         path, target = tmp_path / "general_ctrl.json", tmp_path / "synth.json"

@@ -44,7 +44,7 @@ from qfeedback import (
     tf_eval,
     trivial_controller,
 )
-from qfeedback.coherent import _static_gain_candidates, random_admissible_triple
+from qfeedback.coherent import _static_gain_candidates, random_admissible_triple, verify_trivial_hinf
 from qfeedback.feedback import _identity_pad, _static_screen
 from qfeedback.linalg import (
     RESIDUAL_TOL,
@@ -164,6 +164,16 @@ def test_augment_rejects_mismatched_output_row() -> None:
     )
     with pytest.raises(NotAugmentableError):
         augment_plant(p)
+
+
+def test_augment_rejects_a_plant_without_a_definite_certificate() -> None:
+    # F = 1 with G G^dagger = 2 gives the certificate Theta = -1
+    p = PlantModel(kind="annihilation", f=[[1.0]], g_w=[[1.0]], g_u=[[1.0]], h=[[-1.0]], k=[[1.0]])
+    with pytest.raises(NotAugmentableError, match="no positive definite certificate") as info:
+        augment_plant(p)
+    assert str(info.value) == "no positive definite certificate for the augmented plant"
+    assert info.value.residuals == {"theta_min_eig": -1.0}
+    assert verify_trivial_hinf(p, [[1.0, 0.0]], []).skipped
 
 
 def test_augment_square_plant_returns_itself() -> None:
@@ -594,6 +604,15 @@ def test_synth_general_zero_defect_reports_zero_noise() -> None:
     result = synth_noise_general(f_c, zeros, zeros, theta)
     assert result.zero_noise
     assert result.extra_channels == 0
+
+
+@pytest.mark.parametrize("delta", [0.0, 1e-9, 1e-7])
+def test_synth_general_zero_noise_means_no_extra_channel(delta: float) -> None:
+    s = random_pr_system(2, 1, seed=3, kind="general")
+    theta = check_pr_general(s).theta
+    f_c = s.f + delta * delta_build(np.eye(2), np.zeros((2, 2)))
+    result = synth_noise_general(f_c, np.zeros((4, 2)), s.h, theta)
+    assert result.zero_noise == (result.extra_channels == 0)
 
 
 def test_synth_general_rejects_bad_theta() -> None:

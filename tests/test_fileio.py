@@ -284,6 +284,14 @@ class TestValidation:
             document_to_model(doc)
         assert info.value.location == "matrices"
 
+    def test_cost_block_faults_are_located_at_cost(self):
+        doc = model_to_document(two_port_cavity_plant(with_cost=True))
+        doc["cost"]["d"] = [[[0.0, 0.0], [0.0, 0.0]]]
+        with pytest.raises(FileFormatError) as info:
+            document_to_model(doc)
+        assert info.value.location == "cost"
+        assert str(info.value) == "cost: d must have shape (1, 1), got (1, 2)"
+
     def test_load_missing_file(self, tmp_path):
         with pytest.raises(FileFormatError, match="cannot read file"):
             load_system(tmp_path / "absent.json")

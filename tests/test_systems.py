@@ -29,7 +29,14 @@ from qfeedback import (
     realize_general,
     signature_matrix,
 )
-from qfeedback.linalg import SPECTRAL_GAP_TOL, max_abs, solve_lyapunov_hermitian
+from qfeedback.linalg import (
+    RESIDUAL_TOL,
+    SPECTRAL_GAP_TOL,
+    _certificate_defect,
+    dagger,
+    max_abs,
+    solve_lyapunov_hermitian,
+)
 from qfeedback.systems import eig_sum_condition, is_hurwitz
 
 ROOT2 = np.sqrt(2.0)
@@ -371,6 +378,21 @@ def test_degenerate_annihilation_family_without_a_coupling_fit_fails() -> None:
     assert not verdict.realizable and not verdict.indeterminate
     assert verdict.failure_reason == "coupling"
     assert verdict.residuals["certificate_family"] == pytest.approx(1.0)
+
+
+def test_degenerate_annihilation_family_search_past_the_nearest_member() -> None:
+    # F has the eigenvalue -1j (an eigenvalue-sum collision), and the family
+    # member nearest to I, [[1, 1], [1, 0.2]], is indefinite, so the search
+    # goes on to the particular solution and then to its grid
+    p = annihilation_params([[10, 1], [1, 0.2]], [[0.2, -1], [-1, 0.5]], [[0, 1]])
+    s = realize_annihilation(p)
+    assert np.min(np.abs(np.linalg.eigvals(s.f) + 1j)) <= 1e-12
+    verdict = check_pr_annihilation(s)
+    assert verdict.realizable and not verdict.indeterminate
+    theta = verdict.theta
+    assert np.min(np.linalg.eigvalsh(theta)) > 0.0
+    q = s.g @ dagger(s.g)
+    assert _certificate_defect(s.f, s.g, s.h, np.eye(1), q, theta, {}, RESIDUAL_TOL) is None
 
 
 def test_random_pr_system_annihilation_is_realizable() -> None:

@@ -833,7 +833,9 @@ def _as_reference(result) -> dict[str, float]:
 @pytest.fixture(scope="module")
 def hinf_family() -> list[StateSpaceTF]:
     """Random stable systems with and without D, the all-pass cavity,
-    Hurwitz annihilation systems at n = 8, 16, 32 and one T6 loop."""
+    Hurwitz annihilation systems at n = 8, 16, 32, one T6 loop and a
+    near-imaginary Jordan block whose norm (1e6) is far above its grid peak
+    (about 1.2e3), so the first upper bracket is infeasible and doubles."""
     rng = np.random.default_rng(83)
     family = []
     for n in range(1, 7):
@@ -847,6 +849,8 @@ def hinf_family() -> list[StateSpaceTF]:
     plant = random_pr_plant(2, 2, 1, 1, seed=905)
     loop = close_augmented_loop(plant, random_challengers(plant, count=1, seed=905)[0]).system
     family.append(StateSpaceTF(loop.a, loop.b, loop.c[:1], loop.d[:1]))
+    lam = -1e-3 + 1j
+    family.append(StateSpaceTF([[lam, 1], [0, lam]], [[0], [1]], [[1, 0]], [[0]]))
     return family
 
 

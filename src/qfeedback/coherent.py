@@ -30,6 +30,7 @@ from .feedback import (
     _canonical_controller,
     _check_loop_dims,
     _identity_pad,
+    _loop_matrices,
     _static_fold,
     _static_screen,
     augment_plant,
@@ -265,6 +266,21 @@ def random_admissible_triple(
     return f_c, g_cy, h_c
 
 
+def _challenger_draws(p: PlantModel, count: int, seed: int) -> list[tuple[np.ndarray, ...]]:
+    """The blocks (F_c, G_cw, G_cy, H_c) of :func:`random_challengers`, unvalidated."""
+    rng = np.random.default_rng(seed)
+    draws = []
+    for _ in range(count):
+        n_c = int(rng.integers(1, 3))
+        m = hermitian_part(_random_complex(rng, n_c, n_c))
+        h_c = _random_complex(rng, p.m_u, n_c)
+        n_coupling = np.vstack([h_c, -np.sqrt(2.0) * np.eye(n_c), _random_complex(rng, p.m_y, n_c)])
+        f_c, g_c = _annihilation_fg(np.eye(n_c, dtype=complex), m, n_coupling)
+        m_wt = p.m_u + n_c
+        draws.append((f_c, g_c[:, :m_wt], g_c[:, m_wt:], h_c))
+    return draws
+
+
 def random_challengers(p: PlantModel, count: int, seed: int) -> list[ControllerModel]:
     """``count`` seeded realizable dynamic controllers (1 or 2 states) for a plant.
 
@@ -275,17 +291,35 @@ def random_challengers(p: PlantModel, count: int, seed: int) -> list[ControllerM
     is strictly admissible for ``synth_noise_annihilation``.  (I, M, N) is
     valid by construction and goes straight into the realization formula.
     """
-    rng = np.random.default_rng(seed)
-    out: list[ControllerModel] = []
-    for _ in range(count):
-        n_c = int(rng.integers(1, 3))
-        m = hermitian_part(_random_complex(rng, n_c, n_c))
-        h_c = _random_complex(rng, p.m_u, n_c)
-        n_coupling = np.vstack([h_c, -np.sqrt(2.0) * np.eye(n_c), _random_complex(rng, p.m_y, n_c)])
-        f_c, g_c = _annihilation_fg(np.eye(n_c, dtype=complex), m, n_coupling)
-        m_wt = p.m_u + n_c
-        out.append(_canonical_controller("annihilation", f_c, g_c[:, :m_wt], g_c[:, m_wt:], h_c))
-    return out
+    draws = _challenger_draws(p, count, seed)
+    return [_canonical_controller("annihilation", *blocks) for blocks in draws]
+
+
+def _challenger_loops(p: PlantModel, theta_p: np.ndarray, draws) -> tuple[np.ndarray, ...]:
+    """Close the loops of challenger blocks from :func:`_challenger_draws` around ``p``.
+
+    The draws are stacked by controller order n_c, with the canonical
+    feedthrough K_cw = [I, 0], K_cy = 0; each stack gets one loop assembly,
+    one eigensolve, one Lyapunov residual test at the loop's state
+    covariance Theta = diag(Theta_p, I) and one cost sqrt(tr(C Theta
+    C^dagger)).  Returns, per draw in draw order, internal stability, the
+    residual, its verdict and the cost.
+    """
+    stable, defect = np.zeros(len(draws), dtype=bool), np.zeros(len(draws), dtype=bool)
+    residual, cost = np.zeros(len(draws)), np.zeros(len(draws))
+    n, k_cy = p.n_modes, np.zeros((p.m_u, p.m_y), dtype=complex)
+    for n_c in sorted({blocks[0].shape[0] for blocks in draws}):
+        idx = [i for i, blocks in enumerate(draws) if blocks[0].shape[0] == n_c]
+        f_c, g_cw, g_cy, h_c = (np.stack(block) for block in zip(*(draws[i] for i in idx)))
+        a, b, c, _ = _loop_matrices(p, f_c, g_cw, g_cy, h_c, _identity_pad(p.m_u, p.m_u + n_c), k_cy)
+        theta = np.eye(n + n_c, dtype=complex)
+        theta[:n, :n] = theta_p
+        found: dict[str, np.ndarray] = {}
+        stable[idx] = _hurwitz_spectrum(np.linalg.eigvals(a), a)
+        defect[idx] = _lyapunov_defect(a, theta, hermitian_part(b @ dagger(b)), found, RESIDUAL_TOL)
+        residual[idx] = found["lyapunov"]
+        cost[idx] = np.sqrt(np.maximum(np.trace(c @ theta @ dagger(c), axis1=-2, axis2=-1).real, 0.0))
+    return stable, residual, defect, cost
 
 
 def verify_static_lqg(
@@ -300,8 +334,10 @@ def verify_static_lqg(
     realizable dynamic controllers.  Static loops cost ``h2_norm``; a stable
     dynamic loop (Theta_c = I) must pass the Lyapunov residual test at its state
     covariance Theta = diag(Theta_p, I), and costs sqrt(tr(C Theta C^dagger)).
-    The zero-gain certificates carry the substance; the cost comparison is
-    corroborating evidence.
+    The dynamic controllers come from the draw behind ``random_challengers``
+    and are checked in stacks of equal order, without a model or a
+    ``close_loop`` each.  The zero-gain certificates carry the substance; the
+    cost comparison is corroborating evidence.
     """
     if p.kind != "annihilation":
         raise DomainError("static LQG verification is annihilation-kind only")
@@ -345,16 +381,12 @@ def verify_static_lqg(
     best_static, used = min(static_costs, default=np.inf), len(static_costs)
     skipped = len(candidates) - used
 
-    dynamic_loops = [close_loop(p, c) for c in random_challengers(p, dynamic_count, seed + 1)]
-    dynamic_costs, invariant_ok = [], True
-    for g in (loop.system for loop in dynamic_loops if loop.internally_stable):
-        theta = np.eye(g.state_dim, dtype=complex)
-        theta[: p.n_modes, : p.n_modes] = ap.theta
-        q = hermitian_part(g.b @ dagger(g.b))
-        invariant_ok &= not _lyapunov_defect(g.a, theta, q, {}, RESIDUAL_TOL)
-        dynamic_costs.append(float(np.sqrt(max(np.trace(g.c @ theta @ dagger(g.c)).real, 0.0))))
-    best_dynamic, dyn_used = min(dynamic_costs, default=np.inf), len(dynamic_costs)
-    dyn_skipped = len(dynamic_loops) - dyn_used
+    draws = _challenger_draws(p, dynamic_count, seed + 1)
+    stable, _, defect, dynamic_cost = _challenger_loops(p, ap.theta, draws)
+    invariant_ok = not defect[stable].any()
+    best_dynamic = float(np.min(dynamic_cost[stable], initial=np.inf))
+    dyn_used = int(np.count_nonzero(stable))
+    dyn_skipped = stable.size - dyn_used
 
     cost_ok = best_static <= best_dynamic + 1e-6 * max(1.0, best_dynamic)
     holds = zero_gain_ok and cost_ok and invariant_ok

@@ -313,6 +313,36 @@ def _static_fold(p: PlantModel, k_cy: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return p.f + p.g_u @ k_cy @ p.h, p.g_w + p.g_u @ k_cy @ p.k
 
 
+def _stacked_block(rows: list[list[np.ndarray]]) -> np.ndarray:
+    """``np.block`` over the last two axes of blocks that share their leading (stack) axes,
+    a 2-D block repeated along them."""
+    lead = max((blk.shape[:-2] for row in rows for blk in row), key=len)
+
+    def fit(blk: np.ndarray) -> np.ndarray:
+        return blk if blk.shape[:-2] == lead else np.broadcast_to(blk, lead + blk.shape[-2:])
+
+    return np.concatenate([np.concatenate([fit(blk) for blk in row], axis=-1) for row in rows], axis=-2)
+
+
+def _loop_matrices(p: PlantModel, f_c, g_cw, g_cy, h_c, k_cw, k_cy):
+    """State, noise, cost and cost-feedthrough matrices (A, B, C_z, D_z) of the loop around ``p``.
+
+    States stack as (plant, controller) and noises as (W, W-tilde).  Any
+    controller block may carry leading stack axes, which every loop matrix
+    built from it then carries (A from F_c, B from G_cw, C_z from H_c, D_z
+    only from K_cw or K_cy); its blocks that involve no stacked block are
+    repeated along them.  Absent a cost block, C_z and D_z have no rows.
+    """
+    f_fold, g_fold = _static_fold(p, k_cy)
+    a = _stacked_block([[f_fold, p.g_u @ h_c], [g_cy @ p.h, f_c]])
+    b = _stacked_block([[g_fold, p.g_u @ k_cw], [g_cy @ p.k, g_cw]])
+    if p.cost is None:
+        return a, b, a[..., :0, :], b[..., :0, :]
+    cz = _stacked_block([[p.cost.c + p.cost.d @ k_cy @ p.h, p.cost.d @ h_c]])
+    dz = _stacked_block([[p.cost.d @ k_cy @ p.k, p.cost.d @ k_cw]])
+    return a, b, cz, dz
+
+
 def close_loop(p: PlantModel, c: ControllerModel) -> ClosedLoop:
     """Interconnect plant and controller.
 
@@ -323,16 +353,7 @@ def close_loop(p: PlantModel, c: ControllerModel) -> ClosedLoop:
     the controller output equation; absent a cost block the output is empty.
     """
     _check_loop_dims(p, c)
-    f_fold, g_fold = _static_fold(p, c.k_cy)
-    a = np.vstack([np.hstack([f_fold, p.g_u @ c.h_c]), np.hstack([c.g_cy @ p.h, c.f_c])])
-    b = np.vstack([np.hstack([g_fold, p.g_u @ c.k_cw]), np.hstack([c.g_cy @ p.k, c.g_cw])])
-    n_states = a.shape[0]
-    if p.cost is not None:
-        cz = np.hstack([p.cost.c + p.cost.d @ c.k_cy @ p.h, p.cost.d @ c.h_c])
-        dz = np.hstack([p.cost.d @ c.k_cy @ p.k, p.cost.d @ c.k_cw])
-    else:
-        cz = np.zeros((0, n_states), dtype=complex)
-        dz = np.zeros((0, b.shape[1]), dtype=complex)
+    a, b, cz, dz = _loop_matrices(p, c.f_c, c.g_cw, c.g_cy, c.h_c, c.k_cw, c.k_cy)
 
     if p.kind == "general":
         ps = doubling_permutation([p.n_modes, c.n_modes])
@@ -551,7 +572,8 @@ def close_augmented_loop(p: PlantModel, c: ControllerModel, *, _ap=None) -> Augm
     """
     if p.kind != "annihilation" or c.kind != "annihilation":
         raise DomainError("augmented loop composition is annihilation-kind only")
-    loop = close_loop(p, c)
+    _check_loop_dims(p, c)
+    a, b, _, _ = _loop_matrices(p, c.f_c, c.g_cw, c.g_cy, c.h_c, c.k_cw, c.k_cy)
     ap = augment_plant(p) if _ap is None else _ap
     ac = augment_controller(c)
     n, n_c = p.n_modes, c.n_modes
@@ -586,10 +608,10 @@ def close_augmented_loop(p: PlantModel, c: ControllerModel, *, _ap=None) -> Augm
         "controller_unused": (m_w + m_u, m_w + m_u + r),
     }
     return AugmentedClosedLoop(
-        system=StateSpaceTF(a=loop.system.a, b=loop.system.b, c=c_rows, d=d_rows),
+        system=StateSpaceTF(a=a, b=b, c=c_rows, d=d_rows),
         theta=theta,
         channel_map=channel_map,
-        internally_stable=loop.internally_stable,
+        internally_stable=is_hurwitz(a),
     )
 
 

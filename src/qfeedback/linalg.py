@@ -31,9 +31,20 @@ SPECTRAL_GAP_TOL = 1e-10
 FREQ_TOL = 1e-7
 
 
-def _hurwitz_spectrum(lam: np.ndarray, a: np.ndarray, tol: float = SPECTRAL_GAP_TOL) -> bool:
-    """The Hurwitz rule on the spectrum ``lam`` of ``a``: max Re lambda < -tol * max(1, |a|)."""
-    return bool(np.max(lam.real, initial=-np.inf) < -tol * max(1.0, max_abs(a)))
+def _stack_max_abs(a: np.ndarray):
+    """:func:`max_abs` of each matrix of a stack (..., r, c): a float for one matrix."""
+    top = np.abs(a).max(axis=(-2, -1), initial=0.0)
+    return top if top.ndim else float(top)
+
+
+def _hurwitz_spectrum(lam: np.ndarray, a: np.ndarray, tol: float = SPECTRAL_GAP_TOL):
+    """The Hurwitz rule on the spectrum ``lam`` of ``a``: max Re lambda < -tol * max(1, |a|).
+
+    Over leading axes: a stack of spectra (..., n) of a stack (..., n, n)
+    gets one verdict per matrix; one matrix gets a bool.
+    """
+    stable = np.max(lam.real, axis=-1, initial=-np.inf) < -tol * np.maximum(1.0, _stack_max_abs(a))
+    return stable if stable.ndim else bool(stable)
 
 
 def _sum_collision(la: np.ndarray, lb: np.ndarray, scale: float) -> tuple[complex, complex] | None:
@@ -54,10 +65,14 @@ def _sign_cut(lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return lam > cut, lam < -cut
 
 
-def _lyapunov_defect(f, theta, q, residuals, tol) -> bool:
-    """True when |F Theta + Theta F^dagger + Q| (into ``residuals``) exceeds tol * (1 + |Q|)."""
-    residuals["lyapunov"] = max_abs(f @ theta + theta @ dagger(f) + q)
-    return residuals["lyapunov"] > tol * (1.0 + max_abs(q))
+def _lyapunov_defect(f, theta, q, residuals, tol):
+    """True when |F Theta + Theta F^dagger + Q| (into ``residuals``) exceeds tol * (1 + |Q|).
+
+    Over leading axes: stacked operands get one residual and one verdict per
+    matrix of the stack.
+    """
+    residuals["lyapunov"] = _stack_max_abs(f @ theta + theta @ dagger(f) + q)
+    return residuals["lyapunov"] > tol * (1.0 + _stack_max_abs(q))
 
 
 def _coupling_defect(g, theta, h, sig, residuals, tol) -> bool:
@@ -125,8 +140,8 @@ def _check_layout(model, counts: dict[str, int], d: int) -> None:
 
 
 def dagger(a) -> np.ndarray:
-    """Conjugate transpose."""
-    return np.asarray(a, dtype=complex).conj().T
+    """Conjugate transpose of a matrix, or of each matrix of a stack (..., r, c)."""
+    return np.asarray(a, dtype=complex).conj().swapaxes(-1, -2)
 
 
 def max_abs(a) -> float:
@@ -136,8 +151,9 @@ def max_abs(a) -> float:
 
 
 def hermitian_part(a) -> np.ndarray:
+    """(A + A^dagger) / 2, of each matrix of a stack (..., n, n) too."""
     a = np.asarray(a, dtype=complex)
-    return 0.5 * (a + a.conj().T)
+    return 0.5 * (a + a.conj().swapaxes(-1, -2))
 
 
 def require_hermitian(a, name: str) -> np.ndarray:

@@ -144,12 +144,13 @@ def _freq_response(g: StateSpaceTF, s: np.ndarray) -> np.ndarray:
 
 def _sigma_max(v: np.ndarray) -> np.ndarray:
     """sigma_max of each matrix of the stack (k, p, m): sqrt of the top eigenvalue of its
-    smaller Gram matrix, each point scaled by its largest |entry| (0 if all are 0)."""
+    smaller Gram matrix, each point scaled by its largest |entry| (0 if all are 0).
+    A 1 x 1 Gram matrix is its own eigenvalue, as the eigensolver would return it."""
     scale = np.max(np.abs(v), axis=(1, 2), initial=0.0)
     w = v / np.where(scale > 0.0, scale, 1.0)[:, None, None]
-    wh = w.conj().swapaxes(1, 2)
-    gram = w @ wh if v.shape[1] <= v.shape[2] else wh @ w
-    return scale * np.sqrt(np.max(np.linalg.eigvalsh(gram), axis=1, initial=0.0))
+    gram = w @ dagger(w) if v.shape[1] <= v.shape[2] else dagger(w) @ w
+    lam = gram[:, :, 0].real if gram.shape[1] == 1 else np.linalg.eigvalsh(gram)
+    return scale * np.sqrt(np.max(lam, axis=1, initial=0.0))
 
 
 def tf_eval(g: StateSpaceTF, s: complex) -> np.ndarray:
@@ -291,7 +292,7 @@ def _signature_check(g, red, sig, tol, gate) -> tuple[str, str, dict[str, float]
             g_cpl = red.b @ sig @ dagger(red.d)
             coupled = not _coupling_defect(g_cpl, x, red.c, np.eye(red.output_dim), residuals, tol)
             algebraic = "pass" if feed_ok and coupled else "fail"
-    worst, used = _sample_worst(g, lambda v: np.abs(v.conj().swapaxes(1, 2) @ sig @ v - sig))
+    worst, used = _sample_worst(g, lambda v: np.abs(dagger(v) @ sig @ v - sig))
     residuals["sampled"] = worst
     return algebraic, "pass" if used and worst <= FREQ_TOL else "fail", residuals
 

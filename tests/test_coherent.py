@@ -44,6 +44,7 @@ from qfeedback import (
 )
 
 from qfeedback import coherent, transfer
+from qfeedback.linalg import RESIDUAL_TOL, _lyapunov_defect, dagger, hermitian_part
 from qfeedback.transfer import _sample_worst, _sigma_max
 
 from conftest import freq_response, random_unitary, stateless_plant, two_port_cavity_plant
@@ -479,6 +480,45 @@ def test_every_realizable_loop_costs_the_plant_certificate(seed, n, m_u, m_y) ->
         loop = close_loop(p, ctrl)
         assert loop.internally_stable
         assert abs(lqg_cost(loop).value - expected) <= 1e-10 * expected
+
+
+def reference_challenger_loops(p: PlantModel, theta_p: np.ndarray, challengers) -> list[tuple]:
+    """Per challenger: close_loop's stability, then the Lyapunov residual, its verdict
+    and the cost sqrt(tr(C Theta C^dagger)) at Theta = diag(Theta_p, I), one loop at a time."""
+    rows = []
+    for ctrl in challengers:
+        loop = close_loop(p, ctrl)
+        g = loop.system
+        theta = np.eye(g.state_dim, dtype=complex)
+        theta[: p.n_modes, : p.n_modes] = theta_p
+        found: dict[str, float] = {}
+        defect = _lyapunov_defect(g.a, theta, hermitian_part(g.b @ dagger(g.b)), found, RESIDUAL_TOL)
+        cost = float(np.sqrt(max(np.trace(g.c @ theta @ dagger(g.c)).real, 0.0)))
+        rows.append((loop.internally_stable, found["lyapunov"].hex(), defect, cost.hex()))
+    return rows
+
+
+# the five acceptance shapes and two larger ones
+@pytest.mark.parametrize(
+    "shape", [(1, 1, 1, 1), (2, 2, 1, 1), (2, 2, 2, 2), (1, 2, 1, 1), (2, 3, 1, 2), (3, 2, 1, 1), (4, 3, 2, 2)]
+)
+@pytest.mark.parametrize("count", [0, 1, 20])
+def test_stacked_challenger_loops_match_the_per_loop_reference(shape, count) -> None:
+    # T5 closes its challengers in stacks of equal order; each challenger's outcome
+    # is bit for bit that of its own loop, also when the draw holds one order only
+    rng = np.random.default_rng(61)
+    for seed in range(3):
+        p = random_pr_plant(*shape, seed=640 + seed).with_cost(
+            CostOutput(c=rng.standard_normal((2, shape[0])), d=np.zeros((2, shape[2])))
+        )
+        theta_p = augment_plant(p).theta
+        draws = coherent._challenger_draws(p, count, seed)
+        challengers = random_challengers(p, count, seed)
+        second = [i for i, ctrl in enumerate(challengers) if ctrl.n_modes == 2]
+        for subset in (range(count), second):
+            outcomes = coherent._challenger_loops(p, theta_p, [draws[i] for i in subset])
+            got = [(bool(s), float(r).hex(), bool(d), float(c).hex()) for s, r, d, c in zip(*outcomes)]
+            assert got == reference_challenger_loops(p, theta_p, [challengers[i] for i in subset])
 
 
 # ---------------------------------------------------------------------------

@@ -45,7 +45,7 @@ from qfeedback import (
     trivial_controller,
 )
 from qfeedback.coherent import _static_gain_candidates, random_admissible_triple, verify_trivial_hinf
-from qfeedback.feedback import _identity_pad, _static_screen
+from qfeedback.feedback import _identity_pad, _loop_matrices, _static_screen
 from qfeedback.linalg import (
     RESIDUAL_TOL,
     dagger,
@@ -387,6 +387,32 @@ def test_close_loop_static_gain_shifts_pole(cavity_plant) -> None:
 def test_close_loop_dimension_mismatch(cavity_plant) -> None:
     with pytest.raises(DimensionError):
         close_loop(cavity_plant, trivial_controller(m_y=2, m_u=1))
+
+
+@pytest.mark.parametrize("with_cost", [True, False], ids=["cost", "no-cost"])
+def test_stacked_loop_matrices_match_close_loop(with_cost) -> None:
+    # slice i of a stacked assembly is close_loop's (A, B, C_z, D_z) for controller i,
+    # bit for bit, whether every block is stacked or the feedthroughs are shared
+    rng = np.random.default_rng(29)
+    p = random_pr_plant(2, 3, 2, 2, seed=29)
+    if with_cost:
+        p = p.with_cost(CostOutput(c=rng.standard_normal((2, 2)), d=rng.standard_normal((2, 2))))
+    for n_c in (1, 2):
+        base = [c for c in random_challengers(p, 12, 29) if c.n_modes == n_c]
+        varied = [
+            replace(c, k_cy=rng.standard_normal((2, 2)), k_cw=rng.standard_normal(c.k_cw.shape)) for c in base
+        ]
+        for ctrls, shared in ((varied, False), (base, True)):
+            names = ("f_c", "g_cw", "g_cy", "h_c", "k_cw", "k_cy")
+            blocks = [np.stack([getattr(c, name) for c in ctrls]) for name in names]
+            if shared:
+                blocks[4:] = [blk[0] for blk in blocks[4:]]
+            loop = _loop_matrices(p, *blocks)
+            stacked = [np.broadcast_to(x, (len(ctrls), *x.shape[-2:])) for x in loop]
+            for i, c in enumerate(ctrls):
+                g = close_loop(p, c).system
+                for got, want in zip(stacked, (g.a, g.b, g.c, g.d)):
+                    assert got[i].shape == want.shape and got[i].tobytes() == want.tobytes()
 
 
 def test_gamma_cl_trivial_controller_restriction(cavity_plant_with_cost) -> None:

@@ -25,7 +25,16 @@ from qfeedback import (
     solve_lyapunov_hermitian,
     solve_sylvester,
 )
-from qfeedback.linalg import hermitian_basis, max_abs, real_lstsq
+from qfeedback.linalg import (
+    RESIDUAL_TOL,
+    _hurwitz_spectrum,
+    _lyapunov_defect,
+    dagger,
+    hermitian_basis,
+    hermitian_part,
+    max_abs,
+    real_lstsq,
+)
 
 
 def random_hermitian(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -391,3 +400,45 @@ def test_real_lstsq_recovers_hermitian_coefficients() -> None:
         [hermitian_basis(0), np.zeros((0, 3))], [np.zeros((0, 0)), np.ones(3)]
     )
     assert a_mat.shape == (6, 0) and sol.shape == (0,) and residual == 1.0
+
+
+# ---------------------------------------------------------------------------
+# rules over stacks
+
+
+def test_dagger_and_hermitian_part_act_on_each_matrix_of_a_stack() -> None:
+    rng = np.random.default_rng(53)
+    x = rng.standard_normal((4, 2, 3)) + 1j * rng.standard_normal((4, 2, 3))
+    sq = x @ x.swapaxes(1, 2)
+    assert dagger(x).shape == (4, 3, 2)
+    for i in range(4):
+        np.testing.assert_array_equal(dagger(x)[i], dagger(x[i]))
+        np.testing.assert_array_equal(dagger(x[i]), x[i].conj().T)
+        np.testing.assert_array_equal(hermitian_part(sq)[i], hermitian_part(sq[i]))
+
+
+def test_stacked_hurwitz_and_lyapunov_rules_match_their_2d_calls() -> None:
+    # one verdict per slice: stable, unstable, and an eigenvalue 1e-12 left of the
+    # axis (inside the rule's margin); the second residual slice fails
+    rng = np.random.default_rng(47)
+    a = np.stack(
+        [random_stable(rng, 3), -random_stable(rng, 3), np.diag([-1.0, -1e-12 + 1j, -2.0]).astype(complex)]
+    )
+    theta = np.stack([random_hermitian(rng, 3) + 4.0 * np.eye(3) for _ in range(3)])
+    q = -(a @ theta + theta @ dagger(a))
+    q[1] += 1e-6 * random_hermitian(rng, 3)
+    stable = _hurwitz_spectrum(np.linalg.eigvals(a), a)
+    assert stable.tolist() == [True, False, False]
+    for shared in (False, True):
+        theta_s = theta[0] if shared else theta
+        found: dict[str, np.ndarray] = {}
+        defect = _lyapunov_defect(a, theta_s, q, found, RESIDUAL_TOL)
+        assert found["lyapunov"].shape == defect.shape == (3,)
+        for i in range(3):
+            one: dict[str, float] = {}
+            verdict = _lyapunov_defect(a[i], theta_s if shared else theta[i], q[i], one, RESIDUAL_TOL)
+            assert type(verdict) is bool and type(one["lyapunov"]) is float
+            assert verdict == defect[i] and one["lyapunov"].hex() == float(found["lyapunov"][i]).hex()
+            hurwitz = _hurwitz_spectrum(np.linalg.eigvals(a[i]), a[i])
+            assert type(hurwitz) is bool and hurwitz == stable[i]
+        assert defect.tolist() == [False, True, shared]

@@ -1,0 +1,27 @@
+#!/usr/bin/env bash
+# Smoke run of the installed `qfeedback` console script: every subcommand on
+# small seeded documents, the input-error exit status 2, and compose's H∞ path
+# in both output formats. Run it from an empty scratch directory.
+set -euo pipefail
+
+qfeedback gen annihilation --out g.json
+qfeedback check g.json --transfer
+qfeedback params g.json
+qfeedback gen general --out gg.json
+qfeedback check gg.json --transfer
+qfeedback params gg.json
+status=0; qfeedback --tol nan check g.json || status=$?
+test "$status" -eq 2
+qfeedback gen plant --out p.json
+qfeedback verify C1 p.json
+qfeedback verify T5 p.json
+qfeedback verify T6 p.json
+python -c 'from qfeedback import random_pr_plant, save_system; save_system("gp.json", random_pr_plant(1, 1, 1, 1, 0, kind="general"))'
+status=0; qfeedback verify T5 gp.json 2> gp.err || status=$?
+test "$status" -eq 2
+grep -q "annihilation-kind only" gp.err
+python -c 'import numpy as np; from qfeedback import ControllerModel, delta_build, load_system, random_challengers, save_system; save_system("c.json", random_challengers(load_system("p.json").model, 1, 0)[0]); save_system("gc.json", ControllerModel(kind="general", f_c=delta_build([[-2.0 + 0.5j]], [[0.3]]), g_cw=np.zeros((2, 2)), g_cy=delta_build([[0.4]], [[0.1]]), h_c=delta_build([[0.5]], [[-0.2]]), k_cw=np.eye(2), k_cy=np.zeros((2, 2))))'
+qfeedback compose p.json c.json --hinf
+qfeedback --format json compose p.json c.json --hinf
+qfeedback synth c.json
+qfeedback synth gc.json

@@ -158,7 +158,7 @@ def cmd_compose(args) -> tuple[dict, list[str], int]:
     plant = _load(args.plant, ("plant",)).model
     ctrl = _load(args.controller, ("controller",)).model
     loop = close_loop(plant, ctrl)
-    spectrum = sorted(np.linalg.eigvals(loop.state_matrix), key=lambda z: (z.real, z.imag))
+    spectrum = sorted(loop.system._schur[0], key=lambda z: (z.real, z.imag))
     report: dict = {
         "command": "compose",
         "plant": args.plant,
@@ -178,11 +178,7 @@ def cmd_compose(args) -> tuple[dict, list[str], int]:
         lines.append(f"‖Γ_cl‖2 = {value:.6f}")
     if args.hinf:
         acl = close_augmented_loop(plant, ctrl)
-        sel = _identity_pad(plant.m_y, acl.system.output_dim)
-        gz = StateSpaceTF(
-            acl.system.a, acl.system.b, sel @ acl.system.c, sel @ acl.system.d
-        )
-        value = hinf_norm(gz).value
+        value = hinf_norm(acl.system._rows(_identity_pad(plant.m_y, acl.system.output_dim))).value
         report["hinf_norm"] = value
         lines.append(f"‖Γ_Z‖∞ = {value:.6f}")
     if args.emit:

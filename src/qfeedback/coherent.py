@@ -11,7 +11,6 @@ than a bare boolean.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -239,8 +238,9 @@ def _static_gain_candidates(m_u: int, m_y: int, seed: int) -> np.ndarray:
     exists) followed by 64 seeded uniform draws in [-2, 2].
     """
     if m_u <= 2 and m_y <= 2:
-        grid = list(itertools.product(STATIC_GAIN_GRID, repeat=m_u * m_y))
-        return np.array(grid, dtype=complex).reshape(len(grid), m_u, m_y)
+        size, count = m_u * m_y, len(STATIC_GAIN_GRID) ** (m_u * m_y)
+        digits = np.indices((len(STATIC_GAIN_GRID),) * size).reshape(size, count).T  # last fastest
+        return np.asarray(STATIC_GAIN_GRID, dtype=complex)[digits].reshape(count, m_u, m_y)
     draws = np.random.default_rng(seed).uniform(-2.0, 2.0, size=(64, m_u, m_y))
     return np.concatenate([np.zeros((1, m_u, m_y)), draws]).astype(complex)
 
@@ -368,7 +368,7 @@ def verify_static_lqg(
     static_loops = []
     candidates = _static_gain_candidates(p.m_u, p.m_y, seed)
     for k_cy, bound in zip(candidates, _static_screen(p, candidates)):
-        completed = complete_static_pr(p, k_cy, _ap=ap) if bound <= RESIDUAL_TOL else None
+        completed = complete_static_pr(p, k_cy) if bound <= RESIDUAL_TOL else None
         if completed is None:
             continue
         k_cw, _ = completed
@@ -451,7 +451,7 @@ def verify_trivial_hinf(
     l_select = as_matrix(l_select, "l_select")
     _validate_selector(l_select, p.m_w + p.m_u)
     try:
-        ap = augment_plant(p)
+        augment_plant(p)
     except NotAugmentableError as exc:
         return _not_realizable("T6", exc)
 
@@ -463,15 +463,14 @@ def verify_trivial_hinf(
     entries += [(f"challenger {i}", c) for i, c in enumerate(challengers)]
     for label, ctrl in entries:
         try:
-            acl = close_augmented_loop(p, ctrl, _ap=ap)
+            acl = close_augmented_loop(p, ctrl)
         except (NotAugmentableError, DimensionError) as exc:
             skipped.append(f"{label}: {exc}")
             continue
         full = acl.system
         pad = np.zeros((l_select.shape[0], full.output_dim), dtype=complex)
         pad[:, : l_select.shape[1]] = l_select
-        selected = StateSpaceTF(full.a, full.b, pad @ full.c, pad @ full.d)
-        norm = hinf_norm(selected)
+        norm = hinf_norm(full._rows(pad))
         norms.append(norm.value)
         q = hermitian_part(full.b @ dagger(full.b))
         feed = max_abs(dagger(full.d) @ full.d - np.eye(full.input_dim))

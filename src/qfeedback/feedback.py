@@ -11,6 +11,7 @@ channels that makes an arbitrary controller triple physically realizable.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import ClassVar
 
 import numpy as np
@@ -30,6 +31,7 @@ from .linalg import (
     _inertia,
     _lyapunov_defect,
     _psd_factor,
+    _read_only,
     as_matrix,
     dagger,
     delta_build,
@@ -52,7 +54,6 @@ from .systems import (
     _LayoutModel,
     _commutation_matrix,
     _solve_certificate,
-    is_hurwitz,
     is_positive_definite,
     random_pr_system,
 )
@@ -137,6 +138,14 @@ class PlantModel(_LayoutModel):
 
     def with_cost(self, cost: CostOutput) -> "PlantModel":
         return replace(self, cost=cost)
+
+    @cached_property
+    def _completion(self) -> "PlantAugmentation":
+        """:func:`augment_plant`'s answer, computed once: the plant's matrices are read-only."""
+        k_dev = max_abs(self.k - _identity_pattern(self.kind, self.m_y, self.m_w))
+        return _square_completion(
+            self.kind, self.f, [self.g_w, self.g_u], self.h, "plant", {"feedthrough": k_dev}
+        )
 
 
 @dataclass(frozen=True)
@@ -245,6 +254,7 @@ def _square_completion(kind, f, g_blocks, h_given, label, pattern_residuals) -> 
             f"no positive definite certificate for the augmented {label}",
             residuals={"theta_min_eig": float(np.min(np.linalg.eigvalsh(theta)))},
         )
+    theta.flags.writeable = False  # a plant caches its completion
     h_full = -sig @ dagger(g) @ np.linalg.inv(theta)
     given = _field_index(m_tot, 0, h_given.shape[0] // d, d)
     h_aug = h_full.copy()
@@ -264,7 +274,7 @@ def _square_completion(kind, f, g_blocks, h_given, label, pattern_residuals) -> 
     return PlantAugmentation(
         system=rules.system(f=f, g=g, h=h_aug, k=np.eye(d * m_tot), n_modes=n, m_fields=m_tot),
         theta=theta,
-        h_tilde=np.delete(h_full, given, axis=0),
+        h_tilde=_read_only(np.delete(h_full, given, axis=0)),
         verdict=PrVerdict(failed is None, None if failed else theta, residuals, failed),
     )
 
@@ -274,7 +284,8 @@ def augment_plant(p: PlantModel) -> PlantAugmentation:
 
     Solves the certificate equation over all inputs (W, U), checks that the
     given output rows and feedthrough match the coupling identity, and
-    returns the augmented system together with the extra output rows.
+    returns the augmented system together with the extra output rows.  The
+    plant caches the completion, so every call on ``p`` returns one object.
 
     Raises
     ------
@@ -282,10 +293,7 @@ def augment_plant(p: PlantModel) -> PlantAugmentation:
         When no valid certificate exists or the given rows mismatch; carries
         the offending residuals.
     """
-    k_dev = max_abs(p.k - _identity_pattern(p.kind, p.m_y, p.m_w))
-    return _square_completion(
-        p.kind, p.f, [p.g_w, p.g_u], p.h, "plant", {"feedthrough": k_dev}
-    )
+    return p._completion
 
 
 @dataclass(frozen=True)
@@ -371,12 +379,8 @@ def close_loop(p: PlantModel, c: ControllerModel) -> ClosedLoop:
     else:
         channel_map = {"w": (0, p.m_w), "w_tilde": (p.m_w, p.m_w + c.m_wt)}
 
-    return ClosedLoop(
-        system=StateSpaceTF(a=a, b=b, c=cz, d=dz),
-        state_matrix=a,
-        channel_map=channel_map,
-        internally_stable=is_hurwitz(a),
-    )
+    system = StateSpaceTF(a=a, b=b, c=cz, d=dz)
+    return ClosedLoop(system, a, channel_map, _hurwitz_spectrum(system._schur[0], system.a))
 
 
 def gamma_cl(p: PlantModel, c: ControllerModel) -> StateSpaceTF:
@@ -558,7 +562,7 @@ class AugmentedClosedLoop:
     internally_stable: bool
 
 
-def close_augmented_loop(p: PlantModel, c: ControllerModel, *, _ap=None) -> AugmentedClosedLoop:
+def close_augmented_loop(p: PlantModel, c: ControllerModel) -> AugmentedClosedLoop:
     """Interconnect the augmentations of plant and controller.
 
     Both subsystems are first completed to square realizable systems; the
@@ -567,14 +571,13 @@ def close_augmented_loop(p: PlantModel, c: ControllerModel, *, _ap=None) -> Augm
     diag(theta_plant, theta_controller) and identity feedthrough, which is
     what makes every row-selected closed-loop transfer function all-pass.
     The augmentation needs K_cy = 0, so the state and input matrices are
-    those of :func:`close_loop`.  The private ``_ap`` is ``augment_plant(p)``
-    when a caller closing many loops around one plant already has it.
+    those of :func:`close_loop`.
     """
     if p.kind != "annihilation" or c.kind != "annihilation":
         raise DomainError("augmented loop composition is annihilation-kind only")
     _check_loop_dims(p, c)
     a, b, _, _ = _loop_matrices(p, c.f_c, c.g_cw, c.g_cy, c.h_c, c.k_cw, c.k_cy)
-    ap = augment_plant(p) if _ap is None else _ap
+    ap = augment_plant(p)
     ac = augment_controller(c)
     n, n_c = p.n_modes, c.n_modes
     m_w, m_u, m_y, m_wt = p.m_w, p.m_u, p.m_y, c.m_wt
@@ -607,15 +610,11 @@ def close_augmented_loop(p: PlantModel, c: ControllerModel, *, _ap=None) -> Augm
         "plant_unused": (m_y, m_w + m_u),
         "controller_unused": (m_w + m_u, m_w + m_u + r),
     }
-    return AugmentedClosedLoop(
-        system=StateSpaceTF(a=a, b=b, c=c_rows, d=d_rows),
-        theta=theta,
-        channel_map=channel_map,
-        internally_stable=is_hurwitz(a),
-    )
+    system = StateSpaceTF(a=a, b=b, c=c_rows, d=d_rows)
+    return AugmentedClosedLoop(system, theta, channel_map, _hurwitz_spectrum(system._schur[0], system.a))
 
 
-def complete_static_pr(p: PlantModel, k_cy, *, _ap=None) -> tuple[np.ndarray, np.ndarray] | None:
+def complete_static_pr(p: PlantModel, k_cy) -> tuple[np.ndarray, np.ndarray] | None:
     """Find K_cw making a static controller's loop keep the plant realizable.
 
     Solves jointly for a Hermitian certificate Theta_a and a PSD Gram matrix
@@ -623,7 +622,7 @@ def complete_static_pr(p: PlantModel, k_cy, *, _ap=None) -> tuple[np.ndarray, np
     satisfies the coupling identity on the measured channels and the
     certificate equation over all noises.  Returns (k_cw, theta_a) or None
     when the affine system has no admissible solution.  K_cy = 0 reads
-    Theta_a off ``augment_plant(p)``, or off the private ``_ap`` that holds it.
+    Theta_a off ``augment_plant(p)``.
     """
     if p.kind != "annihilation":
         raise DomainError("static completion is annihilation-kind only")
@@ -633,7 +632,7 @@ def complete_static_pr(p: PlantModel, k_cy, *, _ap=None) -> tuple[np.ndarray, np
     n, m_u = p.n_modes, p.m_u
 
     if max_abs(k_cy) == 0.0:
-        return np.eye(m_u, dtype=complex), (augment_plant(p) if _ap is None else _ap).theta
+        return np.eye(m_u, dtype=complex), augment_plant(p).theta
 
     f_fold, g_fold = _static_fold(p, k_cy)
     target_coup = -(p.g_w[:, : p.m_y] + p.g_u @ k_cy)

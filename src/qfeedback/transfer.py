@@ -71,6 +71,12 @@ class StateSpaceTF:
         t, z = schur(self.a, output="complex") if self.state_dim else (self.a, self.a)
         return np.diag(t), t, z
 
+    def _rows(self, select: np.ndarray) -> "StateSpaceTF":
+        """The outputs ``select`` picks, (A, B, select C, select D), sharing A's Schur form."""
+        rows = StateSpaceTF(self.a, self.b, select @ self.c, select @ self.d)
+        rows.__dict__["_schur"] = self._schur
+        return rows
+
     @classmethod
     def from_system(cls, s) -> "StateSpaceTF":
         """View a quantum system model (F, G, H, K) as a transfer function."""

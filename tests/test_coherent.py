@@ -28,6 +28,7 @@ from qfeedback import (
     StateSpaceTF,
     augment_controller,
     augment_plant,
+    close_augmented_loop,
     close_loop,
     complete_static_pr,
     hinf_norm,
@@ -622,6 +623,39 @@ def test_trivial_hinf_calls_the_public_norm_once_per_loop(monkeypatch) -> None:
     assert len(calls) == 6
 
 
+def test_each_loop_is_factored_once(monkeypatch) -> None:
+    # a loop's stability, H2 cost and selected-row H-infinity norm read one Schur form of
+    # its A; only hinf_norm's 2k x 2k Hamiltonians (k the loop order) are eigensolved
+    p = random_pr_plant(3, 2, 1, 1, seed=4).with_cost(CostOutput(c=np.ones((1, 3)), d=np.zeros((1, 1))))
+    challengers = random_challengers(p, count=4, seed=4)
+    ap = augment_plant(p)
+    assert augment_plant(p) is ap and ap.theta.flags.writeable is False
+    fresh = augment_plant(p.with_cost(p.cost))
+    assert fresh is not ap and np.array_equal(fresh.theta, ap.theta)
+    eig_shapes, schur_shapes = [], []
+    eigvals, eig, schur = np.linalg.eigvals, np.linalg.eig, transfer.schur
+    monkeypatch.setattr(np.linalg, "eigvals", lambda a: eig_shapes.append(a.shape) or eigvals(a))
+    monkeypatch.setattr(np.linalg, "eig", lambda a: eig_shapes.append(a.shape) or eig(a))
+    monkeypatch.setattr(transfer, "schur", lambda a, **kw: schur_shapes.append(a.shape) or schur(a, **kw))
+
+    def spied(call) -> tuple[list, list]:
+        eig_shapes.clear()
+        schur_shapes.clear()
+        call()
+        return list(eig_shapes), list(schur_shapes)
+
+    c = challengers[0]
+    k = p.n_modes + c.n_modes
+    assert spied(lambda: lqg_cost(close_loop(p, c))) == ([], [(k, k)])
+    select = np.eye(p.m_y, p.m_w + p.m_u + c.m_wt - c.m_u)
+    eigs, factored = spied(lambda: hinf_norm(close_augmented_loop(p, c).system._rows(select)))
+    assert set(eigs) <= {(2 * k, 2 * k)} and factored == [(k, k)]
+    orders = [p.n_modes + ctrl.n_modes for ctrl in [trivial_controller(p.m_y, p.m_u), *challengers]]
+    eigs, factored = spied(lambda: verify_trivial_hinf(p, [[1.0, 0.0, 0.0]], challengers))
+    assert set(eigs) <= {(2 * k, 2 * k) for k in orders}
+    assert factored == [(k, k) for k in orders]
+
+
 @pytest.mark.parametrize("shape", [(1, 1, 1, 1), (2, 2, 1, 1), (2, 2, 2, 2), (1, 2, 1, 1), (2, 3, 1, 2)])
 def test_trivial_hinf_matches_the_two_sampling_reference(shape: tuple[int, int, int, int]) -> None:
     n, m_w, m_u, m_y = shape
@@ -641,8 +675,8 @@ def test_trivial_hinf_refutes_a_wrong_loop_certificate(cavity_plant, monkeypatch
     # the loops stay all-pass; only their certificates are scaled off the identities
     close = coherent.close_augmented_loop
 
-    def scaled(p, c, **private):
-        loop = close(p, c, **private)
+    def scaled(p, c):
+        loop = close(p, c)
         return replace(loop, theta=1.01 * loop.theta)
 
     monkeypatch.setattr(coherent, "close_augmented_loop", scaled)

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Smoke run of the installed `qfeedback` console script: every subcommand on
-# small seeded documents, the input-error exit status 2, and compose's H∞ path
-# in both output formats. Run it from an empty scratch directory.
+# small seeded documents, the input-error exit status 2, and compose on both
+# kinds in both output formats, with its H2 and H∞ paths and the H2 path's
+# cost-block error. Run it from an empty scratch directory.
 set -euo pipefail
 
 qfeedback gen annihilation --out g.json
@@ -25,3 +26,11 @@ qfeedback compose p.json c.json --hinf
 qfeedback --format json compose p.json c.json --hinf
 qfeedback synth c.json
 qfeedback synth gc.json
+qfeedback compose gp.json gc.json
+qfeedback --format json compose gp.json gc.json
+python -c 'import numpy as np; from qfeedback import CostOutput, random_pr_plant, save_system, trivial_controller; save_system("pz.json", random_pr_plant(2, 2, 1, 1, 0).with_cost(CostOutput(c=np.ones((1, 2)), d=np.zeros((1, 1))))); save_system("t.json", trivial_controller(1, 1))'
+qfeedback compose pz.json t.json --h2 --hinf
+qfeedback --format json compose pz.json t.json --h2 --hinf
+status=0; qfeedback compose p.json c.json --h2 2> h2.err || status=$?
+test "$status" -eq 2
+grep -q "plant has no cost output block" h2.err

@@ -43,7 +43,6 @@ from .feedback import (
     augment_plant,
     close_augmented_loop,
     close_loop,
-    gamma_cl,
     random_pr_plant,
     synth_noise_annihilation,
     synth_noise_general,
@@ -55,7 +54,7 @@ from .fileio import (
     model_to_document,
     save_system,
 )
-from .linalg import RESIDUAL_TOL, dagger, delta_build, signature_matrix
+from .linalg import RESIDUAL_TOL, _rank_cut, dagger, delta_build, max_abs, signature_matrix
 from .systems import _kind_rules, extract_params, random_pr_system
 from .transfer import StateSpaceTF, h2_norm, hinf_norm, jj_unitary_check, lossless_br_check
 
@@ -158,7 +157,9 @@ def cmd_compose(args) -> tuple[dict, list[str], int]:
     plant = _load(args.plant, ("plant",)).model
     ctrl = _load(args.controller, ("controller",)).model
     loop = close_loop(plant, ctrl)
-    spectrum = sorted(loop.system._schur[0], key=lambda z: (z.real, z.imag))
+    poles = loop.system._schur[0]
+    poles = np.where(np.abs(poles.imag) <= _rank_cut(max_abs(poles), poles.size), poles.real + 0j, poles)
+    spectrum = sorted(poles, key=lambda z: (float(f"{z.real:.6g}"), float(f"{z.imag:.6g}")))
     report: dict = {
         "command": "compose",
         "plant": args.plant,
@@ -173,7 +174,9 @@ def cmd_compose(args) -> tuple[dict, list[str], int]:
     ]
     status = 0
     if args.h2:
-        value = h2_norm(gamma_cl(plant, ctrl)).value
+        if plant.cost is None:
+            raise DomainError("plant has no cost output block")
+        value = h2_norm(loop.system).value
         report["h2_norm"] = value
         lines.append(f"‖Γ_cl‖2 = {value:.6f}")
     if args.hinf:

@@ -30,7 +30,7 @@ from .feedback import (
     _check_loop_dims,
     _identity_pad,
     _loop_matrices,
-    _static_fold,
+    _square_completion,
     _static_screen,
     augment_plant,
     close_augmented_loop,
@@ -157,50 +157,15 @@ def kalman_design(f_a, g_a, h_a, l_select) -> KalmanResult:
     )
 
 
-def verify_zero_gain(p: PlantModel, k_cy, k_cw) -> TheoremReport:
-    """Check that the loop with a static controller has zero Kalman gain.
-
-    Folding U = K_cy Y + K_cw W-tilde into the plant leaves a noise-only
-    plant over (W, W-tilde), with the closed loop's state and noise
-    matrices and the plant's measurement rows.  Its square realizable
-    completion gets a Kalman design with the measured rows selected.  The
-    claim: the gain vanishes and the covariance equals the realizability
-    certificate, so the estimator never uses the measurement record.
-
-    Raises
-    ------
-    DimensionError
-        When K_cw has fewer noise columns than controls.
-    NotAugmentableError
-        When the noise-only plant is not realizable, i.e. the hypothesis of
-        the claim fails for this (k_cy, k_cw).
-    """
-    if p.kind != "annihilation":
-        raise DomainError("zero-gain verification is annihilation-kind only")
-    ctrl = static_controller(k_cy, k_cw)
-    _check_loop_dims(p, ctrl)
-    if ctrl.m_wt < ctrl.m_u:
-        raise DimensionError(
-            f"need at least as many controller noises as controls "
-            f"(m_wt={ctrl.m_wt} < m_u={ctrl.m_u})"
-        )
-    f_fold, g_fold = _static_fold(p, ctrl.k_cy)
-    noise_only = PlantModel(
-        kind="annihilation",
-        f=f_fold,
-        g_w=np.hstack([g_fold, p.g_u @ ctrl.k_cw]),
-        g_u=np.zeros((p.n_modes, 0), dtype=complex),
-        h=p.h,
-        k=np.hstack([p.k, np.zeros((p.m_y, ctrl.m_wt), dtype=complex)]),
-    )
-    ap = augment_plant(noise_only)
+def _zero_gain(p: PlantModel, a: np.ndarray, b: np.ndarray) -> TheoremReport:
+    """:func:`verify_zero_gain` on the static loop around ``p`` with state and noise matrices (A, B)."""
+    ap = _square_completion("annihilation", a, [b], p.h, "plant", p._pattern_residuals)
     l_select = _identity_pad(p.m_y, ap.system.m_fields)
     kr = kalman_design(ap.system.f, ap.system.g, ap.system.h, l_select)
     q_dev = max_abs(kr.q - ap.theta)
-    holds = kr.gain_norm <= 1e-8 and q_dev <= 1e-8
     return TheoremReport(
         theorem="C1",
-        holds=holds,
+        holds=kr.gain_norm <= 1e-8 and q_dev <= 1e-8,
         evidence={
             "gain_norm": kr.gain_norm,
             "covariance_vs_certificate": q_dev,
@@ -211,6 +176,36 @@ def verify_zero_gain(p: PlantModel, k_cy, k_cw) -> TheoremReport:
             f"realizability certificate within {q_dev:.3g}."
         ),
     )
+
+
+def verify_zero_gain(p: PlantModel, k_cy, k_cw) -> TheoremReport:
+    """Check that the loop with a static controller has zero Kalman gain.
+
+    Folding U = K_cy Y + K_cw W-tilde into the plant gives the static
+    loop's state and noise matrices (A, B) over (W, W-tilde).  With the
+    plant's measurement rows they get a square realizable completion, and
+    that completion a Kalman design with the measured rows selected.  The
+    claim: the gain vanishes and the covariance equals the realizability
+    certificate, so the estimator never uses the measurement record.
+
+    Raises
+    ------
+    DimensionError
+        When K_cw has fewer noise columns than controls.
+    NotAugmentableError
+        When the static loop has no square realizable completion, i.e. the
+        hypothesis of the claim fails for this (k_cy, k_cw).
+    """
+    if p.kind != "annihilation":
+        raise DomainError("zero-gain verification is annihilation-kind only")
+    ctrl = static_controller(k_cy, k_cw)
+    _check_loop_dims(p, ctrl)
+    if ctrl.m_wt < ctrl.m_u:
+        raise DimensionError(
+            f"need at least as many controller noises as controls (m_wt={ctrl.m_wt} < m_u={ctrl.m_u})"
+        )
+    a, b, _, _ = _loop_matrices(p, ctrl.f_c, ctrl.g_cw, ctrl.g_cy, ctrl.h_c, ctrl.k_cw, ctrl.k_cy)
+    return _zero_gain(p, a, b)
 
 
 def lqg_cost(cl: ClosedLoop) -> NormResult:
@@ -329,15 +324,15 @@ def verify_static_lqg(
 
     Sweeps the documented static gain candidates, keeping the gains whose
     loops admit a realizable completion (one coupling-row projection per
-    plant first rejects gains the completion cannot accept), verifies the
-    zero-gain property at each, and compares LQG costs against seeded
-    realizable dynamic controllers.  Static loops cost ``h2_norm``; a stable
-    dynamic loop (Theta_c = I) must pass the Lyapunov residual test at its state
-    covariance Theta = diag(Theta_p, I), and costs sqrt(tr(C Theta C^dagger)).
-    The dynamic controllers come from the draw behind ``random_challengers``
-    and are checked in stacks of equal order, without a model or a
-    ``close_loop`` each.  The zero-gain certificates carry the substance; the
-    cost comparison is corroborating evidence.
+    plant first rejects gains the completion cannot accept), closes each
+    kept gain's loop once, verifies the zero-gain property on it and costs
+    it by ``h2_norm``, and compares against seeded realizable dynamic
+    controllers.  A stable dynamic loop (Theta_c = I) must pass the Lyapunov
+    residual test at its state covariance Theta = diag(Theta_p, I), and costs
+    sqrt(tr(C Theta C^dagger)).  The dynamic controllers come from the draw
+    behind ``random_challengers`` and are checked in stacks of equal order,
+    without a model or a ``close_loop`` each.  The zero-gain certificates
+    carry the substance; the cost comparison is corroborating evidence.
     """
     if p.kind != "annihilation":
         raise DomainError("static LQG verification is annihilation-kind only")
@@ -362,21 +357,19 @@ def verify_static_lqg(
             ),
         )
 
-    max_gain = 0.0
-    max_q_dev = 0.0
+    max_gain = max_q_dev = 0.0
     zero_gain_ok = True
     static_loops = []
     candidates = _static_gain_candidates(p.m_u, p.m_y, seed)
-    for k_cy, bound in zip(candidates, _static_screen(p, candidates)):
-        completed = complete_static_pr(p, k_cy) if bound <= RESIDUAL_TOL else None
-        if completed is None:
+    for k_cy in candidates[_static_screen(p, candidates) <= RESIDUAL_TOL]:
+        if (completed := complete_static_pr(p, k_cy)) is None:
             continue
-        k_cw, _ = completed
-        report = verify_zero_gain(p, k_cy, k_cw)
+        loop = close_loop(p, static_controller(k_cy, completed[0]))
+        report = _zero_gain(p, loop.system.a, loop.system.b)
         max_gain = max(max_gain, report.evidence["gain_norm"])
         max_q_dev = max(max_q_dev, report.evidence["covariance_vs_certificate"])
         zero_gain_ok = zero_gain_ok and report.holds
-        static_loops.append(close_loop(p, static_controller(k_cy, k_cw)))
+        static_loops.append(loop)
     static_costs = [lqg_cost(loop).value for loop in static_loops if loop.internally_stable]
     best_static, used = min(static_costs, default=np.inf), len(static_costs)
     skipped = len(candidates) - used

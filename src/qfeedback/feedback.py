@@ -139,12 +139,16 @@ class PlantModel(_LayoutModel):
     def with_cost(self, cost: CostOutput) -> "PlantModel":
         return replace(self, cost=cost)
 
+    @property
+    def _pattern_residuals(self) -> dict[str, float]:
+        """A completion's pattern residuals: the noise feedthrough's deviation from [I, 0]."""
+        return {"feedthrough": max_abs(self.k - _identity_pattern(self.kind, self.m_y, self.m_w))}
+
     @cached_property
     def _completion(self) -> "PlantAugmentation":
         """:func:`augment_plant`'s answer, computed once: the plant's matrices are read-only."""
-        k_dev = max_abs(self.k - _identity_pattern(self.kind, self.m_y, self.m_w))
         return _square_completion(
-            self.kind, self.f, [self.g_w, self.g_u], self.h, "plant", {"feedthrough": k_dev}
+            self.kind, self.f, [self.g_w, self.g_u], self.h, "plant", self._pattern_residuals
         )
 
 

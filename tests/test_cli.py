@@ -602,6 +602,37 @@ class TestGeneralKind:
         assert code == 2 and out == ""
         assert err == "input error: static LQG verification is annihilation-kind only\n"
 
+    def test_compose_text_ignores_the_plant_mode_order(self, capsys, tmp_path):
+        # the same loop with its plant modes listed in reverse prints the same spectrum:
+        # conjugate pairs -im first, real eigenvalues without rounding-noise imaginary parts
+        ctrl = tmp_path / "gc.json"
+        save_system(
+            ctrl,
+            ControllerModel(
+                kind="general",
+                f_c=delta_build([[-2.0 + 0.5j]], [[0.3]]),
+                g_cw=np.zeros((2, 2)),
+                g_cy=delta_build([[0.4]], [[0.1]]),
+                h_c=delta_build([[0.5]], [[-0.2]]),
+                k_cw=np.eye(2),
+                k_cy=np.zeros((2, 2)),
+            ),
+        )
+        for n, seed in [(2, 200), (3, 201), (4, 202), (2, 203), (3, 204), (4, 205)]:
+            p = random_pr_plant(n, 2, 1, 1, seed=seed, kind="general")
+            rev = np.r_[np.arange(n)[::-1], n + np.arange(n)[::-1]]
+            q = PlantModel(
+                kind="general", f=p.f[np.ix_(rev, rev)], g_w=p.g_w[rev], g_u=p.g_u[rev], h=p.h[:, rev], k=p.k
+            )
+            texts = []
+            for model in (p, q):
+                path = tmp_path / "gp.json"
+                save_system(path, model)
+                code, out, _ = run(capsys, "compose", path, ctrl)
+                assert code == 0
+                texts.append(out)
+            assert texts[0] == texts[1]
+
     def test_synth_general_controller(self, capsys, tmp_path):
         path, target = tmp_path / "general_ctrl.json", tmp_path / "synth.json"
         save_system(

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from qfeedback import (
+    ControllerModel,
     CostOutput,
     DesignError,
     DimensionError,
@@ -36,6 +37,7 @@ from qfeedback import (
     lqg_cost,
     random_challengers,
     random_pr_plant,
+    save_system,
     static_controller,
     synth_noise_annihilation,
     trivial_controller,
@@ -44,7 +46,7 @@ from qfeedback import (
     verify_zero_gain,
 )
 
-from qfeedback import coherent, transfer
+from qfeedback import cli, coherent, feedback, transfer
 from qfeedback.linalg import RESIDUAL_TOL, _lyapunov_defect, dagger, hermitian_part
 from qfeedback.transfer import _sample_worst, _sigma_max
 
@@ -425,7 +427,8 @@ def test_static_lqg_refutes_a_wrong_plant_certificate(cavity_plant_with_cost, mo
         honest = verify_static_lqg(p, seed=1729, dynamic_count=8)
 
         def scaled(q, p=p):
-            # verify_zero_gain's noise-only plant keeps its exact certificate
+            # only the plant's own completion is scaled; C1 completes each static loop's (A, B)
+            # itself and keeps its exact certificate
             ap = augment(q)
             return replace(ap, theta=1.01 * ap.theta) if q is p else ap
 
@@ -654,6 +657,50 @@ def test_each_loop_is_factored_once(monkeypatch) -> None:
     eigs, factored = spied(lambda: verify_trivial_hinf(p, [[1.0, 0.0, 0.0]], challengers))
     assert set(eigs) <= {(2 * k, 2 * k) for k in orders}
     assert factored == [(k, k) for k in orders]
+
+
+def test_each_static_loop_is_built_once(cavity_plant_with_cost, monkeypatch, tmp_path) -> None:
+    # C1 completes the static loop's own (A, B) without a plant model; T5 closes each
+    # accepted gain's loop once and checks and costs that loop; compose --h2 reads the loop
+    # it closed, so only --hinf assembles (and factors) a second one
+    p = cavity_plant_with_cost
+    accepted = sum(complete_static_pr(p, k) is not None for k in coherent._static_gain_candidates(1, 1, 1729))
+    assert accepted == 5
+    calls: dict[str, int] = {}
+    schur_shapes, schur = [], transfer.schur
+
+    def spy(owner, name: str, label: str) -> None:
+        real = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls[label] = calls.get(label, 0) + 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    for owner in (feedback, coherent):
+        spy(owner, "_loop_matrices", "loop_matrices")
+    for owner in (feedback, cli):
+        spy(owner, "close_loop", "close_loop")
+    spy(feedback, "gamma_cl", "gamma_cl")
+    spy(PlantModel, "__post_init__", "plant")
+    spy(ControllerModel, "__post_init__", "controller")
+    monkeypatch.setattr(transfer, "schur", lambda a, **kw: schur_shapes.append(a.shape) or schur(a, **kw))
+
+    assert verify_zero_gain(p, [[0.0]], [[1.0]]).holds
+    assert calls == {"loop_matrices": 1, "controller": 1}
+    calls.clear()
+    assert verify_static_lqg(p).holds
+    assert calls["controller"] == accepted and "plant" not in calls
+
+    plant, ctrl = tmp_path / "p.json", tmp_path / "c.json"
+    save_system(plant, p)
+    save_system(ctrl, trivial_controller(1, 1))
+    calls.clear()
+    schur_shapes.clear()
+    assert cli.main(["compose", str(plant), str(ctrl), "--h2", "--hinf"]) == 0
+    assert calls["close_loop"] == 1 and "gamma_cl" not in calls
+    assert schur_shapes == [(p.n_modes, p.n_modes)] * 2
 
 
 @pytest.mark.parametrize("shape", [(1, 1, 1, 1), (2, 2, 1, 1), (2, 2, 2, 2), (1, 2, 1, 1), (2, 3, 1, 2)])

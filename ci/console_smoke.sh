@@ -2,7 +2,10 @@
 # Smoke run of the installed `qfeedback` console script: every subcommand on
 # small seeded documents, the input-error exit status 2, and compose on both
 # kinds in both output formats, with its H2 and H∞ paths and the H2 path's
-# cost-block error. Run it from an empty scratch directory.
+# cost-block error; synth on a stateless controller and T5 on a plant with
+# its own cost block in both formats; and three documents whose magnitudes
+# square past the float range, which must exit 1 or 2 without a traceback.
+# Run it from an empty scratch directory.
 set -euo pipefail
 
 qfeedback gen annihilation --out g.json
@@ -31,6 +34,18 @@ qfeedback --format json compose gp.json gc.json
 python -c 'import numpy as np; from qfeedback import CostOutput, random_pr_plant, save_system, trivial_controller; save_system("pz.json", random_pr_plant(2, 2, 1, 1, 0).with_cost(CostOutput(c=np.ones((1, 2)), d=np.zeros((1, 1))))); save_system("t.json", trivial_controller(1, 1))'
 qfeedback compose pz.json t.json --h2 --hinf
 qfeedback --format json compose pz.json t.json --h2 --hinf
+qfeedback synth t.json
+qfeedback --format json synth t.json
+qfeedback verify T5 pz.json
+qfeedback --format json verify T5 pz.json
 status=0; qfeedback compose p.json c.json --h2 2> h2.err || status=$?
 test "$status" -eq 2
 grep -q "plant has no cost output block" h2.err
+python -c 'from qfeedback import AnnihilationQSys, ControllerModel, GeneralQSys, delta_build, save_system; save_system("big.json", AnnihilationQSys(f=[[-1.0]], g=[[1.0]], h=[[1.0]], k=[[1e200]])); save_system("gbig.json", GeneralQSys(f=delta_build([[-1.0]], [[0.0]]), g=delta_build([[1.0]], [[0.0]]), h=delta_build([[1.0]], [[0.0]]), k=delta_build([[1e200]], [[0.0]]))); save_system("cbig.json", ControllerModel(kind="annihilation", f_c=[[-1.0]], g_cw=[[0.0, 0.0]], g_cy=[[1.0]], h_c=[[1e200]], k_cw=[[1.0, 0.0]], k_cy=[[0.0]]))'
+for argv in "check big.json --transfer" "check gbig.json --transfer" "synth cbig.json"; do
+  for fmt in text json; do
+    status=0; qfeedback --format "$fmt" $argv > big.out 2> big.err || status=$?
+    test "$status" -ge 1 && test "$status" -le 2
+    if grep -q Traceback big.err; then cat big.err; exit 1; fi
+  done
+done

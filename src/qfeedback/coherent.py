@@ -157,8 +157,8 @@ def kalman_design(f_a, g_a, h_a, l_select) -> KalmanResult:
     )
 
 
-def _zero_gain(p: PlantModel, a: np.ndarray, b: np.ndarray) -> TheoremReport:
-    """:func:`verify_zero_gain` on the static loop around ``p`` with state and noise matrices (A, B)."""
+def _zero_gain(p: PlantModel, a: np.ndarray, b: np.ndarray) -> tuple[TheoremReport, np.ndarray]:
+    """:func:`verify_zero_gain` on the static loop (A, B) around ``p``, and its completion's certificate."""
     ap = _square_completion("annihilation", a, [b], p.h, "plant", p._pattern_residuals)
     l_select = _identity_pad(p.m_y, ap.system.m_fields)
     kr = kalman_design(ap.system.f, ap.system.g, ap.system.h, l_select)
@@ -175,7 +175,7 @@ def _zero_gain(p: PlantModel, a: np.ndarray, b: np.ndarray) -> TheoremReport:
             f"Kalman gain norm {kr.gain_norm:.3g}; covariance matches the "
             f"realizability certificate within {q_dev:.3g}."
         ),
-    )
+    ), ap.theta
 
 
 def verify_zero_gain(p: PlantModel, k_cy, k_cw) -> TheoremReport:
@@ -205,7 +205,7 @@ def verify_zero_gain(p: PlantModel, k_cy, k_cw) -> TheoremReport:
             f"need at least as many controller noises as controls (m_wt={ctrl.m_wt} < m_u={ctrl.m_u})"
         )
     a, b, _, _ = _loop_matrices(p, ctrl.f_c, ctrl.g_cw, ctrl.g_cy, ctrl.h_c, ctrl.k_cw, ctrl.k_cy)
-    return _zero_gain(p, a, b)
+    return _zero_gain(p, a, b)[0]
 
 
 def lqg_cost(cl: ClosedLoop) -> NormResult:
@@ -290,6 +290,11 @@ def random_challengers(p: PlantModel, count: int, seed: int) -> list[ControllerM
     return [_canonical_controller("annihilation", *blocks) for blocks in draws]
 
 
+def _loop_cost(c: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """LQG costs sqrt(tr(C Theta C^dagger)) of stable loops at state covariances Theta, over leading axes."""
+    return np.sqrt(np.maximum(np.trace(c @ theta @ dagger(c), axis1=-2, axis2=-1).real, 0.0))
+
+
 def _challenger_loops(p: PlantModel, theta_p: np.ndarray, draws) -> tuple[np.ndarray, ...]:
     """Close the loops of challenger blocks from :func:`_challenger_draws` around ``p``.
 
@@ -313,7 +318,7 @@ def _challenger_loops(p: PlantModel, theta_p: np.ndarray, draws) -> tuple[np.nda
         stable[idx] = _hurwitz_spectrum(np.linalg.eigvals(a), a)
         defect[idx] = _lyapunov_defect(a, theta, hermitian_part(b @ dagger(b)), found, RESIDUAL_TOL)
         residual[idx] = found["lyapunov"]
-        cost[idx] = np.sqrt(np.maximum(np.trace(c @ theta @ dagger(c), axis1=-2, axis2=-1).real, 0.0))
+        cost[idx] = _loop_cost(c, theta)
     return stable, residual, defect, cost
 
 
@@ -324,15 +329,16 @@ def verify_static_lqg(
 
     Sweeps the documented static gain candidates, keeping the gains whose
     loops admit a realizable completion (one coupling-row projection per
-    plant first rejects gains the completion cannot accept), closes each
-    kept gain's loop once, verifies the zero-gain property on it and costs
-    it by ``h2_norm``, and compares against seeded realizable dynamic
-    controllers.  A stable dynamic loop (Theta_c = I) must pass the Lyapunov
-    residual test at its state covariance Theta = diag(Theta_p, I), and costs
-    sqrt(tr(C Theta C^dagger)).  The dynamic controllers come from the draw
-    behind ``random_challengers`` and are checked in stacks of equal order,
-    without a model or a ``close_loop`` each.  The zero-gain certificates
-    carry the substance; the cost comparison is corroborating evidence.
+    plant first rejects gains the completion cannot accept), folds each kept
+    gain in once to verify the zero-gain property, and compares against
+    seeded realizable dynamic controllers.  Every stable loop costs
+    sqrt(tr(C Theta C^dagger)) at its state covariance Theta: a static
+    loop's is the certificate its zero-gain completion solved, a dynamic
+    loop's (Theta_c = I) is diag(Theta_p, I), which must pass the Lyapunov
+    residual test.  The dynamic controllers come from the draw behind
+    ``random_challengers`` and are checked in stacks of equal order.  The
+    zero-gain certificates carry the substance; the cost comparison is
+    corroborating evidence.
     """
     if p.kind != "annihilation":
         raise DomainError("static LQG verification is annihilation-kind only")
@@ -359,18 +365,19 @@ def verify_static_lqg(
 
     max_gain = max_q_dev = 0.0
     zero_gain_ok = True
-    static_loops = []
+    static_costs = []
     candidates = _static_gain_candidates(p.m_u, p.m_y, seed)
     for k_cy in candidates[_static_screen(p, candidates) <= RESIDUAL_TOL]:
         if (completed := complete_static_pr(p, k_cy)) is None:
             continue
-        loop = close_loop(p, static_controller(k_cy, completed[0]))
-        report = _zero_gain(p, loop.system.a, loop.system.b)
+        ctrl = static_controller(k_cy, completed[0])
+        a, b, c, _ = _loop_matrices(p, ctrl.f_c, ctrl.g_cw, ctrl.g_cy, ctrl.h_c, ctrl.k_cw, ctrl.k_cy)
+        report, theta = _zero_gain(p, a, b)
         max_gain = max(max_gain, report.evidence["gain_norm"])
         max_q_dev = max(max_q_dev, report.evidence["covariance_vs_certificate"])
         zero_gain_ok = zero_gain_ok and report.holds
-        static_loops.append(loop)
-    static_costs = [lqg_cost(loop).value for loop in static_loops if loop.internally_stable]
+        if _hurwitz_spectrum(np.linalg.eigvals(a), a):
+            static_costs.append(float(_loop_cost(c, theta)))
     best_static, used = min(static_costs, default=np.inf), len(static_costs)
     skipped = len(candidates) - used
 

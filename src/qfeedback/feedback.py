@@ -32,6 +32,7 @@ from .linalg import (
     _lyapunov_defect,
     _psd_factor,
     _read_only,
+    _square,
     as_matrix,
     dagger,
     delta_build,
@@ -240,7 +241,8 @@ def _square_completion(kind, f, g_blocks, h_given, label, pattern_residuals) -> 
     g = _stack_cols(g_blocks, d)
     n, m_tot = f.shape[0] // d, g.shape[1] // d
     sig = rules.signature(m_tot)
-    q = hermitian_part(g @ sig @ dagger(g))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is the solver's typed error
+        q = hermitian_part(g @ sig @ dagger(g))
     try:
         theta = _solve_certificate(f, q, d)
     except SingularityError:
@@ -427,16 +429,7 @@ def synth_noise_annihilation(f_c, g_cy, h_c, rel_tol: float = 1e-6) -> Synthesis
     n_c = f_c.shape[0]
     if f_c.shape != (n_c, n_c) or g_cy.shape[0] != n_c or h_c.shape[1] != n_c:
         raise DimensionError("controller triple shapes are inconsistent")
-    m_u, m_y = h_c.shape[0], g_cy.shape[1]
-
-    if n_c == 0:
-        return SynthesisResult(
-            controller=trivial_controller(m_y, m_u),
-            theta=np.zeros((0, 0), dtype=complex),
-            extra_channels=0,
-            zero_noise=True,
-            admissibility_norm=0.0,
-        )
+    m_u = h_c.shape[0]
 
     g_adm = StateSpaceTF(f_c, np.eye(n_c), h_c, np.zeros((m_u, n_c)))
     if not _hurwitz_spectrum(g_adm._schur[0], f_c):
@@ -448,33 +441,20 @@ def synth_noise_annihilation(f_c, g_cy, h_c, rel_tol: float = 1e-6) -> Synthesis
 
     r_mat = hermitian_part(dagger(h_c) @ h_c)
     q_mat = hermitian_part(g_cy @ dagger(g_cy))
-    theta = None
-    care = solve_care_hermitian(f_c, r_mat, q_mat)
-    if care.exists and is_positive_definite(care.x):
-        theta = care.x
-        g_cwb = np.zeros((n_c, 0), dtype=complex)
-    else:
+    care, g_cwb = solve_care_hermitian(f_c, r_mat, q_mat), np.zeros((n_c, 0), dtype=complex)
+    if not (care.exists and is_positive_definite(care.x)):
         care = solve_care_hermitian(f_c, r_mat, q_mat + np.eye(n_c))
         if not care.exists or not is_positive_definite(care.x):
-            raise NotRealizableError(
-                "no positive definite certificate found for an admissible triple"
-            )
-        theta = care.x
-        slack = -hermitian_part(f_c @ theta + theta @ dagger(f_c) + theta @ r_mat @ theta + q_mat)
-        g_cwb = _psd_factor(slack)
+            raise NotRealizableError("no positive definite certificate found for an admissible triple")
+        x = care.x
+        g_cwb = _psd_factor(-hermitian_part(f_c @ x + x @ dagger(f_c) + x @ r_mat @ x + q_mat))
         if g_cwb is None:
             raise NotRealizableError("certificate slack is not positive semidefinite")
 
-    r = g_cwb.shape[1]
+    theta, r = care.x, g_cwb.shape[1]
     g_cw = np.hstack([-theta @ dagger(h_c), g_cwb])
     controller = _canonical_controller("annihilation", f_c, g_cw, g_cy, h_c)
-    return SynthesisResult(
-        controller=controller,
-        theta=theta,
-        extra_channels=r,
-        zero_noise=(r == 0),
-        admissibility_norm=nu,
-    )
+    return SynthesisResult(controller, theta, extra_channels=r, zero_noise=(r == 0), admissibility_norm=nu)
 
 
 def synth_noise_general(f_c, g_cy, h_c, theta) -> SynthesisResult:
@@ -625,7 +605,8 @@ def complete_static_pr(p: PlantModel, k_cy) -> tuple[np.ndarray, np.ndarray] | N
     S = K_cw K_cw^dagger such that the plant with U = K_cy Y folded in
     satisfies the coupling identity on the measured channels and the
     certificate equation over all noises.  Returns (k_cw, theta_a) or None
-    when the affine system has no admissible solution.  K_cy = 0 reads
+    when the affine system has no admissible solution; a folded noise
+    matrix whose square overflows is a DomainError.  K_cy = 0 reads
     Theta_a off ``augment_plant(p)``.
     """
     if p.kind != "annihilation":
@@ -640,6 +621,7 @@ def complete_static_pr(p: PlantModel, k_cy) -> tuple[np.ndarray, np.ndarray] | N
 
     f_fold, g_fold = _static_fold(p, k_cy)
     target_coup = -(p.g_w[:, : p.m_y] + p.g_u @ k_cy)
+    scale = 1.0 + _square(max_abs(g_fold), "folded noise matrix") + max_abs(target_coup)
 
     # unknowns: the Theta_a basis, then the S basis (which has no coupling image)
     basis_t = hermitian_basis(n)
@@ -655,7 +637,6 @@ def complete_static_pr(p: PlantModel, k_cy) -> tuple[np.ndarray, np.ndarray] | N
         ],
         [-(g_fold @ dagger(g_fold)), target_coup],
     )
-    scale = 1.0 + max_abs(g_fold) ** 2 + max_abs(target_coup)
     if residual > RESIDUAL_TOL * scale:
         return None
     theta = hermitian_part(np.tensordot(sol[: len(basis_t)], basis_t, 1))

@@ -156,6 +156,14 @@ def hermitian_part(a) -> np.ndarray:
     return 0.5 * (a + a.conj().swapaxes(-1, -2))
 
 
+def _square(x: float, name: str) -> float:
+    """``x ** 2`` for a magnitude ``x``, or a DomainError naming ``name`` where the square overflows."""
+    try:
+        return x**2
+    except OverflowError:
+        raise DomainError(f"{name} {x:.3g} is too large: its square overflows") from None
+
+
 def require_hermitian(a, name: str) -> np.ndarray:
     """Validate Hermitian symmetry within RESIDUAL_TOL (relative) and symmetrize."""
     a = as_square(a, name)

@@ -32,6 +32,7 @@ from .linalg import (
     _coupling_defect,
     _hurwitz_spectrum,
     _rank_cut,
+    _square,
     as_square,
     dagger,
     hermitian_part,
@@ -279,11 +280,12 @@ def _signature_check(g, red, sig, tol, gate) -> tuple[str, str, dict[str, float]
     coupling test with G = B S D^dagger.  An unsolvable certificate equation
     makes the prong indeterminate, and a non-None ``gate`` replaces it.
     Sampled prong: the identity on ``g`` at the grid frequencies.  Returns
-    (algebraic, sampled, residuals).
+    (algebraic, sampled, residuals); a |D| whose square overflows is a DomainError.
     """
     require_tolerance(tol, "tol")
+    feed_scale = 1.0 + _square(max_abs(g.d), "feedthrough")
     residuals = {"feedthrough": max_abs(dagger(g.d) @ sig @ g.d - sig)}
-    feed_ok = residuals["feedthrough"] <= tol * (1.0 + max_abs(g.d) ** 2)
+    feed_ok = residuals["feedthrough"] <= tol * feed_scale
     if gate is not None:
         algebraic = gate
     elif red.state_dim == 0:
@@ -386,7 +388,7 @@ def _axis_eigenvalues(g: StateSpaceTF, gamma: float) -> np.ndarray | None:
 
     Returns None when R = gamma^2 I - D^dagger D is not positive definite.
     """
-    r = gamma**2 * np.eye(g.input_dim) - dagger(g.d) @ g.d
+    r = _square(gamma, "H-infinity level") * np.eye(g.input_dim) - dagger(g.d) @ g.d
     lam_r = np.linalg.eigvalsh(hermitian_part(r))
     if lam_r.size and lam_r[0] <= 0.0:
         return None
@@ -454,7 +456,8 @@ def hinf_norm(g: StateSpaceTF, rel_tol: float = 1e-6) -> NormResult:
     Raises
     ------
     DomainError
-        When ``rel_tol`` is not a finite positive number.
+        When ``rel_tol`` is not a finite positive number, or when a tested
+        level's square overflows (a norm above about 1e154).
     InstabilityError
         When A is not Hurwitz.
     """

@@ -793,3 +793,32 @@ class TestExitContract:
         code, out, _ = run(capsys, "--format", "json", "verify", "T6", path)
         assert code == 2
         assert json.loads(out)["error"] == "selector must select at least one output"
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_squares_beyond_the_float_range_end_in_an_input_error(self, tmp_path, fmt):
+        # each document's check or synthesis squares a finite magnitude of 1e200 (the
+        # transfer check's feedthrough scale, the H-infinity level); that ends in exit 2,
+        # never in a traceback or a transfer prong that passes an unrepresentable identity
+        docs = {
+            "ann.json": (AnnihilationQSys(f=[[-1.0]], g=[[1.0]], h=[[1.0]], k=[[1e200]]), "--transfer"),
+            "gen.json": (GeneralQSys(f=delta_build([[-1.0]], [[0.0]]), g=delta_build([[1.0]], [[0.0]]),
+                                     h=delta_build([[1.0]], [[0.0]]), k=delta_build([[1e200]], [[0.0]])),
+                         "--transfer"),
+            "ctrl.json": (ControllerModel(kind="annihilation", f_c=[[-1.0]], g_cw=[[0.0, 0.0]], g_cy=[[1.0]],
+                                          h_c=[[1e200]], k_cw=[[1.0, 0.0]], k_cy=[[0.0]]), None),
+        }
+        src = str(Path(qfeedback.__file__).resolve().parents[1])
+        for name, (model, flag) in docs.items():
+            save_system(tmp_path / name, model)
+            argv = ["check", str(tmp_path / name), flag] if flag else ["synth", str(tmp_path / name)]
+            proc = subprocess.run(
+                [sys.executable, "-m", "qfeedback.cli", "--format", fmt, *argv],
+                capture_output=True,
+                text=True,
+                env={**os.environ, "PYTHONPATH": src},
+                timeout=120,
+            )
+            assert proc.returncode == 2, (name, proc.stderr)
+            assert "Traceback" not in proc.stderr and "=pass" not in proc.stdout
+            error = json.loads(proc.stdout)["error"] if fmt == "json" else proc.stderr
+            assert "is too large: its square overflows" in error

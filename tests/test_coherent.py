@@ -9,6 +9,7 @@ seeded plant families.
 from __future__ import annotations
 
 import itertools
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -46,7 +47,7 @@ from qfeedback import (
     verify_zero_gain,
 )
 
-from qfeedback import cli, coherent, feedback, transfer
+from qfeedback import cli, coherent, feedback, linalg, systems, transfer
 from qfeedback.linalg import RESIDUAL_TOL, _lyapunov_defect, dagger, hermitian_part
 from qfeedback.transfer import _sample_worst, _sigma_max
 
@@ -120,6 +121,14 @@ def test_zero_gain_broken_plant_raises() -> None:
     )
     with pytest.raises(NotAugmentableError):
         verify_zero_gain(broken, np.zeros((1, 1)), np.eye(1))
+
+
+def test_zero_gain_with_a_huge_finite_gain_raises_the_typed_error_without_a_warning() -> None:
+    # K_cy = 1e300 leaves the loop finite, but B B^dagger overflows
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="q has non-finite entries"):
+            verify_zero_gain(random_pr_plant(1, 1, 1, 1, seed=0), [[1e300]], [[1.0]])
 
 
 def test_zero_gain_rejects_fewer_controller_noises_than_controls(cavity_plant) -> None:
@@ -660,11 +669,13 @@ def test_each_loop_is_factored_once(monkeypatch) -> None:
 
 
 def test_each_static_loop_is_built_once(cavity_plant_with_cost, monkeypatch, tmp_path) -> None:
-    # C1 completes the static loop's own (A, B) without a plant model; T5 closes each
-    # accepted gain's loop once and checks and costs that loop; compose --h2 reads the loop
-    # it closed, so only --hinf assembles (and factors) a second one
+    # C1 completes the static loop's own (A, B) without a plant model; T5 folds each
+    # accepted gain once and costs its loop from the certificate that the zero-gain
+    # completion solved, so per gain it closes, factors and solves nothing beyond C1's check;
+    # compose --h2 reads the loop it closed, so only --hinf assembles (and factors) a second one
     p = cavity_plant_with_cost
-    accepted = sum(complete_static_pr(p, k) is not None for k in coherent._static_gain_candidates(1, 1, 1729))
+    twin = replace(p)  # counts the accepted gains without caching p's own completion
+    accepted = sum(complete_static_pr(twin, k) is not None for k in coherent._static_gain_candidates(1, 1, 1729))
     assert accepted == 5
     calls: dict[str, int] = {}
     schur_shapes, schur = [], transfer.schur
@@ -680,18 +691,26 @@ def test_each_static_loop_is_built_once(cavity_plant_with_cost, monkeypatch, tmp
 
     for owner in (feedback, coherent):
         spy(owner, "_loop_matrices", "loop_matrices")
-    for owner in (feedback, cli):
+    for owner in (feedback, coherent, cli):
         spy(owner, "close_loop", "close_loop")
+    for owner in (coherent, transfer):
+        spy(owner, "h2_norm", "h2_norm")
+    for owner in (linalg, systems, transfer):
+        spy(owner, "solve_lyapunov_hermitian", "lyapunov")
+    spy(coherent, "lqg_cost", "lqg_cost")
     spy(feedback, "gamma_cl", "gamma_cl")
     spy(PlantModel, "__post_init__", "plant")
     spy(ControllerModel, "__post_init__", "controller")
     monkeypatch.setattr(transfer, "schur", lambda a, **kw: schur_shapes.append(a.shape) or schur(a, **kw))
 
     assert verify_zero_gain(p, [[0.0]], [[1.0]]).holds
-    assert calls == {"loop_matrices": 1, "controller": 1}
+    assert calls == {"loop_matrices": 1, "controller": 1, "lyapunov": 1}
     calls.clear()
+    schur_shapes.clear()
     assert verify_static_lqg(p).holds
     assert calls["controller"] == accepted and "plant" not in calls
+    assert not {"close_loop", "lqg_cost", "h2_norm"} & calls.keys() and schur_shapes == []
+    assert calls["lyapunov"] == accepted + 1  # one per gain's completion and one for the plant's
 
     plant, ctrl = tmp_path / "p.json", tmp_path / "c.json"
     save_system(plant, p)

@@ -527,6 +527,18 @@ def test_synth_zero_extra_noise_branch() -> None:
     assert result.zero_noise
 
 
+@pytest.mark.parametrize("m_u, m_y", [(1, 1), (2, 1), (1, 3), (3, 2)])
+def test_synth_without_states_is_the_trivial_controller(m_u: int, m_y: int) -> None:
+    result = synth_noise_annihilation(np.zeros((0, 0)), np.zeros((0, m_y)), np.zeros((m_u, 0)))
+    want = trivial_controller(m_y, m_u)
+    assert result.controller.kind == want.kind
+    for name in want._layout:
+        got, expected = getattr(result.controller, name), getattr(want, name)
+        assert got.dtype == expected.dtype and np.array_equal(got, expected), name
+    assert result.theta.shape == (0, 0) and result.theta.dtype == complex
+    assert (result.extra_channels, result.zero_noise, result.admissibility_norm) == (0, True, 0.0)
+
+
 def test_synth_rejects_unstable_state_matrix() -> None:
     with pytest.raises(NotRealizableError, match="Hurwitz"):
         synth_noise_annihilation([[1.0]], [[0.0]], [[0.5]])
@@ -733,6 +745,12 @@ def test_complete_static_pr_cavity_grid(cavity_plant) -> None:
         np.testing.assert_allclose(
             k_cw @ dagger(k_cw), [[(1.0 + c_val) ** 2]], atol=1e-8
         )
+
+
+def test_complete_static_pr_rejects_a_gain_whose_fold_squares_past_the_float_range() -> None:
+    p = random_pr_plant(1, 1, 1, 1, seed=0)
+    with pytest.raises(DomainError, match="folded noise matrix .* its square overflows"):
+        complete_static_pr(p, [[1e200]])
 
 
 @pytest.mark.parametrize("c_val", [-1.0, -2.0])

@@ -756,6 +756,14 @@ def test_hinf_norm_scaling() -> None:
     np.testing.assert_allclose(hinf_norm(g).value, 2.0, rtol=1e-5)
 
 
+@pytest.mark.parametrize("c, d", [(1e200, 0.0), (1.0, 1e200)])
+def test_hinf_norm_rejects_a_level_whose_square_overflows(c: float, d: float) -> None:
+    # 1e150 still squares inside the float range; 1e200 does not
+    assert hinf_norm(StateSpaceTF(a=[[-1.0]], b=[[1.0]], c=[[1e150]], d=[[0.0]])).value > 1e150
+    with pytest.raises(DomainError, match="H-infinity level .* its square overflows"):
+        hinf_norm(StateSpaceTF(a=[[-1.0]], b=[[1.0]], c=[[c]], d=[[d]]))
+
+
 def test_hinf_norm_all_pass() -> None:
     np.testing.assert_allclose(hinf_norm(cavity_all_pass()).value, 1.0, rtol=1e-5)
 

@@ -3,8 +3,9 @@
 # small seeded documents, the input-error exit status 2, and compose on both
 # kinds in both output formats, with its H2 and H∞ paths and the H2 path's
 # cost-block error; synth on a stateless controller and T5 on a plant with
-# its own cost block in both formats; and three documents whose magnitudes
-# square past the float range, which must exit 1 or 2 without a traceback.
+# its own cost block, and on one without a control channel, in both formats;
+# and documents whose magnitudes or noise terms square past the float range,
+# which must exit 1 or 2 with no traceback and no warning.
 # Run it from an empty scratch directory.
 set -euo pipefail
 
@@ -38,14 +39,20 @@ qfeedback synth t.json
 qfeedback --format json synth t.json
 qfeedback verify T5 pz.json
 qfeedback --format json verify T5 pz.json
+python -c 'import numpy as np; from qfeedback import CostOutput, PlantModel, save_system; save_system("p0.json", PlantModel(kind="annihilation", f=[[-1.0]], g_w=[[-2 ** 0.5]], g_u=np.zeros((1, 0)), h=[[2 ** 0.5]], k=[[1.0]], cost=CostOutput(c=[[1.0]], d=np.zeros((1, 0)))))'
+qfeedback verify T5 p0.json
+qfeedback --format json verify T5 p0.json
 status=0; qfeedback compose p.json c.json --h2 2> h2.err || status=$?
 test "$status" -eq 2
 grep -q "plant has no cost output block" h2.err
 python -c 'from qfeedback import AnnihilationQSys, ControllerModel, GeneralQSys, delta_build, save_system; save_system("big.json", AnnihilationQSys(f=[[-1.0]], g=[[1.0]], h=[[1.0]], k=[[1e200]])); save_system("gbig.json", GeneralQSys(f=delta_build([[-1.0]], [[0.0]]), g=delta_build([[1.0]], [[0.0]]), h=delta_build([[1.0]], [[0.0]]), k=delta_build([[1e200]], [[0.0]]))); save_system("cbig.json", ControllerModel(kind="annihilation", f_c=[[-1.0]], g_cw=[[0.0, 0.0]], g_cy=[[1.0]], h_c=[[1e200]], k_cw=[[1.0, 0.0]], k_cy=[[0.0]]))'
-for argv in "check big.json --transfer" "check gbig.json --transfer" "synth cbig.json"; do
+python -c 'import numpy as np; from qfeedback import AnnihilationQSys, ControllerModel, CostOutput, GeneralQSys, PlantModel, delta_build, random_pr_plant, save_system; p = random_pr_plant(2, 2, 1, 1, 0); save_system("qbig.json", AnnihilationQSys(f=[[-1.0]], g=[[1e200]], h=[[1.0]], k=[[1.0]])); save_system("qgbig.json", GeneralQSys(f=delta_build([[-1.0]], [[0.0]]), g=delta_build([[1e200]], [[0.0]]), h=delta_build([[1.0]], [[0.0]]), k=delta_build([[1.0]], [[0.0]]))); save_system("qcbig.json", ControllerModel(kind="annihilation", f_c=[[-1.0]], g_cw=[[0.0, 0.0]], g_cy=[[1e200]], h_c=[[0.5]], k_cw=[[1.0, 0.0]], k_cy=[[0.0]])); save_system("qpbig.json", PlantModel(kind="annihilation", f=p.f, g_w=p.g_w * 1e200, g_u=p.g_u, h=p.h, k=p.k, cost=CostOutput(c=np.ones((1, 2)), d=np.zeros((1, 1)))))'
+for argv in "check big.json --transfer" "check gbig.json --transfer" "synth cbig.json" \
+    "check qbig.json" "check qbig.json --transfer" "check qgbig.json" "check qgbig.json --transfer" \
+    "params qbig.json" "params qgbig.json" "synth qcbig.json" "compose qpbig.json t.json --h2"; do
   for fmt in text json; do
     status=0; qfeedback --format "$fmt" $argv > big.out 2> big.err || status=$?
     test "$status" -ge 1 && test "$status" -le 2
-    if grep -q Traceback big.err; then cat big.err; exit 1; fi
+    if grep -q -e Traceback -e Warning big.err; then cat big.err; exit 1; fi
   done
 done

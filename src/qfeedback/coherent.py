@@ -34,7 +34,6 @@ from .feedback import (
     _static_screen,
     augment_plant,
     close_augmented_loop,
-    close_loop,
     complete_static_pr,
     static_controller,
     trivial_controller,
@@ -136,7 +135,8 @@ def kalman_design(f_a, g_a, h_a, l_select) -> KalmanResult:
     s = g_a @ dagger(l_select)
     a_care = f_a - s @ v_inv @ c_meas
     r_care = hermitian_part(-dagger(c_meas) @ v_inv @ c_meas)
-    q_care = hermitian_part(g_a @ dagger(g_a) - s @ v_inv @ dagger(s))
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite q is the solver's DomainError
+        q_care = hermitian_part(g_a @ dagger(g_a) - s @ v_inv @ dagger(s))
     care = solve_care_hermitian(a_care, r_care, q_care)
     if not care.exists or _psd_factor(care.x) is None:
         raise DesignError("no stabilizing positive semidefinite covariance found")
@@ -157,8 +157,16 @@ def kalman_design(f_a, g_a, h_a, l_select) -> KalmanResult:
     )
 
 
-def _zero_gain(p: PlantModel, a: np.ndarray, b: np.ndarray) -> tuple[TheoremReport, np.ndarray]:
-    """:func:`verify_zero_gain` on the static loop (A, B) around ``p``, and its completion's certificate."""
+def _zero_gain(p: PlantModel, k_cy, k_cw) -> tuple[TheoremReport, np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`verify_zero_gain` on the static loop around ``p``, with the loop's certificate,
+    state matrix A and cost rows C_z."""
+    ctrl = static_controller(k_cy, k_cw)
+    _check_loop_dims(p, ctrl)
+    if ctrl.m_wt < ctrl.m_u:
+        raise DimensionError(
+            f"need at least as many controller noises as controls (m_wt={ctrl.m_wt} < m_u={ctrl.m_u})"
+        )
+    a, b, c, _ = _loop_matrices(p, ctrl.f_c, ctrl.g_cw, ctrl.g_cy, ctrl.h_c, ctrl.k_cw, ctrl.k_cy)
     ap = _square_completion("annihilation", a, [b], p.h, "plant", p._pattern_residuals)
     l_select = _identity_pad(p.m_y, ap.system.m_fields)
     kr = kalman_design(ap.system.f, ap.system.g, ap.system.h, l_select)
@@ -175,7 +183,7 @@ def _zero_gain(p: PlantModel, a: np.ndarray, b: np.ndarray) -> tuple[TheoremRepo
             f"Kalman gain norm {kr.gain_norm:.3g}; covariance matches the "
             f"realizability certificate within {q_dev:.3g}."
         ),
-    ), ap.theta
+    ), ap.theta, a, c
 
 
 def verify_zero_gain(p: PlantModel, k_cy, k_cw) -> TheoremReport:
@@ -198,14 +206,7 @@ def verify_zero_gain(p: PlantModel, k_cy, k_cw) -> TheoremReport:
     """
     if p.kind != "annihilation":
         raise DomainError("zero-gain verification is annihilation-kind only")
-    ctrl = static_controller(k_cy, k_cw)
-    _check_loop_dims(p, ctrl)
-    if ctrl.m_wt < ctrl.m_u:
-        raise DimensionError(
-            f"need at least as many controller noises as controls (m_wt={ctrl.m_wt} < m_u={ctrl.m_u})"
-        )
-    a, b, _, _ = _loop_matrices(p, ctrl.f_c, ctrl.g_cw, ctrl.g_cy, ctrl.h_c, ctrl.k_cw, ctrl.k_cy)
-    return _zero_gain(p, a, b)[0]
+    return _zero_gain(p, k_cy, k_cw)[0]
 
 
 def lqg_cost(cl: ClosedLoop) -> NormResult:
@@ -351,17 +352,12 @@ def verify_static_lqg(
     except NotAugmentableError as exc:
         return _not_realizable("T5", exc)
 
-    if p.m_u == 0:
-        cost = lqg_cost(close_loop(p, trivial_controller(p.m_y, 0)))
-        return TheoremReport(
-            theorem="T5",
-            holds=True,
-            evidence={"constant_cost": cost.value},
-            narrative=(
-                "degenerate pass: no control channel, every controller yields "
-                f"cost {cost.value:.6g}"
-            ),
-        )
+    if p.m_u == 0:  # the loop is the plant, whose state covariance is its certificate
+        if not _hurwitz_spectrum(np.linalg.eigvals(p.f), p.f):
+            raise InstabilityError("closed loop is not internally stable")
+        cost = float(_loop_cost(p.cost.c, ap.theta))
+        narrative = f"degenerate pass: no control channel, every controller yields cost {cost:.6g}"
+        return TheoremReport("T5", True, {"constant_cost": cost}, narrative)
 
     max_gain = max_q_dev = 0.0
     zero_gain_ok = True
@@ -370,9 +366,7 @@ def verify_static_lqg(
     for k_cy in candidates[_static_screen(p, candidates) <= RESIDUAL_TOL]:
         if (completed := complete_static_pr(p, k_cy)) is None:
             continue
-        ctrl = static_controller(k_cy, completed[0])
-        a, b, c, _ = _loop_matrices(p, ctrl.f_c, ctrl.g_cw, ctrl.g_cy, ctrl.h_c, ctrl.k_cw, ctrl.k_cy)
-        report, theta = _zero_gain(p, a, b)
+        report, theta, a, c = _zero_gain(p, k_cy, completed[0])
         max_gain = max(max_gain, report.evidence["gain_norm"])
         max_q_dev = max(max_q_dev, report.evidence["covariance_vs_certificate"])
         zero_gain_ok = zero_gain_ok and report.holds

@@ -30,6 +30,7 @@ from .linalg import (
     _hurwitz_spectrum,
     _inertia,
     _lyapunov_defect,
+    _noise_term,
     _psd_factor,
     _read_only,
     _square,
@@ -241,8 +242,7 @@ def _square_completion(kind, f, g_blocks, h_given, label, pattern_residuals) -> 
     g = _stack_cols(g_blocks, d)
     n, m_tot = f.shape[0] // d, g.shape[1] // d
     sig = rules.signature(m_tot)
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is the solver's typed error
-        q = hermitian_part(g @ sig @ dagger(g))
+    q = _noise_term(g, sig)
     try:
         theta = _solve_certificate(f, q, d)
     except SingularityError:
@@ -440,7 +440,7 @@ def synth_noise_annihilation(f_c, g_cy, h_c, rel_tol: float = 1e-6) -> Synthesis
         raise NotRealizableError(f"H∞ admissibility failed: {shown} > 1")
 
     r_mat = hermitian_part(dagger(h_c) @ h_c)
-    q_mat = hermitian_part(g_cy @ dagger(g_cy))
+    q_mat = _noise_term(g_cy)
     care, g_cwb = solve_care_hermitian(f_c, r_mat, q_mat), np.zeros((n_c, 0), dtype=complex)
     if not (care.exists and is_positive_definite(care.x)):
         care = solve_care_hermitian(f_c, r_mat, q_mat + np.eye(n_c))
@@ -566,26 +566,13 @@ def close_augmented_loop(p: PlantModel, c: ControllerModel) -> AugmentedClosedLo
     n, n_c = p.n_modes, c.n_modes
     m_w, m_u, m_y, m_wt = p.m_w, p.m_u, p.m_y, c.m_wt
     r = m_wt - m_u
-    h_tilde = ap.h_tilde
-    h_caug = ac.system.h
-
-    eye_py = np.eye(m_w + m_u, dtype=complex)
-    k_t = eye_py[m_y:, :m_w]
-    k_bar = eye_py[m_y:, m_w:]
-
-    c_rows = np.vstack(
-        [
-            np.hstack([p.h, h_caug[m_wt:]]),
-            np.hstack([h_tilde, k_bar @ c.h_c]),
-            np.hstack([np.zeros((r, n), dtype=complex), h_caug[m_u:m_wt]]),
-        ]
+    k_t, k_bar = np.split(np.eye(m_w + m_u, dtype=complex)[m_y:], [m_w], axis=1)
+    # ac.h_tilde stacks the controller's rows for its r spare noise fields, then for its Y field
+    c_rows = _stacked_block(
+        [[p.h, ac.h_tilde[r:]], [ap.h_tilde, k_bar @ c.h_c], [np.zeros((r, n)), ac.h_tilde[:r]]]
     )
-    d_rows = np.vstack(
-        [
-            np.hstack([p.k, np.zeros((m_y, m_wt), dtype=complex)]),
-            np.hstack([k_t, k_bar @ c.k_cw]),
-            np.hstack([np.zeros((r, m_w), dtype=complex), np.eye(m_wt)[m_u:, :]]),
-        ]
+    d_rows = _stacked_block(
+        [[p.k, np.zeros((m_y, m_wt))], [k_t, k_bar @ c.k_cw], [np.zeros((r, m_w)), np.eye(m_wt)[m_u:]]]
     )
     theta = np.zeros((n + n_c, n + n_c), dtype=complex)
     theta[:n, :n], theta[n:, n:] = ap.theta, ac.theta

@@ -26,6 +26,7 @@ from .linalg import (
     _check_layout,
     _hurwitz_spectrum,
     _inertia,
+    _noise_term,
     _rank_cut,
     _read_only,
     _sum_collision,
@@ -330,7 +331,7 @@ def _check_certificate(s, kind: str, tol) -> PrVerdict:
     if residuals["feedthrough"] > tol:
         return PrVerdict(False, None, residuals, "feedthrough")
 
-    q = hermitian_part(g @ sig @ dagger(g))
+    q = _noise_term(g, sig)
     try:
         theta = _solve_certificate(f, q, d)
     except SingularityError:

@@ -31,6 +31,7 @@ from .linalg import (
     _check_layout,
     _coupling_defect,
     _hurwitz_spectrum,
+    _noise_term,
     _rank_cut,
     _square,
     as_square,
@@ -292,7 +293,7 @@ def _signature_check(g, red, sig, tol, gate) -> tuple[str, str, dict[str, float]
         algebraic = "pass" if feed_ok else "fail"
     else:
         try:
-            q = hermitian_part(red.b @ sig @ dagger(red.b))
+            q = _noise_term(red.b, sig)
             x = solve_lyapunov_hermitian(red.a, q, red._schur[1:])
         except SingularityError:
             algebraic = "indeterminate"
@@ -364,7 +365,7 @@ def h2_norm(g: StateSpaceTF) -> NormResult:
         return NormResult(0.0, "lyapunov-gramian", {"gramian_trace": 0.0})
     if not _hurwitz_spectrum(g._schur[0], g.a):
         raise InstabilityError("H2 norm needs a Hurwitz state matrix")
-    p = solve_lyapunov_hermitian(g.a, hermitian_part(g.b @ dagger(g.b)), g._schur[1:])
+    p = solve_lyapunov_hermitian(g.a, _noise_term(g.b), g._schur[1:])
     tr = float(np.trace(g.c @ p @ dagger(g.c)).real)
     residual = max_abs(g.a @ p + p @ dagger(g.a) + g.b @ dagger(g.b))
     return NormResult(

@@ -822,3 +822,38 @@ class TestExitContract:
             assert "Traceback" not in proc.stderr and "=pass" not in proc.stdout
             error = json.loads(proc.stdout)["error"] if fmt == "json" else proc.stderr
             assert "is too large: its square overflows" in error
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_noise_terms_that_overflow_end_in_an_input_error_without_a_warning(self, tmp_path, fmt):
+        # G = 1e200 is finite, but G S G^dagger is not: each command hands the overflowing
+        # noise term to its solver, whose typed error is the only thing on stderr
+        plant = random_pr_plant(2, 2, 1, 1, 0)
+        docs = {
+            "ann.json": AnnihilationQSys(f=[[-1.0]], g=[[1e200]], h=[[1.0]], k=[[1.0]]),
+            "gen.json": GeneralQSys(f=delta_build([[-1.0]], [[0.0]]), g=delta_build([[1e200]], [[0.0]]),
+                                    h=delta_build([[1.0]], [[0.0]]), k=delta_build([[1.0]], [[0.0]])),
+            "ctrl.json": ControllerModel(kind="annihilation", f_c=[[-1.0]], g_cw=[[0.0, 0.0]], g_cy=[[1e200]],
+                                         h_c=[[0.5]], k_cw=[[1.0, 0.0]], k_cy=[[0.0]]),
+            "plant.json": PlantModel(kind="annihilation", f=plant.f, g_w=plant.g_w * 1e200, g_u=plant.g_u,
+                                     h=plant.h, k=plant.k, cost=CostOutput(c=np.ones((1, 2)), d=np.zeros((1, 1)))),
+            "t.json": trivial_controller(1, 1),
+        }
+        for name, model in docs.items():
+            save_system(tmp_path / name, model)
+        runs = [["check", "ann.json"], ["check", "ann.json", "--transfer"], ["check", "gen.json"],
+                ["check", "gen.json", "--transfer"], ["params", "ann.json"], ["params", "gen.json"],
+                ["synth", "ctrl.json"], ["compose", "plant.json", "t.json", "--h2"]]
+        src = str(Path(qfeedback.__file__).resolve().parents[1])
+        for argv in runs:
+            proc = subprocess.run(
+                [sys.executable, "-m", "qfeedback.cli", "--format", fmt, *argv],
+                capture_output=True,
+                text=True,
+                cwd=tmp_path,
+                env={**os.environ, "PYTHONPATH": src},
+                timeout=120,
+            )
+            assert proc.returncode == 2, (argv, proc.stderr)
+            assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr, (argv, proc.stderr)
+            error = json.loads(proc.stdout)["error"] if fmt == "json" else proc.stderr
+            assert error.strip() == ("q has non-finite entries" if fmt == "json" else "input error: q has non-finite entries")

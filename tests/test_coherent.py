@@ -19,22 +19,30 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from qfeedback import (
+    AnnihilationQSys,
     ControllerModel,
     CostOutput,
     DesignError,
     DimensionError,
     DomainError,
+    GeneralQSys,
     InstabilityError,
     NotAugmentableError,
     PlantModel,
     StateSpaceTF,
     augment_controller,
     augment_plant,
+    check_pr_annihilation,
+    check_pr_general,
     close_augmented_loop,
     close_loop,
     complete_static_pr,
+    delta_build,
+    h2_norm,
     hinf_norm,
+    jj_unitary_check,
     kalman_design,
+    lossless_br_check,
     lqg_cost,
     random_challengers,
     random_pr_plant,
@@ -129,6 +137,32 @@ def test_zero_gain_with_a_huge_finite_gain_raises_the_typed_error_without_a_warn
         warnings.simplefilter("error")
         with pytest.raises(DomainError, match="q has non-finite entries"):
             verify_zero_gain(random_pr_plant(1, 1, 1, 1, seed=0), [[1e300]], [[1.0]])
+
+
+_BIG_ANN = AnnihilationQSys(f=[[-1.0]], g=[[1e200]], h=[[1.0]], k=[[1.0]])
+_BIG_GEN = GeneralQSys(f=delta_build([[-1.0]], [[0.0]]), g=delta_build([[1e200]], [[0.0]]),
+                       h=delta_build([[1.0]], [[0.0]]), k=delta_build([[1.0]], [[0.0]]))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: check_pr_annihilation(_BIG_ANN),
+        lambda: check_pr_general(_BIG_GEN),
+        lambda: lossless_br_check(StateSpaceTF(_BIG_ANN.f, _BIG_ANN.g, _BIG_ANN.h, _BIG_ANN.k)),
+        lambda: jj_unitary_check(StateSpaceTF(_BIG_GEN.f, _BIG_GEN.g, _BIG_GEN.h, _BIG_GEN.k), 1),
+        lambda: h2_norm(StateSpaceTF(_BIG_ANN.f, _BIG_ANN.g, _BIG_ANN.h, [[0.0]])),
+        lambda: synth_noise_annihilation([[-1.0]], [[1e200]], [[0.5]]),
+        lambda: kalman_design([[-1.0]], [[1e200, 0.0]], [[1.0], [0.0]], [[1.0, 0.0]]),
+    ],
+    ids=["check_pr_annihilation", "check_pr_general", "lossless", "jj_unitary", "h2", "synth", "kalman"],
+)
+def test_an_overflowing_noise_term_raises_the_solver_error_without_a_warning(call) -> None:
+    # G = 1e200 is finite, but G S G^dagger is not
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="q has non-finite entries"):
+            call()
 
 
 def test_zero_gain_rejects_fewer_controller_noises_than_controls(cavity_plant) -> None:
@@ -249,6 +283,26 @@ def test_static_lqg_no_control_degenerate_pass() -> None:
     report = verify_static_lqg(p)
     assert report.holds
     assert "degenerate" in report.narrative
+
+
+def test_static_lqg_without_control_prices_the_plant_as_its_closed_loop() -> None:
+    # with m_u = 0 the loop is the plant, so the certificate's cost equals the H2 norm
+    # of the loop that the trivial controller closes, bit for bit
+    plants = [PlantModel(kind="annihilation", f=np.zeros((0, 0)), g_w=np.zeros((0, 1)), g_u=np.zeros((0, 0)),
+                         h=np.zeros((1, 0)), k=np.eye(1), cost=CostOutput(c=np.zeros((1, 0)), d=np.zeros((1, 0))))]
+    for seed, (n, m_w, m_y) in enumerate([(1, 1, 1), (2, 2, 1), (3, 2, 2), (2, 3, 2), (4, 2, 1), (3, 3, 1)]):
+        s = systems.random_pr_system(n, m_w, seed=50 + seed, hurwitz_required=True)
+        rng = np.random.default_rng(seed)
+        c = rng.standard_normal((2, n)) + 1j * rng.standard_normal((2, n))
+        plants.append(
+            PlantModel(kind="annihilation", f=s.f, g_w=s.g, g_u=np.zeros((n, 0)), h=s.h[:m_y],
+                       k=np.eye(m_y, m_w), cost=CostOutput(c=c, d=np.zeros((2, 0))))
+        )
+    for p in plants:
+        cost = verify_static_lqg(p).evidence["constant_cost"]
+        expected = lqg_cost(close_loop(p, trivial_controller(p.m_y, 0))).value
+        assert cost.hex() == expected.hex()
+        assert cost > 0.0 or p.n_modes == 0
 
 
 def test_theorems_on_a_stateless_plant() -> None:
@@ -672,7 +726,8 @@ def test_each_static_loop_is_built_once(cavity_plant_with_cost, monkeypatch, tmp
     # C1 completes the static loop's own (A, B) without a plant model; T5 folds each
     # accepted gain once and costs its loop from the certificate that the zero-gain
     # completion solved, so per gain it closes, factors and solves nothing beyond C1's check;
-    # compose --h2 reads the loop it closed, so only --hinf assembles (and factors) a second one
+    # compose --h2 reads the loop it closed, so only --hinf assembles (and factors) a second one;
+    # without a control channel T5 prices the plant by its own certificate
     p = cavity_plant_with_cost
     twin = replace(p)  # counts the accepted gains without caching p's own completion
     accepted = sum(complete_static_pr(twin, k) is not None for k in coherent._static_gain_candidates(1, 1, 1729))
@@ -691,7 +746,7 @@ def test_each_static_loop_is_built_once(cavity_plant_with_cost, monkeypatch, tmp
 
     for owner in (feedback, coherent):
         spy(owner, "_loop_matrices", "loop_matrices")
-    for owner in (feedback, coherent, cli):
+    for owner in (feedback, cli):
         spy(owner, "close_loop", "close_loop")
     for owner in (coherent, transfer):
         spy(owner, "h2_norm", "h2_norm")
@@ -711,6 +766,11 @@ def test_each_static_loop_is_built_once(cavity_plant_with_cost, monkeypatch, tmp
     assert calls["controller"] == accepted and "plant" not in calls
     assert not {"close_loop", "lqg_cost", "h2_norm"} & calls.keys() and schur_shapes == []
     assert calls["lyapunov"] == accepted + 1  # one per gain's completion and one for the plant's
+    no_control = PlantModel(kind="annihilation", f=[[-1.0]], g_w=[[-ROOT2]], g_u=np.zeros((1, 0)), h=[[ROOT2]],
+                            k=np.eye(1), cost=CostOutput(c=[[1.0]], d=np.zeros((1, 0))))
+    calls.clear()
+    assert verify_static_lqg(no_control).evidence.keys() == {"constant_cost"}
+    assert calls == {"lyapunov": 1} and schur_shapes == []  # the plant's completion only
 
     plant, ctrl = tmp_path / "p.json", tmp_path / "c.json"
     save_system(plant, p)

@@ -705,6 +705,43 @@ def test_close_augmented_loop_channel_map(cavity_plant) -> None:
     assert loop.system.d.shape == (3, 3)
 
 
+def _augmented_rows_by_hand(p: PlantModel, c: ControllerModel) -> tuple[np.ndarray, np.ndarray]:
+    """The augmented loop's output rows assembled from the controller's completed H."""
+    m_w, m_u, m_y, m_wt = p.m_w, p.m_u, p.m_y, c.m_wt
+    r = m_wt - m_u
+    h_caug = augment_controller(c).system.h
+    eye_py = np.eye(m_w + m_u, dtype=complex)
+    k_t, k_bar = eye_py[m_y:, :m_w], eye_py[m_y:, m_w:]
+    c_rows = np.vstack(
+        [
+            np.hstack([p.h, h_caug[m_wt:]]),
+            np.hstack([augment_plant(p).h_tilde, k_bar @ c.h_c]),
+            np.hstack([np.zeros((r, p.n_modes), dtype=complex), h_caug[m_u:m_wt]]),
+        ]
+    )
+    d_rows = np.vstack(
+        [
+            np.hstack([p.k, np.zeros((m_y, m_wt), dtype=complex)]),
+            np.hstack([k_t, k_bar @ c.k_cw]),
+            np.hstack([np.zeros((r, m_w), dtype=complex), np.eye(m_wt)[m_u:, :]]),
+        ]
+    )
+    return c_rows, d_rows
+
+
+@pytest.mark.parametrize("shape", [(1, 1, 1, 1), (2, 2, 1, 1), (2, 2, 2, 2), (1, 2, 1, 1), (2, 3, 1, 2)])
+def test_augmented_loop_rows_match_the_controller_completion_bit_for_bit(shape) -> None:
+    # the loop reads the controller's rows off its completion's unused rows (h_tilde);
+    # they are the rows of the completed H past the given ones, so nothing may move
+    n, m_w, m_u, m_y = shape
+    p = random_pr_plant(n, m_w, m_u, m_y, seed=7)
+    for c in [trivial_controller(m_y, m_u), *random_challengers(p, count=2, seed=7)]:
+        loop = close_augmented_loop(p, c)
+        c_rows, d_rows = _augmented_rows_by_hand(p, c)
+        assert loop.system.c.tobytes() == c_rows.tobytes() and loop.system.c.shape == c_rows.shape
+        assert loop.system.d.tobytes() == d_rows.tobytes() and loop.system.d.shape == d_rows.shape
+
+
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(
     seed=st.integers(0, 2**32 - 1),

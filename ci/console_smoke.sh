@@ -4,6 +4,8 @@
 # kinds in both output formats, with its H2 and H∞ paths and the H2 path's
 # cost-block error; synth on a stateless controller and T5 on a plant with
 # its own cost block, and on one without a control channel, in both formats;
+# T5 on seeded 2 x 2 plants (2,401 candidate gains, stacked challenger draws)
+# and T6 with an empty challenger draw, in both formats;
 # and documents whose magnitudes or noise terms square past the float range,
 # which must exit 1 or 2 with no traceback and no warning.
 # Run it from an empty scratch directory.
@@ -42,6 +44,10 @@ qfeedback --format json verify T5 pz.json
 python -c 'import numpy as np; from qfeedback import CostOutput, PlantModel, save_system; save_system("p0.json", PlantModel(kind="annihilation", f=[[-1.0]], g_w=[[-2 ** 0.5]], g_u=np.zeros((1, 0)), h=[[2 ** 0.5]], k=[[1.0]], cost=CostOutput(c=[[1.0]], d=np.zeros((1, 0)))))'
 qfeedback verify T5 p0.json
 qfeedback --format json verify T5 p0.json
+qfeedback verify T5 --random 2 2 3 7
+qfeedback --format json verify T5 --random 2 2 3 7
+qfeedback verify T6 --random 1 1 3 7 --challengers 0
+qfeedback --format json verify T6 --random 1 1 3 7 --challengers 0
 status=0; qfeedback compose p.json c.json --h2 2> h2.err || status=$?
 test "$status" -eq 2
 grep -q "plant has no cost output block" h2.err

@@ -31,6 +31,7 @@ from .feedback import (
     _identity_pad,
     _loop_matrices,
     _square_completion,
+    _stacked_block,
     _static_screen,
     augment_plant,
     close_augmented_loop,
@@ -51,7 +52,7 @@ from .linalg import (
     max_abs,
     solve_care_hermitian,
 )
-from .systems import _annihilation_fg, _random_complex, is_positive_definite
+from .systems import _annihilation_fg, is_positive_definite
 from .transfer import NormResult, StateSpaceTF, h2_norm, hinf_norm
 
 STATIC_GAIN_GRID = (-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0)
@@ -167,7 +168,10 @@ def _zero_gain(p: PlantModel, k_cy, k_cw) -> tuple[TheoremReport, np.ndarray, np
             f"need at least as many controller noises as controls (m_wt={ctrl.m_wt} < m_u={ctrl.m_u})"
         )
     a, b, c, _ = _loop_matrices(p, ctrl.f_c, ctrl.g_cw, ctrl.g_cy, ctrl.h_c, ctrl.k_cw, ctrl.k_cy)
-    ap = _square_completion("annihilation", a, [b], p.h, "plant", p._pattern_residuals)
+    if max_abs(ctrl.k_cy) == 0.0 and np.array_equal(ctrl.k_cw, np.eye(ctrl.m_u)):
+        ap = p._completion  # the loop is the plant itself: A = F, B = [G_w, G_u]
+    else:
+        ap = _square_completion("annihilation", a, [b], p.h, "plant", p._pattern_residuals)
     l_select = _identity_pad(p.m_y, ap.system.m_fields)
     kr = kalman_design(ap.system.f, ap.system.g, ap.system.h, l_select)
     q_dev = max_abs(kr.q - ap.theta)
@@ -263,17 +267,31 @@ def random_admissible_triple(
 
 
 def _challenger_draws(p: PlantModel, count: int, seed: int) -> list[tuple[np.ndarray, ...]]:
-    """The blocks (F_c, G_cw, G_cy, H_c) of :func:`random_challengers`, unvalidated."""
+    """The blocks (F_c, G_cw, G_cy, H_c) of :func:`random_challengers`, unvalidated.
+
+    Each challenger draws its order n_c and then one run of normals, which
+    holds in turn the real and imaginary parts of M, of H_c and of the
+    measurement rows (a Generator fills normals in sequence, so separate
+    draws of each part give the same numbers).  The draws of one order are
+    built as one stack and returned per draw, in draw order.
+    """
     rng = np.random.default_rng(seed)
-    draws = []
+    orders, normals = [], []
     for _ in range(count):
-        n_c = int(rng.integers(1, 3))
-        m = hermitian_part(_random_complex(rng, n_c, n_c))
-        h_c = _random_complex(rng, p.m_u, n_c)
-        n_coupling = np.vstack([h_c, -np.sqrt(2.0) * np.eye(n_c), _random_complex(rng, p.m_y, n_c)])
-        f_c, g_c = _annihilation_fg(np.eye(n_c, dtype=complex), m, n_coupling)
+        orders.append(n_c := int(rng.integers(1, 3)))
+        normals.append(rng.standard_normal(2 * n_c * (n_c + p.m_u + p.m_y)))
+    draws: list[tuple[np.ndarray, ...]] = [()] * count
+    for n_c in set(orders):
+        idx = [i for i, order in enumerate(orders) if order == n_c]
+        rows = np.repeat([n_c, p.m_u, p.m_y], 2)  # each part's rows of n_c normals, in draw order
+        z = np.stack([normals[i] for i in idx]).reshape(len(idx), rows.sum(), n_c)
+        parts = np.split(z, np.cumsum(rows)[:-1], axis=1)
+        m, h_c, y_rows = ((re + 1j * im) / np.sqrt(2.0) for re, im in zip(parts[::2], parts[1::2]))
+        n_coupling = _stacked_block([[h_c], [-np.sqrt(2.0) * np.eye(n_c)], [y_rows]])
+        f_c, g_c = _annihilation_fg(np.eye(n_c, dtype=complex), hermitian_part(m), n_coupling)
         m_wt = p.m_u + n_c
-        draws.append((f_c, g_c[:, :m_wt], g_c[:, m_wt:], h_c))
+        for j, i in enumerate(idx):
+            draws[i] = (f_c[j], g_c[j, :, :m_wt], g_c[j, :, m_wt:], h_c[j])
     return draws
 
 

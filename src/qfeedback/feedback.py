@@ -649,15 +649,16 @@ def _static_screen(p: PlantModel, k_stack: np.ndarray) -> np.ndarray:
     per plant.  A target's part off that span, in 2-norm over the square root
     of its real row count, is at most the largest residual entry of any fit.
     """
-    n = p.n_modes
-    targets = -(p.g_w[:, : p.m_y] + p.g_u @ k_stack)
-    g_fold = p.g_w + p.g_u @ k_stack @ p.k
+    n, m_y, count = p.n_modes, p.m_y, len(k_stack)
+    gk = p.g_u @ k_stack.transpose(1, 0, 2).reshape(p.m_u, count * m_y)  # G_u K_cy, the gains side by side
+    targets = -(p.g_w[:, :m_y] + gk.reshape(n, count, m_y).transpose(1, 0, 2))
+    g_fold = p.g_w + (gk.reshape(n * count, m_y) @ p.k).reshape(n, count, p.m_w).transpose(1, 0, 2)
     scale = 1.0 + np.abs(g_fold).max(axis=(1, 2), initial=0.0) ** 2
     scale += np.abs(targets).max(axis=(1, 2), initial=0.0)
     images = (hermitian_basis(n) @ dagger(p.h)).reshape(n * n, n * p.m_y)
     u, sigma, _ = np.linalg.svd(np.concatenate([images.real, images.imag], axis=1).T)
     q = u[:, : np.count_nonzero(sigma > 0.0)]  # an extra direction only weakens the bound
-    vec = targets.reshape(len(k_stack), n * p.m_y)
+    vec = targets.reshape(count, n * m_y)
     b = np.concatenate([vec.real, vec.imag], axis=1).T
     bound = np.linalg.norm(b - q @ (q.T @ b), axis=0) / np.sqrt(max(len(b), 1))
     return np.where(np.abs(k_stack).max(axis=(1, 2), initial=0.0) == 0.0, 0.0, bound / scale)

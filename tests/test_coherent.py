@@ -131,6 +131,60 @@ def test_zero_gain_broken_plant_raises() -> None:
         verify_zero_gain(broken, np.zeros((1, 1)), np.eye(1))
 
 
+def reference_zero_gain(p: PlantModel, k_cy, k_cw) -> tuple:
+    """C1's report, Theta, A and C_z with the static loop's own (A, B) completed."""
+    ctrl = static_controller(k_cy, k_cw)
+    a, b, c, _ = feedback._loop_matrices(p, ctrl.f_c, ctrl.g_cw, ctrl.g_cy, ctrl.h_c, ctrl.k_cw, ctrl.k_cy)
+    ap = feedback._square_completion("annihilation", a, [b], p.h, "plant", p._pattern_residuals)
+    kr = kalman_design(ap.system.f, ap.system.g, ap.system.h, feedback._identity_pad(p.m_y, ap.system.m_fields))
+    q_dev = linalg.max_abs(kr.q - ap.theta)
+    evidence = {"gain_norm": kr.gain_norm, "covariance_vs_certificate": q_dev,
+                "riccati_residual": kr.riccati_residual}
+    narrative = (f"Kalman gain norm {kr.gain_norm:.3g}; covariance matches the "
+                 f"realizability certificate within {q_dev:.3g}.")
+    return evidence, narrative, ap.theta, a, c
+
+
+def zero_gain_bits(evidence, narrative, theta, a, c) -> tuple:
+    return {k: float(v).hex() for k, v in evidence.items()}, narrative, theta.tobytes(), a.tobytes(), c.tobytes()
+
+
+def test_zero_gain_at_the_identity_feedthrough_reads_the_plant_completion(cavity_plant_with_cost, monkeypatch) -> None:
+    # with K_cy = 0 and K_cw = I the static loop is the plant (A = F, B = [G_w, G_u]), so the
+    # plant's cached completion is the loop's, bit for bit; every other static loop solves its own
+    rng = np.random.default_rng(71)
+    cases = [(cavity_plant_with_cost, [[0.5]], complete_static_pr(cavity_plant_with_cost, [[0.5]])[0])]
+    for seed, shape in enumerate([(1, 1, 1, 1), (2, 2, 1, 1), (2, 2, 2, 2), (1, 2, 1, 1), (2, 3, 1, 2)]):
+        p = random_pr_plant(*shape, seed=670 + seed).with_cost(
+            CostOutput(c=rng.standard_normal((2, shape[0])), d=np.zeros((2, shape[2])))
+        )
+        cases.append((p, np.zeros((p.m_u, p.m_y)), np.hstack([np.eye(p.m_u), np.zeros((p.m_u, 1))])))
+    cases += [(p, np.zeros((p.m_u, p.m_y)), np.eye(p.m_u)) for p, _, _ in list(cases)]
+    solves = []
+    completion = coherent._square_completion
+    monkeypatch.setattr(coherent, "_square_completion", lambda *args: solves.append(1) or completion(*args))
+    for p, k_cy, k_cw in cases:
+        augment_plant(p)
+        solves.clear()
+        report, theta, a, c = coherent._zero_gain(p, k_cy, k_cw)
+        assert len(solves) == 1 or np.array_equal(k_cw, np.eye(p.m_u)) and not np.any(k_cy)
+        got = zero_gain_bits(report.evidence, report.narrative, theta, a, c)
+        assert got == zero_gain_bits(*reference_zero_gain(p, k_cy, k_cw))
+        assert verify_zero_gain(p, k_cy, k_cw) == report
+
+
+@pytest.mark.parametrize("bend", ["rows", "unstable"])
+def test_zero_gain_without_a_plant_completion_raises_the_reference_error(bend) -> None:
+    p = two_port_cavity_plant()
+    p = replace(p, g_w=p.g_w + 0.1) if bend == "rows" else replace(p, f=-p.f)
+    zero, eye = np.zeros((1, 1)), np.eye(1)
+    with pytest.raises(NotAugmentableError) as got:
+        verify_zero_gain(p, zero, eye)
+    with pytest.raises(NotAugmentableError) as want:
+        reference_zero_gain(p, zero, eye)
+    assert (str(got.value), got.value.residuals) == (str(want.value), want.value.residuals)
+
+
 def test_zero_gain_with_a_huge_finite_gain_raises_the_typed_error_without_a_warning() -> None:
     # K_cy = 1e300 leaves the loop finite, but B B^dagger overflows
     with warnings.catch_warnings():
@@ -588,6 +642,50 @@ def test_stacked_challenger_loops_match_the_per_loop_reference(shape, count) -> 
             assert got == reference_challenger_loops(p, theta_p, [challengers[i] for i in subset])
 
 
+def reference_challenger_draws(p: PlantModel, count: int, seed: int) -> list[tuple]:
+    """The challenger draw with one RNG call per block, one challenger at a time."""
+    rng = np.random.default_rng(seed)
+    draws = []
+    for _ in range(count):
+        n_c = int(rng.integers(1, 3))
+        m = hermitian_part(systems._random_complex(rng, n_c, n_c))
+        h_c = systems._random_complex(rng, p.m_u, n_c)
+        n_coupling = np.vstack([h_c, -np.sqrt(2.0) * np.eye(n_c), systems._random_complex(rng, p.m_y, n_c)])
+        f_c, g_c = systems._annihilation_fg(np.eye(n_c, dtype=complex), m, n_coupling)
+        m_wt = p.m_u + n_c
+        draws.append((f_c, g_c[:, :m_wt], g_c[:, m_wt:], h_c))
+    return draws
+
+
+def draw_bytes(draws) -> list[list[tuple]]:
+    return [[(blk.shape, blk.dtype, blk.tobytes()) for blk in blocks] for blocks in draws]
+
+
+# the five acceptance shapes, two larger ones, and plants without measured outputs or controls
+@pytest.mark.parametrize(
+    "plant",
+    [
+        *[lambda seed, shape=shape: random_pr_plant(*shape, seed=660 + seed)
+          for shape in [(1, 1, 1, 1), (2, 2, 1, 1), (2, 2, 2, 2), (1, 2, 1, 1), (2, 3, 1, 2), (3, 2, 1, 1),
+                        (4, 3, 2, 2)]],
+        lambda seed: PlantModel(kind="annihilation", f=[[-1.0]], g_w=[[-ROOT2]], g_u=[[0.5]],
+                                h=np.zeros((0, 1)), k=np.zeros((0, 1))),
+        lambda seed: PlantModel(kind="annihilation", f=[[-1.0]], g_w=[[-ROOT2]], g_u=np.zeros((1, 0)),
+                                h=[[ROOT2]], k=np.eye(1)),
+    ],
+    ids=["1111", "2211", "2222", "1211", "2312", "3211", "4322", "m_y=0", "m_u=0"],
+)
+@pytest.mark.parametrize("count", [0, 1, 20])
+def test_challenger_draw_matches_the_per_block_reference(plant, count) -> None:
+    # one normal run per challenger, built per order stack, gives the numbers and the
+    # blocks of one RNG call per block, down to the sign of every zero
+    for seed in range(3):
+        p = plant(seed)
+        assert draw_bytes(coherent._challenger_draws(p, count, seed)) == draw_bytes(
+            reference_challenger_draws(p, count, seed)
+        )
+
+
 # ---------------------------------------------------------------------------
 # trivial-controller optimality in H-infinity
 
@@ -723,9 +821,10 @@ def test_each_loop_is_factored_once(monkeypatch) -> None:
 
 
 def test_each_static_loop_is_built_once(cavity_plant_with_cost, monkeypatch, tmp_path) -> None:
-    # C1 completes the static loop's own (A, B) without a plant model; T5 folds each
-    # accepted gain once and costs its loop from the certificate that the zero-gain
-    # completion solved, so per gain it closes, factors and solves nothing beyond C1's check;
+    # C1 folds the static loop without a plant model, and at K_cy = 0, K_cw = I that loop is
+    # the plant, whose cached completion it reads; T5 folds each accepted gain once and costs
+    # its loop from the certificate of its zero-gain check, so per gain it closes, factors and
+    # solves nothing beyond C1's check, and its K_cy = 0 gain and augment_plant reuse C1's solve;
     # compose --h2 reads the loop it closed, so only --hinf assembles (and factors) a second one;
     # without a control channel T5 prices the plant by its own certificate
     p = cavity_plant_with_cost
@@ -765,7 +864,7 @@ def test_each_static_loop_is_built_once(cavity_plant_with_cost, monkeypatch, tmp
     assert verify_static_lqg(p).holds
     assert calls["controller"] == accepted and "plant" not in calls
     assert not {"close_loop", "lqg_cost", "h2_norm"} & calls.keys() and schur_shapes == []
-    assert calls["lyapunov"] == accepted + 1  # one per gain's completion and one for the plant's
+    assert calls["lyapunov"] == accepted - 1  # one per nonzero gain's completion; the plant's is cached
     no_control = PlantModel(kind="annihilation", f=[[-1.0]], g_w=[[-ROOT2]], g_u=np.zeros((1, 0)), h=[[ROOT2]],
                             k=np.eye(1), cost=CostOutput(c=[[1.0]], d=np.zeros((1, 0))))
     calls.clear()

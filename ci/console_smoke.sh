@@ -5,9 +5,11 @@
 # cost-block error; synth on a stateless controller and T5 on a plant with
 # its own cost block, and on one without a control channel, in both formats;
 # T5 on seeded 2 x 2 plants (2,401 candidate gains, stacked challenger draws)
-# and T6 with an empty challenger draw, in both formats;
+# and T6 with an empty challenger draw, in both formats; T6 on seeded plants
+# with two measured rows and 20 challengers of both orders (stacked loops);
 # and documents whose magnitudes or noise terms square past the float range,
-# which must exit 1 or 2 with no traceback and no warning.
+# or whose H-infinity levels square below it, which must exit 1 or 2 with no
+# traceback and no warning.
 # Run it from an empty scratch directory.
 set -euo pipefail
 
@@ -48,9 +50,17 @@ qfeedback verify T5 --random 2 2 3 7
 qfeedback --format json verify T5 --random 2 2 3 7
 qfeedback verify T6 --random 1 1 3 7 --challengers 0
 qfeedback --format json verify T6 --random 1 1 3 7 --challengers 0
+qfeedback verify T6 --random 2 2 3 7 --challengers 20
+qfeedback --format json verify T6 --random 2 2 3 7 --challengers 20
 status=0; qfeedback compose p.json c.json --h2 2> h2.err || status=$?
 test "$status" -eq 2
 grep -q "plant has no cost output block" h2.err
+python -c 'from qfeedback import ControllerModel, save_system; save_system("tiny.json", ControllerModel(kind="annihilation", f_c=[[-1.0]], g_cw=[[0.0, 0.0]], g_cy=[[0.5]], h_c=[[1e-200]], k_cw=[[1.0, 0.0]], k_cy=[[0.0]]))'
+for fmt in text json; do
+  status=0; qfeedback --format "$fmt" synth tiny.json > tiny.out 2> tiny.err || status=$?
+  test "$status" -eq 2
+  if grep -q -e Traceback -e Warning tiny.err; then cat tiny.err; exit 1; fi
+done
 python -c 'from qfeedback import AnnihilationQSys, ControllerModel, GeneralQSys, delta_build, save_system; save_system("big.json", AnnihilationQSys(f=[[-1.0]], g=[[1.0]], h=[[1.0]], k=[[1e200]])); save_system("gbig.json", GeneralQSys(f=delta_build([[-1.0]], [[0.0]]), g=delta_build([[1.0]], [[0.0]]), h=delta_build([[1.0]], [[0.0]]), k=delta_build([[1e200]], [[0.0]]))); save_system("cbig.json", ControllerModel(kind="annihilation", f_c=[[-1.0]], g_cw=[[0.0, 0.0]], g_cy=[[1.0]], h_c=[[1e200]], k_cw=[[1.0, 0.0]], k_cy=[[0.0]]))'
 python -c 'import numpy as np; from qfeedback import AnnihilationQSys, ControllerModel, CostOutput, GeneralQSys, PlantModel, delta_build, random_pr_plant, save_system; p = random_pr_plant(2, 2, 1, 1, 0); save_system("qbig.json", AnnihilationQSys(f=[[-1.0]], g=[[1e200]], h=[[1.0]], k=[[1.0]])); save_system("qgbig.json", GeneralQSys(f=delta_build([[-1.0]], [[0.0]]), g=delta_build([[1e200]], [[0.0]]), h=delta_build([[1.0]], [[0.0]]), k=delta_build([[1.0]], [[0.0]]))); save_system("qcbig.json", ControllerModel(kind="annihilation", f_c=[[-1.0]], g_cw=[[0.0, 0.0]], g_cy=[[1e200]], h_c=[[0.5]], k_cw=[[1.0, 0.0]], k_cy=[[0.0]])); save_system("qpbig.json", PlantModel(kind="annihilation", f=p.f, g_w=p.g_w * 1e200, g_u=p.g_u, h=p.h, k=p.k, cost=CostOutput(c=np.ones((1, 2)), d=np.zeros((1, 1)))))'
 for argv in "check big.json --transfer" "check gbig.json --transfer" "synth cbig.json" \

@@ -25,27 +25,31 @@ from .errors import (
 from .feedback import (
     ClosedLoop,
     ControllerModel,
+    PlantAugmentation,
     PlantModel,
+    _augmented_loop,
     _canonical_controller,
+    _check_augmented_loop,
     _check_loop_dims,
+    _controller_completions,
     _identity_pad,
     _loop_matrices,
     _square_completion,
-    _stacked_block,
     _static_screen,
     augment_plant,
-    close_augmented_loop,
     complete_static_pr,
     static_controller,
     trivial_controller,
 )
 from .linalg import (
     RESIDUAL_TOL,
-    _certificate_defect,
+    _coupling_defect,
     _hurwitz_spectrum,
     _lyapunov_defect,
     _psd_factor,
     _rank_cut,
+    _stack_max_abs,
+    _stacked_block,
     as_matrix,
     dagger,
     hermitian_part,
@@ -53,7 +57,7 @@ from .linalg import (
     solve_care_hermitian,
 )
 from .systems import _annihilation_fg, is_positive_definite
-from .transfer import NormResult, StateSpaceTF, h2_norm, hinf_norm
+from .transfer import NormResult, StateSpaceTF, _hinf_norms, _Loops, _schur_forms, h2_norm, hinf_norm
 
 STATIC_GAIN_GRID = (-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0)
 
@@ -442,6 +446,37 @@ def _validate_selector(l_select: np.ndarray, width: int) -> None:
         )
 
 
+def _augmented_loop_outcomes(p: PlantModel, ap: PlantAugmentation, ctrls: list, l_select: np.ndarray) -> list:
+    """Per controller of a stack of equal order and noise count: the H-infinity norm of the rows
+    of its augmented loop that ``l_select`` picks from the first m_w + m_u, and whether the loop
+    passes the lossless tests; or the error that ends it (a failed completion, or what the norm
+    raises).
+
+    The stack gets one completion pass, one loop assembly, one Schur form per loop and one
+    Hurwitz rule, grid pass and level set in the norm core; the lossless tests (D^dagger D = I,
+    and the Lyapunov and coupling tests of diag(Theta_p, Theta_c) with S = D) run once over it.
+    """
+    blocks = [np.stack([getattr(c, name) for c in ctrls]) for name in ("f_c", "g_cw", "g_cy", "h_c", "k_cw", "k_cy")]
+    try:
+        done = _controller_completions("annihilation", *blocks)
+    except DimensionError as exc:  # fewer noises than controls: the identity pattern does not fit
+        return [exc] * len(ctrls)
+    outcomes: list = [done.errors.get(j) for j in range(len(ctrls))]
+    if not done.done:
+        return outcomes
+    a, b, c, d, theta = _augmented_loop(p, ap, *(blk[done.done] for blk in blocks), done.theta, done.h_tilde)
+    pad = np.zeros((l_select.shape[0], c.shape[-2]), dtype=complex)
+    pad[:, : l_select.shape[1]] = l_select
+    norms = _hinf_norms(_Loops(a, b, pad @ c, pad @ d, _schur_forms(a)))
+    q = hermitian_part(b @ dagger(b))
+    feed_ok = _stack_max_abs(dagger(d) @ d - np.eye(d.shape[-1])) <= RESIDUAL_TOL
+    lyapunov_off = _lyapunov_defect(a, theta, q, {}, RESIDUAL_TOL)
+    lossless = feed_ok & ~lyapunov_off & ~_coupling_defect(b, theta, c, d, {}, RESIDUAL_TOL)
+    for j, norm, ok in zip(done.done, norms, lossless):
+        outcomes[j] = norm if isinstance(norm, Exception) else (norm, bool(ok))
+    return outcomes
+
+
 def verify_trivial_hinf(
     p: PlantModel, l_select, challengers: list[ControllerModel]
 ) -> TheoremReport:
@@ -452,42 +487,53 @@ def verify_trivial_hinf(
     controller and every challenger alike.  Each loop counts as lossless when
     it is internally stable and its own certificate diag(Theta_p, Theta_c)
     passes the realizability check's residual tests with S = D and
-    D^dagger D = I (the lossless bounded-real lemma).  One ``hinf_norm`` per
-    loop samples its grid once, and the pointwise deviation max |sigma_max - 1|
+    D^dagger D = I (the lossless bounded-real lemma).  The trivial controller
+    and the challengers are checked in stacks of equal order n_c and noise
+    count m_wt: one completion pass, loop assembly, Hurwitz rule, grid pass
+    and level set per stack, one Schur form per loop.  Each loop's norm
+    samples its grid once, and the pointwise deviation max |sigma_max - 1|
     comes from its certificate's grid range (a static loop's is its norm).
-    Challengers that fail their own realizability completion are reported as
-    skipped, not as refutations.
+    Challengers that fail their own realizability completion, or whose
+    channels do not fit the plant, are reported as skipped, not as
+    refutations; the first other error in entry order (a general-kind
+    challenger's DomainError, an unstable loop's InstabilityError) is raised.
     """
     if p.kind != "annihilation":
         raise DomainError("trivial-controller verification is annihilation-kind only")
     l_select = as_matrix(l_select, "l_select")
     _validate_selector(l_select, p.m_w + p.m_u)
     try:
-        augment_plant(p)
+        ap = augment_plant(p)
     except NotAugmentableError as exc:
         return _not_realizable("T6", exc)
+
+    entries = [trivial_controller(p.m_y, p.m_u), *challengers]
+    outcomes: list = [None] * len(entries)
+    groups: dict[tuple[int, int], list[int]] = {}
+    for i, ctrl in enumerate(entries):
+        try:
+            _check_augmented_loop(p, ctrl)
+        except (DomainError, DimensionError) as exc:
+            outcomes[i] = exc
+        else:
+            groups.setdefault((ctrl.n_modes, ctrl.m_wt), []).append(i)
+    for idx in groups.values():
+        for i, outcome in zip(idx, _augmented_loop_outcomes(p, ap, [entries[i] for i in idx], l_select)):
+            outcomes[i] = outcome
 
     norms: list[float] = []
     pointwise: list[float] = []
     lossless_ok = True
     skipped: list[str] = []
-    entries = [("trivial", trivial_controller(p.m_y, p.m_u))]
-    entries += [(f"challenger {i}", c) for i, c in enumerate(challengers)]
-    for label, ctrl in entries:
-        try:
-            acl = close_augmented_loop(p, ctrl)
-        except (NotAugmentableError, DimensionError) as exc:
-            skipped.append(f"{label}: {exc}")
+    for i, outcome in enumerate(outcomes):
+        if isinstance(outcome, (NotAugmentableError, DimensionError)):
+            skipped.append(f"{'challenger ' + str(i - 1) if i else 'trivial'}: {outcome}")
             continue
-        full = acl.system
-        pad = np.zeros((l_select.shape[0], full.output_dim), dtype=complex)
-        pad[:, : l_select.shape[1]] = l_select
-        norm = hinf_norm(full._rows(pad))
+        if isinstance(outcome, Exception):
+            raise outcome
+        norm, lossless = outcome
         norms.append(norm.value)
-        q = hermitian_part(full.b @ dagger(full.b))
-        feed = max_abs(dagger(full.d) @ full.d - np.eye(full.input_dim))
-        defect = _certificate_defect(full.a, full.b, full.c, full.d, q, acl.theta, {}, RESIDUAL_TOL)
-        lossless_ok &= acl.internally_stable and feed <= RESIDUAL_TOL and defect is None
+        lossless_ok &= lossless
         top, bottom = (norm.certificate.get(k, norm.value) for k in ("grid_lower_bound", "grid_min"))
         pointwise.append(max(top - 1.0, 1.0 - bottom))
 

@@ -28,12 +28,13 @@ from .linalg import (
     _check_layout,
     _coupling_defect,
     _hurwitz_spectrum,
-    _inertia,
     _lyapunov_defect,
     _noise_term,
     _psd_factor,
-    _read_only,
+    _sign_cut,
     _square,
+    _stack_max_abs,
+    _stacked_block,
     as_matrix,
     dagger,
     delta_build,
@@ -63,9 +64,9 @@ from .transfer import StateSpaceTF, hinf_norm
 
 
 def _stack_cols(blocks: list[np.ndarray], d: int) -> np.ndarray:
-    """Concatenate field blocks along columns half by half (doubled order when d = 2)."""
-    widths = [b.shape[1] // d for b in blocks]
-    return np.hstack([b[:, i * w : (i + 1) * w] for i in range(d) for b, w in zip(blocks, widths)])
+    """Concatenate field blocks along columns half by half (doubled order when d = 2), over leading axes."""
+    widths = [b.shape[-1] // d for b in blocks]
+    return np.concatenate([b[..., i * w : (i + 1) * w] for i in range(d) for b, w in zip(blocks, widths)], axis=-1)
 
 
 def _field_index(m_tot: int, lo: int, hi: int, d: int) -> np.ndarray:
@@ -220,69 +221,125 @@ class PlantAugmentation:
     verdict: PrVerdict
 
 
-def _square_completion(kind, f, g_blocks, h_given, label, pattern_residuals) -> PlantAugmentation:
-    """Complete (F, G, H_given) to a square realizable system with K = I.
+@dataclass(frozen=True)
+class _Completions:
+    """Square completions of a stack of equal-shape systems, from :func:`_square_completions`.
+
+    ``done`` lists the positions of the items that completed, in order; ``g``, ``h_aug``,
+    ``theta`` and ``h_tilde`` stack their matrices and ``verdicts`` holds their verdicts.
+    ``errors`` maps every other position to the error that ended it.
+    """
+
+    done: list[int]
+    g: np.ndarray
+    h_aug: np.ndarray
+    theta: np.ndarray
+    h_tilde: np.ndarray
+    verdicts: list[PrVerdict]
+    errors: dict[int, Exception]
+
+
+def _square_completions(kind, f, g_blocks, h_given, label, pattern_residuals, errors=None) -> _Completions:
+    """Complete a stack of equal-shape (F, G, H_given) to square realizable systems with K = I.
 
     G stacks the input blocks ``g_blocks`` and ``h_given`` holds the
-    existing output rows, both in doubled order for the general kind.  The
+    existing output rows, both in doubled order for the general kind.  Each
     certificate Theta solves F Theta + Theta F^dagger + G S G^dagger = 0
-    with S = J (general) or I (annihilation) and must have the kind's
-    certificate inertia; the Lyapunov solver's spectral-gap precheck
-    decides whether that equation is degenerate.  The missing output rows
-    are -S G^dagger Theta^{-1}.  The given rows are checked with the
-    realizability check's own coupling test |G + Theta H_aug^dagger S|,
-    which needs no Theta^{-1} and so stays accurate when Theta is
-    ill-conditioned; ``pattern_residuals`` holds the caller's feedthrough
-    deviations, which are reported with that check.  The verdict adds the
-    Lyapunov test to that coupling test; the inertia gate is its form test,
-    and K = I by construction.
+    with S = J (general) or I (annihilation) in its own solve (SciPy has no
+    batched Schur form), and must have the kind's certificate inertia; the
+    Lyapunov solver's spectral-gap precheck decides whether that equation is
+    degenerate.  The missing output rows are -S G^dagger Theta^{-1}.  The
+    given rows are checked with the realizability check's own coupling test
+    |G + Theta H_aug^dagger S|, which needs no Theta^{-1} and so stays
+    accurate when Theta is ill-conditioned; ``pattern_residuals`` holds the
+    caller's feedthrough deviations, which are reported with that check.  The
+    verdict adds the Lyapunov test to that coupling test; the inertia gate is
+    its form test, and K = I by construction.  The inertia, Theta^{-1}, the
+    coupling test and the Lyapunov test each run once over the stack.  An
+    item that fails ends as its NotAugmentableError (or the solver's
+    DomainError); ``errors`` holds items the caller already failed.
     """
     d = _doubling(kind)
-    rules = _kind_rules(kind)
     g = _stack_cols(g_blocks, d)
-    n, m_tot = f.shape[0] // d, g.shape[1] // d
-    sig = rules.signature(m_tot)
+    n, m_tot = f.shape[-1] // d, g.shape[-1] // d
+    sig = _kind_rules(kind).signature(m_tot)
     q = _noise_term(g, sig)
-    try:
-        theta = _solve_certificate(f, q, d)
-    except SingularityError:
-        raise NotAugmentableError(
-            "certificate equation is degenerate (eigenvalue-sum condition fails)"
-        ) from None
-    pos, neg, _ = inertia = _inertia(theta)
-    if not _has_certificate_inertia(inertia, n, d):
-        if d == 2:
-            raise NotAugmentableError(
-                "certificate lacks the required inertia",
-                residuals={"inertia_positive": float(pos), "inertia_negative": float(neg)},
+    errors, done, thetas = dict(errors or {}), [], []
+    for j in range(len(f)):
+        try:
+            if j not in errors:
+                thetas.append(_solve_certificate(f[j], q[j], d))
+                done.append(j)
+        except SingularityError:
+            errors[j] = NotAugmentableError("certificate equation is degenerate (eigenvalue-sum condition fails)")
+        except DomainError as exc:
+            errors[j] = exc
+    theta = np.stack(thetas) if thetas else np.zeros((0, d * n, d * n), dtype=complex)
+    lam = np.linalg.eigvalsh(theta) if n else np.zeros((len(done), 0))
+    pos, neg = (np.count_nonzero(mask, axis=-1) for mask in _sign_cut(lam))
+    ok = _has_certificate_inertia((pos, neg, d * n - pos - neg), n, d)
+    for j, good, item_pos, item_neg, item_lam in zip(done, ok, pos, neg, lam):
+        if not good:
+            errors[j] = (
+                NotAugmentableError(
+                    "certificate lacks the required inertia",
+                    residuals={"inertia_positive": float(item_pos), "inertia_negative": float(item_neg)},
+                )
+                if d == 2
+                else NotAugmentableError(
+                    f"no positive definite certificate for the augmented {label}",
+                    residuals={"theta_min_eig": float(np.min(item_lam))},
+                )
             )
-        raise NotAugmentableError(
-            f"no positive definite certificate for the augmented {label}",
-            residuals={"theta_min_eig": float(np.min(np.linalg.eigvalsh(theta)))},
-        )
-    theta.flags.writeable = False  # a plant caches its completion
+    if len(done) < len(f) or not ok.all():
+        done = [j for j, good in zip(done, ok) if good]
+        g, q, f, h_given, theta = g[done], q[done], f[done], h_given[done], theta[ok]
     h_full = -sig @ dagger(g) @ np.linalg.inv(theta)
-    given = _field_index(m_tot, 0, h_given.shape[0] // d, d)
+    rows = h_given.shape[-2] // d
     h_aug = h_full.copy()
-    h_aug[given] = h_given
-    coupling: dict[str, float] = {}
-    if _coupling_defect(g, theta, h_aug, sig, coupling, RESIDUAL_TOL) or any(
-        dev > RESIDUAL_TOL for dev in pattern_residuals.values()
-    ):
-        raise NotAugmentableError(
-            f"{label} output rows do not match the coupling identity",
-            residuals={"row_mismatch": coupling["coupling"], **pattern_residuals},
-        )
-    residuals = {"feedthrough": 0.0}
-    failed = "lyapunov" if _lyapunov_defect(f, theta, q, residuals, RESIDUAL_TOL) else None
-    if failed is None:
-        residuals.update(coupling)
-    return PlantAugmentation(
-        system=rules.system(f=f, g=g, h=h_aug, k=np.eye(d * m_tot), n_modes=n, m_fields=m_tot),
-        theta=theta,
-        h_tilde=_read_only(np.delete(h_full, given, axis=0)),
-        verdict=PrVerdict(failed is None, None if failed else theta, residuals, failed),
+    h_aug[:, _field_index(m_tot, 0, rows, d)] = h_given
+    found: dict = {}
+    ok = ~_coupling_defect(g, theta, h_aug, sig, found, RESIDUAL_TOL)
+    if any(dev > RESIDUAL_TOL for dev in pattern_residuals.values()):
+        ok[:] = False
+    for j, good, mismatch in zip(done, ok, found["coupling"]):
+        if not good:
+            errors[j] = NotAugmentableError(
+                f"{label} output rows do not match the coupling identity",
+                residuals={"row_mismatch": float(mismatch), **pattern_residuals},
+            )
+    coupling = found["coupling"]
+    if not ok.all():
+        done = [j for j, good in zip(done, ok) if good]
+        g, f, q, theta, h_aug, h_full, coupling = (x[ok] for x in (g, f, q, theta, h_aug, h_full, coupling))
+    failed = _lyapunov_defect(f, theta, q, found, RESIDUAL_TOL)
+    verdicts = []
+    for i, fails in enumerate(failed):
+        residuals = {"feedthrough": 0.0, "lyapunov": float(found["lyapunov"][i])}
+        if not fails:
+            residuals["coupling"] = float(coupling[i])
+        verdicts.append(PrVerdict(not fails, None if fails else theta[i], residuals, "lyapunov" if fails else None))
+    h_tilde = h_full[:, _field_index(m_tot, rows, m_tot, d)]
+    theta.flags.writeable = h_tilde.flags.writeable = False  # a plant caches its completion
+    return _Completions(done, g, h_aug, theta, h_tilde, verdicts, errors)
+
+
+def _one_completion(kind: str, f: np.ndarray, stack: _Completions) -> PlantAugmentation:
+    """The completion of a stack of one system, with its square system, or its error raised."""
+    if stack.errors:
+        raise stack.errors[0]
+    d, m_tot = _doubling(kind), stack.g.shape[-1] // _doubling(kind)
+    system = _kind_rules(kind).system(
+        f=f, g=stack.g[0], h=stack.h_aug[0], k=np.eye(d * m_tot), n_modes=f.shape[0] // d, m_fields=m_tot
     )
+    return PlantAugmentation(system, stack.theta[0], stack.h_tilde[0], stack.verdicts[0])
+
+
+def _square_completion(kind, f, g_blocks, h_given, label, pattern_residuals) -> PlantAugmentation:
+    """Complete one (F, G, H_given) to a square realizable system with K = I: the one-system case
+    of :func:`_square_completions`, whose error it raises."""
+    stack = _square_completions(kind, f[None], [g[None] for g in g_blocks], h_given[None], label, pattern_residuals)
+    return _one_completion(kind, f, stack)
 
 
 def augment_plant(p: PlantModel) -> PlantAugmentation:
@@ -325,17 +382,6 @@ def _check_loop_dims(p: PlantModel, c: ControllerModel) -> None:
 def _static_fold(p: PlantModel, k_cy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The plant's state and noise matrices under U = K_cy Y: F + G_u K_cy H, G_w + G_u K_cy K."""
     return p.f + p.g_u @ k_cy @ p.h, p.g_w + p.g_u @ k_cy @ p.k
-
-
-def _stacked_block(rows: list[list[np.ndarray]]) -> np.ndarray:
-    """``np.block`` over the last two axes of blocks that share their leading (stack) axes,
-    a 2-D block repeated along them."""
-    lead = max((blk.shape[:-2] for row in rows for blk in row), key=len)
-
-    def fit(blk: np.ndarray) -> np.ndarray:
-        return blk if blk.shape[:-2] == lead else np.broadcast_to(blk, lead + blk.shape[-2:])
-
-    return np.concatenate([np.concatenate([fit(blk) for blk in row], axis=-1) for row in rows], axis=-2)
 
 
 def _loop_matrices(p: PlantModel, f_c, g_cw, g_cy, h_c, k_cw, k_cy):
@@ -508,6 +554,24 @@ def synth_noise_general(f_c, g_cy, h_c, theta) -> SynthesisResult:
     )
 
 
+def _controller_completions(kind, f_c, g_cw, g_cy, h_c, k_cw, k_cy) -> _Completions:
+    """:func:`augment_controller` over a stack of equal-shape controller blocks (F_c, G_cw, G_cy,
+    H_c, K_cw, K_cy): an item whose feedthrough is not the identity pattern ends as that error."""
+    d = _doubling(kind)
+    pattern = _identity_pattern(kind, k_cw.shape[-2] // d, k_cw.shape[-1] // d)
+    feed_dev = np.maximum(_stack_max_abs(k_cw - pattern), _stack_max_abs(k_cy))
+    errors = {
+        j: NotAugmentableError(
+            "controller feedthrough must be the identity pattern ([I, 0] on "
+            "its own noise, zero on the measurement)",
+            residuals={"feedthrough": float(dev)},
+        )
+        for j, dev in enumerate(feed_dev)
+        if dev > RESIDUAL_TOL
+    }
+    return _square_completions(kind, f_c, [g_cw, g_cy], h_c, "controller", {}, errors)
+
+
 def augment_controller(c: ControllerModel) -> PlantAugmentation:
     """Square realizable completion of a controller over inputs (W-tilde, Y).
 
@@ -515,18 +579,8 @@ def augment_controller(c: ControllerModel) -> PlantAugmentation:
     (K_cw = [I, 0], K_cy = 0); this is exactly the convention under which
     the augmented feedthrough can equal the identity.
     """
-    feed_dev = max(
-        max_abs(c.k_cw - _identity_pattern(c.kind, c.m_u, c.m_wt)), max_abs(c.k_cy)
-    )
-    if feed_dev > RESIDUAL_TOL:
-        raise NotAugmentableError(
-            "controller feedthrough must be the identity pattern ([I, 0] on "
-            "its own noise, zero on the measurement)",
-            residuals={"feedthrough": feed_dev},
-        )
-    return _square_completion(
-        c.kind, c.f_c, [c.g_cw, c.g_cy], c.h_c, "controller", {}
-    )
+    blocks = (c.f_c, c.g_cw, c.g_cy, c.h_c, c.k_cw, c.k_cy)
+    return _one_completion(c.kind, c.f_c, _controller_completions(c.kind, *(blk[None] for blk in blocks)))
 
 
 @dataclass(frozen=True)
@@ -546,6 +600,33 @@ class AugmentedClosedLoop:
     internally_stable: bool
 
 
+def _check_augmented_loop(p: PlantModel, c: ControllerModel) -> None:
+    if p.kind != "annihilation" or c.kind != "annihilation":
+        raise DomainError("augmented loop composition is annihilation-kind only")
+    _check_loop_dims(p, c)
+
+
+def _augmented_loop(p: PlantModel, ap: PlantAugmentation, f_c, g_cw, g_cy, h_c, k_cw, k_cy, theta_c, h_tilde_c):
+    """State, input, output and feedthrough matrices and certificate (A, B, C, D, Theta) of the
+    augmented loop around ``p``, whose completion is ``ap``, from controller blocks and their
+    completion's Theta_c and H_tilde.  As in :func:`_loop_matrices`, the controller's matrices
+    may carry a leading stack axis, which every result then carries."""
+    a, b, _, _ = _loop_matrices(p, f_c, g_cw, g_cy, h_c, k_cw, k_cy)
+    n, n_c = p.n_modes, f_c.shape[-1]
+    m_w, m_u, m_y, m_wt = p.m_w, p.m_u, p.m_y, k_cw.shape[-1]
+    r = m_wt - m_u
+    k_t, k_bar = np.split(np.eye(m_w + m_u, dtype=complex)[m_y:], [m_w], axis=1)
+    # h_tilde_c stacks the controller's rows for its r spare noise fields, then for its Y field
+    c_rows = _stacked_block(
+        [[p.h, h_tilde_c[..., r:, :]], [ap.h_tilde, k_bar @ h_c], [np.zeros((r, n)), h_tilde_c[..., :r, :]]]
+    )
+    d_rows = _stacked_block(
+        [[p.k, np.zeros((m_y, m_wt))], [k_t, k_bar @ k_cw], [np.zeros((r, m_w)), np.eye(m_wt)[m_u:]]]
+    )
+    theta = _stacked_block([[ap.theta, np.zeros((n, n_c))], [np.zeros((n_c, n)), theta_c]])
+    return a, b, c_rows, d_rows, theta
+
+
 def close_augmented_loop(p: PlantModel, c: ControllerModel) -> AugmentedClosedLoop:
     """Interconnect the augmentations of plant and controller.
 
@@ -557,29 +638,17 @@ def close_augmented_loop(p: PlantModel, c: ControllerModel) -> AugmentedClosedLo
     The augmentation needs K_cy = 0, so the state and input matrices are
     those of :func:`close_loop`.
     """
-    if p.kind != "annihilation" or c.kind != "annihilation":
-        raise DomainError("augmented loop composition is annihilation-kind only")
-    _check_loop_dims(p, c)
-    a, b, _, _ = _loop_matrices(p, c.f_c, c.g_cw, c.g_cy, c.h_c, c.k_cw, c.k_cy)
+    _check_augmented_loop(p, c)
     ap = augment_plant(p)
     ac = augment_controller(c)
-    n, n_c = p.n_modes, c.n_modes
-    m_w, m_u, m_y, m_wt = p.m_w, p.m_u, p.m_y, c.m_wt
-    r = m_wt - m_u
-    k_t, k_bar = np.split(np.eye(m_w + m_u, dtype=complex)[m_y:], [m_w], axis=1)
-    # ac.h_tilde stacks the controller's rows for its r spare noise fields, then for its Y field
-    c_rows = _stacked_block(
-        [[p.h, ac.h_tilde[r:]], [ap.h_tilde, k_bar @ c.h_c], [np.zeros((r, n)), ac.h_tilde[:r]]]
+    a, b, c_rows, d_rows, theta = _augmented_loop(
+        p, ap, c.f_c, c.g_cw, c.g_cy, c.h_c, c.k_cw, c.k_cy, ac.theta, ac.h_tilde
     )
-    d_rows = _stacked_block(
-        [[p.k, np.zeros((m_y, m_wt))], [k_t, k_bar @ c.k_cw], [np.zeros((r, m_w)), np.eye(m_wt)[m_u:]]]
-    )
-    theta = np.zeros((n + n_c, n + n_c), dtype=complex)
-    theta[:n, :n], theta[n:, n:] = ap.theta, ac.theta
+    m_w, m_u, m_y = p.m_w, p.m_u, p.m_y
     channel_map = {
         "replaced_output": (0, m_y),
         "plant_unused": (m_y, m_w + m_u),
-        "controller_unused": (m_w + m_u, m_w + m_u + r),
+        "controller_unused": (m_w + m_u, m_w + m_u + c.m_wt - m_u),
     }
     system = StateSpaceTF(a=a, b=b, c=c_rows, d=d_rows)
     return AugmentedClosedLoop(system, theta, channel_map, _hurwitz_spectrum(system._schur[0], system.a))

@@ -37,6 +37,24 @@ def _stack_max_abs(a: np.ndarray):
     return top if top.ndim else float(top)
 
 
+def _stacked_block(rows: list[list[np.ndarray]]) -> np.ndarray:
+    """``np.block`` over the last two axes of blocks that share their leading (stack) axes,
+    a 2-D block repeated along them."""
+    blocks = [blk for row in rows for blk in row]
+    heights = [row[0].shape[-2] for row in rows]
+    widths = [blk.shape[-1] for blk in rows[0]]
+    lead = max((blk.shape[:-2] for blk in blocks), key=len)
+    out = np.empty((*lead, sum(heights), sum(widths)), dtype=np.result_type(*blocks))
+    top = 0
+    for row, height in zip(rows, heights):
+        left = 0
+        for blk, width in zip(row, widths):
+            out[..., top : top + height, left : left + width] = blk
+            left += width
+        top += height
+    return out
+
+
 def _hurwitz_spectrum(lam: np.ndarray, a: np.ndarray, tol: float = SPECTRAL_GAP_TOL):
     """The Hurwitz rule on the spectrum ``lam`` of ``a``: max Re lambda < -tol * max(1, |a|).
 
@@ -54,14 +72,16 @@ def _sum_collision(la: np.ndarray, lb: np.ndarray, scale: float) -> tuple[comple
     return (complex(la[i]), complex(lb[j])) if sums[i, j] < SPECTRAL_GAP_TOL * scale else None
 
 
-def _rank_cut(scale: float, dim: int = 1) -> float:
-    """The rank rule: a singular value or |eigenvalue| at most RANK_TOL * max(1, scale) * dim is zero."""
-    return RANK_TOL * max(1.0, scale) * dim
+def _rank_cut(scale, dim: int = 1):
+    """The rank rule: a singular value or |eigenvalue| at most RANK_TOL * max(1, scale) * dim is zero;
+    an array of scales gets one cut each."""
+    return RANK_TOL * np.maximum(1.0, scale) * dim
 
 
 def _sign_cut(lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The Hermitian sign cut: masks of ``lam`` beyond +-:func:`_rank_cut` of max|lam|."""
-    cut = _rank_cut(float(np.abs(lam).max(initial=0.0)))
+    """The Hermitian sign cut: masks of ``lam`` beyond +-:func:`_rank_cut` of max|lam|, per spectrum
+    of a stack (..., n)."""
+    cut = _rank_cut(np.abs(lam).max(axis=-1, initial=0.0, keepdims=True))
     return lam > cut, lam < -cut
 
 
@@ -75,10 +95,13 @@ def _lyapunov_defect(f, theta, q, residuals, tol):
     return residuals["lyapunov"] > tol * (1.0 + _stack_max_abs(q))
 
 
-def _coupling_defect(g, theta, h, sig, residuals, tol) -> bool:
-    """True when |G + Theta H^dagger S| (into ``residuals``) exceeds tol * (1 + |G| + |Theta| |H|)."""
-    residuals["coupling"] = max_abs(g + theta @ dagger(h) @ sig)
-    return residuals["coupling"] > tol * (1.0 + max_abs(g) + max_abs(theta) * max_abs(h))
+def _coupling_defect(g, theta, h, sig, residuals, tol):
+    """True when |G + Theta H^dagger S| (into ``residuals``) exceeds tol * (1 + |G| + |Theta| |H|).
+
+    Over leading axes, as :func:`_lyapunov_defect`.
+    """
+    residuals["coupling"] = _stack_max_abs(g + theta @ dagger(h) @ sig)
+    return residuals["coupling"] > tol * (1.0 + _stack_max_abs(g) + _stack_max_abs(theta) * _stack_max_abs(h))
 
 
 def _certificate_defect(f, g, h, sig, q, theta, residuals, tol) -> str | None:

@@ -59,9 +59,11 @@ def _doubling(kind: str) -> int:
     raise DomainError(f"unknown kind {kind!r}")
 
 
-def _has_certificate_inertia(inertia: tuple[int, int, int], n: int, d: int) -> bool:
-    """The certificate rule of the kind with doubling ``d``: ``_inertia`` (n, (d - 1) n, 0)."""
-    return inertia == (n, (d - 1) * n, 0)
+def _has_certificate_inertia(inertia, n: int, d: int):
+    """The certificate rule of the kind with doubling ``d``: ``_inertia`` (n, (d - 1) n, 0);
+    count arrays of a stack get one verdict each."""
+    pos, neg, zero = inertia
+    return (pos == n) & (neg == (d - 1) * n) & (zero == 0)
 
 
 def is_positive_definite(h) -> bool:

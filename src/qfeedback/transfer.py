@@ -34,6 +34,7 @@ from .linalg import (
     _noise_term,
     _rank_cut,
     _square,
+    _stacked_block,
     as_square,
     dagger,
     hermitian_part,
@@ -70,8 +71,12 @@ class StateSpaceTF:
     @cached_property
     def _schur(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Schur form A = Z T Z^dagger (A is read-only): poles diag(T), T and Z."""
-        t, z = schur(self.a, output="complex") if self.state_dim else (self.a, self.a)
-        return np.diag(t), t, z
+        return tuple(x[0] for x in _schur_forms(self.a[None]))
+
+    @property
+    def _loops(self) -> "_Loops":
+        """This realization as a stack of one loop."""
+        return _Loops(self.a[None], self.b[None], self.c[None], self.d[None], tuple(x[None] for x in self._schur))
 
     def _rows(self, select: np.ndarray) -> "StateSpaceTF":
         """The outputs ``select`` picks, (A, B, select C, select D), sharing A's Schur form."""
@@ -83,6 +88,34 @@ class StateSpaceTF:
     def from_system(cls, s) -> "StateSpaceTF":
         """View a quantum system model (F, G, H, K) as a transfer function."""
         return cls(a=s.f, b=s.g, c=s.h, d=s.k)
+
+
+def _schur_forms(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Schur forms (poles, T, Z) of a stack of state matrices (L, k, k), each factored on its own
+    (SciPy has no batched Schur).  Each T and Z keeps the column-major layout LAPACK returns, so a
+    product with it runs the BLAS call that it runs for one loop, and gives the same bits."""
+    if not a.shape[-1]:
+        return np.zeros(a.shape[:-1], dtype=complex), a, a
+    t, z = (np.stack([m.T for m in ms]).swapaxes(1, 2) for ms in zip(*(schur(x, output="complex") for x in a)))
+    return np.diagonal(t, axis1=1, axis2=2), t, z
+
+
+@dataclass(frozen=True)
+class _Loops:
+    """Equal-shape realizations (A, B, C, D) stacked on a leading axis, with their Schur forms
+    (poles, T, Z) stacked likewise."""
+
+    a: np.ndarray
+    b: np.ndarray
+    c: np.ndarray
+    d: np.ndarray
+    form: tuple[np.ndarray, np.ndarray, np.ndarray]
+
+    def take(self, idx) -> "_Loops":
+        """The sub-stack at the increasing positions ``idx``: the stack itself when that is all of it."""
+        if len(idx) == len(self.a):
+            return self
+        return _Loops(self.a[idx], self.b[idx], self.c[idx], self.d[idx], tuple(x[idx] for x in self.form))
 
 
 @dataclass(frozen=True)
@@ -108,57 +141,68 @@ class TransferCheck:
 
 
 # Grid sampling back-substitutes at most this many entries (points * n * min(m, p))
-# at once, which bounds the memory of the stacked solution at large n.
+# per loop at once, which bounds the memory of the stacked solution at large n.
 _BLOCK_ENTRIES = 2**14
 _GRID_SEED = 1729
 _GRID_POINTS = 200
 _GRID_RANDOM_POINTS = 56
 
 
-def _pole_scale(lam: np.ndarray) -> float:
-    """max(1, spectral radius) for the eigenvalues ``lam``."""
-    return max(1.0, float(np.max(np.abs(lam)))) if lam.size else 1.0
+def _pole_scale(lam: np.ndarray):
+    """max(1, spectral radius) for the eigenvalues ``lam``, per spectrum of a stack (..., n)."""
+    return np.maximum(1.0, np.max(np.abs(lam), axis=-1, initial=0.0))
 
 
 def _shifted_solve(poles: np.ndarray, t: np.ndarray, rhs: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """(sI - T)^{-1} rhs by back-substitution, all columns at once; ``s`` is each column's point."""
+    """(sI - T)^{-1} rhs by back-substitution for each loop of the stack, all columns at once;
+    ``s`` (L, columns) is each column's point."""
     x = np.empty_like(rhs)
-    for i in range(poles.size - 1, -1, -1):
-        x[i] = (rhs[i] + t[i, i + 1 :] @ x[i + 1 :]) / (s - poles[i])
+    for i in range(poles.shape[-1] - 1, -1, -1):
+        row = x[:, i : i + 1]  # written in place: a stack of one runs as fast as one loop's solve
+        np.matmul(t[:, i : i + 1, i + 1 :], x[:, i + 1 :], out=row)
+        row += rhs[:, i : i + 1]
+        row /= s[:, None] - poles[:, i, None, None]
     return x
 
 
 def _response(a, b, c, d, form, s: np.ndarray) -> np.ndarray:
-    """C (sI - A)^{-1} B + D at the points ``s`` as (k, p, m) from A's Schur form (Laub 1981),
-    refined once against A itself for the accuracy of a dense solve at each point."""
+    """C (sI - A)^{-1} B + D of each loop of the stack at its points ``s`` (L, k) as (L, k, p, m),
+    from A's Schur form (Laub 1981), refined once against A itself for the accuracy of a dense
+    solve at each point.  The entries are laid out in memory as (p, m, L, k), so the points of
+    all loops view as one (L k, p, m) stack whose matrices have the strides of one loop's."""
     poles, t, z = form
-    k, s = s.size, np.tile(s, d.shape[1])
-    x = _shifted_solve(poles, t, np.repeat(dagger(z) @ b, k, axis=1), s)
+    k, s = s.shape[-1], np.tile(s, d.shape[-1])
+    x = _shifted_solve(poles, t, np.repeat(dagger(z) @ b, k, axis=-1), s)
     y = z @ x
-    x += _shifted_solve(poles, t, dagger(z) @ (np.repeat(b, k, axis=1) - y * s + a @ y), s)
-    return (c @ z @ x).reshape(*d.shape, k).transpose(2, 0, 1) + d
+    x += _shifted_solve(poles, t, dagger(z) @ (np.repeat(b, k, axis=-1) - y * s[:, None] + a @ y), s)
+    out = np.empty((*d.shape[1:], len(d), k), dtype=complex).transpose(2, 3, 0, 1)
+    return np.add((c @ z @ x).reshape(*d.shape, k).transpose(0, 3, 1, 2), d[:, None], out=out)
 
 
-def _freq_response(g: StateSpaceTF, s: np.ndarray) -> np.ndarray:
-    """C (sI - A)^{-1} B + D at every point of ``s``, stacked as (k, p, m).  With more inputs
-    than outputs the transpose is solved instead, on the Schur form of A^T that
+def _freq_response(g, s: np.ndarray) -> np.ndarray:
+    """C (sI - A)^{-1} B + D of each loop of the stack ``g`` at its points ``s`` (L, k), as
+    (L, k, p, m); a StateSpaceTF at points (k,) is the one-loop case, (k, p, m).  With more
+    inputs than outputs the transpose is solved instead, on the Schur form of A^T that
     A^T = (conj(Z) J)(J T^T J)(J Z^T) gives, J the reversal."""
-    if g.input_dim <= g.output_dim:
-        return _response(g.a, g.b, g.c, g.d, g._schur, s)
-    poles, t, z = g._schur
-    form = (poles[::-1], t.T[::-1, ::-1], z.conj()[:, ::-1])
-    return _response(g.a.T, g.c.T, g.b.T, g.d.T, form, s).swapaxes(1, 2)
+    if isinstance(g, StateSpaceTF):
+        return _freq_response(g._loops, s[None])[0]
+    a, b, c, d = g.a, g.b, g.c, g.d
+    if b.shape[-1] <= c.shape[-2]:
+        return _response(a, b, c, d, g.form, s)
+    poles, t, z = g.form
+    form = (poles[:, ::-1], t.swapaxes(1, 2)[:, ::-1, ::-1], z.conj()[:, :, ::-1])
+    return _response(*(x.swapaxes(1, 2) for x in (a, c, b, d)), form, s).swapaxes(2, 3)
 
 
 def _sigma_max(v: np.ndarray) -> np.ndarray:
-    """sigma_max of each matrix of the stack (k, p, m): sqrt of the top eigenvalue of its
+    """sigma_max of each matrix of the stack (..., p, m): sqrt of the top eigenvalue of its
     smaller Gram matrix, each point scaled by its largest |entry| (0 if all are 0).
     A 1 x 1 Gram matrix is its own eigenvalue, as the eigensolver would return it."""
-    scale = np.max(np.abs(v), axis=(1, 2), initial=0.0)
-    w = v / np.where(scale > 0.0, scale, 1.0)[:, None, None]
-    gram = w @ dagger(w) if v.shape[1] <= v.shape[2] else dagger(w) @ w
-    lam = gram[:, :, 0].real if gram.shape[1] == 1 else np.linalg.eigvalsh(gram)
-    return scale * np.sqrt(np.max(lam, axis=1, initial=0.0))
+    scale = np.max(np.abs(v), axis=(-2, -1), initial=0.0)
+    w = v / np.where(scale > 0.0, scale, 1.0)[..., None, None]
+    gram = w @ dagger(w) if v.shape[-2] <= v.shape[-1] else dagger(w) @ w
+    lam = gram[..., 0].real if gram.shape[-1] == 1 else np.linalg.eigvalsh(gram)
+    return scale * np.sqrt(np.max(lam, axis=-1, initial=0.0))
 
 
 def tf_eval(g: StateSpaceTF, s: complex) -> np.ndarray:
@@ -210,16 +254,35 @@ def default_frequency_grid(a=None) -> np.ndarray:
     return _frequency_grid(_pole_scale(lam))
 
 
-def _sample_grid(g: StateSpaceTF, metric) -> tuple[np.ndarray, int]:
-    """``metric`` of the response stacks (k, p, m) on the default grid, skipping points
-    at the poles of A: the values along the grid axis, and the number of points used."""
-    lam = g._schur[0]
+def _sample_grid(g, metric) -> tuple[np.ndarray, np.ndarray]:
+    """``metric`` of the response stacks (..., p, m) on each loop's default grid, away from the
+    loop's own poles.  For a stack of loops: the values (L, k, ...) along the grid axis and the
+    mask (L, k) of the points used.  A point within 1e-8 * scale of a pole of its loop is
+    evaluated at 2 * scale instead, which lies off every pole, and masked out, as is the padding
+    of a grid shorter than the others (scaled grids lose points only where they overflow).  For a
+    StateSpaceTF (the one-loop case): the values at the points used, and their number."""
+    if isinstance(g, StateSpaceTF):
+        values, used = _sample_grid(g._loops, metric)
+        count = int(np.count_nonzero(used))
+        return (values[0] if count == used.size else values[0][used[0]]), count
+    lam = g.form[0]
     scale = _pole_scale(lam)
-    s = 1j * _frequency_grid(scale)
-    s = s[np.min(np.abs(s[:, None] - lam), axis=1, initial=np.inf) > 1e-8 * scale]
-    step = max(1, _BLOCK_ENTRIES // max(1, g.state_dim * min(g.input_dim, g.output_dim)))
-    blocks = [metric(_freq_response(g, s[i : i + step])) for i in range(0, s.size, step)]
-    return (np.concatenate(blocks) if blocks else np.zeros(0)), s.size
+    grids = [1j * _frequency_grid(x) for x in scale]
+    s = np.full((len(grids), max(grid.size for grid in grids)), np.nan, dtype=complex)
+    for row, grid in zip(s, grids):
+        row[: grid.size] = grid
+    used = np.min(np.abs(s[:, None] - lam[:, :, None]), axis=1, initial=np.inf) > 1e-8 * scale[:, None]
+    s = np.where(used, s, 2.0 * scale[:, None])
+    n, m, p = g.a.shape[-1], g.b.shape[-1], g.c.shape[-2]
+    step = max(1, _BLOCK_ENTRIES // max(1, n * min(m, p)))
+
+    def sampled(points: np.ndarray) -> np.ndarray:  # the metric over one (L k, p, m) view
+        v = _freq_response(g, points)
+        x = metric(v.reshape(v.shape[0] * v.shape[1], *v.shape[2:]))
+        return x.reshape(*v.shape[:2], *x.shape[1:])
+
+    blocks = [sampled(s[:, i : i + step]) for i in range(0, s.shape[1], step)]
+    return (blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=1)), used
 
 
 def _sample_worst(g: StateSpaceTF, metric) -> tuple[float, int]:
@@ -384,55 +447,174 @@ _LEVEL_SET_STEP = 1e-10
 _LEVEL_SET_MAX_STEPS = 50
 
 
-def _axis_eigenvalues(g: StateSpaceTF, gamma: float) -> np.ndarray | None:
-    """Imaginary-axis eigenvalues of the bounded-real Hamiltonian for gamma.
-
-    Returns None when R = gamma^2 I - D^dagger D is not positive definite.
-    """
-    r = _square(gamma, "H-infinity level") * np.eye(g.input_dim) - dagger(g.d) @ g.d
-    lam_r = np.linalg.eigvalsh(hermitian_part(r))
-    if lam_r.size and lam_r[0] <= 0.0:
-        return None
-    r_inv = np.linalg.inv(hermitian_part(r))
-    a_hat = g.a + g.b @ r_inv @ dagger(g.d) @ g.c
-    ham = np.block(
-        [
-            [a_hat, g.b @ r_inv @ dagger(g.b)],
-            [-dagger(g.c) @ (np.eye(g.output_dim) + g.d @ r_inv @ dagger(g.d)) @ g.c, -dagger(a_hat)],
-        ]
-    )
-    lam = np.linalg.eigvals(ham)
-    return lam[np.abs(lam.real) <= 1e-8 * _pole_scale(lam)]
+def _level_square(gamma: float) -> float:
+    """gamma^2 for a tested H-infinity level, or a DomainError where the square leaves the normal
+    float range: above it the square overflows, and below it R^{-1} would."""
+    square = _square(gamma, "H-infinity level")
+    if square < np.finfo(float).tiny:
+        raise DomainError(f"H-infinity level {gamma:.3g} is too small: its square underflows")
+    return square
 
 
-def _gamma_feasible(g: StateSpaceTF, gamma: float) -> bool:
-    """True when the bounded-real Hamiltonian for gamma has no imaginary-axis eigenvalues."""
-    axis = _axis_eigenvalues(g, gamma)
+def _axis_eigenvalues(g: _Loops, squares) -> list[np.ndarray | None]:
+    """Imaginary-axis eigenvalues of each loop's bounded-real Hamiltonian at its level gamma,
+    given gamma^2 per loop.  None where R = gamma^2 I - D^dagger D is not positive definite;
+    the other loops' Hamiltonians are solved as one stack."""
+    r = hermitian_part(np.asarray(squares)[:, None, None] * np.eye(g.d.shape[-1]) - dagger(g.d) @ g.d)
+    lam_r = np.linalg.eigvalsh(r)[:, :1] if r.shape[-1] else np.ones((len(r), 0))
+    live = np.flatnonzero(~np.any(lam_r <= 0.0, axis=1))
+    out: list[np.ndarray | None] = [None] * len(r)
+    if live.size:
+        h, r_inv = g.take(live), np.linalg.inv(r if live.size == len(r) else r[live])
+        a_hat = h.a + h.b @ r_inv @ dagger(h.d) @ h.c
+        ham = _stacked_block(
+            [
+                [a_hat, h.b @ r_inv @ dagger(h.b)],
+                [-dagger(h.c) @ (np.eye(h.c.shape[-2]) + h.d @ r_inv @ dagger(h.d)) @ h.c, -dagger(a_hat)],
+            ]
+        )
+        lam = np.linalg.eigvals(ham) if len(ham) > 1 else np.linalg.eigvals(ham[0])[None]  # one is a matrix
+        cut = 1e-8 * _pole_scale(lam)
+        for j, l in enumerate(live):
+            out[l] = lam[j][np.abs(lam[j].real) <= cut[j]]
+    return out
+
+
+def _gamma_feasible(g, gamma: float) -> bool:
+    """True when the bounded-real Hamiltonian for gamma has no imaginary-axis eigenvalues;
+    ``g`` is a StateSpaceTF or a stack of one loop."""
+    axis = _axis_eigenvalues(g._loops if isinstance(g, StateSpaceTF) else g, [_level_square(gamma)])[0]
     return axis is not None and axis.size == 0
 
 
-def _level_set_bracket(g: StateSpaceTF, lo: float) -> tuple[tuple[float, float] | None, int]:
-    """Level-set iteration (Boyd-Balakrishnan, Bruinsma-Steinbuch) upward from ``lo``.
+def _level_set_bracket(g: _Loops, lo: list[float]) -> tuple[list, list[int]]:
+    """Level-set iteration (Boyd-Balakrishnan, Bruinsma-Steinbuch) upward from ``lo``, for the
+    loops of the stack in lockstep.
 
-    Each step tests the level just above ``lo``: its imaginary-axis
-    eigenvalues are the frequencies where a singular value of G crosses it,
-    and the peak of sigma_max over the midpoints between them is the next
-    ``lo``.  Returns the bracket (last ``lo``, first level without axis
-    eigenvalues) and the number of Hamiltonian eigensolves; the bracket is
-    None when R is not positive definite or the iteration does not close
-    within _LEVEL_SET_MAX_STEPS steps.
+    Each step tests the level just above each open loop's ``lo``, all Hamiltonians in one
+    eigensolve: a loop's imaginary-axis eigenvalues are the frequencies where a singular value
+    of its G crosses its level, and the peak of sigma_max over the midpoints between them is
+    its next ``lo``.  A loop leaves the lockstep when it closes.  Returns per loop the bracket
+    (last ``lo``, first level without axis eigenvalues) and the number of Hamiltonian
+    eigensolves; the bracket is None when R is not positive definite or the iteration does not
+    close within _LEVEL_SET_MAX_STEPS steps, and the DomainError of :func:`_level_square` when
+    a level's square leaves the float range.
     """
+    lo = list(lo)
+    brackets: list = [None] * len(lo)
+    steps = [_LEVEL_SET_MAX_STEPS] * len(lo)
+    open_loops = list(range(len(lo)))
     for step in range(_LEVEL_SET_MAX_STEPS):
-        gamma = lo + _LEVEL_SET_STEP * (lo or 1.0)
-        axis = _axis_eigenvalues(g, gamma)
-        if axis is None:
-            return None, step
-        if axis.size == 0:
-            return (lo, gamma), step + 1
-        w = np.sort(axis.imag)
-        peak = _sigma_max(_freq_response(g, 0.5j * (w[:-1] + w[1:])))
-        lo = max(gamma, float(np.max(peak, initial=0.0)))
-    return None, _LEVEL_SET_MAX_STEPS
+        tested, gammas, squares = [], [], []
+        for l in open_loops:
+            gamma = lo[l] + _LEVEL_SET_STEP * (lo[l] or 1.0)
+            try:
+                squares.append(_level_square(gamma))
+            except DomainError as exc:
+                brackets[l] = exc
+                continue
+            tested.append(l)
+            gammas.append(gamma)
+        if not tested:
+            break
+        open_loops = []
+        for l, gamma, axis in zip(tested, gammas, _axis_eigenvalues(g.take(tested), squares)):
+            if axis is None:
+                steps[l] = step
+            elif axis.size == 0:
+                brackets[l], steps[l] = (lo[l], gamma), step + 1
+            else:
+                w = np.sort(axis.imag)
+                peak = _sigma_max(_freq_response(g.take([l]), 0.5j * (w[:-1] + w[1:])[None]))
+                lo[l] = max(gamma, float(np.max(peak, initial=0.0)))
+                open_loops.append(l)
+    return brackets, steps
+
+
+def _bisection(g: _Loops, j: int, lo: float, bracket, solves: int, estimate: float, rel_tol: float) -> tuple:
+    """:func:`hinf_norm`'s bracket search and bisection on loop ``j`` of the stack, from the lower
+    end ``lo``, its level-set ``bracket`` and the gain ``estimate``: (lo, hi, iterations,
+    Hamiltonian solves)."""
+
+    def feasible(gamma: float) -> bool:
+        nonlocal solves
+        if bracket is not None:
+            band = _LEVEL_SET_BAND * (bracket[0] or 1.0)
+            if gamma > bracket[1] + band:
+                return True
+            if gamma < bracket[0] - band:
+                return False
+        solves += 1
+        return _gamma_feasible(g.take([j]), gamma)
+
+    hi = max(estimate, 2.0 * lo, 1e-8)
+    for _ in range(100):
+        if feasible(hi):
+            break
+        hi *= 2.0
+    else:
+        raise GenerationError("H-infinity upper bracket search failed to close")
+
+    iterations = 0
+    while hi - lo > rel_tol * (lo or 1.0):
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
+        if feasible(mid):
+            hi = mid
+        else:
+            lo = mid
+        iterations += 1
+    return lo, hi, iterations, solves
+
+
+def _hinf_norms(g: _Loops, rel_tol: float = 1e-6) -> list:
+    """:func:`hinf_norm` of each loop of a stack of equal-shape loops: its NormResult, or the
+    error that :func:`hinf_norm` raises on it.  The stack shares one Hurwitz rule, one grid
+    pass and the lockstep level set; each loop keeps its own bracket search and bisection."""
+    require_tolerance(rel_tol, "rel_tol")
+    count, p, m = g.d.shape
+    sigma_d = np.linalg.svd(g.d, compute_uv=False)[:, 0] if p and m else np.zeros(count)
+    stable = _hurwitz_spectrum(g.form[0], g.a)
+    out: list = [None if ok else InstabilityError("H-infinity norm needs a Hurwitz state matrix") for ok in stable]
+    live = np.flatnonzero(stable)
+    if not g.a.shape[-1] or not m or not p:
+        for l in live:
+            out[l] = NormResult(float(sigma_d[l]), "static", {"sigma_max_d": float(sigma_d[l])})
+        return out
+    if not live.size:
+        return out
+
+    h, sigma_d = g.take(live), sigma_d[live]
+    sigma, used = _sample_grid(h, _sigma_max)
+    grid_max = [float(top) for top in np.max(sigma, axis=1, where=used, initial=0.0)]
+    lo = [max(float(bottom) * (1.0 + 1e-9), top * (1.0 - 1e-12)) for bottom, top in zip(sigma_d, grid_max)]
+    brackets, solves = _level_set_bracket(h, lo)
+    margin = np.abs(np.max(h.form[0].real, axis=1))
+    gains = np.linalg.svd(h.c, compute_uv=False)[:, 0] * np.linalg.svd(h.b, compute_uv=False)[:, 0]  # |C|_2 |B|_2
+    estimate = sigma_d + 2.0 * gains / np.maximum(margin, SPECTRAL_GAP_TOL)
+    for j, l in enumerate(live):
+        if isinstance(brackets[j], DomainError):
+            out[l] = brackets[j]
+            continue
+        try:
+            low, high, iterations, solved = _bisection(h, j, lo[j], brackets[j], solves[j], float(estimate[j]), rel_tol)
+        except (DomainError, GenerationError) as exc:
+            out[l] = exc
+            continue
+        out[l] = NormResult(
+            0.5 * (low + high),
+            "bisection",
+            {
+                "bracket_low": low,
+                "bracket_high": high,
+                "iterations": float(iterations),
+                "grid_lower_bound": grid_max[j],
+                "grid_min": float(np.min(sigma[j], where=used[j], initial=grid_max[j])),
+                "hamiltonian_solves": float(solved),
+            },
+        )
+    return out
 
 
 def hinf_norm(g: StateSpaceTF, rel_tol: float = 1e-6) -> NormResult:
@@ -452,71 +634,18 @@ def hinf_norm(g: StateSpaceTF, rel_tol: float = 1e-6) -> NormResult:
     certificate adds the grid's sigma_max range, ``grid_lower_bound`` and
     ``grid_min``, and the eigensolve count ``hamiltonian_solves``.  A
     Hurwitz (or empty) A with an empty B or C has the "static" norm
-    sigma_max(D).
+    sigma_max(D).  This is the one-loop case of the stacked norm core.
 
     Raises
     ------
     DomainError
         When ``rel_tol`` is not a finite positive number, or when a tested
-        level's square overflows (a norm above about 1e154).
+        level's square overflows or underflows (a norm above about 1e154 or
+        below about 1e-154).
     InstabilityError
         When A is not Hurwitz.
     """
-    require_tolerance(rel_tol, "rel_tol")
-    sigma_d = float(np.linalg.svd(g.d, compute_uv=False)[0]) if g.d.size else 0.0
-    if not _hurwitz_spectrum(g._schur[0], g.a):
-        raise InstabilityError("H-infinity norm needs a Hurwitz state matrix")
-    if g.state_dim == 0 or g.b.size == 0 or g.c.size == 0:
-        return NormResult(sigma_d, "static", {"sigma_max_d": sigma_d})
-
-    sigma, _ = _sample_grid(g, _sigma_max)
-    grid_max = float(np.max(sigma, initial=0.0))
-    lo = max(sigma_d * (1.0 + 1e-9), grid_max * (1.0 - 1e-12))
-    bracket, solves = _level_set_bracket(g, lo)
-
-    def feasible(gamma: float) -> bool:
-        nonlocal solves
-        if bracket is not None:
-            band = _LEVEL_SET_BAND * (bracket[0] or 1.0)
-            if gamma > bracket[1] + band:
-                return True
-            if gamma < bracket[0] - band:
-                return False
-        solves += 1
-        return _gamma_feasible(g, gamma)
-
-    margin = abs(float(np.max(g._schur[0].real)))
-    estimate = sigma_d + 2.0 * float(
-        np.linalg.norm(g.c, 2) * np.linalg.norm(g.b, 2)
-    ) / max(margin, SPECTRAL_GAP_TOL)
-    hi = max(estimate, 2.0 * lo, 1e-8)
-    for _ in range(100):
-        if feasible(hi):
-            break
-        hi *= 2.0
-    else:
-        raise GenerationError("H-infinity upper bracket search failed to close")
-
-    iterations = 0
-    while hi - lo > rel_tol * (lo or 1.0):
-        mid = 0.5 * (lo + hi)
-        if mid in (lo, hi):
-            break
-        if feasible(mid):
-            hi = mid
-        else:
-            lo = mid
-        iterations += 1
-    value = 0.5 * (lo + hi)
-    return NormResult(
-        value,
-        "bisection",
-        {
-            "bracket_low": lo,
-            "bracket_high": hi,
-            "iterations": float(iterations),
-            "grid_lower_bound": grid_max,
-            "grid_min": float(np.min(sigma, initial=grid_max)),
-            "hamiltonian_solves": float(solves),
-        },
-    )
+    norm = _hinf_norms(g._loops, rel_tol)[0]
+    if isinstance(norm, Exception):
+        raise norm
+    return norm

@@ -824,6 +824,25 @@ class TestExitContract:
             assert "is too large: its square overflows" in error
 
     @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_synth_whose_admissibility_level_underflows_exits_two(self, tmp_path, fmt):
+        # H_c = 1e-200 puts the admissibility norm's bisection at levels whose squares underflow
+        ctrl = ControllerModel(kind="annihilation", f_c=[[-1.0]], g_cw=[[0.0, 0.0]], g_cy=[[0.5]],
+                               h_c=[[1e-200]], k_cw=[[1.0, 0.0]], k_cy=[[0.0]])
+        save_system(tmp_path / "tiny.json", ctrl)
+        proc = subprocess.run(
+            [sys.executable, "-m", "qfeedback.cli", "--format", fmt, "synth", "tiny.json"],
+            capture_output=True,
+            text=True,
+            cwd=tmp_path,
+            env={**os.environ, "PYTHONPATH": str(Path(qfeedback.__file__).resolve().parents[1])},
+            timeout=120,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr, proc.stderr
+        error = json.loads(proc.stdout)["error"] if fmt == "json" else proc.stderr
+        assert "is too small: its square underflows" in error
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
     def test_noise_terms_that_overflow_end_in_an_input_error_without_a_warning(self, tmp_path, fmt):
         # G = 1e200 is finite, but G S G^dagger is not: each command hands the overflowing
         # noise term to its solver, whose typed error is the only thing on stderr

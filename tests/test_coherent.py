@@ -56,7 +56,7 @@ from qfeedback import (
 )
 
 from qfeedback import cli, coherent, feedback, linalg, systems, transfer
-from qfeedback.linalg import RESIDUAL_TOL, _lyapunov_defect, dagger, hermitian_part
+from qfeedback.linalg import RESIDUAL_TOL, _certificate_defect, _lyapunov_defect, dagger, hermitian_part, max_abs
 from qfeedback.transfer import _sample_worst, _sigma_max
 
 from conftest import freq_response, random_unitary, stateless_plant, two_port_cavity_plant
@@ -756,7 +756,7 @@ def _two_sampling_reference(p: PlantModel, l_select, challengers) -> tuple[float
     l_select = np.asarray(l_select, dtype=float)
     norms, pointwise = [], []
     for ctrl in [trivial_controller(p.m_y, p.m_u), *challengers]:
-        full = coherent.close_augmented_loop(p, ctrl).system
+        full = feedback.close_augmented_loop(p, ctrl).system
         pad = np.zeros((l_select.shape[0], full.output_dim), dtype=complex)
         pad[:, : l_select.shape[1]] = l_select
         selected = StateSpaceTF(full.a, full.b, pad @ full.c, pad @ full.d)
@@ -777,14 +777,15 @@ def test_trivial_hinf_samples_each_loop_once(monkeypatch) -> None:
 
 
 def test_trivial_hinf_calls_the_public_norm_once_per_loop(monkeypatch) -> None:
+    # T6 norms its loops in stacks through the one norm core that hinf_norm runs on one loop
     p = random_pr_plant(2, 3, 1, 2, seed=3)
     challengers = random_challengers(p, count=5, seed=3)
     calls = []
-    norm = coherent.hinf_norm
-    monkeypatch.setattr(coherent, "hinf_norm", lambda g, *args: calls.append(g) or norm(g, *args))
+    norms = coherent._hinf_norms
+    monkeypatch.setattr(coherent, "_hinf_norms", lambda g, *args: calls.append(len(g.a)) or norms(g, *args))
     report = verify_trivial_hinf(p, [[1.0, 0.0, 0.0, 0.0]], challengers)
     assert report.holds and report.evidence["loops_checked"] == 6.0
-    assert len(calls) == 6
+    assert sum(calls) == 6
 
 
 def test_each_loop_is_factored_once(monkeypatch) -> None:
@@ -816,8 +817,11 @@ def test_each_loop_is_factored_once(monkeypatch) -> None:
     assert set(eigs) <= {(2 * k, 2 * k)} and factored == [(k, k)]
     orders = [p.n_modes + ctrl.n_modes for ctrl in [trivial_controller(p.m_y, p.m_u), *challengers]]
     eigs, factored = spied(lambda: verify_trivial_hinf(p, [[1.0, 0.0, 0.0]], challengers))
-    assert set(eigs) <= {(2 * k, 2 * k) for k in orders}
-    assert factored == [(k, k) for k in orders]
+    # the loops of one order share their Hamiltonian eigensolves as (L, 2k, 2k) stacks (a stack
+    # of one as a 2k x 2k matrix), and the Schur forms follow the stacks, so compare multisets
+    assert {shape[-2:] for shape in eigs} <= {(2 * k, 2 * k) for k in orders}
+    assert all(len(shape) == 2 or shape[0] > 1 for shape in eigs)
+    assert sorted(factored) == sorted((k, k) for k in orders)
 
 
 def test_each_static_loop_is_built_once(cavity_plant_with_cost, monkeypatch, tmp_path) -> None:
@@ -896,15 +900,133 @@ def test_trivial_hinf_matches_the_two_sampling_reference(shape: tuple[int, int, 
         assert abs(report.evidence["max_pointwise_dev"] - pointwise) <= 1e-15
 
 
+def reference_trivial_hinf(p: PlantModel, l_select, challengers) -> tuple:
+    """T6 one loop at a time, as before the stacked pass: close_augmented_loop, the norm of the
+    selected rows and the certificate tests per loop; (holds, evidence by hex, narrative)."""
+    l_select = np.asarray(l_select, dtype=complex)
+    try:
+        augment_plant(p)
+    except NotAugmentableError as exc:
+        return False, {"hypothesis_ok": (0.0).hex()}, f"skipped: plant not physically realizable ({exc})"
+    norms, pointwise, lossless_ok, skipped = [], [], True, []
+    entries = [("trivial", trivial_controller(p.m_y, p.m_u))]
+    entries += [(f"challenger {i}", c) for i, c in enumerate(challengers)]
+    for label, ctrl in entries:
+        try:
+            acl = close_augmented_loop(p, ctrl)
+        except (NotAugmentableError, DimensionError) as exc:
+            skipped.append(f"{label}: {exc}")
+            continue
+        full = acl.system
+        pad = np.zeros((l_select.shape[0], full.output_dim), dtype=complex)
+        pad[:, : l_select.shape[1]] = l_select
+        norm = hinf_norm(full._rows(pad))
+        norms.append(norm.value)
+        q = hermitian_part(full.b @ dagger(full.b))
+        feed = max_abs(dagger(full.d) @ full.d - np.eye(full.input_dim))
+        defect = _certificate_defect(full.a, full.b, full.c, full.d, q, acl.theta, {}, RESIDUAL_TOL)
+        lossless_ok &= acl.internally_stable and feed <= RESIDUAL_TOL and defect is None
+        top, bottom = (norm.certificate.get(k, norm.value) for k in ("grid_lower_bound", "grid_min"))
+        pointwise.append(max(top - 1.0, 1.0 - bottom))
+    worst = max(abs(v - 1.0) for v in norms) if norms else np.inf
+    evidence = {
+        "trivial_norm": norms[0] if norms else np.inf,
+        "worst_norm_dev": worst,
+        "max_pointwise_dev": max(pointwise) if pointwise else np.inf,
+        "loops_checked": float(len(norms)),
+        "challengers_skipped": float(len(skipped)),
+        "lossless_all": float(lossless_ok),
+    }
+    narrative = (
+        f"{len(norms)} loops give closed-loop norms within {worst:.3g} of 1; all-pass verified pointwise to "
+        f"{max(pointwise) if pointwise else np.inf:.3g}." + (f" Skipped: {'; '.join(skipped)}" if skipped else "")
+    )
+    return bool(norms) and worst <= 1e-6 and lossless_ok, {k: float(v).hex() for k, v in evidence.items()}, narrative
+
+
+def report_hex(report) -> tuple:
+    return report.holds, {k: float(v).hex() for k, v in report.evidence.items()}, report.narrative
+
+
+@pytest.mark.parametrize(
+    "shape", [(1, 1, 1, 1), (2, 2, 1, 1), (2, 2, 2, 2), (1, 2, 1, 1), (2, 3, 1, 2), (3, 2, 1, 1), (4, 3, 2, 2)]
+)
+@pytest.mark.parametrize("count", [0, 1, 5, 20])
+def test_stacked_trivial_hinf_matches_the_per_loop_reference(shape, count) -> None:
+    # T6 completes, closes and norms its loops in stacks of equal order; each report is bit for
+    # bit the one-loop-at-a-time report, with one measured row and with m_y = 2 rows selected
+    n, m_w, m_u, m_y = shape
+    for seed in range(3):
+        p = random_pr_plant(*shape, seed=680 + seed)
+        challengers = random_challengers(p, count, seed)
+        for rows in {1, m_y}:
+            selector = np.zeros((rows, m_w + m_u))
+            selector[:, :rows] = np.eye(rows)
+            got = report_hex(verify_trivial_hinf(p, selector, challengers))
+            assert got == reference_trivial_hinf(p, selector, challengers), (seed, rows)
+
+
+def test_stacked_trivial_hinf_keeps_the_per_loop_skips_and_errors(cavity_plant) -> None:
+    # a challenger with other channels, a static one with K_cy != 0 and one with fewer noises
+    # than controls are skipped with their own messages, in entry order; a general-kind
+    # challenger raises the reference's DomainError; a non-realizable plant is skipped
+    p, select = cavity_plant, [[1.0, 0.0]]
+    challengers = random_challengers(p, 4, 5)
+    other_channels = random_challengers(random_pr_plant(1, 2, 2, 1, seed=1), 1, 0)[0]
+    static = static_controller(k_cy=[[0.5]], k_cw=[[1.0]])
+    few_noises = ControllerModel(kind="annihilation", f_c=[[-1.0]], g_cw=np.zeros((1, 0)), g_cy=[[0.1]],
+                                 h_c=[[0.1]], k_cw=np.zeros((1, 0)), k_cy=[[0.0]])
+    general = ControllerModel(kind="general", f_c=delta_build([[-2.0 + 0.5j]], [[0.3]]), g_cw=np.zeros((2, 2)),
+                              g_cy=delta_build([[0.4]], [[0.1]]), h_c=delta_build([[0.5]], [[-0.2]]),
+                              k_cw=np.eye(2), k_cy=np.zeros((2, 2)))
+    mixed = [challengers[0], other_channels, static, challengers[1], few_noises, challengers[2]]
+    report = verify_trivial_hinf(p, select, mixed)
+    assert report_hex(report) == reference_trivial_hinf(p, select, mixed)
+    assert report.evidence["challengers_skipped"] == 3.0 and report.holds
+    assert [part.split(":")[0] for part in report.narrative.split("Skipped: ")[1].split("; ")] == [
+        "challenger 1", "challenger 2", "challenger 4"
+    ]
+    errored = [challengers[3], other_channels, general, challengers[0]]
+    with pytest.raises(DomainError) as want:
+        reference_trivial_hinf(p, select, errored)
+    with pytest.raises(DomainError) as got:
+        verify_trivial_hinf(p, select, errored)
+    assert str(got.value) == str(want.value) == "augmented loop composition is annihilation-kind only"
+    unrealizable = PlantModel(kind="annihilation", f=[[-1.0]], g_w=[[-0.9]], g_u=[[-1.0]], h=[[2.0]], k=np.eye(1))
+    assert report_hex(verify_trivial_hinf(unrealizable, select, challengers)) == reference_trivial_hinf(
+        unrealizable, select, challengers
+    )
+
+
+def test_trivial_hinf_refutes_one_wrong_certificate_in_a_stack(cavity_plant, monkeypatch) -> None:
+    # only the last loop of each stack of several gets a scaled certificate; that loop alone
+    # must make the lossless test fail, wherever it sits in its stack
+    assemble, scaled_loops = coherent._augmented_loop, []
+
+    def last_scaled(*args):
+        a, b, c, d, theta = assemble(*args)
+        if len(theta) > 1:
+            theta = theta.copy()
+            theta[-1] *= 1.01
+            scaled_loops.append(len(theta))
+        return a, b, c, d, theta
+
+    challengers = random_challengers(cavity_plant, 6, 11)
+    assert verify_trivial_hinf(cavity_plant, [[1.0, 0.0]], challengers).evidence["lossless_all"] == 1.0
+    monkeypatch.setattr(coherent, "_augmented_loop", last_scaled)
+    report = verify_trivial_hinf(cavity_plant, [[1.0, 0.0]], challengers)
+    assert scaled_loops and report.evidence["lossless_all"] == 0.0 and not report.holds
+
+
 def test_trivial_hinf_refutes_a_wrong_loop_certificate(cavity_plant, monkeypatch) -> None:
     # the loops stay all-pass; only their certificates are scaled off the identities
-    close = coherent.close_augmented_loop
+    assemble = coherent._augmented_loop
 
-    def scaled(p, c):
-        loop = close(p, c)
-        return replace(loop, theta=1.01 * loop.theta)
+    def scaled(*args):
+        a, b, c, d, theta = assemble(*args)
+        return a, b, c, d, 1.01 * theta
 
-    monkeypatch.setattr(coherent, "close_augmented_loop", scaled)
+    monkeypatch.setattr(coherent, "_augmented_loop", scaled)
     report = verify_trivial_hinf(cavity_plant, [[1.0, 0.0]], random_challengers(cavity_plant, 2, 11))
     assert report.evidence["lossless_all"] == 0.0
     assert not report.holds

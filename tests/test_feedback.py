@@ -7,6 +7,7 @@ composition paths (state-space blocks vs transfer-function loop algebra).
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -45,7 +46,7 @@ from qfeedback import (
     trivial_controller,
 )
 from qfeedback.coherent import _static_gain_candidates, random_admissible_triple, verify_trivial_hinf
-from qfeedback.feedback import _identity_pad, _loop_matrices, _static_screen
+from qfeedback.feedback import _controller_completions, _identity_pad, _loop_matrices, _static_screen
 from qfeedback.linalg import (
     RESIDUAL_TOL,
     dagger,
@@ -365,6 +366,50 @@ def test_completion_verdict_is_the_realizability_check(kind, shape) -> None:
     assert checked >= 9
 
 
+def _completion_outcome(outcome) -> tuple:
+    """A completion, or the error that ended it, as comparable bytes and hex."""
+    if isinstance(outcome, Exception):
+        return type(outcome).__name__, str(outcome), {k: float(v).hex() for k, v in outcome.residuals.items()}
+    theta, h_tilde, verdict = outcome
+    residuals = [(k, float(v).hex()) for k, v in verdict.residuals.items()]
+    return theta.tobytes(), h_tilde.tobytes(), verdict.realizable, verdict.failure_reason, residuals
+
+
+@pytest.mark.parametrize("kind", ["annihilation", "general"])
+@pytest.mark.parametrize("shape", [(2, 2, 1, 1), (2, 3, 1, 2)])
+def test_stacked_controller_completions_match_augment_controller(kind, shape) -> None:
+    # one stack of equal-shape controllers, valid ones among ones that fail the feedthrough,
+    # inertia, row or eigenvalue-sum test: each item ends as augment_controller ends on it
+    for seed in range(3):
+        p = random_pr_plant(*shape, seed=50 + seed, kind=kind)
+        if kind == "annihilation":
+            valid = [c for c in random_challengers(p, 20, seed) if c.n_modes == 1][:3]
+            degenerate, nudge = np.array([[1j]]), 0.1
+        else:
+            valid = [c for c in completion_controllers(p, seed) if c.n_modes == 1] * 3
+            degenerate, nudge = delta_build([[1j]], [[0.0]]), delta_build([[0.1]], [[0.0]])
+        bent = [
+            replace(valid[0], k_cy=valid[0].k_cy + 0.5),  # feedthrough
+            replace(valid[1], f_c=-valid[1].f_c),  # inertia (annihilation kind)
+            replace(valid[1], h_c=valid[1].h_c + nudge),  # rows
+            replace(valid[2], f_c=degenerate),  # eigenvalue sum
+        ]
+        ctrls = [valid[0], *bent[:2], valid[1], *bent[2:], valid[2]]
+        names = ("f_c", "g_cw", "g_cy", "h_c", "k_cw", "k_cy")
+        done = _controller_completions(kind, *(np.stack([getattr(c, name) for c in ctrls]) for name in names))
+        got = {j: done.errors[j] for j in done.errors}
+        got.update({j: (done.theta[i], done.h_tilde[i], done.verdicts[i]) for i, j in enumerate(done.done)})
+        for j, ctrl in enumerate(ctrls):
+            try:
+                aug = augment_controller(ctrl)
+                want = (aug.theta, aug.h_tilde, aug.verdict)
+            except NotAugmentableError as exc:
+                want = exc
+            assert _completion_outcome(got[j]) == _completion_outcome(want), (seed, j)
+        reasons = {str(got[j]).split(" (")[0] for j in done.errors}
+        assert len(done.done) == 3 and len(reasons) == (4 if kind == "annihilation" else 3), reasons
+
+
 # ---------------------------------------------------------------------------
 # loop composition
 
@@ -537,6 +582,14 @@ def test_synth_without_states_is_the_trivial_controller(m_u: int, m_y: int) -> N
         assert got.dtype == expected.dtype and np.array_equal(got, expected), name
     assert result.theta.shape == (0, 0) and result.theta.dtype == complex
     assert (result.extra_channels, result.zero_noise, result.admissibility_norm) == (0, True, 0.0)
+
+
+@pytest.mark.parametrize("triple", [([[-1.0]], [[0.5]], [[1e-200]]), ([[-1e160]], [[0.5]], [[1.0]])])
+def test_synth_with_an_admissibility_norm_whose_square_underflows_raises_a_domain_error(triple) -> None:
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="its square underflows"):
+            synth_noise_annihilation(*triple)
 
 
 def test_synth_rejects_unstable_state_matrix() -> None:

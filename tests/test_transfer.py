@@ -7,6 +7,8 @@ norm paths never share code with their oracles.
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -52,9 +54,15 @@ from qfeedback.linalg import (
 from qfeedback.systems import eig_sum_condition, is_hurwitz
 from qfeedback.transfer import (
     _BLOCK_ENTRIES,
+    _axis_eigenvalues,
     _freq_response,
     _gamma_feasible,
+    _hinf_norms,
+    _level_set_bracket,
+    _Loops,
+    _sample_grid,
     _sample_worst,
+    _schur_forms,
     _sigma_max,
 )
 
@@ -874,7 +882,7 @@ def test_hinf_norm_matches_reference_bisection(hinf_family) -> None:
 
 def test_hinf_norm_without_level_set_bracket_is_unchanged(hinf_family, monkeypatch) -> None:
     expected = [_as_reference(hinf_norm(g)) for g in hinf_family]
-    monkeypatch.setattr(transfer, "_level_set_bracket", lambda g, lo: (None, 0))
+    monkeypatch.setattr(transfer, "_level_set_bracket", lambda g, lo: ([None] * len(lo), [0] * len(lo)))
     for g, want in zip(hinf_family, expected):
         result = hinf_norm(g)
         assert _as_reference(result) == want
@@ -949,6 +957,76 @@ def test_hinf_norm_is_relatively_accurate_at_every_output_scale(scale: float) ->
     flat = StateSpaceTF(a=g.a, b=g.b, c=scale * g.c, d=scale * g.d)
     for system in (low_pass, flat):
         assert abs(hinf_norm(system).value - scale) <= 2e-6 * scale
+
+
+def _stack(systems: list[StateSpaceTF]) -> tuple[_Loops, list[StateSpaceTF]]:
+    """Equal-shape systems as one stack built the way T6 builds its loops (stacked matrices,
+    one Schur form each), and each loop again as its own StateSpaceTF."""
+    a, b, c, d = (np.stack([getattr(g, name) for g in systems]) for name in "abcd")
+    return _Loops(a, b, c, d, _schur_forms(a)), [StateSpaceTF(*blocks) for blocks in zip(a, b, c, d)]
+
+
+def _stacked_families() -> list[list[StateSpaceTF]]:
+    """Stacks of stable loops (square, tall and wide, with and without D) and a stack whose
+    middle loop has a pole on a grid point, so it drops that point and its neighbours do not."""
+    rng = np.random.default_rng(97)
+    families = []
+    for n, m, p in [(1, 1, 1), (2, 2, 1), (3, 1, 2), (3, 2, 2), (4, 3, 1)]:
+        for strictly_proper in (True, False):
+            families.append([random_stable_tf(rng, n, m, p, strictly_proper) for _ in range(3)])
+    grid = default_frequency_grid()
+    w0 = grid[np.argmin(np.abs(grid - 0.5))]
+    families.append(
+        [StateSpaceTF(np.diag([pole, -0.5]), np.ones((2, 2)), np.ones((2, 2)), np.zeros((2, 2)))
+         for pole in (-0.3 + 0.2j, 1j * w0, -0.4 - 0.1j)]
+    )
+    return families
+
+
+def test_stacked_transfer_cores_match_their_one_loop_calls() -> None:
+    # each loop of a stack gets the bytes of its own one-loop call: responses, grid samples
+    # (with a point dropped at a pole of one loop only), level-set steps, brackets and norms
+    drops = 0
+    for systems in _stacked_families():
+        stack, loops = _stack(systems)
+        s = 1j * np.stack([np.linspace(-3.0, 3.0, 7) * (1 + l) for l in range(len(loops))])
+        responses = _freq_response(stack, s)
+        values, used = _sample_grid(stack, _sigma_max)
+        for l, g in enumerate(loops):
+            assert responses[l].tobytes() == _freq_response(g, s[l]).tobytes()
+            single, count = _sample_grid(g, _sigma_max)
+            assert values[l][used[l]].tobytes() == single.tobytes() and count == np.count_nonzero(used[l])
+            drops += count < used.shape[1]
+        if not all(is_hurwitz(g.a) for g in loops):
+            continue
+        lo = [0.5 * float(np.max(v, where=u, initial=0.0)) for v, u in zip(values, used)]  # a few steps each
+        squares = [(1.5 * x) ** 2 for x in lo]
+        brackets = _level_set_bracket(stack, lo)
+        for l, (g, axis) in enumerate(zip(loops, _axis_eigenvalues(stack, squares))):
+            one = _axis_eigenvalues(g._loops, squares[l : l + 1])[0]
+            assert (axis is None and one is None) or axis.tobytes() == one.tobytes()
+            assert [x[l] for x in brackets] == [x[0] for x in _level_set_bracket(g._loops, lo[l : l + 1])]
+        for norm, g in zip(_hinf_norms(stack), loops):
+            want = hinf_norm(g)
+            assert float(norm.value).hex() == float(want.value).hex()
+            assert {k: v.hex() for k, v in norm.certificate.items()} == {k: v.hex() for k, v in want.certificate.items()}
+    assert drops == 1
+
+
+@pytest.mark.parametrize("c", [1e-155, 1e-160, 1e-200])
+def test_hinf_norm_whose_level_square_underflows_raises_a_domain_error(c: float) -> None:
+    # the bisection's level squares to a subnormal or to 0, where R^{-1} would overflow;
+    # the typed error comes before any numpy warning
+    g = StateSpaceTF(a=[[-1.0]], b=[[1.0]], c=[[c]], d=[[0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="its square underflows"):
+            hinf_norm(g)
+
+
+def test_hinf_norm_just_above_the_underflow_keeps_its_value() -> None:
+    result = hinf_norm(StateSpaceTF(a=[[-1.0]], b=[[1.0]], c=[[1e-150]], d=[[0.0]]))
+    assert result.value == float.fromhex("0x1.a2fe8160beebcp-499")  # its value at the parent commit
 
 
 def test_hinf_norm_of_a_zero_response_stops_at_once() -> None:

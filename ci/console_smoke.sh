@@ -8,8 +8,9 @@
 # and T6 with an empty challenger draw, in both formats; T6 on seeded plants
 # with two measured rows and 20 challengers of both orders (stacked loops);
 # and documents whose magnitudes or noise terms square past the float range,
-# or whose H-infinity levels square below it, which must exit 1 or 2 with no
-# traceback and no warning.
+# or whose H-infinity levels square below it, or whose cost rows (compose
+# --h2, T5) or sampled responses (check --transfer, both kinds) overflow
+# their squares, which must exit 1 or 2 with no traceback and no warning.
 # Run it from an empty scratch directory.
 set -euo pipefail
 
@@ -63,9 +64,11 @@ for fmt in text json; do
 done
 python -c 'from qfeedback import AnnihilationQSys, ControllerModel, GeneralQSys, delta_build, save_system; save_system("big.json", AnnihilationQSys(f=[[-1.0]], g=[[1.0]], h=[[1.0]], k=[[1e200]])); save_system("gbig.json", GeneralQSys(f=delta_build([[-1.0]], [[0.0]]), g=delta_build([[1.0]], [[0.0]]), h=delta_build([[1.0]], [[0.0]]), k=delta_build([[1e200]], [[0.0]]))); save_system("cbig.json", ControllerModel(kind="annihilation", f_c=[[-1.0]], g_cw=[[0.0, 0.0]], g_cy=[[1.0]], h_c=[[1e200]], k_cw=[[1.0, 0.0]], k_cy=[[0.0]]))'
 python -c 'import numpy as np; from qfeedback import AnnihilationQSys, ControllerModel, CostOutput, GeneralQSys, PlantModel, delta_build, random_pr_plant, save_system; p = random_pr_plant(2, 2, 1, 1, 0); save_system("qbig.json", AnnihilationQSys(f=[[-1.0]], g=[[1e200]], h=[[1.0]], k=[[1.0]])); save_system("qgbig.json", GeneralQSys(f=delta_build([[-1.0]], [[0.0]]), g=delta_build([[1e200]], [[0.0]]), h=delta_build([[1.0]], [[0.0]]), k=delta_build([[1.0]], [[0.0]]))); save_system("qcbig.json", ControllerModel(kind="annihilation", f_c=[[-1.0]], g_cw=[[0.0, 0.0]], g_cy=[[1e200]], h_c=[[0.5]], k_cw=[[1.0, 0.0]], k_cy=[[0.0]])); save_system("qpbig.json", PlantModel(kind="annihilation", f=p.f, g_w=p.g_w * 1e200, g_u=p.g_u, h=p.h, k=p.k, cost=CostOutput(c=np.ones((1, 2)), d=np.zeros((1, 1)))))'
+python -c 'import numpy as np; from qfeedback import AnnihilationQSys, CostOutput, GeneralQSys, random_pr_plant, random_pr_system, save_system; s = random_pr_system(2, 2, 0, hurwitz_required=True); g = random_pr_system(2, 1, 0, kind="general"); save_system("hbig.json", AnnihilationQSys(f=s.f, g=s.g, h=1e200 * s.h, k=s.k)); save_system("ghbig.json", GeneralQSys(f=g.f, g=g.g, h=1e200 * g.h, k=g.k)); save_system("zbig.json", random_pr_plant(2, 2, 1, 1, 0).with_cost(CostOutput(c=1e200 * np.ones((1, 2)), d=np.zeros((1, 1)))))'
 for argv in "check big.json --transfer" "check gbig.json --transfer" "synth cbig.json" \
     "check qbig.json" "check qbig.json --transfer" "check qgbig.json" "check qgbig.json --transfer" \
-    "params qbig.json" "params qgbig.json" "synth qcbig.json" "compose qpbig.json t.json --h2"; do
+    "params qbig.json" "params qgbig.json" "synth qcbig.json" "compose qpbig.json t.json --h2" \
+    "check hbig.json --transfer" "check ghbig.json --transfer" "compose zbig.json t.json --h2" "verify T5 zbig.json"; do
   for fmt in text json; do
     status=0; qfeedback --format "$fmt" $argv > big.out 2> big.err || status=$?
     test "$status" -ge 1 && test "$status" -le 2

@@ -50,6 +50,7 @@ from .linalg import (
     _rank_cut,
     _stack_max_abs,
     _stacked_block,
+    _trace_cost,
     as_matrix,
     dagger,
     hermitian_part,
@@ -270,33 +271,30 @@ def random_admissible_triple(
     return f_c, g_cy, h_c
 
 
-def _challenger_draws(p: PlantModel, count: int, seed: int) -> list[tuple[np.ndarray, ...]]:
+def _challenger_draws(p: PlantModel, count: int, seed: int) -> list[tuple]:
     """The blocks (F_c, G_cw, G_cy, H_c) of :func:`random_challengers`, unvalidated.
 
     Each challenger draws its order n_c and then one run of normals, which
     holds in turn the real and imaginary parts of M, of H_c and of the
     measurement rows (a Generator fills normals in sequence, so separate
     draws of each part give the same numbers).  The draws of one order are
-    built as one stack and returned per draw, in draw order.
+    built as C-contiguous stacks, returned with their positions, by increasing order.
     """
-    rng = np.random.default_rng(seed)
-    orders, normals = [], []
-    for _ in range(count):
-        orders.append(n_c := int(rng.integers(1, 3)))
+    rng, groups, normals = np.random.default_rng(seed), {}, []
+    for i in range(count):
+        groups.setdefault(n_c := int(rng.integers(1, 3)), []).append(i)
         normals.append(rng.standard_normal(2 * n_c * (n_c + p.m_u + p.m_y)))
-    draws: list[tuple[np.ndarray, ...]] = [()] * count
-    for n_c in set(orders):
-        idx = [i for i, order in enumerate(orders) if order == n_c]
+    stacks = []
+    for n_c, idx in sorted(groups.items()):
         rows = np.repeat([n_c, p.m_u, p.m_y], 2)  # each part's rows of n_c normals, in draw order
         z = np.stack([normals[i] for i in idx]).reshape(len(idx), rows.sum(), n_c)
         parts = np.split(z, np.cumsum(rows)[:-1], axis=1)
         m, h_c, y_rows = ((re + 1j * im) / np.sqrt(2.0) for re, im in zip(parts[::2], parts[1::2]))
         n_coupling = _stacked_block([[h_c], [-np.sqrt(2.0) * np.eye(n_c)], [y_rows]])
         f_c, g_c = _annihilation_fg(np.eye(n_c, dtype=complex), hermitian_part(m), n_coupling)
-        m_wt = p.m_u + n_c
-        for j, i in enumerate(idx):
-            draws[i] = (f_c[j], g_c[j, :, :m_wt], g_c[j, :, m_wt:], h_c[j])
-    return draws
+        g_cw, g_cy = (np.ascontiguousarray(x) for x in np.split(g_c, [p.m_u + n_c], axis=-1))
+        stacks.append((idx, f_c, g_cw, g_cy, h_c))
+    return stacks
 
 
 def random_challengers(p: PlantModel, count: int, seed: int) -> list[ControllerModel]:
@@ -309,31 +307,25 @@ def random_challengers(p: PlantModel, count: int, seed: int) -> list[ControllerM
     is strictly admissible for ``synth_noise_annihilation``.  (I, M, N) is
     valid by construction and goes straight into the realization formula.
     """
-    draws = _challenger_draws(p, count, seed)
-    return [_canonical_controller("annihilation", *blocks) for blocks in draws]
+    draws = {i: blocks for stack in _challenger_draws(p, count, seed) for i, *blocks in zip(*stack)}
+    return [_canonical_controller("annihilation", *draws[i]) for i in range(count)]
 
 
-def _loop_cost(c: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    """LQG costs sqrt(tr(C Theta C^dagger)) of stable loops at state covariances Theta, over leading axes."""
-    return np.sqrt(np.maximum(np.trace(c @ theta @ dagger(c), axis1=-2, axis2=-1).real, 0.0))
+def _challenger_loops(p: PlantModel, theta_p: np.ndarray, stacks) -> tuple[np.ndarray, ...]:
+    """Close the loops of the order stacks of :func:`_challenger_draws` around ``p``.
 
-
-def _challenger_loops(p: PlantModel, theta_p: np.ndarray, draws) -> tuple[np.ndarray, ...]:
-    """Close the loops of challenger blocks from :func:`_challenger_draws` around ``p``.
-
-    The draws are stacked by controller order n_c, with the canonical
-    feedthrough K_cw = [I, 0], K_cy = 0; each stack gets one loop assembly,
-    one eigensolve, one Lyapunov residual test at the loop's state
-    covariance Theta = diag(Theta_p, I) and one cost sqrt(tr(C Theta
-    C^dagger)).  Returns, per draw in draw order, internal stability, the
+    Each stack gets the canonical feedthrough K_cw = [I, 0], K_cy = 0, one
+    loop assembly, one eigensolve, one Lyapunov residual test at the loop's
+    state covariance Theta = diag(Theta_p, I) and one cost sqrt(tr(C Theta
+    C^dagger)).  Returns, per draw position, internal stability, the
     residual, its verdict and the cost.
     """
-    stable, defect = np.zeros(len(draws), dtype=bool), np.zeros(len(draws), dtype=bool)
-    residual, cost = np.zeros(len(draws)), np.zeros(len(draws))
+    count = sum(len(idx) for idx, *_ in stacks)
+    stable, defect = np.zeros(count, dtype=bool), np.zeros(count, dtype=bool)
+    residual, cost = np.zeros(count), np.zeros(count)
     n, k_cy = p.n_modes, np.zeros((p.m_u, p.m_y), dtype=complex)
-    for n_c in sorted({blocks[0].shape[0] for blocks in draws}):
-        idx = [i for i, blocks in enumerate(draws) if blocks[0].shape[0] == n_c]
-        f_c, g_cw, g_cy, h_c = (np.stack(block) for block in zip(*(draws[i] for i in idx)))
+    for idx, f_c, g_cw, g_cy, h_c in stacks:
+        n_c = f_c.shape[-1]
         a, b, c, _ = _loop_matrices(p, f_c, g_cw, g_cy, h_c, _identity_pad(p.m_u, p.m_u + n_c), k_cy)
         theta = np.eye(n + n_c, dtype=complex)
         theta[:n, :n] = theta_p
@@ -341,7 +333,7 @@ def _challenger_loops(p: PlantModel, theta_p: np.ndarray, draws) -> tuple[np.nda
         stable[idx] = _hurwitz_spectrum(np.linalg.eigvals(a), a)
         defect[idx] = _lyapunov_defect(a, theta, hermitian_part(b @ dagger(b)), found, RESIDUAL_TOL)
         residual[idx] = found["lyapunov"]
-        cost[idx] = _loop_cost(c, theta)
+        cost[idx] = _trace_cost(c, theta)[0]
     return stable, residual, defect, cost
 
 
@@ -361,7 +353,8 @@ def verify_static_lqg(
     residual test.  The dynamic controllers come from the draw behind
     ``random_challengers`` and are checked in stacks of equal order.  The
     zero-gain certificates carry the substance; the cost comparison is
-    corroborating evidence.
+    corroborating evidence.  A cost whose trace is not finite is a
+    DomainError.
     """
     if p.kind != "annihilation":
         raise DomainError("static LQG verification is annihilation-kind only")
@@ -377,7 +370,7 @@ def verify_static_lqg(
     if p.m_u == 0:  # the loop is the plant, whose state covariance is its certificate
         if not _hurwitz_spectrum(np.linalg.eigvals(p.f), p.f):
             raise InstabilityError("closed loop is not internally stable")
-        cost = float(_loop_cost(p.cost.c, ap.theta))
+        cost = float(_trace_cost(p.cost.c, ap.theta)[0])
         narrative = f"degenerate pass: no control channel, every controller yields cost {cost:.6g}"
         return TheoremReport("T5", True, {"constant_cost": cost}, narrative)
 
@@ -393,12 +386,11 @@ def verify_static_lqg(
         max_q_dev = max(max_q_dev, report.evidence["covariance_vs_certificate"])
         zero_gain_ok = zero_gain_ok and report.holds
         if _hurwitz_spectrum(np.linalg.eigvals(a), a):
-            static_costs.append(float(_loop_cost(c, theta)))
+            static_costs.append(float(_trace_cost(c, theta)[0]))
     best_static, used = min(static_costs, default=np.inf), len(static_costs)
     skipped = len(candidates) - used
 
-    draws = _challenger_draws(p, dynamic_count, seed + 1)
-    stable, _, defect, dynamic_cost = _challenger_loops(p, ap.theta, draws)
+    stable, _, defect, dynamic_cost = _challenger_loops(p, ap.theta, _challenger_draws(p, dynamic_count, seed + 1))
     invariant_ok = not defect[stable].any()
     best_dynamic = float(np.min(dynamic_cost[stable], initial=np.inf))
     dyn_used = int(np.count_nonzero(stable))

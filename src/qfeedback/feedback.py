@@ -255,45 +255,37 @@ def _square_completions(kind, f, g_blocks, h_given, label, pattern_residuals, er
     caller's feedthrough deviations, which are reported with that check.  The
     verdict adds the Lyapunov test to that coupling test; the inertia gate is
     its form test, and K = I by construction.  The inertia, Theta^{-1}, the
-    coupling test and the Lyapunov test each run once over the stack.  An
-    item that fails ends as its NotAugmentableError (or the solver's
-    DomainError); ``errors`` holds items the caller already failed.
+    coupling test and the Lyapunov test each run once over the stack, whose
+    survivors are selected once before Theta^{-1} and once after the rows.
+    An item ends at its first failure: the caller's, held in ``errors``,
+    then the solve's (or the solver's DomainError), the inertia's, the rows'.
     """
     d = _doubling(kind)
     g = _stack_cols(g_blocks, d)
     n, m_tot = f.shape[-1] // d, g.shape[-1] // d
     sig = _kind_rules(kind).signature(m_tot)
     q = _noise_term(g, sig)
-    errors, done, thetas = dict(errors or {}), [], []
+    errors, theta = dict(errors or {}), np.zeros(f.shape, dtype=complex)  # a failed item keeps zeros
     for j in range(len(f)):
         try:
             if j not in errors:
-                thetas.append(_solve_certificate(f[j], q[j], d))
-                done.append(j)
+                theta[j] = _solve_certificate(f[j], q[j], d)
         except SingularityError:
             errors[j] = NotAugmentableError("certificate equation is degenerate (eigenvalue-sum condition fails)")
         except DomainError as exc:
             errors[j] = exc
-    theta = np.stack(thetas) if thetas else np.zeros((0, d * n, d * n), dtype=complex)
-    lam = np.linalg.eigvalsh(theta) if n else np.zeros((len(done), 0))
+    lam = np.linalg.eigvalsh(theta) if n else np.zeros((len(f), 0))
     pos, neg = (np.count_nonzero(mask, axis=-1) for mask in _sign_cut(lam))
-    ok = _has_certificate_inertia((pos, neg, d * n - pos - neg), n, d)
-    for j, good, item_pos, item_neg, item_lam in zip(done, ok, pos, neg, lam):
-        if not good:
-            errors[j] = (
-                NotAugmentableError(
-                    "certificate lacks the required inertia",
-                    residuals={"inertia_positive": float(item_pos), "inertia_negative": float(item_neg)},
-                )
-                if d == 2
-                else NotAugmentableError(
-                    f"no positive definite certificate for the augmented {label}",
-                    residuals={"theta_min_eig": float(np.min(item_lam))},
-                )
-            )
-    if len(done) < len(f) or not ok.all():
-        done = [j for j, good in zip(done, ok) if good]
-        g, q, f, h_given, theta = g[done], q[done], f[done], h_given[done], theta[ok]
+    for j in np.flatnonzero(~_has_certificate_inertia((pos, neg, d * n - pos - neg), n, d)):
+        if d == 2:
+            reason = "certificate lacks the required inertia"
+            evidence = {"inertia_positive": float(pos[j]), "inertia_negative": float(neg[j])}
+        else:
+            reason = f"no positive definite certificate for the augmented {label}"
+            evidence = {"theta_min_eig": float(np.min(lam[j]))}
+        errors.setdefault(int(j), NotAugmentableError(reason, residuals=evidence))
+    done = [j for j in range(len(f)) if j not in errors]
+    g, q, f, h_given, theta = g[done], q[done], f[done], h_given[done], theta[done]
     h_full = -sig @ dagger(g) @ np.linalg.inv(theta)
     rows = h_given.shape[-2] // d
     h_aug = h_full.copy()
@@ -302,16 +294,13 @@ def _square_completions(kind, f, g_blocks, h_given, label, pattern_residuals, er
     ok = ~_coupling_defect(g, theta, h_aug, sig, found, RESIDUAL_TOL)
     if any(dev > RESIDUAL_TOL for dev in pattern_residuals.values()):
         ok[:] = False
+    mismatched = f"{label} output rows do not match the coupling identity"
     for j, good, mismatch in zip(done, ok, found["coupling"]):
         if not good:
-            errors[j] = NotAugmentableError(
-                f"{label} output rows do not match the coupling identity",
-                residuals={"row_mismatch": float(mismatch), **pattern_residuals},
-            )
-    coupling = found["coupling"]
-    if not ok.all():
-        done = [j for j, good in zip(done, ok) if good]
-        g, f, q, theta, h_aug, h_full, coupling = (x[ok] for x in (g, f, q, theta, h_aug, h_full, coupling))
+            evidence = {"row_mismatch": float(mismatch), **pattern_residuals}
+            errors.setdefault(j, NotAugmentableError(mismatched, residuals=evidence))
+    done = [j for j, good in zip(done, ok) if good]
+    g, f, q, theta, h_aug, h_full, coupling = (x[ok] for x in (g, f, q, theta, h_aug, h_full, found["coupling"]))
     failed = _lyapunov_defect(f, theta, q, found, RESIDUAL_TOL)
     verdicts = []
     for i, fails in enumerate(failed):

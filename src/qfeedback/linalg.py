@@ -186,6 +186,16 @@ def _noise_term(g: np.ndarray, sig: np.ndarray | None = None) -> np.ndarray:
         return hermitian_part(g @ dagger(g) if sig is None else g @ sig @ dagger(g))
 
 
+def _trace_cost(c: np.ndarray, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The LQG cost sqrt(tr(C Theta C^dagger)) of a stable loop at its state covariance Theta, and
+    the trace, over leading axes; a DomainError where the trace is not finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        trace = np.trace(c @ theta @ dagger(c), axis1=-2, axis2=-1).real
+    if not np.isfinite(trace).all():
+        raise DomainError("cost tr(C Theta C^dagger) is not finite: the cost rows or the covariance are too large")
+    return np.sqrt(np.maximum(trace, 0.0)), trace
+
+
 def _square(x: float, name: str) -> float:
     """``x ** 2`` for a magnitude ``x``, or a DomainError naming ``name`` where the square overflows."""
     try:

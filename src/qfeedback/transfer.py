@@ -35,6 +35,7 @@ from .linalg import (
     _rank_cut,
     _square,
     _stacked_block,
+    _trace_cost,
     as_square,
     dagger,
     hermitian_part,
@@ -343,8 +344,8 @@ def _signature_check(g, red, sig, tol, gate) -> tuple[str, str, dict[str, float]
     satisfy X C^dagger = -B S D^dagger, which is the realizability check's
     coupling test with G = B S D^dagger.  An unsolvable certificate equation
     makes the prong indeterminate, and a non-None ``gate`` replaces it.
-    Sampled prong: the identity on ``g`` at the grid frequencies.  Returns
-    (algebraic, sampled, residuals); a |D| whose square overflows is a DomainError.
+    Sampled prong: the identity on ``g`` at the grid frequencies, indeterminate where not finite.
+    Returns (algebraic, sampled, residuals); a |D| whose square overflows is a DomainError.
     """
     require_tolerance(tol, "tol")
     feed_scale = 1.0 + _square(max_abs(g.d), "feedthrough")
@@ -364,9 +365,11 @@ def _signature_check(g, red, sig, tol, gate) -> tuple[str, str, dict[str, float]
             g_cpl = red.b @ sig @ dagger(red.d)
             coupled = not _coupling_defect(g_cpl, x, red.c, np.eye(red.output_dim), residuals, tol)
             algebraic = "pass" if feed_ok and coupled else "fail"
-    worst, used = _sample_worst(g, lambda v: np.abs(dagger(v) @ sig @ v - sig))
+    with np.errstate(over="ignore", invalid="ignore"):  # a response too large to square decides nothing
+        worst, used = _sample_worst(g, lambda v: np.abs(dagger(v) @ sig @ v - sig))
     residuals["sampled"] = worst
-    return algebraic, "pass" if used and worst <= FREQ_TOL else "fail", residuals
+    sampled = "indeterminate" if not np.isfinite(worst) else "pass" if used and worst <= FREQ_TOL else "fail"
+    return algebraic, sampled, residuals
 
 
 def jj_unitary_check(g: StateSpaceTF, half_io: int, tol: float = RESIDUAL_TOL) -> TransferCheck:
@@ -421,6 +424,8 @@ def h2_norm(g: StateSpaceTF) -> NormResult:
         When D is nonzero (the norm does not exist).
     InstabilityError
         When A is not Hurwitz.
+    DomainError
+        When the trace is not finite.
     """
     if max_abs(g.d) > RESIDUAL_TOL:
         raise InfiniteNormError("H2 norm needs a strictly proper system (D = 0)")
@@ -429,13 +434,9 @@ def h2_norm(g: StateSpaceTF) -> NormResult:
     if not _hurwitz_spectrum(g._schur[0], g.a):
         raise InstabilityError("H2 norm needs a Hurwitz state matrix")
     p = solve_lyapunov_hermitian(g.a, _noise_term(g.b), g._schur[1:])
-    tr = float(np.trace(g.c @ p @ dagger(g.c)).real)
+    value, tr = _trace_cost(g.c, p)
     residual = max_abs(g.a @ p + p @ dagger(g.a) + g.b @ dagger(g.b))
-    return NormResult(
-        float(np.sqrt(max(tr, 0.0))),
-        "lyapunov-gramian",
-        {"gramian_trace": tr, "residual": residual},
-    )
+    return NormResult(float(value), "lyapunov-gramian", {"gramian_trace": float(tr), "residual": residual})
 
 
 # Levels within this relative band of the level-set bracket run the Hamiltonian
@@ -458,26 +459,22 @@ def _level_square(gamma: float) -> float:
 
 def _axis_eigenvalues(g: _Loops, squares) -> list[np.ndarray | None]:
     """Imaginary-axis eigenvalues of each loop's bounded-real Hamiltonian at its level gamma,
-    given gamma^2 per loop.  None where R = gamma^2 I - D^dagger D is not positive definite;
-    the other loops' Hamiltonians are solved as one stack."""
+    given gamma^2 per loop, all solved as one stack.  None where R = gamma^2 I - D^dagger D is
+    not positive definite; that loop's Hamiltonian is built with I in place of R, and dropped."""
     r = hermitian_part(np.asarray(squares)[:, None, None] * np.eye(g.d.shape[-1]) - dagger(g.d) @ g.d)
     lam_r = np.linalg.eigvalsh(r)[:, :1] if r.shape[-1] else np.ones((len(r), 0))
-    live = np.flatnonzero(~np.any(lam_r <= 0.0, axis=1))
-    out: list[np.ndarray | None] = [None] * len(r)
-    if live.size:
-        h, r_inv = g.take(live), np.linalg.inv(r if live.size == len(r) else r[live])
-        a_hat = h.a + h.b @ r_inv @ dagger(h.d) @ h.c
-        ham = _stacked_block(
-            [
-                [a_hat, h.b @ r_inv @ dagger(h.b)],
-                [-dagger(h.c) @ (np.eye(h.c.shape[-2]) + h.d @ r_inv @ dagger(h.d)) @ h.c, -dagger(a_hat)],
-            ]
-        )
-        lam = np.linalg.eigvals(ham) if len(ham) > 1 else np.linalg.eigvals(ham[0])[None]  # one is a matrix
-        cut = 1e-8 * _pole_scale(lam)
-        for j, l in enumerate(live):
-            out[l] = lam[j][np.abs(lam[j].real) <= cut[j]]
-    return out
+    live = ~np.any(lam_r <= 0.0, axis=1)
+    r_inv = np.linalg.inv(np.where(live[:, None, None], r, np.eye(r.shape[-1])))
+    a_hat = g.a + g.b @ r_inv @ dagger(g.d) @ g.c
+    ham = _stacked_block(
+        [
+            [a_hat, g.b @ r_inv @ dagger(g.b)],
+            [-dagger(g.c) @ (np.eye(g.c.shape[-2]) + g.d @ r_inv @ dagger(g.d)) @ g.c, -dagger(a_hat)],
+        ]
+    )
+    lam = np.linalg.eigvals(ham) if len(ham) > 1 else np.linalg.eigvals(ham[0])[None]  # one is a matrix
+    cut = 1e-8 * _pole_scale(lam)
+    return [x[np.abs(x.real) <= c] if ok else None for x, c, ok in zip(lam, cut, live)]
 
 
 def _gamma_feasible(g, gamma: float) -> bool:
@@ -505,20 +502,18 @@ def _level_set_bracket(g: _Loops, lo: list[float]) -> tuple[list, list[int]]:
     steps = [_LEVEL_SET_MAX_STEPS] * len(lo)
     open_loops = list(range(len(lo)))
     for step in range(_LEVEL_SET_MAX_STEPS):
-        tested, gammas, squares = [], [], []
+        levels = {}  # each open loop's tested level and its square
         for l in open_loops:
             gamma = lo[l] + _LEVEL_SET_STEP * (lo[l] or 1.0)
             try:
-                squares.append(_level_square(gamma))
+                levels[l] = (gamma, _level_square(gamma))
             except DomainError as exc:
                 brackets[l] = exc
-                continue
-            tested.append(l)
-            gammas.append(gamma)
-        if not tested:
+        if not levels:
             break
         open_loops = []
-        for l, gamma, axis in zip(tested, gammas, _axis_eigenvalues(g.take(tested), squares)):
+        axes = _axis_eigenvalues(g.take(list(levels)), [square for _, square in levels.values()])
+        for (l, (gamma, _)), axis in zip(levels.items(), axes):
             if axis is None:
                 steps[l] = step
             elif axis.size == 0:

@@ -876,3 +876,41 @@ class TestExitContract:
             assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr, (argv, proc.stderr)
             error = json.loads(proc.stdout)["error"] if fmt == "json" else proc.stderr
             assert error.strip() == ("q has non-finite entries" if fmt == "json" else "input error: q has non-finite entries")
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_costs_and_responses_that_overflow_exit_without_a_warning(self, tmp_path, fmt):
+        # a 1e200 cost row is finite, but tr(C Theta C^dagger) is not: compose --h2 and T5 end in
+        # an input error, not a NaN cost; H x 1e200 overflows the sampled identity, whose prong is
+        # then indeterminate, and check exits 1
+        s = random_pr_system(2, 2, seed=0, kind="annihilation", hurwitz_required=True)
+        gs = random_pr_system(2, 1, seed=0, kind="general")
+        cost = CostOutput(c=np.full((1, 2), 1e200), d=np.zeros((1, 1)))
+        docs = {
+            "pc.json": random_pr_plant(2, 2, 1, 1, 0).with_cost(cost),
+            "t.json": trivial_controller(1, 1),
+            "hbig.json": AnnihilationQSys(f=s.f, g=s.g, h=1e200 * s.h, k=s.k),
+            "ghbig.json": GeneralQSys(f=gs.f, g=gs.g, h=1e200 * gs.h, k=gs.k),
+        }
+        for name, model in docs.items():
+            save_system(tmp_path / name, model)
+        runs = [(["compose", "pc.json", "t.json", "--h2"], 2), (["verify", "T5", "pc.json"], 2),
+                (["check", "hbig.json", "--transfer"], 1), (["check", "ghbig.json", "--transfer"], 1)]
+        src = str(Path(qfeedback.__file__).resolve().parents[1])
+        for argv, status in runs:
+            proc = subprocess.run(
+                [sys.executable, "-W", "error", "-m", "qfeedback.cli", "--format", fmt, *argv],
+                capture_output=True,
+                text=True,
+                cwd=tmp_path,
+                env={**os.environ, "PYTHONPATH": src},
+                timeout=120,
+            )
+            assert proc.returncode == status, (argv, proc.stderr)
+            assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr, (argv, proc.stderr)
+            if status == 2:
+                error = json.loads(proc.stdout)["error"] if fmt == "json" else proc.stderr
+                assert "cost tr(C Theta C^dagger) is not finite" in error
+            elif fmt == "json":
+                assert json.loads(proc.stdout)["transfer"]["prongs"]["sampled"] == "indeterminate"
+            else:
+                assert "sampled=indeterminate" in proc.stdout

@@ -46,6 +46,7 @@ from qfeedback import (
     lqg_cost,
     random_challengers,
     random_pr_plant,
+    random_pr_system,
     save_system,
     static_controller,
     synth_noise_annihilation,
@@ -217,6 +218,46 @@ def test_an_overflowing_noise_term_raises_the_solver_error_without_a_warning(cal
         warnings.simplefilter("error")
         with pytest.raises(DomainError, match="q has non-finite entries"):
             call()
+
+
+def _plant_with_huge_cost() -> PlantModel:
+    return random_pr_plant(2, 2, 1, 1, 0).with_cost(CostOutput(c=1e200 * np.ones((1, 2)), d=np.zeros((1, 1))))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: h2_norm(close_loop(_plant_with_huge_cost(), trivial_controller(1, 1)).system),
+        lambda: lqg_cost(close_loop(_plant_with_huge_cost(), random_challengers(_plant_with_huge_cost(), 1, 0)[0])),
+        lambda: verify_static_lqg(_plant_with_huge_cost()),
+        lambda: verify_static_lqg(
+            PlantModel(kind="annihilation", f=[[-1.0]], g_w=[[-2**0.5]], g_u=np.zeros((1, 0)), h=[[2**0.5]],
+                       k=[[1.0]], cost=CostOutput(c=[[1e200]], d=np.zeros((1, 0))))
+        ),
+    ],
+    ids=["h2", "lqg", "T5", "T5-no-control"],
+)
+def test_a_cost_whose_trace_overflows_raises_a_domain_error_without_a_warning(call) -> None:
+    # C = 1e200 is finite, but tr(C Theta C^dagger) is not: no NaN cost, and no wrong T5 refutation
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=r"cost tr\(C Theta C\^dagger\) is not finite"):
+            call()
+
+
+@pytest.mark.parametrize("scale", [1e160, 1e200, 1e300])
+@pytest.mark.parametrize("kind", ["annihilation", "general"])
+def test_a_sampled_prong_whose_deviation_overflows_is_indeterminate(kind, scale) -> None:
+    # H scaled past the float range of Gamma~ S Gamma: the sampled prong decides nothing,
+    # the verdict stays False and no numpy warning escapes
+    s = random_pr_system(2, 2 if kind == "annihilation" else 1, seed=0, kind=kind,
+                         hurwitz_required=kind == "annihilation")
+    g = StateSpaceTF(s.f, s.g, scale * s.h, s.k)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        check = lossless_br_check(g) if kind == "annihilation" else jj_unitary_check(g, 1)
+    assert check.prongs["sampled"] == "indeterminate" and not np.isfinite(check.residuals["sampled"])
+    assert check.prongs["algebraic"] == "fail" and not check.verdict
 
 
 def test_zero_gain_rejects_fewer_controller_noises_than_controls(cavity_plant) -> None:
@@ -633,11 +674,14 @@ def test_stacked_challenger_loops_match_the_per_loop_reference(shape, count) -> 
             CostOutput(c=rng.standard_normal((2, shape[0])), d=np.zeros((2, shape[2])))
         )
         theta_p = augment_plant(p).theta
-        draws = coherent._challenger_draws(p, count, seed)
+        stacks = coherent._challenger_draws(p, count, seed)
         challengers = random_challengers(p, count, seed)
         second = [i for i, ctrl in enumerate(challengers) if ctrl.n_modes == 2]
-        for subset in (range(count), second):
-            outcomes = coherent._challenger_loops(p, theta_p, [draws[i] for i in subset])
+        # the n_c = 2 stack alone, its positions renumbered from 0
+        only_second = [(list(range(len(idx))), *blocks) for idx, *blocks in stacks if blocks[0].shape[-1] == 2]
+        assert [idx for idx, *blocks in stacks if blocks[0].shape[-1] == 2] == ([second] if second else [])
+        for subset, given in ((range(count), stacks), (second, only_second)):
+            outcomes = coherent._challenger_loops(p, theta_p, given)
             got = [(bool(s), float(r).hex(), bool(d), float(c).hex()) for s, r, d, c in zip(*outcomes)]
             assert got == reference_challenger_loops(p, theta_p, [challengers[i] for i in subset])
 
@@ -661,6 +705,16 @@ def draw_bytes(draws) -> list[list[tuple]]:
     return [[(blk.shape, blk.dtype, blk.tobytes()) for blk in blocks] for blocks in draws]
 
 
+def per_draw(stacks, count: int) -> list[tuple]:
+    """The blocks of each draw, in draw order, from the order stacks; each stack block is C-contiguous."""
+    draws: list[tuple] = [()] * count
+    for idx, *blocks in stacks:
+        assert all(blk.flags.c_contiguous for blk in blocks)
+        for j, i in enumerate(idx):
+            draws[i] = tuple(blk[j] for blk in blocks)
+    return draws
+
+
 # the five acceptance shapes, two larger ones, and plants without measured outputs or controls
 @pytest.mark.parametrize(
     "plant",
@@ -681,7 +735,7 @@ def test_challenger_draw_matches_the_per_block_reference(plant, count) -> None:
     # blocks of one RNG call per block, down to the sign of every zero
     for seed in range(3):
         p = plant(seed)
-        assert draw_bytes(coherent._challenger_draws(p, count, seed)) == draw_bytes(
+        assert draw_bytes(per_draw(coherent._challenger_draws(p, count, seed), count)) == draw_bytes(
             reference_challenger_draws(p, count, seed)
         )
 

@@ -46,9 +46,22 @@ from qfeedback import (
     trivial_controller,
 )
 from qfeedback.coherent import _static_gain_candidates, random_admissible_triple, verify_trivial_hinf
-from qfeedback.feedback import _controller_completions, _identity_pad, _loop_matrices, _static_screen
+from qfeedback.errors import SingularityError
+from qfeedback.feedback import (
+    _controller_completions,
+    _field_index,
+    _identity_pad,
+    _identity_pattern,
+    _loop_matrices,
+    _stack_cols,
+    _static_screen,
+)
 from qfeedback.linalg import (
     RESIDUAL_TOL,
+    _coupling_defect,
+    _inertia,
+    _lyapunov_defect,
+    _noise_term,
     dagger,
     doubling_permutation,
     hermitian_basis,
@@ -56,7 +69,7 @@ from qfeedback.linalg import (
     max_abs,
     real_lstsq,
 )
-from qfeedback.systems import _kind_rules
+from qfeedback.systems import PrVerdict, _has_certificate_inertia, _kind_rules, _solve_certificate
 
 from conftest import stateless_plant
 
@@ -367,12 +380,14 @@ def test_completion_verdict_is_the_realizability_check(kind, shape) -> None:
 
 
 def _completion_outcome(outcome) -> tuple:
-    """A completion, or the error that ended it, as comparable bytes and hex."""
+    """A completion (its matrices, then its verdict), or the error that ended it, as comparable
+    bytes and hex."""
     if isinstance(outcome, Exception):
-        return type(outcome).__name__, str(outcome), {k: float(v).hex() for k, v in outcome.residuals.items()}
-    theta, h_tilde, verdict = outcome
+        residuals = getattr(outcome, "residuals", {})
+        return type(outcome).__name__, str(outcome), {k: float(v).hex() for k, v in residuals.items()}
+    *matrices, verdict = outcome
     residuals = [(k, float(v).hex()) for k, v in verdict.residuals.items()]
-    return theta.tobytes(), h_tilde.tobytes(), verdict.realizable, verdict.failure_reason, residuals
+    return [x.tobytes() for x in matrices], verdict.realizable, verdict.failure_reason, residuals
 
 
 @pytest.mark.parametrize("kind", ["annihilation", "general"])
@@ -408,6 +423,127 @@ def test_stacked_controller_completions_match_augment_controller(kind, shape) ->
             assert _completion_outcome(got[j]) == _completion_outcome(want), (seed, j)
         reasons = {str(got[j]).split(" (")[0] for j in done.errors}
         assert len(done.done) == 3 and len(reasons) == (4 if kind == "annihilation" else 3), reasons
+
+
+def reference_augment_controller(c: ControllerModel) -> tuple:
+    """augment_controller on one controller, each stage raising its own error in turn: the
+    feedthrough pattern, the certificate solve, the inertia, then the coupling rows."""
+    feed_dev = max(max_abs(c.k_cw - _identity_pattern(c.kind, c.m_u, c.m_wt)), max_abs(c.k_cy))
+    if feed_dev > RESIDUAL_TOL:
+        raise NotAugmentableError(
+            "controller feedthrough must be the identity pattern ([I, 0] on its own noise, zero on the measurement)",
+            residuals={"feedthrough": feed_dev},
+        )
+    d = 2 if c.kind == "general" else 1
+    g = _stack_cols([c.g_cw, c.g_cy], d)
+    n, m_tot = c.f_c.shape[0] // d, g.shape[1] // d
+    sig = _kind_rules(c.kind).signature(m_tot)
+    q = _noise_term(g, sig)
+    try:
+        theta = _solve_certificate(c.f_c, q, d)
+    except SingularityError:
+        raise NotAugmentableError("certificate equation is degenerate (eigenvalue-sum condition fails)") from None
+    pos, neg, _ = inertia = _inertia(theta)
+    if not _has_certificate_inertia(inertia, n, d):
+        if d == 2:
+            raise NotAugmentableError(
+                "certificate lacks the required inertia",
+                residuals={"inertia_positive": float(pos), "inertia_negative": float(neg)},
+            )
+        raise NotAugmentableError(
+            "no positive definite certificate for the augmented controller",
+            residuals={"theta_min_eig": float(np.min(np.linalg.eigvalsh(theta)))},
+        )
+    h_full = -sig @ dagger(g) @ np.linalg.inv(theta)
+    given = _field_index(m_tot, 0, c.h_c.shape[0] // d, d)
+    h_aug = h_full.copy()
+    h_aug[given] = c.h_c
+    coupling: dict = {}
+    if _coupling_defect(g, theta, h_aug, sig, coupling, RESIDUAL_TOL):
+        raise NotAugmentableError(
+            "controller output rows do not match the coupling identity",
+            residuals={"row_mismatch": coupling["coupling"]},
+        )
+    residuals = {"feedthrough": 0.0}
+    failed = "lyapunov" if _lyapunov_defect(c.f_c, theta, q, residuals, RESIDUAL_TOL) else None
+    if failed is None:
+        residuals.update(coupling)
+    verdict = PrVerdict(failed is None, None if failed else theta, residuals, failed)
+    return theta, np.delete(h_full, given, axis=0), verdict
+
+
+def two_stage_failures(kind: str, seed: int) -> list[ControllerModel]:
+    """Equal-shape controllers (n_c = 1) over a plant's channels: most fail two completion stages
+    (feedthrough, solve, inertia, rows), one fails the rows only and the last one is valid."""
+    p = random_pr_plant(2, 2, 1, 1, seed=70 + seed, kind=kind)
+    if kind == "annihilation":
+        c = [ctrl for ctrl in random_challengers(p, 20, seed) if ctrl.n_modes == 1][0]
+        degenerate, nudge = np.array([[1j]]), 0.1
+        inertia = {"f_c": -c.f_c}
+    else:
+        c = [ctrl for ctrl in completion_controllers(p, seed) if ctrl.n_modes == 1][0]
+        degenerate, nudge = delta_build([[1j]], [[0.0]]), delta_build([[0.1]], [[0.0]])
+        inertia = {"g_cw": np.zeros_like(c.g_cw), "g_cy": delta_build(np.ones((1, 1)), np.ones((1, 1)))}  # Theta = 0
+    feedthrough, rows = {"k_cy": c.k_cy + 0.5}, {"h_c": c.h_c + nudge}
+    return [
+        replace(c, f_c=degenerate, **feedthrough),
+        replace(c, **feedthrough, **rows),
+        replace(c, f_c=degenerate, **rows),
+        replace(c, **{**inertia, "g_cy": 1e200 * inertia.get("g_cy", c.g_cy)}),  # the solver's DomainError
+        replace(c, **inertia, **rows),
+        replace(c, **rows),
+        c,
+    ]
+
+
+def _stack_outcomes(kind: str, ctrls: list[ControllerModel]) -> list:
+    """Per controller of one stack: its completion (Theta, H_tilde, H_aug, G, verdict) or its error."""
+    names = ("f_c", "g_cw", "g_cy", "h_c", "k_cw", "k_cy")
+    done = _controller_completions(kind, *(np.stack([getattr(c, name) for c in ctrls]) for name in names))
+    out = [done.errors.get(j) for j in range(len(ctrls))]
+    for i, j in enumerate(done.done):
+        out[j] = (done.theta[i], done.h_tilde[i], done.h_aug[i], done.g[i], done.verdicts[i])
+    return out
+
+
+@pytest.mark.parametrize("kind", ["annihilation", "general"])
+def test_the_first_failed_stage_ends_each_stacked_completion(kind) -> None:
+    # a stacked completion keeps each item's first failure, in the per-controller order:
+    # feedthrough, solve, inertia, rows
+    for seed in range(3):
+        ctrls = two_stage_failures(kind, seed)
+        for j, (ctrl, got) in enumerate(zip(ctrls, _stack_outcomes(kind, ctrls))):
+            try:
+                want = reference_augment_controller(ctrl)
+            except (NotAugmentableError, DomainError) as exc:
+                want = exc
+            got = (got[0], got[1], got[-1]) if isinstance(got, tuple) else got
+            assert _completion_outcome(got) == _completion_outcome(want), (seed, j)
+        firsts = [str(out).split(" (")[0] for out in _stack_outcomes(kind, ctrls)[:6]]
+        assert firsts == [
+            "controller feedthrough must be the identity pattern",
+            "controller feedthrough must be the identity pattern",
+            "certificate equation is degenerate",
+            "q has non-finite entries",
+            "no positive definite certificate for the augmented controller"
+            if kind == "annihilation"
+            else "certificate lacks the required inertia",
+            "controller output rows do not match the coupling identity",
+        ]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    kind=st.sampled_from(["annihilation", "general"]),
+    seed=st.integers(0, 2),
+    picks=st.lists(st.integers(0, 6), min_size=1, max_size=7),
+    position=st.integers(0, 6),
+)
+def test_a_stacked_completion_does_not_depend_on_its_neighbours(kind, seed, picks, position) -> None:
+    ctrls = [two_stage_failures(kind, seed)[i] for i in picks]
+    j = position % len(ctrls)
+    alone = _stack_outcomes(kind, ctrls[j : j + 1])[0]
+    assert _completion_outcome(_stack_outcomes(kind, ctrls)[j]) == _completion_outcome(alone)
 
 
 # ---------------------------------------------------------------------------

@@ -1013,6 +1013,30 @@ def test_stacked_transfer_cores_match_their_one_loop_calls() -> None:
     assert drops == 1
 
 
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**16),
+    levels=st.lists(st.sampled_from(["below D", "between", "above norm"]), min_size=1, max_size=5),
+    position=st.integers(0, 4),
+)
+def test_axis_eigenvalues_do_not_depend_on_stack_neighbours(seed, levels, position) -> None:
+    # a level below sigma_max(D) leaves R indefinite (None), one between it and the norm has
+    # axis eigenvalues and one above the norm has none; each loop's answer is its own call's bytes
+    rng = np.random.default_rng(seed)
+    n, m, p = (int(k) for k in rng.integers(1, 4, size=3))
+    loops = [random_stable_tf(rng, n, m, p, strictly_proper=False) for _ in levels]
+    stack, loops = _stack(loops)
+    squares = []
+    for g, level in zip(loops, levels):
+        sigma_d, norm = float(np.linalg.svd(g.d, compute_uv=False)[0]), hinf_norm(g).value
+        gamma = {"below D": 0.5 * sigma_d, "between": 0.5 * (sigma_d + norm), "above norm": 2.0 * norm}[level]
+        squares.append(gamma**2)
+    j = position % len(loops)
+    got, alone = _axis_eigenvalues(stack, squares)[j], _axis_eigenvalues(loops[j]._loops, squares[j : j + 1])[0]
+    assert (got is None) == (alone is None) == (levels[j] == "below D")
+    assert got is None or got.tobytes() == alone.tobytes()
+
+
 @pytest.mark.parametrize("c", [1e-155, 1e-160, 1e-200])
 def test_hinf_norm_whose_level_square_underflows_raises_a_domain_error(c: float) -> None:
     # the bisection's level squares to a subnormal or to 0, where R^{-1} would overflow;

@@ -10,7 +10,11 @@
 # and documents whose magnitudes or noise terms square past the float range,
 # or whose H-infinity levels square below it, or whose cost rows (compose
 # --h2, T5) or sampled responses (check --transfer, both kinds) overflow
-# their squares, which must exit 1 or 2 with no traceback and no warning.
+# their squares, which must exit 1 or 2 with no traceback and no warning;
+# among them synth on controllers whose pole at -1e306 scales the grid past
+# the float range (H_c = 1: the level squares below it; H_c = 1e300: the
+# Hamiltonian overflows), which must exit 2. JSON output must be strict
+# JSON: the sampled deviation that is not finite is written as null.
 # Run it from an empty scratch directory.
 set -euo pipefail
 
@@ -56,11 +60,13 @@ qfeedback --format json verify T6 --random 2 2 3 7 --challengers 20
 status=0; qfeedback compose p.json c.json --h2 2> h2.err || status=$?
 test "$status" -eq 2
 grep -q "plant has no cost output block" h2.err
-python -c 'from qfeedback import ControllerModel, save_system; save_system("tiny.json", ControllerModel(kind="annihilation", f_c=[[-1.0]], g_cw=[[0.0, 0.0]], g_cy=[[0.5]], h_c=[[1e-200]], k_cw=[[1.0, 0.0]], k_cy=[[0.0]]))'
-for fmt in text json; do
-  status=0; qfeedback --format "$fmt" synth tiny.json > tiny.out 2> tiny.err || status=$?
-  test "$status" -eq 2
-  if grep -q -e Traceback -e Warning tiny.err; then cat tiny.err; exit 1; fi
+python -c 'from qfeedback import ControllerModel, save_system; [save_system(name, ControllerModel(kind="annihilation", f_c=[[f]], g_cw=[[0.0, 0.0]], g_cy=[[0.5]], h_c=[[h]], k_cw=[[1.0, 0.0]], k_cy=[[0.0]])) for name, f, h in (("tiny.json", -1.0, 1e-200), ("far.json", -1e306, 1.0), ("farbig.json", -1e306, 1e300))]'
+for doc in tiny.json far.json farbig.json; do
+  for fmt in text json; do
+    status=0; qfeedback --format "$fmt" synth "$doc" > tiny.out 2> tiny.err || status=$?
+    test "$status" -eq 2
+    if grep -q -e Traceback -e Warning tiny.err; then cat tiny.err; exit 1; fi
+  done
 done
 python -c 'from qfeedback import AnnihilationQSys, ControllerModel, GeneralQSys, delta_build, save_system; save_system("big.json", AnnihilationQSys(f=[[-1.0]], g=[[1.0]], h=[[1.0]], k=[[1e200]])); save_system("gbig.json", GeneralQSys(f=delta_build([[-1.0]], [[0.0]]), g=delta_build([[1.0]], [[0.0]]), h=delta_build([[1.0]], [[0.0]]), k=delta_build([[1e200]], [[0.0]]))); save_system("cbig.json", ControllerModel(kind="annihilation", f_c=[[-1.0]], g_cw=[[0.0, 0.0]], g_cy=[[1.0]], h_c=[[1e200]], k_cw=[[1.0, 0.0]], k_cy=[[0.0]]))'
 python -c 'import numpy as np; from qfeedback import AnnihilationQSys, ControllerModel, CostOutput, GeneralQSys, PlantModel, delta_build, random_pr_plant, save_system; p = random_pr_plant(2, 2, 1, 1, 0); save_system("qbig.json", AnnihilationQSys(f=[[-1.0]], g=[[1e200]], h=[[1.0]], k=[[1.0]])); save_system("qgbig.json", GeneralQSys(f=delta_build([[-1.0]], [[0.0]]), g=delta_build([[1e200]], [[0.0]]), h=delta_build([[1.0]], [[0.0]]), k=delta_build([[1.0]], [[0.0]]))); save_system("qcbig.json", ControllerModel(kind="annihilation", f_c=[[-1.0]], g_cw=[[0.0, 0.0]], g_cy=[[1e200]], h_c=[[0.5]], k_cw=[[1.0, 0.0]], k_cy=[[0.0]])); save_system("qpbig.json", PlantModel(kind="annihilation", f=p.f, g_w=p.g_w * 1e200, g_u=p.g_u, h=p.h, k=p.k, cost=CostOutput(c=np.ones((1, 2)), d=np.zeros((1, 1)))))'
@@ -75,3 +81,6 @@ for argv in "check big.json --transfer" "check gbig.json --transfer" "synth cbig
     if grep -q -e Traceback -e Warning big.err; then cat big.err; exit 1; fi
   done
 done
+status=0; qfeedback --format json check hbig.json --transfer > hbig.out || status=$?
+test "$status" -eq 1
+python -c 'import json, sys; json.load(open("hbig.out"), parse_constant=lambda c: sys.exit(f"not strict JSON: {c}"))'

@@ -420,6 +420,15 @@ _DISPATCH = {
 }
 
 
+def _finite(x):
+    """``x`` for strict JSON output: each float that is not finite becomes None (null)."""
+    if isinstance(x, dict):
+        return {k: _finite(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_finite(v) for v in x]
+    return None if isinstance(x, float) and not np.isfinite(x) else x
+
+
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
@@ -429,7 +438,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.format == "json":
             where = {"location": exc.location} if isinstance(exc, FileFormatError) else {}
             print(json.dumps({"error": str(exc), **where, "seed": args.seed,
-                              "exit_status": status}, indent=2))
+                              "exit_status": status}, indent=2, allow_nan=False))
         elif status == 1:
             print(exc)
         else:
@@ -439,7 +448,7 @@ def main(argv: list[str] | None = None) -> int:
     report["seed"] = args.seed
     report["exit_status"] = status
     if args.format == "json":
-        print(json.dumps(report, indent=2))
+        print(json.dumps(_finite(report), indent=2, allow_nan=False))
     else:
         lines.append(f"seed: {args.seed}")
         for line in lines:

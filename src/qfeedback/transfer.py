@@ -180,13 +180,10 @@ def _response(a, b, c, d, form, s: np.ndarray) -> np.ndarray:
     return np.add((c @ z @ x).reshape(*d.shape, k).transpose(0, 3, 1, 2), d[:, None], out=out)
 
 
-def _freq_response(g, s: np.ndarray) -> np.ndarray:
+def _freq_response(g: _Loops, s: np.ndarray) -> np.ndarray:
     """C (sI - A)^{-1} B + D of each loop of the stack ``g`` at its points ``s`` (L, k), as
-    (L, k, p, m); a StateSpaceTF at points (k,) is the one-loop case, (k, p, m).  With more
-    inputs than outputs the transpose is solved instead, on the Schur form of A^T that
-    A^T = (conj(Z) J)(J T^T J)(J Z^T) gives, J the reversal."""
-    if isinstance(g, StateSpaceTF):
-        return _freq_response(g._loops, s[None])[0]
+    (L, k, p, m).  With more inputs than outputs the transpose is solved instead, on the Schur
+    form of A^T that A^T = (conj(Z) J)(J T^T J)(J Z^T) gives, J the reversal."""
     a, b, c, d = g.a, g.b, g.c, g.d
     if b.shape[-1] <= c.shape[-2]:
         return _response(a, b, c, d, g.form, s)
@@ -225,55 +222,47 @@ def tf_eval(g: StateSpaceTF, s: complex) -> np.ndarray:
             f"evaluation point {s:.6g} is within {gap:.3e} of a pole",
             eigenvalue_pair=(complex(s), complex(lam[np.argmin(np.abs(s - lam))])),
         )
-    return _freq_response(g, np.array([s], dtype=complex))[0]
+    return _freq_response(g._loops, np.array([[s]], dtype=complex))[0, 0]
 
 
 def _unit_frequency_grid() -> np.ndarray:
-    """The default grid at scale 1, unsorted: drawn once, since its seed is fixed."""
+    """The default grid at scale 1, sorted and without repeats: drawn once, since its seed is fixed."""
     base = np.logspace(-3.0, 3.0, _GRID_POINTS)
     rng = np.random.default_rng(_GRID_SEED)
     mags = 10.0 ** rng.uniform(-3.0, 3.0, _GRID_RANDOM_POINTS)
     signs = rng.choice([-1.0, 1.0], _GRID_RANDOM_POINTS)
-    return np.concatenate([-base[::-1], [0.0], base, mags * signs])
+    return np.unique(np.concatenate([-base[::-1], [0.0], base, mags * signs]))
 
 
 _UNIT_GRID = _unit_frequency_grid()
 
 
-def _frequency_grid(scale: float) -> np.ndarray:
-    return np.unique(_UNIT_GRID * scale)
-
-
 def default_frequency_grid(a=None) -> np.ndarray:
     """Frequency grid for sampled prongs: log-spaced, mirrored, zero, random.
 
-    200 logarithmic points over [1e-3, 1e3] (scaled by the spectral radius
-    of ``a`` when above 1), their negatives, omega = 0 and 56 seeded random
-    points with log-uniform magnitude and random sign.
+    200 logarithmic points over [1e-3, 1e3], their negatives, omega = 0 and
+    56 seeded random points with log-uniform magnitude and random sign,
+    sorted, all scaled by the spectral radius of ``a`` when above 1.  The
+    sampled prongs use this grid for each loop; a point scaled past the
+    float range (a spectral radius above about 1.8e305) is inf here, and
+    they mask it like a point at a pole.
     """
     lam = np.linalg.eigvals(as_square(a, "a")) if a is not None else np.zeros(0)
-    return _frequency_grid(_pole_scale(lam))
+    return _UNIT_GRID * _pole_scale(lam)
 
 
-def _sample_grid(g, metric) -> tuple[np.ndarray, np.ndarray]:
+def _sample_grid(g: _Loops, metric) -> tuple[np.ndarray, np.ndarray]:
     """``metric`` of the response stacks (..., p, m) on each loop's default grid, away from the
-    loop's own poles.  For a stack of loops: the values (L, k, ...) along the grid axis and the
-    mask (L, k) of the points used.  A point within 1e-8 * scale of a pole of its loop is
-    evaluated at 2 * scale instead, which lies off every pole, and masked out, as is the padding
-    of a grid shorter than the others (scaled grids lose points only where they overflow).  For a
-    StateSpaceTF (the one-loop case): the values at the points used, and their number."""
-    if isinstance(g, StateSpaceTF):
-        values, used = _sample_grid(g._loops, metric)
-        count = int(np.count_nonzero(used))
-        return (values[0] if count == used.size else values[0][used[0]]), count
+    loop's own poles: the values (L, k, ...) along the grid axis and the mask (L, k) of the
+    points used.  A point past the float range, or within 1e-8 * scale of a pole of its loop,
+    is evaluated at 2 * scale instead, which lies off every pole, and masked out."""
     lam = g.form[0]
-    scale = _pole_scale(lam)
-    grids = [1j * _frequency_grid(x) for x in scale]
-    s = np.full((len(grids), max(grid.size for grid in grids)), np.nan, dtype=complex)
-    for row, grid in zip(s, grids):
-        row[: grid.size] = grid
-    used = np.min(np.abs(s[:, None] - lam[:, :, None]), axis=1, initial=np.inf) > 1e-8 * scale[:, None]
-    s = np.where(used, s, 2.0 * scale[:, None])
+    scale = _pole_scale(lam)[:, None]
+    with np.errstate(over="ignore"):
+        w = _UNIT_GRID * scale
+    s = 1j * np.where(np.isfinite(w), w, 0.0)
+    used = np.isfinite(w) & (np.min(np.abs(s[:, None] - lam[:, :, None]), axis=1, initial=np.inf) > 1e-8 * scale)
+    s = np.where(used, s, 2.0 * scale)
     n, m, p = g.a.shape[-1], g.b.shape[-1], g.c.shape[-2]
     step = max(1, _BLOCK_ENTRIES // max(1, n * min(m, p)))
 
@@ -284,13 +273,6 @@ def _sample_grid(g, metric) -> tuple[np.ndarray, np.ndarray]:
 
     blocks = [sampled(s[:, i : i + step]) for i in range(0, s.shape[1], step)]
     return (blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=1)), used
-
-
-def _sample_worst(g: StateSpaceTF, metric) -> tuple[float, int]:
-    """Worst ``metric`` value over the default grid (0 when no point is used),
-    and the number of grid points used."""
-    values, used = _sample_grid(g, metric)
-    return float(np.max(values, initial=0.0)), used
 
 
 def _controllable_basis(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -366,9 +348,9 @@ def _signature_check(g, red, sig, tol, gate) -> tuple[str, str, dict[str, float]
             coupled = not _coupling_defect(g_cpl, x, red.c, np.eye(red.output_dim), residuals, tol)
             algebraic = "pass" if feed_ok and coupled else "fail"
     with np.errstate(over="ignore", invalid="ignore"):  # a response too large to square decides nothing
-        worst, used = _sample_worst(g, lambda v: np.abs(dagger(v) @ sig @ v - sig))
-    residuals["sampled"] = worst
-    sampled = "indeterminate" if not np.isfinite(worst) else "pass" if used and worst <= FREQ_TOL else "fail"
+        values, used = _sample_grid(g._loops, lambda v: np.abs(dagger(v) @ sig @ v - sig))
+    worst = residuals["sampled"] = float(np.max(values, where=used[..., None, None], initial=0.0))
+    sampled = "indeterminate" if not np.isfinite(worst) else "pass" if used.any() and worst <= FREQ_TOL else "fail"
     return algebraic, sampled, residuals
 
 
@@ -457,31 +439,32 @@ def _level_square(gamma: float) -> float:
     return square
 
 
-def _axis_eigenvalues(g: _Loops, squares) -> list[np.ndarray | None]:
+def _axis_eigenvalues(g: _Loops, squares) -> list[np.ndarray | None | DomainError]:
     """Imaginary-axis eigenvalues of each loop's bounded-real Hamiltonian at its level gamma,
     given gamma^2 per loop, all solved as one stack.  None where R = gamma^2 I - D^dagger D is
-    not positive definite; that loop's Hamiltonian is built with I in place of R, and dropped."""
-    r = hermitian_part(np.asarray(squares)[:, None, None] * np.eye(g.d.shape[-1]) - dagger(g.d) @ g.d)
+    not positive definite, and a DomainError where the Hamiltonian leaves the float range; that
+    loop's Hamiltonian is built with I in place of R, or replaced by zeros, and dropped."""
+    squares = np.asarray(squares)
+    r = hermitian_part(squares[:, None, None] * np.eye(g.d.shape[-1]) - dagger(g.d) @ g.d)
     lam_r = np.linalg.eigvalsh(r)[:, :1] if r.shape[-1] else np.ones((len(r), 0))
     live = ~np.any(lam_r <= 0.0, axis=1)
     r_inv = np.linalg.inv(np.where(live[:, None, None], r, np.eye(r.shape[-1])))
-    a_hat = g.a + g.b @ r_inv @ dagger(g.d) @ g.c
-    ham = _stacked_block(
-        [
-            [a_hat, g.b @ r_inv @ dagger(g.b)],
-            [-dagger(g.c) @ (np.eye(g.c.shape[-2]) + g.d @ r_inv @ dagger(g.d)) @ g.c, -dagger(a_hat)],
-        ]
-    )
-    lam = np.linalg.eigvals(ham) if len(ham) > 1 else np.linalg.eigvals(ham[0])[None]  # one is a matrix
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowed loop is refused below
+        a_hat = g.a + g.b @ r_inv @ dagger(g.d) @ g.c
+        ham = _stacked_block(
+            [
+                [a_hat, g.b @ r_inv @ dagger(g.b)],
+                [-dagger(g.c) @ (np.eye(g.c.shape[-2]) + g.d @ r_inv @ dagger(g.d)) @ g.c, -dagger(a_hat)],
+            ]
+        )
+    finite = np.all(np.isfinite(ham), axis=(1, 2))
+    lam = np.linalg.eigvals(np.where(finite[:, None, None], ham, 0.0))
     cut = 1e-8 * _pole_scale(lam)
-    return [x[np.abs(x.real) <= c] if ok else None for x, c, ok in zip(lam, cut, live)]
-
-
-def _gamma_feasible(g, gamma: float) -> bool:
-    """True when the bounded-real Hamiltonian for gamma has no imaginary-axis eigenvalues;
-    ``g`` is a StateSpaceTF or a stack of one loop."""
-    axis = _axis_eigenvalues(g._loops if isinstance(g, StateSpaceTF) else g, [_level_square(gamma)])[0]
-    return axis is not None and axis.size == 0
+    return [
+        None if not ok else x[np.abs(x.real) <= c] if fin
+        else DomainError(f"H-infinity Hamiltonian at level {np.sqrt(sq):.3g} overflows")
+        for x, c, ok, fin, sq in zip(lam, cut, live, finite, squares)
+    ]
 
 
 def _level_set_bracket(g: _Loops, lo: list[float]) -> tuple[list, list[int]]:
@@ -494,8 +477,8 @@ def _level_set_bracket(g: _Loops, lo: list[float]) -> tuple[list, list[int]]:
     its next ``lo``.  A loop leaves the lockstep when it closes.  Returns per loop the bracket
     (last ``lo``, first level without axis eigenvalues) and the number of Hamiltonian
     eigensolves; the bracket is None when R is not positive definite or the iteration does not
-    close within _LEVEL_SET_MAX_STEPS steps, and the DomainError of :func:`_level_square` when
-    a level's square leaves the float range.
+    close within _LEVEL_SET_MAX_STEPS steps, and a DomainError when a level's square or its
+    Hamiltonian leaves the float range.
     """
     lo = list(lo)
     brackets: list = [None] * len(lo)
@@ -514,8 +497,8 @@ def _level_set_bracket(g: _Loops, lo: list[float]) -> tuple[list, list[int]]:
         open_loops = []
         axes = _axis_eigenvalues(g.take(list(levels)), [square for _, square in levels.values()])
         for (l, (gamma, _)), axis in zip(levels.items(), axes):
-            if axis is None:
-                steps[l] = step
+            if axis is None or isinstance(axis, DomainError):
+                brackets[l], steps[l] = axis, step
             elif axis.size == 0:
                 brackets[l], steps[l] = (lo[l], gamma), step + 1
             else:
@@ -526,12 +509,12 @@ def _level_set_bracket(g: _Loops, lo: list[float]) -> tuple[list, list[int]]:
     return brackets, steps
 
 
-def _bisection(g: _Loops, j: int, lo: float, bracket, solves: int, estimate: float, rel_tol: float) -> tuple:
-    """:func:`hinf_norm`'s bracket search and bisection on loop ``j`` of the stack, from the lower
-    end ``lo``, its level-set ``bracket`` and the gain ``estimate``: (lo, hi, iterations,
+def _bisection(one: _Loops, lo: float, bracket, solves: int, estimate: float, rel_tol: float) -> tuple:
+    """:func:`hinf_norm`'s bracket search and bisection on the one-loop stack ``one``, from the
+    lower end ``lo``, its level-set ``bracket`` and the gain ``estimate``: (lo, hi, iterations,
     Hamiltonian solves)."""
 
-    def feasible(gamma: float) -> bool:
+    def feasible(gamma: float) -> bool:  # no imaginary-axis eigenvalue at level gamma
         nonlocal solves
         if bracket is not None:
             band = _LEVEL_SET_BAND * (bracket[0] or 1.0)
@@ -540,7 +523,10 @@ def _bisection(g: _Loops, j: int, lo: float, bracket, solves: int, estimate: flo
             if gamma < bracket[0] - band:
                 return False
         solves += 1
-        return _gamma_feasible(g.take([j]), gamma)
+        axis = _axis_eigenvalues(one, [_level_square(gamma)])[0]
+        if isinstance(axis, DomainError):
+            raise axis
+        return axis is not None and axis.size == 0
 
     hi = max(estimate, 2.0 * lo, 1e-8)
     for _ in range(100):
@@ -593,7 +579,9 @@ def _hinf_norms(g: _Loops, rel_tol: float = 1e-6) -> list:
             out[l] = brackets[j]
             continue
         try:
-            low, high, iterations, solved = _bisection(h, j, lo[j], brackets[j], solves[j], float(estimate[j]), rel_tol)
+            low, high, iterations, solved = _bisection(
+                h.take([j]), lo[j], brackets[j], solves[j], float(estimate[j]), rel_tol
+            )
         except (DomainError, GenerationError) as exc:
             out[l] = exc
             continue

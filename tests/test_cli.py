@@ -114,6 +114,10 @@ def corpus(tmp_path_factory):
     return root
 
 
+def _reject_constant(name: str):
+    raise ValueError(f"not strict JSON: {name}")
+
+
 def run(capsys, *argv):
     code = main([str(a) for a in argv])
     captured = capsys.readouterr()
@@ -728,7 +732,8 @@ def _plant(n_modes, m_w, m_u, m_y) -> PlantModel:
 class TestExitContract:
     def test_fuzzed_documents_keep_the_exit_contract(self, capsys, tmp_path):
         # every subcommand on 60 schema-valid documents: exit 0/1/2 and
-        # exactly one JSON object on stdout, never an escaping exception
+        # exactly one strict JSON object on stdout (no NaN or Infinity),
+        # never an escaping exception
         rng = np.random.default_rng(2029)
         paths = []
         for i in range(60):
@@ -753,7 +758,7 @@ class TestExitContract:
         for argv in calls:
             code, out, err = run(capsys, "--format", "json", *argv)
             assert code in (0, 1, 2), argv
-            report = json.loads(out)
+            report = json.loads(out, parse_constant=_reject_constant)
             assert isinstance(report, dict) and report["exit_status"] == code, argv
             assert "Traceback" not in err, argv
             statuses.add(code)
@@ -843,6 +848,27 @@ class TestExitContract:
         assert "is too small: its square underflows" in error
 
     @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("h_c, message", [(1.0, "its square underflows"), (1e300, "Hamiltonian at level")])
+    def test_synth_with_a_pole_past_the_grids_float_range_exits_two(self, tmp_path, fmt, h_c, message):
+        # F_c = -1e306 scales the top of the admissibility norm's grid past the float range; with
+        # H_c = 1 the norm's level squares below it, and with H_c = 1e300 its Hamiltonian overflows
+        ctrl = ControllerModel(kind="annihilation", f_c=[[-1e306]], g_cw=[[0.0, 0.0]], g_cy=[[0.5]],
+                               h_c=[[h_c]], k_cw=[[1.0, 0.0]], k_cy=[[0.0]])
+        save_system(tmp_path / "far.json", ctrl)
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "qfeedback.cli", "--format", fmt, "synth", "far.json"],
+            capture_output=True,
+            text=True,
+            cwd=tmp_path,
+            env={**os.environ, "PYTHONPATH": str(Path(qfeedback.__file__).resolve().parents[1])},
+            timeout=120,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr, proc.stderr
+        error = json.loads(proc.stdout, parse_constant=_reject_constant)["error"] if fmt == "json" else proc.stderr
+        assert message in error
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
     def test_noise_terms_that_overflow_end_in_an_input_error_without_a_warning(self, tmp_path, fmt):
         # G = 1e200 is finite, but G S G^dagger is not: each command hands the overflowing
         # noise term to its solver, whose typed error is the only thing on stderr
@@ -910,7 +936,8 @@ class TestExitContract:
             if status == 2:
                 error = json.loads(proc.stdout)["error"] if fmt == "json" else proc.stderr
                 assert "cost tr(C Theta C^dagger) is not finite" in error
-            elif fmt == "json":
-                assert json.loads(proc.stdout)["transfer"]["prongs"]["sampled"] == "indeterminate"
+            elif fmt == "json":  # strict JSON: the deviation that is not finite is null
+                transfer = json.loads(proc.stdout, parse_constant=_reject_constant)["transfer"]
+                assert transfer["prongs"]["sampled"] == "indeterminate" and transfer["residuals"]["sampled"] is None
             else:
-                assert "sampled=indeterminate" in proc.stdout
+                assert "sampled=indeterminate" in proc.stdout and "sampled=nan" in proc.stdout

@@ -56,12 +56,10 @@ from qfeedback.transfer import (
     _BLOCK_ENTRIES,
     _axis_eigenvalues,
     _freq_response,
-    _gamma_feasible,
     _hinf_norms,
     _level_set_bracket,
     _Loops,
     _sample_grid,
-    _sample_worst,
     _schur_forms,
     _sigma_max,
 )
@@ -112,13 +110,13 @@ def test_stacked_responses_match_per_point_solves(n: int) -> None:
     # At n = 32 the sampled grid spans more than one block of points * n * min(m, p) entries.
     assert n < 32 or grid.size > _BLOCK_ENTRIES // (n * 2)
     ref = np.array([_response_per_point(g, 1j * w) for w in grid])
-    got = _freq_response(g, 1j * grid)
+    got = _freq_response(g._loops, 1j * grid[None])[0]
     assert got.shape == (grid.size, 3, 2)
     np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12 * np.max(np.abs(ref)))
-    worst, used = _sample_worst(g, _sigma_max)
-    assert used == grid.size
+    sigma, used = _sample_grid(g._loops, _sigma_max)
+    assert np.count_nonzero(used) == grid.size
     want = max(np.linalg.svd(r, compute_uv=False)[0] for r in ref)
-    assert worst == pytest.approx(want, rel=1e-12)
+    assert float(np.max(sigma, where=used, initial=0.0)) == pytest.approx(want, rel=1e-12)
 
 
 def _jordan_tf(rng: np.random.Generator, n: int) -> StateSpaceTF:
@@ -148,8 +146,8 @@ def test_schur_evaluator_matches_per_point_solves(kind: str, n: int) -> None:
     if kind != "jordan" and n:
         lam = np.linalg.eigvals(g.a)
         s = np.append(s, lam[0] + 1e-6j * max(1.0, np.max(np.abs(lam))))
-    assert _freq_response(g, s[:0]).shape == (0, p, m)
-    got = _freq_response(g, s)
+    assert _freq_response(g._loops, s[None, :0])[0].shape == (0, p, m)
+    got = _freq_response(g._loops, s[None])[0]
     assert got.shape == (s.size, p, m)
     if n == 0:
         assert np.array_equal(got, np.broadcast_to(g.d, got.shape))
@@ -190,8 +188,8 @@ def test_schur_form_is_computed_once_per_system(monkeypatch) -> None:
 
 
 def test_stability_gates_read_the_schur_form(monkeypatch) -> None:
-    # no eigenvalue routine sees an n x n state matrix (hinf_norm's 2n x 2n Hamiltonians
-    # may), and each system, a minimal part included, is factored once
+    # no eigenvalue routine sees an n x n state matrix (hinf_norm's stacks of 2n x 2n
+    # Hamiltonians may), and each system, a minimal part included, is factored once
     s = random_pr_system(4, 2, seed=5, kind="annihilation", hurwitz_required=True)
 
     def hidden() -> StateSpaceTF:
@@ -219,7 +217,7 @@ def test_stability_gates_read_the_schur_form(monkeypatch) -> None:
         eig_shapes.clear()
         schur_shapes.clear()
         call()
-        assert set(eig_shapes) <= {(2 * n, 2 * n)}
+        assert {shape[-2:] for shape in eig_shapes} <= {(2 * n, 2 * n)}
         assert schur_shapes == factored
     assert eig_shapes  # the spy saw the synthesis norm's Hamiltonians
     assert lossless_br_check(hidden()).verdict
@@ -237,11 +235,12 @@ def test_realization_matrices_are_read_only_copies() -> None:
 
 def test_sampling_when_one_pencil_exceeds_the_block(monkeypatch) -> None:
     g = random_stable_tf(np.random.default_rng(7), 8, 2, 3, strictly_proper=False)
-    want = _sample_worst(g, _sigma_max)
+    want, want_used = _sample_grid(g._loops, _sigma_max)
     monkeypatch.setattr(transfer, "_BLOCK_ENTRIES", 16)
-    worst, used = _sample_worst(g, _sigma_max)
-    assert used == want[1]
-    assert worst == pytest.approx(want[0], rel=1e-12)
+    sigma, used = _sample_grid(g._loops, _sigma_max)
+    assert np.count_nonzero(used) == np.count_nonzero(want_used)
+    worst = float(np.max(sigma, where=used, initial=0.0))
+    assert worst == pytest.approx(float(np.max(want, where=want_used, initial=0.0)), rel=1e-12)
 
 
 @pytest.mark.parametrize("shape", [(1, 1), (1, 2), (2, 1), (2, 2), (1, 3), (2, 4), (3, 3), (8, 3)])
@@ -277,8 +276,8 @@ def test_grid_point_on_a_pole_is_skipped() -> None:
     g = StateSpaceTF(
         a=np.diag([1j * w0, -0.5]), b=np.ones((2, 2)), c=np.ones((2, 2)), d=np.zeros((2, 2))
     )
-    _, used = _sample_worst(g, _sigma_max)
-    assert used == grid.size - 1
+    _, used = _sample_grid(g._loops, _sigma_max)
+    assert np.count_nonzero(used) == grid.size - 1
     with pytest.raises(SingularityError) as info:
         tf_eval(g, 1j * w0)
     assert info.value.eigenvalue_pair == (1j * w0, pytest.approx(1j * w0))
@@ -400,7 +399,7 @@ def test_minimal_realization_strips_hidden_blocks(
     reduced = minimal_realization(g)
     assert reduced.state_dim == core
     s = 1j * default_frequency_grid(g.a)
-    assert np.max(np.abs(_freq_response(reduced, s) - _freq_response(g, s))) <= FREQ_TOL
+    assert np.max(np.abs(_freq_response(reduced._loops, s[None]) - _freq_response(g._loops, s[None]))) <= FREQ_TOL
     assert lossless_br_check(g).verdict
 
 
@@ -571,8 +570,9 @@ def test_jj_unitary_imaginary_axis_pair_is_indeterminate() -> None:
 
 
 def _unitary_prong(g: StateSpaceTF, sig: np.ndarray) -> tuple[float, str]:
-    worst, used = _sample_worst(g, lambda v: np.abs(v.conj().swapaxes(1, 2) @ sig @ v - sig))
-    return worst, "pass" if used and worst <= FREQ_TOL else "fail"
+    values, used = _sample_grid(g._loops, lambda v: np.abs(v.conj().swapaxes(1, 2) @ sig @ v - sig))
+    worst = float(np.max(values, where=used[..., None, None], initial=0.0))
+    return worst, "pass" if used.any() and worst <= FREQ_TOL else "fail"
 
 
 def _reference_jj(g: StateSpaceTF, half_io: int, tol: float = RESIDUAL_TOL):
@@ -813,20 +813,26 @@ def test_hinf_norm_dense_sampling_oracle_50_systems() -> None:
 
 def _reference_bisection(g: StateSpaceTF, rel_tol: float = 1e-6) -> dict[str, float]:
     """hinf_norm's bracket arithmetic with every level put to the Hamiltonian test."""
+
+    def feasible(gamma: float) -> bool:  # no imaginary-axis eigenvalue at level gamma
+        axis = _axis_eigenvalues(g._loops, [gamma**2])[0]
+        return axis is not None and axis.size == 0
+
     sigma_d = float(np.linalg.svd(g.d, compute_uv=False)[0]) if g.d.size else 0.0
-    grid_max, _ = _sample_worst(g, _sigma_max)
+    sigma, used = _sample_grid(g._loops, _sigma_max)
+    grid_max = float(np.max(sigma, where=used, initial=0.0))
     lo = max(sigma_d * (1.0 + 1e-9), grid_max * (1.0 - 1e-12))
     margin = abs(float(np.max(np.linalg.eigvals(g.a).real)))
     estimate = sigma_d + 2.0 * float(
         np.linalg.norm(g.c, 2) * np.linalg.norm(g.b, 2)
     ) / max(margin, SPECTRAL_GAP_TOL)
     hi = max(estimate, 2.0 * lo, 1e-8)
-    while not _gamma_feasible(g, hi):
+    while not feasible(hi):
         hi *= 2.0
     iterations = 0
     while hi - lo > rel_tol * (lo or 1.0):
         mid = 0.5 * (lo + hi)
-        if _gamma_feasible(g, mid):
+        if feasible(mid):
             hi = mid
         else:
             lo = mid
@@ -899,10 +905,10 @@ def test_level_set_step_is_relative_below_norm_one(scale: float) -> None:
 
 def test_hinf_norm_certificate_carries_the_grid_sigma_max_range(hinf_family) -> None:
     for g in hinf_family:
-        sigma, _ = transfer._sample_grid(g, _sigma_max)
+        sigma, used = transfer._sample_grid(g._loops, _sigma_max)
         cert = hinf_norm(g).certificate
-        assert cert["grid_min"] == float(np.min(sigma))
-        assert cert["grid_lower_bound"] == float(np.max(sigma))
+        assert cert["grid_min"] == float(np.min(sigma, where=used, initial=np.inf))
+        assert cert["grid_lower_bound"] == float(np.max(sigma, where=used, initial=0.0))
     assert not hasattr(transfer, "_hinf_norm")
 
 
@@ -993,10 +999,10 @@ def test_stacked_transfer_cores_match_their_one_loop_calls() -> None:
         responses = _freq_response(stack, s)
         values, used = _sample_grid(stack, _sigma_max)
         for l, g in enumerate(loops):
-            assert responses[l].tobytes() == _freq_response(g, s[l]).tobytes()
-            single, count = _sample_grid(g, _sigma_max)
-            assert values[l][used[l]].tobytes() == single.tobytes() and count == np.count_nonzero(used[l])
-            drops += count < used.shape[1]
+            assert responses[l].tobytes() == _freq_response(g._loops, s[l : l + 1])[0].tobytes()
+            single, one = _sample_grid(g._loops, _sigma_max)
+            assert values[l][used[l]].tobytes() == single[0][one[0]].tobytes() and np.array_equal(one[0], used[l])
+            drops += not one[0].all()
         if not all(is_hurwitz(g.a) for g in loops):
             continue
         lo = [0.5 * float(np.max(v, where=u, initial=0.0)) for v, u in zip(values, used)]  # a few steps each
@@ -1071,3 +1077,86 @@ def test_default_frequency_grid_contains_zero_and_negatives() -> None:
     grid = default_frequency_grid()
     assert 0.0 in grid
     assert np.any(grid < 0) and np.any(grid > 0)
+
+
+def _raw_unit_grid() -> np.ndarray:
+    """The unit grid as drawn, unsorted and with any repeats: 200 log points over [1e-3, 1e3],
+    their negatives, 0 and 56 seeded log-uniform points of random sign."""
+    base = np.logspace(-3.0, 3.0, 200)
+    rng = np.random.default_rng(1729)
+    mags = 10.0 ** rng.uniform(-3.0, 3.0, 56)
+    signs = rng.choice([-1.0, 1.0], 56)
+    return np.concatenate([-base[::-1], [0.0], base, mags * signs])
+
+
+def _reference_points(lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One loop's grid as each loop used to build its own: np.unique of the raw grid times the
+    pole scale, with each point at a pole replaced by 2 * scale and masked."""
+    scale = max(1.0, float(np.max(np.abs(lam))))
+    s = 1j * np.unique(_raw_unit_grid() * scale)
+    used = np.min(np.abs(s[None] - lam[:, None]), axis=0) > 1e-8 * scale
+    return np.where(used, s, 2.0 * scale), used
+
+
+def test_scaled_grid_matches_the_per_loop_reference(monkeypatch) -> None:
+    # 200 log-uniform pole scales in [1, 1e305], below the scale where a point overflows; every
+    # other loop also has a pole on a grid point, which its mask drops; alone and as one stack
+    # that mixes every scale, each loop evaluates the reference's points and mask byte for byte
+    rng = np.random.default_rng(4099)
+    scales = 10.0 ** rng.uniform(0.0, 305.0, 200)
+    w0 = _raw_unit_grid()[150]  # a point of modulus below 1, so the scale stays the real pole's
+    poles = [[-scale, 1j * w0 * scale if l % 2 else -0.5 * scale] for l, scale in enumerate(scales)]
+    systems = [StateSpaceTF(np.diag(lam), np.ones((2, 1)), np.ones((1, 2)), np.zeros((1, 1))) for lam in poles]
+    points = []
+    response = transfer._freq_response
+    monkeypatch.setattr(transfer, "_freq_response", lambda g, s: points.append(s) or response(g, s))
+    stack, loops = _stack(systems)
+    for g in [loop._loops for loop in loops] + [stack]:
+        points.clear()
+        _, used = _sample_grid(g, lambda v: v[:, 0, 0])
+        assert len(points) == 1
+        for l, lam in enumerate(g.form[0]):
+            want, want_used = _reference_points(lam)
+            assert points[0][l].tobytes() == want.tobytes()
+            assert used[l].tobytes() == want_used.tobytes()
+    assert np.count_nonzero(~used.all(axis=1)) == 100  # the stack's loops with a pole on the grid
+
+
+@pytest.mark.parametrize("b", [1.0, 1e300])
+def test_hinf_norm_of_poles_past_the_grids_float_range_raises_a_domain_error(b: float) -> None:
+    # at pole scale 1e306 the top of the grid overflows and is masked like a point at a pole; the
+    # norm 1e-306 / (b = 1) has a level whose square underflows, and with B = 1e300 the norm 1e-6
+    # has a Hamiltonian whose B R^{-1} B^dagger overflows: typed errors, before any numpy warning
+    g = StateSpaceTF(a=[[-1e306]], b=[[b]], c=[[1.0]], d=[[0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sigma, used = _sample_grid(g._loops, _sigma_max)
+        message = "its square underflows" if b == 1.0 else "Hamiltonian at level 1e-06 overflows"
+        with pytest.raises(DomainError, match=message):
+            hinf_norm(g)
+    assert 0 < np.count_nonzero(used) < used.size and np.all(np.isfinite(sigma))
+    assert float(np.max(sigma, where=used, initial=0.0)) == pytest.approx(b * 1e-306, rel=1e-12)
+
+
+def test_an_all_pass_past_the_grids_float_range_passes_its_sampled_prong() -> None:
+    # (s - 1e306) / (s + 1e306): the overflowed grid points are masked, not read as NaN deviations
+    g = StateSpaceTF(a=[[-1e306]], b=[[1.0]], c=[[-2e306]], d=[[1.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        check = lossless_br_check(g)
+    assert check.verdict and check.prongs["sampled"] == "pass"
+
+
+def test_an_overflowing_hamiltonian_ends_its_own_loop_only() -> None:
+    # in one stack, the loop whose Hamiltonian overflows gets a DomainError and its neighbour
+    # gets the bytes of its own one-loop norm
+    stack, loops = _stack([StateSpaceTF([[-1.0]], [[1.0]], [[1.0]], [[0.0]]),
+                           StateSpaceTF([[-1e306]], [[1e300]], [[1.0]], [[0.0]])])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        norm, refused = _hinf_norms(stack)
+        axes = _axis_eigenvalues(stack, [4.0, 4e-12])
+    assert isinstance(refused, DomainError) and isinstance(axes[1], DomainError)
+    assert axes[0].size == 0
+    want = hinf_norm(loops[0])
+    assert float(norm.value).hex() == float(want.value).hex() and norm.certificate == want.certificate

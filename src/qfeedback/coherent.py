@@ -445,7 +445,8 @@ def _augmented_loop_outcomes(p: PlantModel, ap: PlantAugmentation, ctrls: list, 
     raises).
 
     The stack gets one completion pass, one loop assembly, one Schur form per loop and one
-    Hurwitz rule, grid pass and level set in the norm core; the lossless tests (D^dagger D = I,
+    Hurwitz rule and grid pass in the norm core, which then runs each loop's level set and
+    bisection on its own; the lossless tests (D^dagger D = I,
     and the Lyapunov and coupling tests of diag(Theta_p, Theta_c) with S = D) run once over it.
     """
     blocks = [np.stack([getattr(c, name) for c in ctrls]) for name in ("f_c", "g_cw", "g_cy", "h_c", "k_cw", "k_cy")]
@@ -481,8 +482,8 @@ def verify_trivial_hinf(
     passes the realizability check's residual tests with S = D and
     D^dagger D = I (the lossless bounded-real lemma).  The trivial controller
     and the challengers are checked in stacks of equal order n_c and noise
-    count m_wt: one completion pass, loop assembly, Hurwitz rule, grid pass
-    and level set per stack, one Schur form per loop.  Each loop's norm
+    count m_wt: one completion pass, loop assembly, Hurwitz rule and grid
+    pass per stack, one Schur form, level set and bisection per loop.  Each loop's norm
     samples its grid once, and the pointwise deviation max |sigma_max - 1|
     comes from its certificate's grid range (a static loop's is its norm).
     Challengers that fail their own realizability completion, or whose

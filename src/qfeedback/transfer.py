@@ -74,9 +74,9 @@ class StateSpaceTF:
         """Schur form A = Z T Z^dagger (A is read-only): poles diag(T), T and Z."""
         return tuple(x[0] for x in _schur_forms(self.a[None]))
 
-    @property
+    @cached_property
     def _loops(self) -> "_Loops":
-        """This realization as a stack of one loop."""
+        """This realization as a stack of one loop, built once."""
         return _Loops(self.a[None], self.b[None], self.c[None], self.d[None], tuple(x[None] for x in self._schur))
 
     def _rows(self, select: np.ndarray) -> "StateSpaceTF":
@@ -237,6 +237,12 @@ def _unit_frequency_grid() -> np.ndarray:
 _UNIT_GRID = _unit_frequency_grid()
 
 
+def _scaled_grid(scale) -> np.ndarray:
+    """The unit grid times ``scale`` (a scalar, or (L, 1) per loop), inf past the float range."""
+    with np.errstate(over="ignore"):
+        return _UNIT_GRID * scale
+
+
 def default_frequency_grid(a=None) -> np.ndarray:
     """Frequency grid for sampled prongs: log-spaced, mirrored, zero, random.
 
@@ -248,7 +254,7 @@ def default_frequency_grid(a=None) -> np.ndarray:
     they mask it like a point at a pole.
     """
     lam = np.linalg.eigvals(as_square(a, "a")) if a is not None else np.zeros(0)
-    return _UNIT_GRID * _pole_scale(lam)
+    return _scaled_grid(_pole_scale(lam))
 
 
 def _sample_grid(g: _Loops, metric) -> tuple[np.ndarray, np.ndarray]:
@@ -258,8 +264,7 @@ def _sample_grid(g: _Loops, metric) -> tuple[np.ndarray, np.ndarray]:
     is evaluated at 2 * scale instead, which lies off every pole, and masked out."""
     lam = g.form[0]
     scale = _pole_scale(lam)[:, None]
-    with np.errstate(over="ignore"):
-        w = _UNIT_GRID * scale
+    w = _scaled_grid(scale)
     s = 1j * np.where(np.isfinite(w), w, 0.0)
     used = np.isfinite(w) & (np.min(np.abs(s[:, None] - lam[:, :, None]), axis=1, initial=np.inf) > 1e-8 * scale)
     s = np.where(used, s, 2.0 * scale)
@@ -430,89 +435,59 @@ _LEVEL_SET_STEP = 1e-10
 _LEVEL_SET_MAX_STEPS = 50
 
 
-def _level_square(gamma: float) -> float:
-    """gamma^2 for a tested H-infinity level, or a DomainError where the square leaves the normal
-    float range: above it the square overflows, and below it R^{-1} would."""
+def _axis_eigenvalues(one: _Loops, gamma: float) -> np.ndarray | None:
+    """Imaginary-axis eigenvalues of the bounded-real Hamiltonian of the one-loop stack ``one``
+    at level gamma, or None when R = gamma^2 I - D^dagger D is not positive definite.  A DomainError
+    where gamma^2 leaves the normal float range (above it the square overflows, below it R^{-1}
+    would) or the Hamiltonian overflows."""
     square = _square(gamma, "H-infinity level")
     if square < np.finfo(float).tiny:
         raise DomainError(f"H-infinity level {gamma:.3g} is too small: its square underflows")
-    return square
-
-
-def _axis_eigenvalues(g: _Loops, squares) -> list[np.ndarray | None | DomainError]:
-    """Imaginary-axis eigenvalues of each loop's bounded-real Hamiltonian at its level gamma,
-    given gamma^2 per loop, all solved as one stack.  None where R = gamma^2 I - D^dagger D is
-    not positive definite, and a DomainError where the Hamiltonian leaves the float range; that
-    loop's Hamiltonian is built with I in place of R, or replaced by zeros, and dropped."""
-    squares = np.asarray(squares)
-    r = hermitian_part(squares[:, None, None] * np.eye(g.d.shape[-1]) - dagger(g.d) @ g.d)
-    lam_r = np.linalg.eigvalsh(r)[:, :1] if r.shape[-1] else np.ones((len(r), 0))
-    live = ~np.any(lam_r <= 0.0, axis=1)
-    r_inv = np.linalg.inv(np.where(live[:, None, None], r, np.eye(r.shape[-1])))
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflowed loop is refused below
-        a_hat = g.a + g.b @ r_inv @ dagger(g.d) @ g.c
+    r = hermitian_part(square * np.eye(one.d.shape[-1]) - dagger(one.d) @ one.d)
+    if r.shape[-1] and np.linalg.eigvalsh(r)[0, 0] <= 0.0:
+        return None
+    r_inv = np.linalg.inv(r)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowed Hamiltonian is refused below
+        a_hat = one.a + one.b @ r_inv @ dagger(one.d) @ one.c
         ham = _stacked_block(
             [
-                [a_hat, g.b @ r_inv @ dagger(g.b)],
-                [-dagger(g.c) @ (np.eye(g.c.shape[-2]) + g.d @ r_inv @ dagger(g.d)) @ g.c, -dagger(a_hat)],
+                [a_hat, one.b @ r_inv @ dagger(one.b)],
+                [-dagger(one.c) @ (np.eye(one.c.shape[-2]) + one.d @ r_inv @ dagger(one.d)) @ one.c, -dagger(a_hat)],
             ]
         )
-    finite = np.all(np.isfinite(ham), axis=(1, 2))
-    lam = np.linalg.eigvals(np.where(finite[:, None, None], ham, 0.0))
-    cut = 1e-8 * _pole_scale(lam)
-    return [
-        None if not ok else x[np.abs(x.real) <= c] if fin
-        else DomainError(f"H-infinity Hamiltonian at level {np.sqrt(sq):.3g} overflows")
-        for x, c, ok, fin, sq in zip(lam, cut, live, finite, squares)
-    ]
+    if not np.all(np.isfinite(ham)):
+        raise DomainError(f"H-infinity Hamiltonian at level {gamma:.3g} overflows")
+    lam = np.linalg.eigvals(ham)[0]
+    return lam[np.abs(lam.real) <= 1e-8 * _pole_scale(lam)]
 
 
-def _level_set_bracket(g: _Loops, lo: list[float]) -> tuple[list, list[int]]:
-    """Level-set iteration (Boyd-Balakrishnan, Bruinsma-Steinbuch) upward from ``lo``, for the
-    loops of the stack in lockstep.
+def _level_set_bracket(one: _Loops, lo: float) -> tuple[tuple[float, float] | None, int]:
+    """Level-set iteration (Boyd-Balakrishnan, Bruinsma-Steinbuch) upward from ``lo`` for the
+    one-loop stack ``one``.
 
-    Each step tests the level just above each open loop's ``lo``, all Hamiltonians in one
-    eigensolve: a loop's imaginary-axis eigenvalues are the frequencies where a singular value
-    of its G crosses its level, and the peak of sigma_max over the midpoints between them is
-    its next ``lo``.  A loop leaves the lockstep when it closes.  Returns per loop the bracket
-    (last ``lo``, first level without axis eigenvalues) and the number of Hamiltonian
-    eigensolves; the bracket is None when R is not positive definite or the iteration does not
-    close within _LEVEL_SET_MAX_STEPS steps, and a DomainError when a level's square or its
-    Hamiltonian leaves the float range.
+    Each step tests the level just above ``lo``: its imaginary-axis eigenvalues are the
+    frequencies where a singular value of G crosses it, and the peak of sigma_max over the
+    midpoints between them is the next ``lo``.  Returns the bracket (last ``lo``, first level
+    without axis eigenvalues) and the number of Hamiltonian eigensolves; the bracket is None when
+    R is not positive definite or the iteration does not close within _LEVEL_SET_MAX_STEPS steps.
     """
-    lo = list(lo)
-    brackets: list = [None] * len(lo)
-    steps = [_LEVEL_SET_MAX_STEPS] * len(lo)
-    open_loops = list(range(len(lo)))
     for step in range(_LEVEL_SET_MAX_STEPS):
-        levels = {}  # each open loop's tested level and its square
-        for l in open_loops:
-            gamma = lo[l] + _LEVEL_SET_STEP * (lo[l] or 1.0)
-            try:
-                levels[l] = (gamma, _level_square(gamma))
-            except DomainError as exc:
-                brackets[l] = exc
-        if not levels:
-            break
-        open_loops = []
-        axes = _axis_eigenvalues(g.take(list(levels)), [square for _, square in levels.values()])
-        for (l, (gamma, _)), axis in zip(levels.items(), axes):
-            if axis is None or isinstance(axis, DomainError):
-                brackets[l], steps[l] = axis, step
-            elif axis.size == 0:
-                brackets[l], steps[l] = (lo[l], gamma), step + 1
-            else:
-                w = np.sort(axis.imag)
-                peak = _sigma_max(_freq_response(g.take([l]), 0.5j * (w[:-1] + w[1:])[None]))
-                lo[l] = max(gamma, float(np.max(peak, initial=0.0)))
-                open_loops.append(l)
-    return brackets, steps
+        gamma = lo + _LEVEL_SET_STEP * (lo or 1.0)
+        axis = _axis_eigenvalues(one, gamma)
+        if axis is None:
+            return None, step
+        if axis.size == 0:
+            return (lo, gamma), step + 1
+        w = np.sort(axis.imag)
+        peak = _sigma_max(_freq_response(one, 0.5j * (w[:-1] + w[1:])[None]))
+        lo = max(gamma, float(np.max(peak, initial=0.0)))
+    return None, _LEVEL_SET_MAX_STEPS
 
 
-def _bisection(one: _Loops, lo: float, bracket, solves: int, estimate: float, rel_tol: float) -> tuple:
-    """:func:`hinf_norm`'s bracket search and bisection on the one-loop stack ``one``, from the
-    lower end ``lo``, its level-set ``bracket`` and the gain ``estimate``: (lo, hi, iterations,
-    Hamiltonian solves)."""
+def _hinf_loop(one: _Loops, lo: float, estimate: float, rel_tol: float) -> tuple[float, float, int, int]:
+    """:func:`hinf_norm`'s level set, bracket search and bisection on the one-loop stack ``one``,
+    from the lower end ``lo`` and the gain ``estimate``: (lo, hi, iterations, Hamiltonian solves)."""
+    bracket, solves = _level_set_bracket(one, lo)
 
     def feasible(gamma: float) -> bool:  # no imaginary-axis eigenvalue at level gamma
         nonlocal solves
@@ -523,9 +498,7 @@ def _bisection(one: _Loops, lo: float, bracket, solves: int, estimate: float, re
             if gamma < bracket[0] - band:
                 return False
         solves += 1
-        axis = _axis_eigenvalues(one, [_level_square(gamma)])[0]
-        if isinstance(axis, DomainError):
-            raise axis
+        axis = _axis_eigenvalues(one, gamma)
         return axis is not None and axis.size == 0
 
     hi = max(estimate, 2.0 * lo, 1e-8)
@@ -551,8 +524,9 @@ def _bisection(one: _Loops, lo: float, bracket, solves: int, estimate: float, re
 
 def _hinf_norms(g: _Loops, rel_tol: float = 1e-6) -> list:
     """:func:`hinf_norm` of each loop of a stack of equal-shape loops: its NormResult, or the
-    error that :func:`hinf_norm` raises on it.  The stack shares one Hurwitz rule, one grid
-    pass and the lockstep level set; each loop keeps its own bracket search and bisection."""
+    error that :func:`hinf_norm` raises on it.  The stack shares one Hurwitz rule, one
+    sigma_max(D), one gain estimate and one grid pass; then each loop runs its own level set,
+    bracket search and bisection on its one-loop stack."""
     require_tolerance(rel_tol, "rel_tol")
     count, p, m = g.d.shape
     sigma_d = np.linalg.svd(g.d, compute_uv=False)[:, 0] if p and m else np.zeros(count)
@@ -568,20 +542,14 @@ def _hinf_norms(g: _Loops, rel_tol: float = 1e-6) -> list:
 
     h, sigma_d = g.take(live), sigma_d[live]
     sigma, used = _sample_grid(h, _sigma_max)
-    grid_max = [float(top) for top in np.max(sigma, axis=1, where=used, initial=0.0)]
-    lo = [max(float(bottom) * (1.0 + 1e-9), top * (1.0 - 1e-12)) for bottom, top in zip(sigma_d, grid_max)]
-    brackets, solves = _level_set_bracket(h, lo)
-    margin = np.abs(np.max(h.form[0].real, axis=1))
+    grid_max = np.max(sigma, axis=1, where=used, initial=0.0)
     gains = np.linalg.svd(h.c, compute_uv=False)[:, 0] * np.linalg.svd(h.b, compute_uv=False)[:, 0]  # |C|_2 |B|_2
-    estimate = sigma_d + 2.0 * gains / np.maximum(margin, SPECTRAL_GAP_TOL)
+    estimate = sigma_d + 2.0 * gains / np.maximum(np.abs(np.max(h.form[0].real, axis=1)), SPECTRAL_GAP_TOL)
     for j, l in enumerate(live):
-        if isinstance(brackets[j], DomainError):
-            out[l] = brackets[j]
-            continue
+        top = float(grid_max[j])
+        lo = max(float(sigma_d[j]) * (1.0 + 1e-9), top * (1.0 - 1e-12))
         try:
-            low, high, iterations, solved = _bisection(
-                h.take([j]), lo[j], brackets[j], solves[j], float(estimate[j]), rel_tol
-            )
+            low, high, iterations, solves = _hinf_loop(h.take([j]), lo, float(estimate[j]), rel_tol)
         except (DomainError, GenerationError) as exc:
             out[l] = exc
             continue
@@ -592,9 +560,9 @@ def _hinf_norms(g: _Loops, rel_tol: float = 1e-6) -> list:
                 "bracket_low": low,
                 "bracket_high": high,
                 "iterations": float(iterations),
-                "grid_lower_bound": grid_max[j],
-                "grid_min": float(np.min(sigma[j], where=used[j], initial=grid_max[j])),
-                "hamiltonian_solves": float(solved),
+                "grid_lower_bound": top,
+                "grid_min": float(np.min(sigma[j], where=used[j], initial=top)),
+                "hamiltonian_solves": float(solves),
             },
         )
     return out
@@ -617,14 +585,15 @@ def hinf_norm(g: StateSpaceTF, rel_tol: float = 1e-6) -> NormResult:
     certificate adds the grid's sigma_max range, ``grid_lower_bound`` and
     ``grid_min``, and the eigensolve count ``hamiltonian_solves``.  A
     Hurwitz (or empty) A with an empty B or C has the "static" norm
-    sigma_max(D).  This is the one-loop case of the stacked norm core.
+    sigma_max(D).  This is the one-loop case of the stacked norm core, whose
+    level set and bisection run one loop at a time.
 
     Raises
     ------
     DomainError
         When ``rel_tol`` is not a finite positive number, or when a tested
         level's square overflows or underflows (a norm above about 1e154 or
-        below about 1e-154).
+        below about 1e-154), or its Hamiltonian overflows.
     InstabilityError
         When A is not Hurwitz.
     """

@@ -868,12 +868,16 @@ def test_each_loop_is_factored_once(monkeypatch) -> None:
     k = p.n_modes + c.n_modes
     assert spied(lambda: lqg_cost(close_loop(p, c))) == ([], [(k, k)])
     select = np.eye(p.m_y, p.m_w + p.m_u + c.m_wt - c.m_u)
-    eigs, factored = spied(lambda: hinf_norm(close_augmented_loop(p, c).system._rows(select)))
+    rows = []
+    eigs, factored = spied(lambda: rows.append(close_augmented_loop(p, c).system._rows(select)) or hinf_norm(rows[0]))
     assert {shape[-2:] for shape in eigs} <= {(2 * k, 2 * k)} and factored == [(k, k)]
+    # the rows keep one one-loop stack, on the loop's Schur form, for every later call
+    assert rows[0]._loops is rows[0]._loops
+    assert spied(lambda: (hinf_norm(rows[0]), transfer.tf_eval(rows[0], 0.0))) == ([(1, 2 * k, 2 * k)] * len(eigs), [])
     orders = [p.n_modes + ctrl.n_modes for ctrl in [trivial_controller(p.m_y, p.m_u), *challengers]]
     eigs, factored = spied(lambda: verify_trivial_hinf(p, [[1.0, 0.0, 0.0]], challengers))
-    # the loops of one order share their Hamiltonian eigensolves as (L, 2k, 2k) stacks, and the
-    # Schur forms follow the stacks, so compare multisets
+    # each loop's Hamiltonians are (1, 2k, 2k) stacks, and the Schur forms follow the stacks of
+    # equal order, so compare multisets
     assert {shape[-2:] for shape in eigs} <= {(2 * k, 2 * k) for k in orders}
     assert sorted(factored) == sorted((k, k) for k in orders)
 

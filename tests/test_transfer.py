@@ -57,7 +57,6 @@ from qfeedback.transfer import (
     _axis_eigenvalues,
     _freq_response,
     _hinf_norms,
-    _level_set_bracket,
     _Loops,
     _sample_grid,
     _schur_forms,
@@ -815,7 +814,7 @@ def _reference_bisection(g: StateSpaceTF, rel_tol: float = 1e-6) -> dict[str, fl
     """hinf_norm's bracket arithmetic with every level put to the Hamiltonian test."""
 
     def feasible(gamma: float) -> bool:  # no imaginary-axis eigenvalue at level gamma
-        axis = _axis_eigenvalues(g._loops, [gamma**2])[0]
+        axis = _axis_eigenvalues(g._loops, gamma)
         return axis is not None and axis.size == 0
 
     sigma_d = float(np.linalg.svd(g.d, compute_uv=False)[0]) if g.d.size else 0.0
@@ -888,7 +887,7 @@ def test_hinf_norm_matches_reference_bisection(hinf_family) -> None:
 
 def test_hinf_norm_without_level_set_bracket_is_unchanged(hinf_family, monkeypatch) -> None:
     expected = [_as_reference(hinf_norm(g)) for g in hinf_family]
-    monkeypatch.setattr(transfer, "_level_set_bracket", lambda g, lo: ([None] * len(lo), [0] * len(lo)))
+    monkeypatch.setattr(transfer, "_level_set_bracket", lambda one, lo: (None, 0))
     for g, want in zip(hinf_family, expected):
         result = hinf_norm(g)
         assert _as_reference(result) == want
@@ -991,7 +990,7 @@ def _stacked_families() -> list[list[StateSpaceTF]]:
 
 def test_stacked_transfer_cores_match_their_one_loop_calls() -> None:
     # each loop of a stack gets the bytes of its own one-loop call: responses, grid samples
-    # (with a point dropped at a pole of one loop only), level-set steps, brackets and norms
+    # (with a point dropped at a pole of one loop only) and norms
     drops = 0
     for systems in _stacked_families():
         stack, loops = _stack(systems)
@@ -1005,13 +1004,6 @@ def test_stacked_transfer_cores_match_their_one_loop_calls() -> None:
             drops += not one[0].all()
         if not all(is_hurwitz(g.a) for g in loops):
             continue
-        lo = [0.5 * float(np.max(v, where=u, initial=0.0)) for v, u in zip(values, used)]  # a few steps each
-        squares = [(1.5 * x) ** 2 for x in lo]
-        brackets = _level_set_bracket(stack, lo)
-        for l, (g, axis) in enumerate(zip(loops, _axis_eigenvalues(stack, squares))):
-            one = _axis_eigenvalues(g._loops, squares[l : l + 1])[0]
-            assert (axis is None and one is None) or axis.tobytes() == one.tobytes()
-            assert [x[l] for x in brackets] == [x[0] for x in _level_set_bracket(g._loops, lo[l : l + 1])]
         for norm, g in zip(_hinf_norms(stack), loops):
             want = hinf_norm(g)
             assert float(norm.value).hex() == float(want.value).hex()
@@ -1027,20 +1019,20 @@ def test_stacked_transfer_cores_match_their_one_loop_calls() -> None:
 )
 def test_axis_eigenvalues_do_not_depend_on_stack_neighbours(seed, levels, position) -> None:
     # a level below sigma_max(D) leaves R indefinite (None), one between it and the norm has
-    # axis eigenvalues and one above the norm has none; each loop's answer is its own call's bytes
+    # axis eigenvalues and one above the norm has none; a loop taken out of a stack as the norm
+    # core takes it gets the bytes of its own realization's one-loop call
     rng = np.random.default_rng(seed)
     n, m, p = (int(k) for k in rng.integers(1, 4, size=3))
     loops = [random_stable_tf(rng, n, m, p, strictly_proper=False) for _ in levels]
     stack, loops = _stack(loops)
-    squares = []
-    for g, level in zip(loops, levels):
-        sigma_d, norm = float(np.linalg.svd(g.d, compute_uv=False)[0]), hinf_norm(g).value
-        gamma = {"below D": 0.5 * sigma_d, "between": 0.5 * (sigma_d + norm), "above norm": 2.0 * norm}[level]
-        squares.append(gamma**2)
     j = position % len(loops)
-    got, alone = _axis_eigenvalues(stack, squares)[j], _axis_eigenvalues(loops[j]._loops, squares[j : j + 1])[0]
-    assert (got is None) == (alone is None) == (levels[j] == "below D")
+    g, level = loops[j], levels[j]
+    sigma_d, norm = float(np.linalg.svd(g.d, compute_uv=False)[0]), hinf_norm(g).value
+    gamma = {"below D": 0.5 * sigma_d, "between": 0.5 * (sigma_d + norm), "above norm": 2.0 * norm}[level]
+    got, alone = _axis_eigenvalues(stack.take([j]), gamma), _axis_eigenvalues(g._loops, gamma)
+    assert (got is None) == (alone is None) == (level == "below D")
     assert got is None or got.tobytes() == alone.tobytes()
+    assert got is None or (got.size == 0) == (level == "above norm")
 
 
 @pytest.mark.parametrize("c", [1e-155, 1e-160, 1e-200])
@@ -1077,6 +1069,20 @@ def test_default_frequency_grid_contains_zero_and_negatives() -> None:
     grid = default_frequency_grid()
     assert 0.0 in grid
     assert np.any(grid < 0) and np.any(grid > 0)
+
+
+@pytest.mark.parametrize("scale", [1e306, 1e307])
+def test_default_grid_past_the_float_range_is_inf_without_a_warning(scale: float) -> None:
+    # the points are each unit point times the pole scale, rounded once (Python floats), and inf
+    # where that product leaves the float range; the sampled grid scales by the same rule
+    unit = default_frequency_grid()
+    want = np.array([w * scale for w in unit.tolist()])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        grid = default_frequency_grid([[-scale]])
+        _sample_grid(StateSpaceTF([[-scale]], [[1.0]], [[1.0]], [[0.0]])._loops, _sigma_max)
+    assert grid.tobytes() == want.tobytes()
+    assert np.isinf(grid).any() and np.isfinite(grid).any()
 
 
 def _raw_unit_grid() -> np.ndarray:
@@ -1155,8 +1161,9 @@ def test_an_overflowing_hamiltonian_ends_its_own_loop_only() -> None:
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         norm, refused = _hinf_norms(stack)
-        axes = _axis_eigenvalues(stack, [4.0, 4e-12])
-    assert isinstance(refused, DomainError) and isinstance(axes[1], DomainError)
-    assert axes[0].size == 0
+        with pytest.raises(DomainError, match="Hamiltonian at level 2e-06 overflows"):
+            _axis_eigenvalues(loops[1]._loops, 2e-6)
+        assert _axis_eigenvalues(loops[0]._loops, 2.0).size == 0
+    assert isinstance(refused, DomainError)
     want = hinf_norm(loops[0])
     assert float(norm.value).hex() == float(want.value).hex() and norm.certificate == want.certificate

@@ -14,7 +14,11 @@
 # among them synth on controllers whose pole at -1e306 scales the grid past
 # the float range (H_c = 1: the level squares below it; H_c = 1e300: the
 # Hamiltonian overflows), which must exit 2. JSON output must be strict
-# JSON: the sampled deviation that is not finite is written as null.
+# JSON: the sampled deviation that is not finite is written as null. Under
+# `python -W error`, check on a general-kind system whose coupling residual
+# overflows must say "realizable: false" and exit 1, and synth on a
+# general-kind controller whose certificate defect overflows must exit 2,
+# both formats, with no traceback and no warning.
 # Run it from an empty scratch directory.
 set -euo pipefail
 
@@ -84,3 +88,13 @@ done
 status=0; qfeedback --format json check hbig.json --transfer > hbig.out || status=$?
 test "$status" -eq 1
 python -c 'import json, sys; json.load(open("hbig.out"), parse_constant=lambda c: sys.exit(f"not strict JSON: {c}"))'
+python -c 'import numpy as np; from dataclasses import replace; from qfeedback import ControllerModel, delta_build, random_pr_system, save_system; s = random_pr_system(3, 2, 0, kind="general"); save_system("cpl.json", replace(s, f=1e101 * s.f, g=1e101 * s.g, h=1e304 * s.h)); save_system("gsy.json", ControllerModel(kind="general", f_c=delta_build([[-1e282]], [[0.0]]), g_cw=np.zeros((2, 0)), g_cy=delta_build([[1e155]], [[0.0]]), h_c=np.zeros((0, 2)), k_cw=np.zeros((0, 0)), k_cy=np.zeros((0, 2))))'
+for fmt in text json; do
+  status=0; python -W error -m qfeedback.cli --format "$fmt" check cpl.json > cpl.out 2> cpl.err || status=$?
+  test "$status" -eq 1
+  if grep -q -e Traceback -e Warning cpl.err; then cat cpl.err; exit 1; fi
+  grep -q -e "realizable: false" -e '"realizable": false' cpl.out
+  status=0; python -W error -m qfeedback.cli --format "$fmt" synth gsy.json > gsy.out 2> gsy.err || status=$?
+  test "$status" -eq 2
+  if grep -q -e Traceback -e Warning gsy.err; then cat gsy.err; exit 1; fi
+done

@@ -58,7 +58,7 @@ from .linalg import (
     solve_care_hermitian,
 )
 from .systems import _annihilation_fg, is_positive_definite
-from .transfer import NormResult, StateSpaceTF, _hinf_norms, _Loops, _schur_forms, h2_norm, hinf_norm
+from .transfer import NormResult, StateSpaceTF, _hinf_loop, _Loops, _sampled_gains, _schur_forms, h2_norm, hinf_norm
 
 STATIC_GAIN_GRID = (-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0)
 
@@ -438,17 +438,14 @@ def _validate_selector(l_select: np.ndarray, width: int) -> None:
         )
 
 
-def _augmented_loop_outcomes(p: PlantModel, ap: PlantAugmentation, ctrls: list, l_select: np.ndarray) -> list:
-    """Per controller of a stack of equal order and noise count: the H-infinity norm of the rows
-    of its augmented loop that ``l_select`` picks from the first m_w + m_u, and whether the loop
-    passes the lossless tests; or the error that ends it (a failed completion, or what the norm
-    raises).
-
-    The stack gets one completion pass, one loop assembly, one Schur form per loop and one
-    Hurwitz rule and grid pass in the norm core, which then runs each loop's level set and
-    bisection on its own; the lossless tests (D^dagger D = I,
-    and the Lyapunov and coupling tests of diag(Theta_p, Theta_c) with S = D) run once over it.
-    """
+def _augmented_loop_outcomes(p: PlantModel, ap: PlantAugmentation, ctrls: list, l_select, trivial_first) -> list:
+    """Per controller of a stack of equal order and noise count, for the rows of its augmented loop
+    that ``l_select`` picks from the first m_w + m_u: (norm, max |sigma_max - 1| on the grid, lossless),
+    or the error that ends it.  The stack gets one completion pass, loop assembly, Hurwitz rule,
+    grid pass and lossless test (D^dagger D = I, and the Lyapunov and coupling tests of
+    diag(Theta_p, Theta_c) with S = D), one Schur form per loop.  A lossless loop's norm is 1, so a
+    challenger's norm reading is its grid peak; only the trivial loop, first when ``trivial_first``,
+    is bisected."""
     blocks = [np.stack([getattr(c, name) for c in ctrls]) for name in ("f_c", "g_cw", "g_cy", "h_c", "k_cw", "k_cy")]
     try:
         done = _controller_completions("annihilation", *blocks)
@@ -460,13 +457,24 @@ def _augmented_loop_outcomes(p: PlantModel, ap: PlantAugmentation, ctrls: list, 
     a, b, c, d, theta = _augmented_loop(p, ap, *(blk[done.done] for blk in blocks), done.theta, done.h_tilde)
     pad = np.zeros((l_select.shape[0], c.shape[-2]), dtype=complex)
     pad[:, : l_select.shape[1]] = l_select
-    norms = _hinf_norms(_Loops(a, b, pad @ c, pad @ d, _schur_forms(a)))
+    loops = _Loops(a, b, pad @ c, pad @ d, _schur_forms(a))
+    stable = _hurwitz_spectrum(loops.form[0], a)
+    sigma, used = _sampled_gains(loops)
+    norm = np.max(sigma, axis=1, where=used, initial=0.0)
+    dev = np.maximum(norm - 1.0, 1.0 - np.min(np.where(used, sigma, norm[:, None]), axis=1))
     q = hermitian_part(b @ dagger(b))
     feed_ok = _stack_max_abs(dagger(d) @ d - np.eye(d.shape[-1])) <= RESIDUAL_TOL
     lyapunov_off = _lyapunov_defect(a, theta, q, {}, RESIDUAL_TOL)
     lossless = feed_ok & ~lyapunov_off & ~_coupling_defect(b, theta, c, d, {}, RESIDUAL_TOL)
-    for j, norm, ok in zip(done.done, norms, lossless):
-        outcomes[j] = norm if isinstance(norm, Exception) else (norm, bool(ok))
+    if trivial_first and done.done[0] == 0 and stable[0] and np.isfinite(dev[0]):
+        norm[0] = _hinf_loop(loops.take([0]), sigma[0], used[0], 1e-6).value
+    for pos, j in enumerate(done.done):
+        if not stable[pos]:
+            outcomes[j] = InstabilityError("H-infinity norm needs a Hurwitz state matrix")
+        elif not np.isfinite(dev[pos]):
+            outcomes[j] = DomainError("sampled sigma_max range of the augmented loop is not finite")
+        else:
+            outcomes[j] = (float(norm[pos]), float(dev[pos]), bool(lossless[pos]))
     return outcomes
 
 
@@ -480,16 +488,16 @@ def verify_trivial_hinf(
     controller and every challenger alike.  Each loop counts as lossless when
     it is internally stable and its own certificate diag(Theta_p, Theta_c)
     passes the realizability check's residual tests with S = D and
-    D^dagger D = I (the lossless bounded-real lemma).  The trivial controller
-    and the challengers are checked in stacks of equal order n_c and noise
-    count m_wt: one completion pass, loop assembly, Hurwitz rule and grid
-    pass per stack, one Schur form, level set and bisection per loop.  Each loop's norm
-    samples its grid once, and the pointwise deviation max |sigma_max - 1|
-    comes from its certificate's grid range (a static loop's is its norm).
-    Challengers that fail their own realizability completion, or whose
-    channels do not fit the plant, are reported as skipped, not as
-    refutations; the first other error in entry order (a general-kind
-    challenger's DomainError, an unstable loop's InstabilityError) is raised.
+    D^dagger D = I (the lossless bounded-real lemma).  The loops are checked
+    in stacks of equal order n_c and noise count m_wt, each sampled once.
+    The trivial loop's norm is :func:`hinf_norm`'s bisection from its grid
+    row; a challenger, whose certificate makes its norm 1, reports its grid
+    peak.  The pointwise deviation max |sigma_max - 1| comes from each grid
+    range (a static loop's is sigma_max(D)).  Challengers that fail their
+    own realizability completion, or whose channels do not fit the plant,
+    are reported as skipped, not as refutations; the first other error in
+    entry order (a general-kind challenger's DomainError, an unstable loop's
+    InstabilityError, a sampled range that is not finite) is raised.
     """
     if p.kind != "annihilation":
         raise DomainError("trivial-controller verification is annihilation-kind only")
@@ -511,7 +519,8 @@ def verify_trivial_hinf(
         else:
             groups.setdefault((ctrl.n_modes, ctrl.m_wt), []).append(i)
     for idx in groups.values():
-        for i, outcome in zip(idx, _augmented_loop_outcomes(p, ap, [entries[i] for i in idx], l_select)):
+        found = _augmented_loop_outcomes(p, ap, [entries[i] for i in idx], l_select, idx[0] == 0)
+        for i, outcome in zip(idx, found):
             outcomes[i] = outcome
 
     norms: list[float] = []
@@ -524,11 +533,10 @@ def verify_trivial_hinf(
             continue
         if isinstance(outcome, Exception):
             raise outcome
-        norm, lossless = outcome
-        norms.append(norm.value)
+        norm, dev, lossless = outcome
+        norms.append(norm)
+        pointwise.append(dev)
         lossless_ok &= lossless
-        top, bottom = (norm.certificate.get(k, norm.value) for k in ("grid_lower_bound", "grid_min"))
-        pointwise.append(max(top - 1.0, 1.0 - bottom))
 
     worst_norm = max(abs(v - 1.0) for v in norms) if norms else np.inf
     holds = bool(norms) and worst_norm <= 1e-6 and lossless_ok

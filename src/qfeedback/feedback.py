@@ -519,13 +519,13 @@ def synth_noise_general(f_c, g_cy, h_c, theta) -> SynthesisResult:
 
     h_c1, h_c2 = h_c[:m_u], h_c[m_u:]
     g_cy1, g_cy2 = g_cy[:, :m_y], g_cy[:, m_y:]
-    m_defect = hermitian_part(
-        f_c @ theta
-        + theta @ dagger(f_c)
-        - theta @ (dagger(h_c2) @ h_c2 - dagger(h_c1) @ h_c1) @ theta
-        + g_cy1 @ dagger(g_cy1)
-        - g_cy2 @ dagger(g_cy2)
-    )
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowed defect is refused below
+        m_defect = hermitian_part(
+            f_c @ theta + theta @ dagger(f_c) - theta @ (dagger(h_c2) @ h_c2 - dagger(h_c1) @ h_c1) @ theta
+            + g_cy1 @ dagger(g_cy1) - g_cy2 @ dagger(g_cy2)
+        )
+    if not np.isfinite(m_defect).all():
+        raise DomainError("certificate defect M is not finite: the controller triple or Theta is too large")
     split = psd_split(m_defect)
     g_cw1b = split.negative_factor
     r_pos = split.positive_factor.shape[1]

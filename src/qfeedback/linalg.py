@@ -85,23 +85,32 @@ def _sign_cut(lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return lam > cut, lam < -cut
 
 
+def _exceeds(residual, bound):
+    """``residual`` not finite (an overflow shows nothing) or above ``bound``, per matrix of a stack."""
+    if isinstance(residual, float):
+        return not (math.isfinite(residual) and residual <= bound)
+    return ~(np.isfinite(residual) & (residual <= bound))
+
+
 def _lyapunov_defect(f, theta, q, residuals, tol):
-    """True when |F Theta + Theta F^dagger + Q| (into ``residuals``) exceeds tol * (1 + |Q|).
+    """True when |F Theta + Theta F^dagger + Q| (into ``residuals``) :func:`_exceeds` tol * (1 + |Q|).
 
     Over leading axes: stacked operands get one residual and one verdict per
-    matrix of the stack.
+    matrix of the stack.  No numpy warning is raised.
     """
-    residuals["lyapunov"] = _stack_max_abs(f @ theta + theta @ dagger(f) + q)
-    return residuals["lyapunov"] > tol * (1.0 + _stack_max_abs(q))
+    with np.errstate(over="ignore", invalid="ignore"):
+        residuals["lyapunov"] = r = _stack_max_abs(f @ theta + theta @ dagger(f) + q)
+        return _exceeds(r, tol * (1.0 + _stack_max_abs(q)))
 
 
 def _coupling_defect(g, theta, h, sig, residuals, tol):
-    """True when |G + Theta H^dagger S| (into ``residuals``) exceeds tol * (1 + |G| + |Theta| |H|).
+    """True when |G + Theta H^dagger S| (into ``residuals``) :func:`_exceeds` tol * (1 + |G| + |Theta| |H|).
 
-    Over leading axes, as :func:`_lyapunov_defect`.
+    Over leading axes and without a numpy warning, as :func:`_lyapunov_defect`.
     """
-    residuals["coupling"] = _stack_max_abs(g + theta @ dagger(h) @ sig)
-    return residuals["coupling"] > tol * (1.0 + _stack_max_abs(g) + _stack_max_abs(theta) * _stack_max_abs(h))
+    with np.errstate(over="ignore", invalid="ignore"):
+        residuals["coupling"] = r = _stack_max_abs(g + theta @ dagger(h) @ sig)
+        return _exceeds(r, tol * (1.0 + _stack_max_abs(g) + _stack_max_abs(theta) * _stack_max_abs(h)))
 
 
 def _certificate_defect(f, g, h, sig, q, theta, residuals, tol) -> str | None:
@@ -181,7 +190,7 @@ def hermitian_part(a) -> np.ndarray:
 
 def _noise_term(g: np.ndarray, sig: np.ndarray | None = None) -> np.ndarray:
     """herm(G S G^dagger), S = I when None, as a solver's input: an overflow reaches its DomainError
-    without a numpy warning.  Not for a residual test, where a NaN would compare False and read as a pass."""
+    without a numpy warning.  Not for a residual test, which must count a NaN as a defect (:func:`_exceeds`)."""
     with np.errstate(over="ignore", invalid="ignore"):
         return hermitian_part(g @ dagger(g) if sig is None else g @ sig @ dagger(g))
 

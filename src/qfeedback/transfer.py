@@ -113,9 +113,7 @@ class _Loops:
     form: tuple[np.ndarray, np.ndarray, np.ndarray]
 
     def take(self, idx) -> "_Loops":
-        """The sub-stack at the increasing positions ``idx``: the stack itself when that is all of it."""
-        if len(idx) == len(self.a):
-            return self
+        """The sub-stack at the positions ``idx``."""
         return _Loops(self.a[idx], self.b[idx], self.c[idx], self.d[idx], tuple(x[idx] for x in self.form))
 
 
@@ -484,9 +482,26 @@ def _level_set_bracket(one: _Loops, lo: float) -> tuple[tuple[float, float] | No
     return None, _LEVEL_SET_MAX_STEPS
 
 
-def _hinf_loop(one: _Loops, lo: float, estimate: float, rel_tol: float) -> tuple[float, float, int, int]:
-    """:func:`hinf_norm`'s level set, bracket search and bisection on the one-loop stack ``one``,
-    from the lower end ``lo`` and the gain ``estimate``: (lo, hi, iterations, Hamiltonian solves)."""
+def _sampled_gains(g: _Loops) -> tuple[np.ndarray, np.ndarray]:
+    """sigma_max of each loop's response on its grid and the mask of the points used (:func:`_sample_grid`);
+    a static stack (no states, inputs or outputs) reads sigma_max(D) at one point per loop."""
+    count, p, m = g.d.shape
+    if g.a.shape[-1] and m and p:
+        return _sample_grid(g, _sigma_max)
+    sigma_d = np.linalg.svd(g.d, compute_uv=False)[:, :1] if p and m else np.zeros((count, 1))
+    return sigma_d, np.ones((count, 1), dtype=bool)
+
+
+def _hinf_loop(one: _Loops, sigma: np.ndarray, used: np.ndarray, rel_tol: float) -> NormResult:
+    """:func:`hinf_norm` of the Hurwitz one-loop stack ``one`` from its grid row ``sigma`` and the
+    mask ``used`` of :func:`_sampled_gains`: the level set, bracket search and bisection."""
+    if not (one.a.shape[-1] and one.b.shape[-1] and one.c.shape[-2]):
+        return NormResult(float(sigma[0]), "static", {"sigma_max_d": float(sigma[0])})
+    sigma_d = np.linalg.svd(one.d, compute_uv=False)[:, 0]
+    top = float(np.max(sigma, where=used, initial=0.0))
+    gains = np.linalg.svd(one.c, compute_uv=False)[:, 0] * np.linalg.svd(one.b, compute_uv=False)[:, 0]  # |C| |B|
+    estimate = sigma_d + 2.0 * gains / np.maximum(np.abs(np.max(one.form[0].real, axis=1)), SPECTRAL_GAP_TOL)
+    lo = max(float(sigma_d[0]) * (1.0 + 1e-9), top * (1.0 - 1e-12))
     bracket, solves = _level_set_bracket(one, lo)
 
     def feasible(gamma: float) -> bool:  # no imaginary-axis eigenvalue at level gamma
@@ -501,7 +516,7 @@ def _hinf_loop(one: _Loops, lo: float, estimate: float, rel_tol: float) -> tuple
         axis = _axis_eigenvalues(one, gamma)
         return axis is not None and axis.size == 0
 
-    hi = max(estimate, 2.0 * lo, 1e-8)
+    hi = max(float(estimate[0]), 2.0 * lo, 1e-8)
     for _ in range(100):
         if feasible(hi):
             break
@@ -519,53 +534,18 @@ def _hinf_loop(one: _Loops, lo: float, estimate: float, rel_tol: float) -> tuple
         else:
             lo = mid
         iterations += 1
-    return lo, hi, iterations, solves
-
-
-def _hinf_norms(g: _Loops, rel_tol: float = 1e-6) -> list:
-    """:func:`hinf_norm` of each loop of a stack of equal-shape loops: its NormResult, or the
-    error that :func:`hinf_norm` raises on it.  The stack shares one Hurwitz rule, one
-    sigma_max(D), one gain estimate and one grid pass; then each loop runs its own level set,
-    bracket search and bisection on its one-loop stack."""
-    require_tolerance(rel_tol, "rel_tol")
-    count, p, m = g.d.shape
-    sigma_d = np.linalg.svd(g.d, compute_uv=False)[:, 0] if p and m else np.zeros(count)
-    stable = _hurwitz_spectrum(g.form[0], g.a)
-    out: list = [None if ok else InstabilityError("H-infinity norm needs a Hurwitz state matrix") for ok in stable]
-    live = np.flatnonzero(stable)
-    if not g.a.shape[-1] or not m or not p:
-        for l in live:
-            out[l] = NormResult(float(sigma_d[l]), "static", {"sigma_max_d": float(sigma_d[l])})
-        return out
-    if not live.size:
-        return out
-
-    h, sigma_d = g.take(live), sigma_d[live]
-    sigma, used = _sample_grid(h, _sigma_max)
-    grid_max = np.max(sigma, axis=1, where=used, initial=0.0)
-    gains = np.linalg.svd(h.c, compute_uv=False)[:, 0] * np.linalg.svd(h.b, compute_uv=False)[:, 0]  # |C|_2 |B|_2
-    estimate = sigma_d + 2.0 * gains / np.maximum(np.abs(np.max(h.form[0].real, axis=1)), SPECTRAL_GAP_TOL)
-    for j, l in enumerate(live):
-        top = float(grid_max[j])
-        lo = max(float(sigma_d[j]) * (1.0 + 1e-9), top * (1.0 - 1e-12))
-        try:
-            low, high, iterations, solves = _hinf_loop(h.take([j]), lo, float(estimate[j]), rel_tol)
-        except (DomainError, GenerationError) as exc:
-            out[l] = exc
-            continue
-        out[l] = NormResult(
-            0.5 * (low + high),
-            "bisection",
-            {
-                "bracket_low": low,
-                "bracket_high": high,
-                "iterations": float(iterations),
-                "grid_lower_bound": top,
-                "grid_min": float(np.min(sigma[j], where=used[j], initial=top)),
-                "hamiltonian_solves": float(solves),
-            },
-        )
-    return out
+    return NormResult(
+        0.5 * (lo + hi),
+        "bisection",
+        {
+            "bracket_low": lo,
+            "bracket_high": hi,
+            "iterations": float(iterations),
+            "grid_lower_bound": top,
+            "grid_min": float(np.min(sigma, where=used, initial=top)),
+            "hamiltonian_solves": float(solves),
+        },
+    )
 
 
 def hinf_norm(g: StateSpaceTF, rel_tol: float = 1e-6) -> NormResult:
@@ -585,8 +565,8 @@ def hinf_norm(g: StateSpaceTF, rel_tol: float = 1e-6) -> NormResult:
     certificate adds the grid's sigma_max range, ``grid_lower_bound`` and
     ``grid_min``, and the eigensolve count ``hamiltonian_solves``.  A
     Hurwitz (or empty) A with an empty B or C has the "static" norm
-    sigma_max(D).  This is the one-loop case of the stacked norm core, whose
-    level set and bisection run one loop at a time.
+    sigma_max(D).  T6 runs the same bisection on its trivial loop's row of
+    a stacked grid pass, with the same bits.
 
     Raises
     ------
@@ -597,7 +577,8 @@ def hinf_norm(g: StateSpaceTF, rel_tol: float = 1e-6) -> NormResult:
     InstabilityError
         When A is not Hurwitz.
     """
-    norm = _hinf_norms(g._loops, rel_tol)[0]
-    if isinstance(norm, Exception):
-        raise norm
-    return norm
+    require_tolerance(rel_tol, "rel_tol")
+    if not _hurwitz_spectrum(g._schur[0], g.a):
+        raise InstabilityError("H-infinity norm needs a Hurwitz state matrix")
+    sigma, used = _sampled_gains(g._loops)
+    return _hinf_loop(g._loops, sigma[0], used[0], rel_tol)

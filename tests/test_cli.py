@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -941,3 +942,35 @@ class TestExitContract:
                 assert transfer["prongs"]["sampled"] == "indeterminate" and transfer["residuals"]["sampled"] is None
             else:
                 assert "sampled=indeterminate" in proc.stdout and "sampled=nan" in proc.stdout
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("kind", ["annihilation", "general"])
+    def test_a_coupling_residual_that_overflows_is_not_realizable(self, tmp_path, capsys, kind, fmt):
+        # H x 1e304 on F, G x 1e101: Theta H^dagger overflows, so the coupling residual is not
+        # finite; that decides "not realizable" (exit 1), without a numpy warning
+        s = random_pr_system(3, 2, seed=0, kind=kind)
+        model = type(s)(f=1e101 * s.f, g=1e101 * s.g, h=1e304 * s.h, k=s.k)
+        save_system(tmp_path / "far.json", model)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "--format", fmt, "check", tmp_path / "far.json")
+        assert code == 1 and err == ""
+        if fmt == "json":
+            report = json.loads(out, parse_constant=_reject_constant)
+            assert report["realizable"] is False and report["residuals"]["coupling"] is None
+        else:
+            assert "realizable: false" in out and "coupling=nan" in out
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_a_general_certificate_defect_that_overflows_is_an_input_error(self, tmp_path, capsys, fmt):
+        # G_cy = 1e155 squares past the float range in the defect M that synth splits: exit 2
+        ctrl = ControllerModel(kind="general", f_c=delta_build([[-1e282]], [[0.0]]), g_cw=np.zeros((2, 0)),
+                               g_cy=delta_build([[1e155]], [[0.0]]), h_c=np.zeros((0, 2)), k_cw=np.zeros((0, 0)),
+                               k_cy=np.zeros((0, 2)))
+        save_system(tmp_path / "far.json", ctrl)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "--format", fmt, "synth", tmp_path / "far.json")
+        assert code == 2
+        error = json.loads(out, parse_constant=_reject_constant)["error"] if fmt == "json" else err
+        assert "certificate defect M is not finite" in error

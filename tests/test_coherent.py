@@ -686,6 +686,28 @@ def test_stacked_challenger_loops_match_the_per_loop_reference(shape, count) -> 
             assert got == reference_challenger_loops(p, theta_p, [challengers[i] for i in subset])
 
 
+@pytest.mark.parametrize(
+    "shape", [(1, 1, 1, 1), (2, 2, 1, 1), (2, 2, 2, 2), (1, 2, 1, 1), (2, 3, 1, 2), (3, 2, 1, 1), (4, 3, 2, 2)]
+)
+def test_every_stable_dynamic_challenger_costs_the_zero_gain_static_cost(shape) -> None:
+    # a strictly proper cost sees only the plant's state, whose covariance in every challenger's
+    # loop is Theta_p; so each stable challenger of T5 costs sqrt(tr(C Theta_p C^dagger)), which
+    # is also the cost of the K_cy = 0 static loop, and the cost comparison cannot refute T5
+    rng = np.random.default_rng(67)
+    for seed in range(12):
+        p = random_pr_plant(*shape, seed=seed).with_cost(
+            CostOutput(c=rng.standard_normal((2, shape[0])), d=np.zeros((2, shape[2])))
+        )
+        theta_p = augment_plant(p).theta
+        expected = float(np.sqrt(np.trace(p.cost.c @ theta_p @ dagger(p.cost.c)).real))
+        _, theta, _, c = coherent._zero_gain(p, np.zeros((p.m_u, p.m_y)), np.eye(p.m_u))
+        static = float(np.sqrt(np.trace(c @ theta @ dagger(c)).real))
+        stable, _, _, cost = coherent._challenger_loops(p, theta_p, coherent._challenger_draws(p, 20, 1730))
+        assert stable.any(), seed
+        assert abs(static - expected) <= 1e-12 * expected, seed
+        assert np.all(np.abs(cost[stable] - expected) <= 1e-12 * expected), seed
+
+
 def reference_challenger_draws(p: PlantModel, count: int, seed: int) -> list[tuple]:
     """The challenger draw with one RNG call per block, one challenger at a time."""
     rng = np.random.default_rng(seed)
@@ -805,8 +827,8 @@ def test_trivial_hinf_suite_50_plants() -> None:
 
 
 def _two_sampling_reference(p: PlantModel, l_select, challengers) -> tuple[float, float, float]:
-    """T6's trivial norm, worst norm deviation and pointwise deviation, with each
-    loop's norm and |sigma_max - 1| sampled by separate grid passes."""
+    """T6's trivial norm, worst norm deviation and pointwise deviation, with the trivial loop's
+    norm, each challenger's grid peak and each loop's |sigma_max - 1| sampled by separate grid passes."""
     l_select = np.asarray(l_select, dtype=float)
     norms, pointwise = [], []
     for ctrl in [trivial_controller(p.m_y, p.m_u), *challengers]:
@@ -814,7 +836,11 @@ def _two_sampling_reference(p: PlantModel, l_select, challengers) -> tuple[float
         pad = np.zeros((l_select.shape[0], full.output_dim), dtype=complex)
         pad[:, : l_select.shape[1]] = l_select
         selected = StateSpaceTF(full.a, full.b, pad @ full.c, pad @ full.d)
-        norms.append(hinf_norm(selected).value)
+        if norms:
+            sigma, used = _sample_grid(selected._loops, _sigma_max)
+            norms.append(float(np.max(sigma, where=used, initial=0.0)))
+        else:
+            norms.append(hinf_norm(selected).value)
         values, used = _sample_grid(selected._loops, lambda v: np.abs(_sigma_max(v) - 1.0))
         pointwise.append(float(np.max(values, where=used, initial=0.0)))
     return norms[0], max(abs(v - 1.0) for v in norms), max(pointwise)
@@ -831,16 +857,17 @@ def test_trivial_hinf_samples_each_loop_once(monkeypatch) -> None:
     assert sum(grids) == 6
 
 
-def test_trivial_hinf_calls_the_public_norm_once_per_loop(monkeypatch) -> None:
-    # T6 norms its loops in stacks through the one norm core that hinf_norm runs on one loop
+def test_trivial_hinf_bisects_the_trivial_loop_only(monkeypatch) -> None:
+    # T6 runs hinf_norm's bisection on the trivial loop alone; each challenger reads its norm
+    # off its grid peak, since its lossless certificate makes that norm 1
     p = random_pr_plant(2, 3, 1, 2, seed=3)
     challengers = random_challengers(p, count=5, seed=3)
     calls = []
-    norms = coherent._hinf_norms
-    monkeypatch.setattr(coherent, "_hinf_norms", lambda g, *args: calls.append(len(g.a)) or norms(g, *args))
+    bisect = coherent._hinf_loop
+    monkeypatch.setattr(coherent, "_hinf_loop", lambda one, *args: calls.append(len(one.a)) or bisect(one, *args))
     report = verify_trivial_hinf(p, [[1.0, 0.0, 0.0, 0.0]], challengers)
     assert report.holds and report.evidence["loops_checked"] == 6.0
-    assert sum(calls) == 6
+    assert calls == [1]
 
 
 def test_each_loop_is_factored_once(monkeypatch) -> None:
@@ -876,9 +903,10 @@ def test_each_loop_is_factored_once(monkeypatch) -> None:
     assert spied(lambda: (hinf_norm(rows[0]), transfer.tf_eval(rows[0], 0.0))) == ([(1, 2 * k, 2 * k)] * len(eigs), [])
     orders = [p.n_modes + ctrl.n_modes for ctrl in [trivial_controller(p.m_y, p.m_u), *challengers]]
     eigs, factored = spied(lambda: verify_trivial_hinf(p, [[1.0, 0.0, 0.0]], challengers))
-    # each loop's Hamiltonians are (1, 2k, 2k) stacks, and the Schur forms follow the stacks of
-    # equal order, so compare multisets
+    # the trivial loop's Hamiltonians are (1, 2k, 2k) stacks, and the Schur forms follow the stacks
+    # of equal order, so compare multisets
     assert {shape[-2:] for shape in eigs} <= {(2 * k, 2 * k) for k in orders}
+    assert set(eigs) == {(1, 2 * orders[0], 2 * orders[0])}  # only the trivial loop is bisected
     assert sorted(factored) == sorted((k, k) for k in orders)
 
 
@@ -959,8 +987,9 @@ def test_trivial_hinf_matches_the_two_sampling_reference(shape: tuple[int, int, 
 
 
 def reference_trivial_hinf(p: PlantModel, l_select, challengers) -> tuple:
-    """T6 one loop at a time, as before the stacked pass: close_augmented_loop, the norm of the
-    selected rows and the certificate tests per loop; (holds, evidence by hex, narrative)."""
+    """T6 one loop at a time, as before the stacked pass: close_augmented_loop, the trivial loop's
+    norm or a challenger's grid peak on the selected rows, and the certificate tests per loop;
+    (holds, evidence by hex, narrative)."""
     l_select = np.asarray(l_select, dtype=complex)
     try:
         augment_plant(p)
@@ -978,13 +1007,22 @@ def reference_trivial_hinf(p: PlantModel, l_select, challengers) -> tuple:
         full = acl.system
         pad = np.zeros((l_select.shape[0], full.output_dim), dtype=complex)
         pad[:, : l_select.shape[1]] = l_select
-        norm = hinf_norm(full._rows(pad))
-        norms.append(norm.value)
+        rows = full._rows(pad)
+        if label == "trivial":
+            norm = hinf_norm(rows)
+            value = norm.value
+            top, bottom = (norm.certificate.get(k, norm.value) for k in ("grid_lower_bound", "grid_min"))
+        else:  # a challenger's norm reading is its grid peak
+            if not acl.internally_stable:
+                raise InstabilityError("H-infinity norm needs a Hurwitz state matrix")
+            sigma, used = _sample_grid(rows._loops, _sigma_max)
+            value = top = float(np.max(sigma, where=used, initial=0.0))
+            bottom = float(np.min(sigma, where=used, initial=top))
+        norms.append(value)
         q = hermitian_part(full.b @ dagger(full.b))
         feed = max_abs(dagger(full.d) @ full.d - np.eye(full.input_dim))
         defect = _certificate_defect(full.a, full.b, full.c, full.d, q, acl.theta, {}, RESIDUAL_TOL)
         lossless_ok &= acl.internally_stable and feed <= RESIDUAL_TOL and defect is None
-        top, bottom = (norm.certificate.get(k, norm.value) for k in ("grid_lower_bound", "grid_min"))
         pointwise.append(max(top - 1.0, 1.0 - bottom))
     worst = max(abs(v - 1.0) for v in norms) if norms else np.inf
     evidence = {
@@ -1074,6 +1112,41 @@ def test_trivial_hinf_refutes_one_wrong_certificate_in_a_stack(cavity_plant, mon
     monkeypatch.setattr(coherent, "_augmented_loop", last_scaled)
     report = verify_trivial_hinf(cavity_plant, [[1.0, 0.0]], challengers)
     assert scaled_loops and report.evidence["lossless_all"] == 0.0 and not report.holds
+
+
+def test_trivial_hinf_refutes_a_loop_certificate_whose_residuals_are_not_finite(cavity_plant, monkeypatch) -> None:
+    # an infinite entry in one certificate of a stack makes its Lyapunov and coupling residuals
+    # NaN; that loop fails the lossless tests instead of passing by a NaN comparison
+    assemble = coherent._augmented_loop
+
+    def infinite(*args):
+        a, b, c, d, theta = assemble(*args)
+        if len(theta) > 1:
+            theta = theta.copy()
+            theta[-1, 0, 0] = np.inf
+        return a, b, c, d, theta
+
+    monkeypatch.setattr(coherent, "_augmented_loop", infinite)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = verify_trivial_hinf(cavity_plant, [[1.0, 0.0]], random_challengers(cavity_plant, 6, 11))
+    assert report.evidence["lossless_all"] == 0.0 and not report.holds
+
+
+def test_trivial_hinf_refuses_a_challenger_whose_sampled_range_is_not_finite(cavity_plant, monkeypatch) -> None:
+    # a challenger's norm reading is its grid peak; a NaN there is a DomainError, never a verdict
+    sampled = coherent._sampled_gains
+
+    def nan_last(loops):
+        sigma, used = sampled(loops)
+        if len(sigma) > 1:
+            sigma = sigma.copy()
+            sigma[-1, 0] = np.nan
+        return sigma, used
+
+    monkeypatch.setattr(coherent, "_sampled_gains", nan_last)
+    with pytest.raises(DomainError, match="sampled sigma_max range of the augmented loop is not finite"):
+        verify_trivial_hinf(cavity_plant, [[1.0, 0.0]], random_challengers(cavity_plant, 6, 11))
 
 
 def test_trivial_hinf_refutes_a_wrong_loop_certificate(cavity_plant, monkeypatch) -> None:

@@ -1065,3 +1065,13 @@ def test_random_pr_plant_general_kind() -> None:
 def test_random_pr_plant_rejects_invalid_split() -> None:
     with pytest.raises(DimensionError):
         random_pr_plant(1, 1, 1, 2, seed=0)
+
+
+def test_a_general_certificate_defect_that_overflows_is_a_domain_error() -> None:
+    # G_cy G_cy^dagger = 1e310 leaves the float range: a typed error that names the defect M,
+    # before any numpy warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="certificate defect M is not finite"):
+            synth_noise_general(delta_build([[-1e282]], [[0.0]]), delta_build([[1e155]], [[0.0]]),
+                                np.zeros((0, 2)), np.diag([1.0, -1.0]))

@@ -7,6 +7,8 @@ random families.
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -27,6 +29,7 @@ from qfeedback import (
 )
 from qfeedback.linalg import (
     RESIDUAL_TOL,
+    _coupling_defect,
     _hurwitz_spectrum,
     _lyapunov_defect,
     dagger,
@@ -442,3 +445,23 @@ def test_stacked_hurwitz_and_lyapunov_rules_match_their_2d_calls() -> None:
             hurwitz = _hurwitz_spectrum(np.linalg.eigvals(a[i]), a[i])
             assert type(hurwitz) is bool and hurwitz == stable[i]
         assert defect.tolist() == [False, True, shared]
+
+
+def test_residual_tests_that_overflow_are_defects_without_a_warning() -> None:
+    # in a stack, the slice whose residual overflows (inf, or NaN from inf - inf) fails its test
+    # and its neighbour keeps its verdict; one matrix gets a bool, and numpy warns of nothing
+    rng = np.random.default_rng(59)
+    a = random_stable(rng, 2)
+    theta = random_hermitian(rng, 2) + 4.0 * np.eye(2)
+    q = -(a @ theta + theta @ dagger(a))
+    h = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
+    g = -theta @ dagger(h)
+    far, h_far = np.stack([theta, 1e307 * theta]), np.stack([h, 1e3 * h])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        lyapunov, coupling = {}, {}
+        assert _lyapunov_defect(a, far, q, lyapunov, RESIDUAL_TOL).tolist() == [False, True]
+        assert _coupling_defect(g, far, h_far, np.eye(3), coupling, RESIDUAL_TOL).tolist() == [False, True]
+        assert not np.isfinite(lyapunov["lyapunov"][1]) and not np.isfinite(coupling["coupling"][1])
+        assert _coupling_defect(g, far[1], h_far[1], np.eye(3), {}, RESIDUAL_TOL) is True
+        assert _lyapunov_defect(a, far[1], q, {}, RESIDUAL_TOL) is True

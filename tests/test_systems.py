@@ -7,6 +7,9 @@ families exercise the construct-then-check and perturbation contracts.
 
 from __future__ import annotations
 
+import warnings
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -442,3 +445,19 @@ def test_single_entry_perturbation_flips_verdict_50_seeds() -> None:
             bad = AnnihilationQSys(f=s.f, g=g, h=s.h, k=s.k)
             verdict = check_pr_annihilation(bad)
         assert not verdict.realizable, (kind, seed)
+
+
+@pytest.mark.parametrize("kind", ["annihilation", "general"])
+@pytest.mark.parametrize("scales", [(1e101, 1e101, 1e304), (1e150, 1e150, 1e250), (1.0, 1e150, 1e200)])
+def test_a_coupling_residual_that_is_not_finite_is_a_defect(kind, scales) -> None:
+    # (F, G, H) scaled so that Theta H^dagger overflows: the coupling misses by 1e200 or more,
+    # and a residual that is not finite must fail the test, not pass it by a NaN comparison
+    check = check_pr_annihilation if kind == "annihilation" else check_pr_general
+    for seed in range(3):
+        s = random_pr_system(3, 2, seed, kind=kind)
+        far = replace(s, f=scales[0] * s.f, g=scales[1] * s.g, h=scales[2] * s.h)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            verdict = check(far)
+        assert not verdict.realizable and verdict.failure_reason == "coupling", seed
+        assert not np.isfinite(verdict.residuals["coupling"])

@@ -56,7 +56,7 @@ from qfeedback.transfer import (
     _BLOCK_ENTRIES,
     _axis_eigenvalues,
     _freq_response,
-    _hinf_norms,
+    _hinf_loop,
     _Loops,
     _sample_grid,
     _schur_forms,
@@ -1004,8 +1004,8 @@ def test_stacked_transfer_cores_match_their_one_loop_calls() -> None:
             drops += not one[0].all()
         if not all(is_hurwitz(g.a) for g in loops):
             continue
-        for norm, g in zip(_hinf_norms(stack), loops):
-            want = hinf_norm(g)
+        for l, g in enumerate(loops):  # T6's trivial norm: one loop's bisection from its stacked grid row
+            norm, want = _hinf_loop(stack.take([l]), values[l], used[l], 1e-6), hinf_norm(g)
             assert float(norm.value).hex() == float(want.value).hex()
             assert {k: v.hex() for k, v in norm.certificate.items()} == {k: v.hex() for k, v in want.certificate.items()}
     assert drops == 1
@@ -1154,16 +1154,18 @@ def test_an_all_pass_past_the_grids_float_range_passes_its_sampled_prong() -> No
 
 
 def test_an_overflowing_hamiltonian_ends_its_own_loop_only() -> None:
-    # in one stack, the loop whose Hamiltonian overflows gets a DomainError and its neighbour
-    # gets the bytes of its own one-loop norm
+    # after one grid pass over the stack, the loop whose Hamiltonian overflows gets a DomainError
+    # and its neighbour gets the bytes of its own one-loop norm
     stack, loops = _stack([StateSpaceTF([[-1.0]], [[1.0]], [[1.0]], [[0.0]]),
                            StateSpaceTF([[-1e306]], [[1e300]], [[1.0]], [[0.0]])])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        norm, refused = _hinf_norms(stack)
+        sigma, used = _sample_grid(stack, _sigma_max)
+        norm = _hinf_loop(stack.take([0]), sigma[0], used[0], 1e-6)
+        with pytest.raises(DomainError, match="Hamiltonian at level 1e-06 overflows"):
+            _hinf_loop(stack.take([1]), sigma[1], used[1], 1e-6)
         with pytest.raises(DomainError, match="Hamiltonian at level 2e-06 overflows"):
             _axis_eigenvalues(loops[1]._loops, 2e-6)
         assert _axis_eigenvalues(loops[0]._loops, 2.0).size == 0
-    assert isinstance(refused, DomainError)
     want = hinf_norm(loops[0])
     assert float(norm.value).hex() == float(want.value).hex() and norm.certificate == want.certificate

@@ -6,7 +6,11 @@
 # its own cost block, and on one without a control channel, in both formats;
 # T5 on seeded 2 x 2 plants (2,401 candidate gains, stacked challenger draws)
 # and T6 with an empty challenger draw, in both formats; T6 on seeded plants
-# with two measured rows and 20 challengers of both orders (stacked loops);
+# with two measured rows and 20 challengers of both orders (stacked loops),
+# whose JSON worst_norm_dev (every loop's grid peak against 1) must be below
+# 1e-9; T6 with 0 and 3 challengers on a cavity whose measured feedthrough
+# K = 1 + 6e-9 is within tolerance of the identity its completion is
+# certified with, which must exit 0 and hold, in both formats;
 # and documents whose magnitudes or noise terms square past the float range,
 # or whose H-infinity levels square below it, or whose cost rows (compose
 # --h2, T5) or sampled responses (check --transfer, both kinds) overflow
@@ -60,7 +64,15 @@ qfeedback --format json verify T5 --random 2 2 3 7
 qfeedback verify T6 --random 1 1 3 7 --challengers 0
 qfeedback --format json verify T6 --random 1 1 3 7 --challengers 0
 qfeedback verify T6 --random 2 2 3 7 --challengers 20
-qfeedback --format json verify T6 --random 2 2 3 7 --challengers 20
+qfeedback --format json verify T6 --random 2 2 3 7 --challengers 20 > t6.out
+python -c 'import json; worst = [i["evidence"]["worst_norm_dev"] for i in json.load(open("t6.out"))["instances"]]; assert len(worst) == 3 and max(worst) < 1e-9, worst'
+python -c 'from qfeedback import PlantModel, save_system; save_system("kcav.json", PlantModel(kind="annihilation", f=[[-1.0]], g_w=[[-1.0]], g_u=[[-1.0]], h=[[1.0]], k=[[1.0 + 6e-9]]))'
+for count in 0 3; do
+  qfeedback verify T6 kcav.json --challengers "$count" > kcav.out
+  grep -q "T6 holds: true" kcav.out
+  qfeedback --format json verify T6 kcav.json --challengers "$count" > kcav.out
+  python -c 'import json; report = json.load(open("kcav.out")); assert report["exit_status"] == 0 and report["instances"][0]["holds"] is True, report'
+done
 status=0; qfeedback compose p.json c.json --h2 2> h2.err || status=$?
 test "$status" -eq 2
 grep -q "plant has no cost output block" h2.err

@@ -39,7 +39,6 @@ from .feedback import (
     augment_plant,
     complete_static_pr,
     static_controller,
-    trivial_controller,
 )
 from .linalg import (
     RESIDUAL_TOL,
@@ -58,7 +57,7 @@ from .linalg import (
     solve_care_hermitian,
 )
 from .systems import _annihilation_fg, is_positive_definite
-from .transfer import NormResult, StateSpaceTF, _hinf_loop, _Loops, _sampled_gains, _schur_forms, h2_norm, hinf_norm
+from .transfer import NormResult, StateSpaceTF, _Loops, _sampled_gains, _schur_forms, h2_norm, hinf_norm
 
 STATIC_GAIN_GRID = (-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0)
 
@@ -438,14 +437,13 @@ def _validate_selector(l_select: np.ndarray, width: int) -> None:
         )
 
 
-def _augmented_loop_outcomes(p: PlantModel, ap: PlantAugmentation, ctrls: list, l_select, trivial_first) -> list:
-    """Per controller of a stack of equal order and noise count, for the rows of its augmented loop
-    that ``l_select`` picks from the first m_w + m_u: (norm, max |sigma_max - 1| on the grid, lossless),
-    or the error that ends it.  The stack gets one completion pass, loop assembly, Hurwitz rule,
-    grid pass and lossless test (D^dagger D = I, and the Lyapunov and coupling tests of
-    diag(Theta_p, Theta_c) with S = D), one Schur form per loop.  A lossless loop's norm is 1, so a
-    challenger's norm reading is its grid peak; only the trivial loop, first when ``trivial_first``,
-    is bisected."""
+def _augmented_loop_outcomes(p: PlantModel, ap: PlantAugmentation, ctrls: list, l_select) -> list:
+    """Per challenger of a stack of equal order and noise count, for the rows of its augmented loop
+    that ``l_select`` picks from the first m_w + m_u: (grid peak of sigma_max, max |sigma_max - 1| on
+    the grid, lossless), or the error that ends it.  The stack gets one completion pass, loop
+    assembly, Hurwitz rule, grid pass and lossless test (D^dagger D = I, and the Lyapunov and
+    coupling tests of diag(Theta_p, Theta_c) with S = D), one Schur form per loop.  A lossless
+    loop's norm is 1, so its grid peak is its norm reading; no loop here is bisected."""
     blocks = [np.stack([getattr(c, name) for c in ctrls]) for name in ("f_c", "g_cw", "g_cy", "h_c", "k_cw", "k_cy")]
     try:
         done = _controller_completions("annihilation", *blocks)
@@ -460,21 +458,19 @@ def _augmented_loop_outcomes(p: PlantModel, ap: PlantAugmentation, ctrls: list, 
     loops = _Loops(a, b, pad @ c, pad @ d, _schur_forms(a))
     stable = _hurwitz_spectrum(loops.form[0], a)
     sigma, used = _sampled_gains(loops)
-    norm = np.max(sigma, axis=1, where=used, initial=0.0)
-    dev = np.maximum(norm - 1.0, 1.0 - np.min(np.where(used, sigma, norm[:, None]), axis=1))
+    peak = np.max(sigma, axis=1, where=used, initial=0.0)
+    dev = np.maximum(peak - 1.0, 1.0 - np.min(np.where(used, sigma, peak[:, None]), axis=1))
     q = hermitian_part(b @ dagger(b))
     feed_ok = _stack_max_abs(dagger(d) @ d - np.eye(d.shape[-1])) <= RESIDUAL_TOL
     lyapunov_off = _lyapunov_defect(a, theta, q, {}, RESIDUAL_TOL)
     lossless = feed_ok & ~lyapunov_off & ~_coupling_defect(b, theta, c, d, {}, RESIDUAL_TOL)
-    if trivial_first and done.done[0] == 0 and stable[0] and np.isfinite(dev[0]):
-        norm[0] = _hinf_loop(loops.take([0]), sigma[0], used[0], 1e-6).value
     for pos, j in enumerate(done.done):
         if not stable[pos]:
             outcomes[j] = InstabilityError("H-infinity norm needs a Hurwitz state matrix")
         elif not np.isfinite(dev[pos]):
             outcomes[j] = DomainError("sampled sigma_max range of the augmented loop is not finite")
         else:
-            outcomes[j] = (float(norm[pos]), float(dev[pos]), bool(lossless[pos]))
+            outcomes[j] = (float(peak[pos]), float(dev[pos]), bool(lossless[pos]))
     return outcomes
 
 
@@ -485,19 +481,23 @@ def verify_trivial_hinf(
 
     Every realizable controller closes an all-pass augmented loop, so the
     selected cost rows have H-infinity norm exactly 1 for the trivial
-    controller and every challenger alike.  Each loop counts as lossless when
-    it is internally stable and its own certificate diag(Theta_p, Theta_c)
-    passes the realizability check's residual tests with S = D and
-    D^dagger D = I (the lossless bounded-real lemma).  The loops are checked
-    in stacks of equal order n_c and noise count m_wt, each sampled once.
-    The trivial loop's norm is :func:`hinf_norm`'s bisection from its grid
-    row; a challenger, whose certificate makes its norm 1, reports its grid
-    peak.  The pointwise deviation max |sigma_max - 1| comes from each grid
-    range (a static loop's is sigma_max(D)).  Challengers that fail their
-    own realizability completion, or whose channels do not fit the plant,
-    are reported as skipped, not as refutations; the first other error in
-    entry order (a general-kind challenger's DomainError, an unstable loop's
-    InstabilityError, a sampled range that is not finite) is raised.
+    controller and every challenger alike.  The trivial loop is the
+    selected rows of the plant's own completion: ``trivial_norm`` is one
+    :func:`hinf_norm` call on them, and the loop's lossless verdict is the
+    completion's.  A challenger's loop is lossless when it is internally
+    stable and diag(Theta_p, Theta_c) passes the realizability check's
+    residual tests with S = D and D^dagger D = I (the lossless bounded-real
+    lemma); the challengers are checked in stacks of equal order n_c and
+    noise count m_wt, each sampled once.  ``worst_norm_dev`` is the worst
+    |sigma_max peak - 1| and ``max_pointwise_dev`` the worst
+    max |sigma_max - 1| over each loop's grid (a static loop's is
+    sigma_max(D)).  Challengers that fail their own realizability
+    completion, or whose channels do not fit the plant, are skipped, not
+    refutations.  The trivial loop's error is raised first (an unstable
+    plant's InstabilityError, a sampled range that is not finite), then the
+    first challenger's in entry order (a general-kind challenger's
+    DomainError, an unstable loop's InstabilityError, a sampled range that
+    is not finite).
     """
     if p.kind != "annihilation":
         raise DomainError("trivial-controller verification is annihilation-kind only")
@@ -508,10 +508,14 @@ def verify_trivial_hinf(
     except NotAugmentableError as exc:
         return _not_realizable("T6", exc)
 
-    entries = [trivial_controller(p.m_y, p.m_u), *challengers]
-    outcomes: list = [None] * len(entries)
+    trivial = hinf_norm(StateSpaceTF.from_system(ap.system)._rows(l_select))
+    top, bottom = (trivial.certificate.get(key, trivial.value) for key in ("grid_lower_bound", "grid_min"))
+    peaks, pointwise = [top], [float(np.maximum(top - 1.0, 1.0 - bottom))]  # keeps a NaN, as max() would not
+    if not np.isfinite(pointwise[0]):
+        raise DomainError("sampled sigma_max range of the augmented loop is not finite")
+    outcomes: list = [None] * len(challengers)
     groups: dict[tuple[int, int], list[int]] = {}
-    for i, ctrl in enumerate(entries):
+    for i, ctrl in enumerate(challengers):
         try:
             _check_augmented_loop(p, ctrl)
         except (DomainError, DimensionError) as exc:
@@ -519,42 +523,37 @@ def verify_trivial_hinf(
         else:
             groups.setdefault((ctrl.n_modes, ctrl.m_wt), []).append(i)
     for idx in groups.values():
-        found = _augmented_loop_outcomes(p, ap, [entries[i] for i in idx], l_select, idx[0] == 0)
-        for i, outcome in zip(idx, found):
+        for i, outcome in zip(idx, _augmented_loop_outcomes(p, ap, [challengers[i] for i in idx], l_select)):
             outcomes[i] = outcome
 
-    norms: list[float] = []
-    pointwise: list[float] = []
-    lossless_ok = True
+    lossless_ok = ap.verdict.realizable
     skipped: list[str] = []
     for i, outcome in enumerate(outcomes):
         if isinstance(outcome, (NotAugmentableError, DimensionError)):
-            skipped.append(f"{'challenger ' + str(i - 1) if i else 'trivial'}: {outcome}")
+            skipped.append(f"challenger {i}: {outcome}")
             continue
         if isinstance(outcome, Exception):
             raise outcome
-        norm, dev, lossless = outcome
-        norms.append(norm)
+        peak, dev, lossless = outcome
+        peaks.append(peak)
         pointwise.append(dev)
         lossless_ok &= lossless
 
-    worst_norm = max(abs(v - 1.0) for v in norms) if norms else np.inf
-    holds = bool(norms) and worst_norm <= 1e-6 and lossless_ok
+    worst_norm = max(abs(v - 1.0) for v in peaks)
     return TheoremReport(
         theorem="T6",
-        holds=holds,
+        holds=worst_norm <= 1e-6 and lossless_ok,
         evidence={
-            "trivial_norm": norms[0] if norms else np.inf,
+            "trivial_norm": trivial.value,
             "worst_norm_dev": worst_norm,
-            "max_pointwise_dev": max(pointwise) if pointwise else np.inf,
-            "loops_checked": float(len(norms)),
+            "max_pointwise_dev": max(pointwise),
+            "loops_checked": float(len(peaks)),
             "challengers_skipped": float(len(skipped)),
             "lossless_all": float(lossless_ok),
         },
         narrative=(
-            f"{len(norms)} loops give closed-loop norms within {worst_norm:.3g} "
-            f"of 1; all-pass verified pointwise to "
-            f"{max(pointwise) if pointwise else np.inf:.3g}."
+            f"{len(peaks)} loops give closed-loop norms within {worst_norm:.3g} "
+            f"of 1; all-pass verified pointwise to {max(pointwise):.3g}."
             + (f" Skipped: {'; '.join(skipped)}" if skipped else "")
         ),
     )

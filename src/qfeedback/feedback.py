@@ -579,8 +579,9 @@ class AugmentedClosedLoop:
     Outputs stack the controller's replacement of the measured field, the
     plant's unused fields, and the controller's unused noise fields, so the
     first m_w + m_u outputs align with the trivial-controller (augmented
-    plant) ordering.  The feedthrough is the identity and
-    diag(theta_plant, theta_controller) certifies realizability.
+    plant) ordering.  The feedthrough is the identity both completions are
+    certified with, and diag(theta_plant, theta_controller) certifies
+    realizability; the trivial controller's loop is the plant's completion.
     """
 
     system: StateSpaceTF
@@ -604,13 +605,15 @@ def _augmented_loop(p: PlantModel, ap: PlantAugmentation, f_c, g_cw, g_cy, h_c, 
     n, n_c = p.n_modes, f_c.shape[-1]
     m_w, m_u, m_y, m_wt = p.m_w, p.m_u, p.m_y, k_cw.shape[-1]
     r = m_wt - m_u
-    k_t, k_bar = np.split(np.eye(m_w + m_u, dtype=complex)[m_y:], [m_w], axis=1)
+    # the completion ap is certified with K = I, so the measured rows carry its [I, 0], not p.k
+    eye = np.eye(m_w + m_u, dtype=complex)
+    k_y, (k_t, k_bar) = eye[:m_y, :m_w], np.split(eye[m_y:], [m_w], axis=1)
     # h_tilde_c stacks the controller's rows for its r spare noise fields, then for its Y field
     c_rows = _stacked_block(
         [[p.h, h_tilde_c[..., r:, :]], [ap.h_tilde, k_bar @ h_c], [np.zeros((r, n)), h_tilde_c[..., :r, :]]]
     )
     d_rows = _stacked_block(
-        [[p.k, np.zeros((m_y, m_wt))], [k_t, k_bar @ k_cw], [np.zeros((r, m_w)), np.eye(m_wt)[m_u:]]]
+        [[k_y, np.zeros((m_y, m_wt))], [k_t, k_bar @ k_cw], [np.zeros((r, m_w)), np.eye(m_wt)[m_u:]]]
     )
     theta = _stacked_block([[ap.theta, np.zeros((n, n_c))], [np.zeros((n_c, n)), theta_c]])
     return a, b, c_rows, d_rows, theta
@@ -625,7 +628,8 @@ def close_augmented_loop(p: PlantModel, c: ControllerModel) -> AugmentedClosedLo
     diag(theta_plant, theta_controller) and identity feedthrough, which is
     what makes every row-selected closed-loop transfer function all-pass.
     The augmentation needs K_cy = 0, so the state and input matrices are
-    those of :func:`close_loop`.
+    those of :func:`close_loop`; the measured rows' feedthrough is the
+    completion's [I, 0], not the plant's K (within tolerance of it).
     """
     _check_augmented_loop(p, c)
     ap = augment_plant(p)

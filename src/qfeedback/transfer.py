@@ -112,10 +112,6 @@ class _Loops:
     d: np.ndarray
     form: tuple[np.ndarray, np.ndarray, np.ndarray]
 
-    def take(self, idx) -> "_Loops":
-        """The sub-stack at the positions ``idx``."""
-        return _Loops(self.a[idx], self.b[idx], self.c[idx], self.d[idx], tuple(x[idx] for x in self.form))
-
 
 @dataclass(frozen=True)
 class NormResult:
@@ -492,9 +488,40 @@ def _sampled_gains(g: _Loops) -> tuple[np.ndarray, np.ndarray]:
     return sigma_d, np.ones((count, 1), dtype=bool)
 
 
-def _hinf_loop(one: _Loops, sigma: np.ndarray, used: np.ndarray, rel_tol: float) -> NormResult:
-    """:func:`hinf_norm` of the Hurwitz one-loop stack ``one`` from its grid row ``sigma`` and the
-    mask ``used`` of :func:`_sampled_gains`: the level set, bracket search and bisection."""
+def hinf_norm(g: StateSpaceTF, rel_tol: float = 1e-6) -> NormResult:
+    """H-infinity norm by bisection on the bounded-real Hamiltonian test.
+
+    The lower bracket starts from the larger of the grid-sampled gain and
+    sigma_max(D) inflated by 1e-9 (the all-pass degeneracy guard); the upper
+    bracket doubles a gain estimate until the Hamiltonian test passes, and
+    halving stops at width ``rel_tol`` times the lower end (``rel_tol`` while
+    that end is 0), or when the midpoint no longer moves.  The feasibility
+    questions of both searches are answered by comparison with one bracket
+    on the norm, which the quadratically convergent level-set iteration
+    closes in a few Hamiltonian eigensolves.  Levels within a 1e-8 relative
+    band of that bracket, and every level when the iteration does not close,
+    run the Hamiltonian test itself; away from the band the two answers
+    agree, so the value and bracket are those of testing every level.  The
+    certificate adds the grid's sigma_max range, ``grid_lower_bound`` and
+    ``grid_min``, and the eigensolve count ``hamiltonian_solves``.  A
+    Hurwitz (or empty) A with an empty B or C has the "static" norm
+    sigma_max(D).  T6 calls it once, on the trivial loop (the plant's own
+    completion), and reads that loop's grid range from this certificate.
+
+    Raises
+    ------
+    DomainError
+        When ``rel_tol`` is not a finite positive number, or when a tested
+        level's square overflows or underflows (a norm above about 1e154 or
+        below about 1e-154), or its Hamiltonian overflows.
+    InstabilityError
+        When A is not Hurwitz.
+    """
+    require_tolerance(rel_tol, "rel_tol")
+    if not _hurwitz_spectrum(g._schur[0], g.a):
+        raise InstabilityError("H-infinity norm needs a Hurwitz state matrix")
+    one = g._loops
+    sigma, used = (x[0] for x in _sampled_gains(one))
     if not (one.a.shape[-1] and one.b.shape[-1] and one.c.shape[-2]):
         return NormResult(float(sigma[0]), "static", {"sigma_max_d": float(sigma[0])})
     sigma_d = np.linalg.svd(one.d, compute_uv=False)[:, 0]
@@ -546,39 +573,3 @@ def _hinf_loop(one: _Loops, sigma: np.ndarray, used: np.ndarray, rel_tol: float)
             "hamiltonian_solves": float(solves),
         },
     )
-
-
-def hinf_norm(g: StateSpaceTF, rel_tol: float = 1e-6) -> NormResult:
-    """H-infinity norm by bisection on the bounded-real Hamiltonian test.
-
-    The lower bracket starts from the larger of the grid-sampled gain and
-    sigma_max(D) inflated by 1e-9 (the all-pass degeneracy guard); the upper
-    bracket doubles a gain estimate until the Hamiltonian test passes, and
-    halving stops at width ``rel_tol`` times the lower end (``rel_tol`` while
-    that end is 0), or when the midpoint no longer moves.  The feasibility
-    questions of both searches are answered by comparison with one bracket
-    on the norm, which the quadratically convergent level-set iteration
-    closes in a few Hamiltonian eigensolves.  Levels within a 1e-8 relative
-    band of that bracket, and every level when the iteration does not close,
-    run the Hamiltonian test itself; away from the band the two answers
-    agree, so the value and bracket are those of testing every level.  The
-    certificate adds the grid's sigma_max range, ``grid_lower_bound`` and
-    ``grid_min``, and the eigensolve count ``hamiltonian_solves``.  A
-    Hurwitz (or empty) A with an empty B or C has the "static" norm
-    sigma_max(D).  T6 runs the same bisection on its trivial loop's row of
-    a stacked grid pass, with the same bits.
-
-    Raises
-    ------
-    DomainError
-        When ``rel_tol`` is not a finite positive number, or when a tested
-        level's square overflows or underflows (a norm above about 1e154 or
-        below about 1e-154), or its Hamiltonian overflows.
-    InstabilityError
-        When A is not Hurwitz.
-    """
-    require_tolerance(rel_tol, "rel_tol")
-    if not _hurwitz_spectrum(g._schur[0], g.a):
-        raise InstabilityError("H-infinity norm needs a Hurwitz state matrix")
-    sigma, used = _sampled_gains(g._loops)
-    return _hinf_loop(g._loops, sigma[0], used[0], rel_tol)

@@ -828,22 +828,20 @@ def test_trivial_hinf_suite_50_plants() -> None:
 
 def _two_sampling_reference(p: PlantModel, l_select, challengers) -> tuple[float, float, float]:
     """T6's trivial norm, worst norm deviation and pointwise deviation, with the trivial loop's
-    norm, each challenger's grid peak and each loop's |sigma_max - 1| sampled by separate grid passes."""
+    norm, each loop's grid peak and each loop's |sigma_max - 1| sampled by separate grid passes."""
     l_select = np.asarray(l_select, dtype=float)
-    norms, pointwise = [], []
+    trivial, peaks, pointwise = None, [], []
     for ctrl in [trivial_controller(p.m_y, p.m_u), *challengers]:
         full = feedback.close_augmented_loop(p, ctrl).system
         pad = np.zeros((l_select.shape[0], full.output_dim), dtype=complex)
         pad[:, : l_select.shape[1]] = l_select
         selected = StateSpaceTF(full.a, full.b, pad @ full.c, pad @ full.d)
-        if norms:
-            sigma, used = _sample_grid(selected._loops, _sigma_max)
-            norms.append(float(np.max(sigma, where=used, initial=0.0)))
-        else:
-            norms.append(hinf_norm(selected).value)
+        trivial = hinf_norm(selected).value if trivial is None else trivial
+        sigma, used = _sample_grid(selected._loops, _sigma_max)
+        peaks.append(float(np.max(sigma, where=used, initial=0.0)))
         values, used = _sample_grid(selected._loops, lambda v: np.abs(_sigma_max(v) - 1.0))
         pointwise.append(float(np.max(values, where=used, initial=0.0)))
-    return norms[0], max(abs(v - 1.0) for v in norms), max(pointwise)
+    return trivial, max(abs(v - 1.0) for v in peaks), max(pointwise)
 
 
 def test_trivial_hinf_samples_each_loop_once(monkeypatch) -> None:
@@ -858,16 +856,23 @@ def test_trivial_hinf_samples_each_loop_once(monkeypatch) -> None:
 
 
 def test_trivial_hinf_bisects_the_trivial_loop_only(monkeypatch) -> None:
-    # T6 runs hinf_norm's bisection on the trivial loop alone; each challenger reads its norm
-    # off its grid peak, since its lossless certificate makes that norm 1
+    # T6 runs one public hinf_norm, on the trivial loop, which is the selected rows of the plant's
+    # own completion; each challenger reads its norm off its grid peak, since its lossless
+    # certificate makes that norm 1
     p = random_pr_plant(2, 3, 1, 2, seed=3)
     challengers = random_challengers(p, count=5, seed=3)
-    calls = []
-    bisect = coherent._hinf_loop
-    monkeypatch.setattr(coherent, "_hinf_loop", lambda one, *args: calls.append(len(one.a)) or bisect(one, *args))
-    report = verify_trivial_hinf(p, [[1.0, 0.0, 0.0, 0.0]], challengers)
-    assert report.holds and report.evidence["loops_checked"] == 6.0
-    assert calls == [1]
+    select, completed = np.array([[1.0, 0.0, 0.0, 0.0]]), augment_plant(p).system
+    loops, norm = [], coherent.hinf_norm
+    monkeypatch.setattr(coherent, "hinf_norm", lambda g, *args: loops.append(g) or norm(g, *args))
+    for count in (0, 5):
+        loops.clear()
+        report = verify_trivial_hinf(p, select, challengers[:count])
+        assert report.holds and report.evidence["loops_checked"] == count + 1.0
+        assert len(loops) == 1
+        g = loops[0]
+        assert np.array_equal(g.a, completed.f) and np.array_equal(g.b, completed.g)
+        assert np.array_equal(g.c, select @ completed.h) and np.array_equal(g.d, select @ completed.k)
+        assert report.evidence["trivial_norm"] == norm(g).value
 
 
 def test_each_loop_is_factored_once(monkeypatch) -> None:
@@ -988,14 +993,14 @@ def test_trivial_hinf_matches_the_two_sampling_reference(shape: tuple[int, int, 
 
 def reference_trivial_hinf(p: PlantModel, l_select, challengers) -> tuple:
     """T6 one loop at a time, as before the stacked pass: close_augmented_loop, the trivial loop's
-    norm or a challenger's grid peak on the selected rows, and the certificate tests per loop;
+    norm, each loop's grid peak on the selected rows, and the certificate tests per loop;
     (holds, evidence by hex, narrative)."""
     l_select = np.asarray(l_select, dtype=complex)
     try:
         augment_plant(p)
     except NotAugmentableError as exc:
         return False, {"hypothesis_ok": (0.0).hex()}, f"skipped: plant not physically realizable ({exc})"
-    norms, pointwise, lossless_ok, skipped = [], [], True, []
+    norms, peaks, pointwise, lossless_ok, skipped = [], [], [], True, []
     entries = [("trivial", trivial_controller(p.m_y, p.m_u))]
     entries += [(f"challenger {i}", c) for i, c in enumerate(challengers)]
     for label, ctrl in entries:
@@ -1010,34 +1015,34 @@ def reference_trivial_hinf(p: PlantModel, l_select, challengers) -> tuple:
         rows = full._rows(pad)
         if label == "trivial":
             norm = hinf_norm(rows)
-            value = norm.value
+            norms.append(norm.value)
             top, bottom = (norm.certificate.get(k, norm.value) for k in ("grid_lower_bound", "grid_min"))
-        else:  # a challenger's norm reading is its grid peak
+        else:  # a challenger is only sampled
             if not acl.internally_stable:
                 raise InstabilityError("H-infinity norm needs a Hurwitz state matrix")
             sigma, used = _sample_grid(rows._loops, _sigma_max)
-            value = top = float(np.max(sigma, where=used, initial=0.0))
+            top = float(np.max(sigma, where=used, initial=0.0))
             bottom = float(np.min(sigma, where=used, initial=top))
-        norms.append(value)
+        peaks.append(top)  # a lossless loop's norm is 1, so its grid peak is its norm reading
         q = hermitian_part(full.b @ dagger(full.b))
         feed = max_abs(dagger(full.d) @ full.d - np.eye(full.input_dim))
         defect = _certificate_defect(full.a, full.b, full.c, full.d, q, acl.theta, {}, RESIDUAL_TOL)
         lossless_ok &= acl.internally_stable and feed <= RESIDUAL_TOL and defect is None
         pointwise.append(max(top - 1.0, 1.0 - bottom))
-    worst = max(abs(v - 1.0) for v in norms) if norms else np.inf
+    worst = max(abs(v - 1.0) for v in peaks) if peaks else np.inf
     evidence = {
         "trivial_norm": norms[0] if norms else np.inf,
         "worst_norm_dev": worst,
         "max_pointwise_dev": max(pointwise) if pointwise else np.inf,
-        "loops_checked": float(len(norms)),
+        "loops_checked": float(len(peaks)),
         "challengers_skipped": float(len(skipped)),
         "lossless_all": float(lossless_ok),
     }
     narrative = (
-        f"{len(norms)} loops give closed-loop norms within {worst:.3g} of 1; all-pass verified pointwise to "
+        f"{len(peaks)} loops give closed-loop norms within {worst:.3g} of 1; all-pass verified pointwise to "
         f"{max(pointwise) if pointwise else np.inf:.3g}." + (f" Skipped: {'; '.join(skipped)}" if skipped else "")
     )
-    return bool(norms) and worst <= 1e-6 and lossless_ok, {k: float(v).hex() for k, v in evidence.items()}, narrative
+    return bool(peaks) and worst <= 1e-6 and lossless_ok, {k: float(v).hex() for k, v in evidence.items()}, narrative
 
 
 def report_hex(report) -> tuple:
@@ -1058,8 +1063,9 @@ def test_stacked_trivial_hinf_matches_the_per_loop_reference(shape, count) -> No
         for rows in {1, m_y}:
             selector = np.zeros((rows, m_w + m_u))
             selector[:, :rows] = np.eye(rows)
-            got = report_hex(verify_trivial_hinf(p, selector, challengers))
-            assert got == reference_trivial_hinf(p, selector, challengers), (seed, rows)
+            report = verify_trivial_hinf(p, selector, challengers)
+            assert report_hex(report) == reference_trivial_hinf(p, selector, challengers), (seed, rows)
+            assert report.evidence["worst_norm_dev"] <= 1e-9, (seed, rows)
 
 
 def test_stacked_trivial_hinf_keeps_the_per_loop_skips_and_errors(cavity_plant) -> None:
@@ -1092,6 +1098,32 @@ def test_stacked_trivial_hinf_keeps_the_per_loop_skips_and_errors(cavity_plant) 
     assert report_hex(verify_trivial_hinf(unrealizable, select, challengers)) == reference_trivial_hinf(
         unrealizable, select, challengers
     )
+
+
+@pytest.mark.parametrize("count", [0, 3])
+def test_trivial_hinf_holds_where_k_is_within_tolerance_of_the_identity_pattern(cavity_plant, count) -> None:
+    # K = 1 + 6e-9 passes the completion's pattern test, and the completion is certified with
+    # K = I; every augmented loop carries that identity, so T6 must not refute the theorem
+    p = replace(cavity_plant, k=[[1.0 + 6e-9]])
+    assert augment_plant(p).verdict.realizable
+    report = verify_trivial_hinf(p, [[1.0, 0.0]], random_challengers(p, count, 11))
+    assert report.holds, report.narrative
+    assert report.evidence["lossless_all"] == 1.0 and report.evidence["worst_norm_dev"] <= 1e-9
+    trivial = close_augmented_loop(p, trivial_controller(1, 1)).system
+    assert np.array_equal(trivial.d, np.eye(2)) and np.array_equal(augment_plant(p).system.k, np.eye(2))
+
+
+def test_trivial_hinf_takes_the_trivial_loops_lossless_verdict_from_the_completion(cavity_plant) -> None:
+    # the trivial loop is the plant's own completion, so a completion whose verdict is not
+    # realizable refutes T6 even with no challenger
+    p = cavity_plant
+    holding = verify_trivial_hinf(p, [[1.0, 0.0]], [])
+    assert holding.holds and holding.evidence["lossless_all"] == 1.0
+    ap = augment_plant(p)
+    vars(p)["_completion"] = replace(ap, verdict=replace(ap.verdict, realizable=False))
+    report = verify_trivial_hinf(p, [[1.0, 0.0]], [])
+    assert not report.holds and report.evidence["lossless_all"] == 0.0
+    assert report.evidence["trivial_norm"] == holding.evidence["trivial_norm"]
 
 
 def test_trivial_hinf_refutes_one_wrong_certificate_in_a_stack(cavity_plant, monkeypatch) -> None:
@@ -1145,6 +1177,19 @@ def test_trivial_hinf_refuses_a_challenger_whose_sampled_range_is_not_finite(cav
         return sigma, used
 
     monkeypatch.setattr(coherent, "_sampled_gains", nan_last)
+    with pytest.raises(DomainError, match="sampled sigma_max range of the augmented loop is not finite"):
+        verify_trivial_hinf(cavity_plant, [[1.0, 0.0]], random_challengers(cavity_plant, 6, 11))
+
+
+def test_trivial_hinf_refuses_a_trivial_loop_whose_sampled_range_is_not_finite(cavity_plant, monkeypatch) -> None:
+    # the trivial loop's range comes from hinf_norm's certificate; a NaN there is a DomainError too
+    norm = coherent.hinf_norm
+
+    def nan_range(g):
+        result = norm(g)
+        return replace(result, certificate={**result.certificate, "grid_min": np.nan})
+
+    monkeypatch.setattr(coherent, "hinf_norm", nan_range)
     with pytest.raises(DomainError, match="sampled sigma_max range of the augmented loop is not finite"):
         verify_trivial_hinf(cavity_plant, [[1.0, 0.0]], random_challengers(cavity_plant, 6, 11))
 
